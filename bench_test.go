@@ -221,16 +221,14 @@ func BenchmarkQDSweep(b *testing.B) { runExperiment(b, "qdsweep") }
 
 // BenchmarkCacheHitReadParallel measures the host cost of the epoch
 // fast-read path under full parallel load: eight reader tasks, one per
-// core, each performing b.N cache-hit reads of a resident file with
-// FastReads on — the cell the fig_zerocopy cache half sweeps. CI's
-// bench-smoke job runs one iteration and archives the output.
+// core, each performing b.N cache-hit reads of a resident file — the cell
+// the fig_zerocopy cache half sweeps. CI's bench-smoke job runs one
+// iteration and archives the output.
 func BenchmarkCacheHitReadParallel(b *testing.B) {
 	const cores = 8
 	m := machine.New(cores, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: 1 << 15})
 	defer m.Eng.Shutdown()
-	fi, err := m.BuildFS(machine.KindAeoFS, machine.FSOptions{
-		Cache: aeofs.CacheConfig{FastReads: true},
-	})
+	fi, err := m.BuildFS(machine.KindAeoFS, machine.FSOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

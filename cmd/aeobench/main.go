@@ -460,7 +460,7 @@ func runZerocopy(jsonOut bool) error {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "[zerocopy: ring %.0f KIOPS at QD32; cache %.0f KIOPS/core x4 (%d fast reads); %d chains, %d copies, max %d/chain]\n",
-		kiops, cache.PerCoreKIOPS, cache.FastReads, chains, copies, maxPerChain)
+		kiops, cache.PerCoreKIOPS, cache.EpochReads, chains, copies, maxPerChain)
 	if violations > 0 {
 		return fmt.Errorf("%d trace invariant violation(s)", violations)
 	}

@@ -3,7 +3,6 @@ package aeodriver_test
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,8 +41,7 @@ func batchRig(t *testing.T, cfg aeodriver.Config, body func(env *sim.Env, m *mac
 }
 
 // TestVectoredBatchRoundTrip: WriteVBatch persists every segment with one
-// doorbell write, ReadVBatch reads them back, and the batch stats record the
-// amortization.
+// doorbell write and ReadVBatch reads them back.
 func TestVectoredBatchRoundTrip(t *testing.T) {
 	cfg := aeodriver.Config{Mode: aeodriver.ModeUserInterrupt, QueueDepth: 64}
 	batchRig(t, cfg, func(env *sim.Env, m *machine.Machine, drv *aeodriver.Driver, th *aeodriver.Thread) error {
@@ -79,8 +77,8 @@ func TestVectoredBatchRoundTrip(t *testing.T) {
 				t.Errorf("segment %d diverged after batched round trip", i)
 			}
 		}
-		if th.Batches != 2 || th.BatchSubmitted != 2*segs {
-			t.Errorf("Batches/BatchSubmitted = %d/%d, want 2/%d", th.Batches, th.BatchSubmitted, 2*segs)
+		if got := qp.SQDoorbells - doorbells; got != 2 || th.Submitted != 2*segs {
+			t.Errorf("doorbells/commands = %d/%d, want 2/%d", got, th.Submitted, 2*segs)
 		}
 		if th.PendingRequests() != 0 {
 			t.Errorf("%d requests still pending after WaitAll", th.PendingRequests())
@@ -133,7 +131,7 @@ func TestSubmitBatchAtomicPermRejection(t *testing.T) {
 // arrived yet (the aggregation window was still open), and the watchdog
 // concluded the interrupt was lost and reaped the queue itself — counting a
 // bogus NotifyRecovered and racing the real delivery. The fix makes the
-// watchdog stand down while any shard's NotifyPending() reports an armed
+// watchdog stand down while the queue pair's NotifyPending() reports an armed
 // aggregation.
 func TestWatchdogQuietUnderCoalescing(t *testing.T) {
 	cfg := aeodriver.Config{
@@ -168,7 +166,7 @@ func TestWatchdogQuietUnderCoalescing(t *testing.T) {
 
 // TestWatchdogQuietUnderUrgentBypass: an urgent-class completion bypasses
 // the aggregation window — the interrupt is raised immediately and the
-// aggregation state resets, so notifyHeld() goes false while the CQE is
+// aggregation state resets, so NotifyPending() goes false while the CQE is
 // still visible. If the notification is slow to land (here: fault-injected
 // 40µs delay, twice the watchdog interval), the watchdog used to see
 // "completion present, no aggregation armed, nothing consumed it" and reap
@@ -256,8 +254,6 @@ func TestExactlyOnceUnderFaultInjection(t *testing.T) {
 		if batched {
 			name = "batched+coalesced"
 			cfg.Coalesce = nvme.Coalescing{MaxEvents: unit, MaxDelay: 25 * time.Microsecond}
-			cfg.QueuesPerThread = 2
-			cfg.ShardStride = 64
 		}
 		t.Run(name, func(t *testing.T) {
 			plan := faultinject.NewPlan(33).
@@ -313,17 +309,16 @@ func TestExactlyOnceUnderFaultInjection(t *testing.T) {
 					}
 				}
 				// Exactly-once bookkeeping: nothing pending, nothing
-				// lost, nothing double-counted on any shard.
+				// lost, nothing double-counted.
 				if th.PendingRequests() != 0 {
 					t.Errorf("%d requests still pending", th.PendingRequests())
 				}
-				for si, qp := range th.QueuePairs() {
-					if qp.Submitted != qp.Completed {
-						t.Errorf("shard %d: Submitted %d != Completed %d", si, qp.Submitted, qp.Completed)
-					}
-					if qp.HasCompletions() {
-						t.Errorf("shard %d: unconsumed CQEs left behind", si)
-					}
+				qp := th.QueuePairs()[0]
+				if qp.Submitted != qp.Completed {
+					t.Errorf("Submitted %d != Completed %d", qp.Submitted, qp.Completed)
+				}
+				if qp.HasCompletions() {
+					t.Error("unconsumed CQEs left behind")
 				}
 				if th.Submitted != 2*ops {
 					t.Errorf("Submitted = %d, want %d", th.Submitted, 2*ops)
@@ -336,98 +331,4 @@ func TestExactlyOnceUnderFaultInjection(t *testing.T) {
 
 func pattern(lba uint64) []byte {
 	return bytes.Repeat([]byte{byte(0x11 + lba)}, 512)
-}
-
-// TestShardedConcurrentBatchedIO is the race-focused concurrency test
-// (run under `go test -race` in CI): four submitter tasks on four cores,
-// each with its own sharded queue-pair set and coalesced completion
-// interrupts, under delayed and duplicated notifications. Every task's
-// commands must complete exactly once with intact data.
-func TestShardedConcurrentBatchedIO(t *testing.T) {
-	const (
-		tasks  = 4
-		rounds = 16
-		unit   = 4
-		span   = 1024 // LBAs per task
-	)
-	cfg := aeodriver.Config{
-		Mode:            aeodriver.ModeUserInterrupt,
-		QueueDepth:      64,
-		QueuesPerThread: 4,
-		ShardStride:     32,
-		RecoverTimeout:  50 * time.Microsecond,
-		Coalesce:        nvme.Coalescing{MaxEvents: unit, MaxDelay: 25 * time.Microsecond},
-	}
-	m := machine.New(tasks, nvme.Config{BlockSize: 512, NumBlocks: tasks * span})
-	t.Cleanup(m.Eng.Shutdown)
-	p, err := m.Launch("shards", aeokern.Partition{Start: 0, Blocks: tasks * span, Writable: true}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failures atomic.Int32
-	errs := make([]error, tasks)
-	for ti := 0; ti < tasks; ti++ {
-		ti := ti
-		m.Eng.Spawn(fmt.Sprintf("submitter%d", ti), m.Eng.Core(ti), func(env *sim.Env) {
-			th, err := p.Driver.CreateQP(env)
-			if err != nil {
-				errs[ti] = err
-				return
-			}
-			plan := faultinject.NewPlan(100 + uint64(ti)).
-				On(faultinject.SiteUintrDelay, faultinject.WithProb(0.3, 0)).
-				On(faultinject.SiteUintrDup, faultinject.WithProb(0.3, 0))
-			if err := p.Driver.SetNotifyHook(env, &faultinject.NotifyFaults{Plan: plan, Delay: 10 * time.Microsecond}); err != nil {
-				errs[ti] = err
-				return
-			}
-			base := uint64(ti * span)
-			for r := 0; r < rounds; r++ {
-				iov := make([]aeodriver.IOVec, unit)
-				for i := range iov {
-					lba := base + uint64((r*unit+i)*7%span)
-					iov[i] = aeodriver.IOVec{LBA: lba, Cnt: 1, Buf: bytes.Repeat([]byte{byte(ti + 1)}, 512)}
-				}
-				if err := p.Driver.WriteVBatch(env, iov); err != nil {
-					errs[ti] = err
-					return
-				}
-				for i := range iov {
-					iov[i].Buf = make([]byte, 512)
-				}
-				if err := p.Driver.ReadVBatch(env, iov); err != nil {
-					errs[ti] = err
-					return
-				}
-				for _, v := range iov {
-					if !bytes.Equal(v.Buf, bytes.Repeat([]byte{byte(ti + 1)}, 512)) {
-						failures.Add(1)
-					}
-				}
-			}
-			if th.PendingRequests() != 0 {
-				errs[ti] = fmt.Errorf("task %d: %d requests pending at exit", ti, th.PendingRequests())
-				return
-			}
-			for si, qp := range th.QueuePairs() {
-				if qp.Submitted != qp.Completed {
-					errs[ti] = fmt.Errorf("task %d shard %d: submitted %d != completed %d",
-						ti, si, qp.Submitted, qp.Completed)
-					return
-				}
-			}
-		})
-	}
-	m.Run(0)
-	for ti, err := range errs {
-		if err != nil {
-			t.Errorf("task %d: %v", ti, err)
-		}
-	}
-	if n := failures.Load(); n != 0 {
-		t.Errorf("%d corrupted read-backs across submitters", n)
-	}
-	if live := m.Eng.LiveTasks(); live != 0 {
-		t.Errorf("%d tasks still live after run (lost completion hang?)", live)
-	}
 }

@@ -72,10 +72,12 @@ const (
 	PolicyAlwaysBlock
 )
 
-// Default retry parameters (used when Config leaves them zero).
+// Retry parameters: defaultMaxRetries applies when Config.MaxRetries is zero;
+// retryBackoff is the delay before the first retry and doubles on each
+// subsequent one.
 const (
-	defaultMaxRetries   = 3
-	defaultRetryBackoff = 10 * time.Microsecond
+	defaultMaxRetries = 3
+	retryBackoff      = 10 * time.Microsecond
 )
 
 // Config parameterizes a driver instance.
@@ -89,9 +91,6 @@ type Config struct {
 	// before surfacing the CommandError. 0 selects the default (3);
 	// negative disables retries.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry; it doubles on
-	// each subsequent retry. 0 selects the default (10µs).
-	RetryBackoff time.Duration
 	// RecoverTimeout arms a completion watchdog: if a request's CQE is
 	// visible but no notification delivered it within this interval, the
 	// driver reaps the queue itself (recovering from a lost interrupt).
@@ -99,25 +98,25 @@ type Config struct {
 	// it unnecessary unless notifications are faulted).
 	RecoverTimeout time.Duration
 
-	// QueuesPerThread shards each thread's I/O across this many queue
-	// pairs (by LBA, see ShardStride), so independent files issue on
-	// independent qpairs. 0 or 1 selects the classic single-queue layout.
-	QueuesPerThread int
-	// ShardStride is the LBA-run length mapped to one shard before the
-	// next run moves to the next queue pair. 0 selects the default (256
-	// blocks), keeping FS-sized contiguous runs on a single qpair.
-	ShardStride uint64
 	// Coalesce configures CQ interrupt aggregation on every queue pair
 	// the driver creates (zero value: no coalescing).
 	Coalesce nvme.Coalescing
 
-	// ZeroCopyRing enables the zero-copy ring datapath: each (thread,
-	// shard) pair stages commands through a per-core lock-free SPSC
+	// ZeroCopyRing selects the zero-copy ring variant of the datapath:
+	// each thread stages commands through a per-core lock-free SPSC
 	// producer ring whose slots carry pre-registered buffers, so a
 	// submission pays timing.RingPrep per command (no per-command PRP
 	// build) and a completion pays timing.RingComplete (lock-free CQ
 	// consume, batched head doorbell) instead of the SQEPrep/CompleteCost
-	// halves. Off (the default), the batched SQE path is unchanged.
+	// halves.
+	//
+	// Verdict (DESIGN.md "Forks and verdicts"): kept as fig_zerocopy's
+	// named variant, never the default. Forced on, the poll-mode QD1
+	// calibration reads 3.919µs against the paper's ~4.3µs (Fig. 10) and
+	// the qdsweep QD32 batching speedup falls from 2.2x to 1.82x; RingPrep
+	// also assumes pre-registered buffers, which page-cache pages and user
+	// buffers are not. It is the only datapath mechanism flag left here,
+	// and it costs one branch in enqueue and one in Wait.
 	ZeroCopyRing bool
 
 	// QoS enables priority-class delivery (ModeUserInterrupt only): each
@@ -134,20 +133,6 @@ type Config struct {
 	IOClass uintr.Class
 }
 
-func (c Config) queues() int {
-	if c.QueuesPerThread < 1 {
-		return 1
-	}
-	return c.QueuesPerThread
-}
-
-func (c Config) stride() uint64 {
-	if c.ShardStride == 0 {
-		return 256
-	}
-	return c.ShardStride
-}
-
 func (c Config) maxRetries() int {
 	switch {
 	case c.MaxRetries < 0:
@@ -157,13 +142,6 @@ func (c Config) maxRetries() int {
 	default:
 		return c.MaxRetries
 	}
-}
-
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return defaultRetryBackoff
-	}
-	return c.RetryBackoff
 }
 
 // Request is an in-flight I/O request handle.
@@ -177,12 +155,6 @@ type Request struct {
 	cqe    *sim.Completion // fired when the CQE becomes visible (polling)
 	status nvme.Status
 	cid    uint16
-	// shard is the index of the queue pair the request was issued on.
-	shard int
-	// ring marks a request submitted through the zero-copy ring datapath;
-	// its completion is charged timing.RingComplete instead of
-	// timing.CompleteCost.
-	ring bool
 	// attempts counts submissions of this request (1 + retries).
 	attempts int
 	// SubmittedAt/DoneAt delimit the request's device-visible lifetime.
@@ -209,35 +181,34 @@ func (r *Request) OnComplete(fn func(*Request)) {
 	done.OnFire(func() { fn(r) })
 }
 
-// pendKey identifies an in-flight request: queue pairs assign CIDs
-// independently, so a CID alone is ambiguous across shards.
-type pendKey struct {
-	shard int
-	cid   uint16
-}
-
-// Thread is the per-thread driver state: one or more dedicated queue pairs
-// (sharded by LBA), a distinct hardware vector (§6.1: per-thread vectors make
-// out-of-schedule interrupts miss UINV), and the thread's UPID. In
-// ModeUserInterrupt all shards post into the one UPID — shard i posts user
-// vector i — so a single notification delivery drains every pending shard.
+// Thread is the per-thread driver state: one dedicated queue pair (Table 4's
+// create_qp), a distinct hardware vector (§6.1: per-thread vectors make
+// out-of-schedule interrupts miss UINV), and the thread's UPID, into which
+// the queue pair posts user vector 0.
 type Thread struct {
 	drv    *Driver
 	task   *sim.Task
-	qps    []*nvme.QueuePair
+	qp     *nvme.QueuePair
 	vector int
 	upid   *uintr.UPID
-	// rings are the per-shard lock-free SPSC staging rings of the
-	// zero-copy datapath (nil unless Config.ZeroCopyRing): the submitting
-	// task is the only producer and the in-gate drain the only consumer,
-	// so command staging takes no lock.
-	rings []*nvme.SPSC[nvme.SubmissionEntry]
+	// ring is the lock-free SPSC staging ring of the zero-copy variant (nil
+	// unless Config.ZeroCopyRing): the submitting task is the only producer
+	// and the in-gate drain the only consumer, so command staging takes no
+	// lock.
+	ring *nvme.SPSC[nvme.SubmissionEntry]
 	// class is the thread's current I/O class (QoS configurations only):
 	// submissions carry it as their completion priority tag and the UPID
-	// class map keeps the shard vectors in it.
+	// class map keeps the thread's user vector in it.
 	class uintr.Class
 
-	pending map[pendKey]*Request
+	// pending maps the queue pair's CIDs to their in-flight requests.
+	pending map[uint16]*Request
+
+	// entries and subs are enqueue's scratch for the SQ entries it builds
+	// and the queue pair's answers; only the owning task submits, so they
+	// are reused across submissions without a lock.
+	entries []nvme.SubmissionEntry
+	subs    []nvme.Submitted
 
 	// Stats.
 	Submitted        uint64
@@ -246,56 +217,20 @@ type Thread struct {
 	YieldsFromIRQ    uint64
 	BlockedWaits     uint64
 	ActiveCheckWaits uint64
-	// Batches counts SubmitBatch calls; BatchSubmitted counts commands
-	// issued through them.
-	Batches        uint64
-	BatchSubmitted uint64
 	// Retries counts transient-error re-submissions; NotifyRecovered
 	// counts completions the watchdog reaped after a lost notification.
 	Retries         uint64
 	NotifyRecovered uint64
-	// RingStaged counts commands that traveled through a zero-copy
+	// RingStaged counts commands that traveled through the zero-copy
 	// staging ring.
 	RingStaged uint64
 }
 
-// QueuePairs exposes the thread's shard set (tests and diagnostics).
-func (th *Thread) QueuePairs() []*nvme.QueuePair { return th.qps }
+// QueuePairs exposes the thread's queue pair (tests and diagnostics).
+func (th *Thread) QueuePairs() []*nvme.QueuePair { return []*nvme.QueuePair{th.qp} }
 
 // PendingRequests reports the number of in-flight requests (tests).
 func (th *Thread) PendingRequests() int { return len(th.pending) }
-
-// shardFor maps an LBA to the queue pair it issues on: runs of stride
-// blocks round-robin across the shards, so contiguous FS extents stay on
-// one qpair while independent files land on independent qpairs.
-func (th *Thread) shardFor(lba uint64) int {
-	if len(th.qps) == 1 {
-		return 0
-	}
-	return int((lba / th.drv.cfg.stride()) % uint64(len(th.qps)))
-}
-
-// hasCompletions reports whether any shard has unconsumed CQEs.
-func (th *Thread) hasCompletions() bool {
-	for _, qp := range th.qps {
-		if qp.HasCompletions() {
-			return true
-		}
-	}
-	return false
-}
-
-// notifyHeld reports whether any shard is intentionally holding back its
-// completion notification under interrupt coalescing (aggregation window
-// still open). The watchdog must not treat such completions as lost.
-func (th *Thread) notifyHeld() bool {
-	for _, qp := range th.qps {
-		if qp.NotifyPending() {
-			return true
-		}
-	}
-	return false
-}
 
 // notifyInFlight reports whether a notification for this thread's UPID has
 // been raised but not yet recognized (ON set). The completions it covers
@@ -355,14 +290,21 @@ func Open(kern *aeokern.Kernel, proc *aeokern.Process, gate *mpk.Gate, cfg Confi
 
 // Close releases all driver resources (Table 4 ②).
 func (d *Driver) Close() {
-	for t, th := range d.threads {
-		for _, qp := range th.qps {
-			d.kern.FreeQueuePair(d.proc, qp)
-		}
-		d.kern.UnregisterThreadUintr(t)
-		delete(d.threads, t)
+	for _, th := range d.threads {
+		d.release(th)
 	}
 	d.open = false
+}
+
+// release returns a thread's queue pair, interrupt vector and user-interrupt
+// registration to the kernel and forgets the thread.
+func (d *Driver) release(th *Thread) {
+	d.kern.FreeQueuePair(d.proc, th.qp)
+	if d.cfg.Mode != ModePoll {
+		d.kern.FreeVector(th.vector)
+	}
+	d.kern.UnregisterThreadUintr(th.task)
+	delete(d.threads, th.task)
 }
 
 // Gate returns the process's trusted-entity gate (shared with the AeoFS
@@ -381,9 +323,8 @@ func (d *Driver) Mode() CompletionMode { return d.cfg.Mode }
 // Config returns the driver's configuration.
 func (d *Driver) Config() Config { return d.cfg }
 
-// CreateQP allocates the calling task's queue pairs (one per configured
-// shard) and wires their completion paths according to the driver's mode
-// (Table 4 ③).
+// CreateQP allocates the calling task's queue pair and wires its completion
+// path according to the driver's mode (Table 4 ③).
 func (d *Driver) CreateQP(env *sim.Env) (*Thread, error) {
 	if !d.open {
 		return nil, ErrClosed
@@ -392,98 +333,60 @@ func (d *Driver) CreateQP(env *sim.Env) (*Thread, error) {
 	if th, ok := d.threads[t]; ok {
 		return th, nil
 	}
-	qps, err := d.kern.AllocQueuePairs(d.proc, d.cfg.queues(), d.cfg.QueueDepth)
+	qp, err := d.kern.AllocQueuePair(d.proc, d.cfg.QueueDepth)
 	if err != nil {
 		return nil, err
 	}
-	for _, qp := range qps {
-		qp.SetCoalescing(d.cfg.Coalesce)
-	}
+	qp.SetCoalescing(d.cfg.Coalesce)
 	th := &Thread{
 		drv:     d,
 		task:    t,
-		qps:     qps,
-		pending: make(map[pendKey]*Request),
+		qp:      qp,
+		pending: make(map[uint16]*Request),
 	}
 	if d.cfg.ZeroCopyRing {
-		th.rings = make([]*nvme.SPSC[nvme.SubmissionEntry], len(qps))
-		for i := range th.rings {
-			th.rings[i] = nvme.NewSPSC[nvme.SubmissionEntry](d.cfg.QueueDepth)
-		}
+		th.ring = nvme.NewSPSC[nvme.SubmissionEntry](d.cfg.QueueDepth)
 	}
-	freeAll := func() {
-		for _, qp := range qps {
-			d.kern.FreeQueuePair(d.proc, qp)
-		}
-	}
+	// ModePoll wires no interrupt: the thread discovers CQEs by polling.
+	// Every other mode gets one vector; nothing after its allocation can
+	// fail, so the queue pair is all there is to unwind.
+	var deliver aeokern.KernelDeliver
 	switch d.cfg.Mode {
 	case ModeUserInterrupt:
-		// One notification vector and one UPID for the whole thread;
-		// shard i posts user vector i, so recognition of a single
-		// notification transfers every pending shard's bit at once.
-		vec, err := d.kern.AllocVector(th.kernelDeliver)
-		if err != nil {
-			freeAll()
-			return nil, err
-		}
-		th.vector = vec
-		upid, _ := d.kern.MapUPID(t.Affinity(), vec, d.gate)
-		th.upid = upid
-		if d.cfg.QoS {
-			th.class = d.cfg.IOClass
-			upid.Classes = uintr.NewClassMap(uintr.ClassNormal)
-			for i := range qps {
-				upid.Classes.Set(uint8(i%uintr.MaxVectors), th.class)
-			}
-		}
-		for i, qp := range qps {
-			d.kern.ProgramMSIX(qp, upid, uint8(i%uintr.MaxVectors), t.Affinity(), vec)
-		}
-		d.kern.RegisterThreadUintr(t, vec, upid, th.userHandler)
-	case ModeKernelNative:
-		if err := th.wireKernelVectors(t, th.kernelNativeDeliver, freeAll); err != nil {
-			return nil, err
-		}
+		deliver = th.kernelDeliver
 	case ModeKernelInterrupt:
-		if err := th.wireKernelVectors(t, th.kernelIntrDeliver, freeAll); err != nil {
+		deliver = th.kernelIntrDeliver
+	case ModeKernelNative:
+		deliver = th.kernelNativeDeliver
+	}
+	if deliver != nil {
+		if th.vector, err = d.kern.AllocVector(deliver); err != nil {
+			d.kern.FreeQueuePair(d.proc, qp)
 			return nil, err
 		}
-	case ModePoll:
-		// No interrupt wiring; the thread discovers CQEs by polling.
+		if d.cfg.Mode == ModeUserInterrupt {
+			// The queue pair posts user vector 0 into the thread's UPID.
+			th.upid, _ = d.kern.MapUPID(t.Affinity(), th.vector, d.gate)
+			if d.cfg.QoS {
+				th.class = d.cfg.IOClass
+				th.upid.Classes = uintr.NewClassMap(uintr.ClassNormal)
+				th.upid.Classes.Set(0, th.class)
+			}
+			d.kern.RegisterThreadUintr(t, th.vector, th.upid, th.userHandler)
+		}
+		d.kern.ProgramMSIX(qp, th.upid, 0, t.Affinity(), th.vector)
 	}
 	d.threads[t] = th
 	return th, nil
 }
 
-// wireKernelVectors allocates one kernel interrupt vector per shard and
-// programs each qpair's MSI-X entry onto it (kernel-path completion modes).
-func (th *Thread) wireKernelVectors(t *sim.Task, deliver aeokern.KernelDeliver, undo func()) error {
-	for i, qp := range th.qps {
-		vec, err := th.drv.kern.AllocVector(deliver)
-		if err != nil {
-			undo()
-			return err
-		}
-		if i == 0 {
-			th.vector = vec
-		}
-		th.drv.kern.ProgramMSIX(qp, nil, 0, t.Affinity(), vec)
-	}
-	return nil
-}
-
-// DeleteQP releases the calling task's queue pairs (Table 4 ④).
+// DeleteQP releases the calling task's queue pair (Table 4 ④).
 func (d *Driver) DeleteQP(env *sim.Env) error {
-	t := env.Task()
-	th, ok := d.threads[t]
-	if !ok {
-		return ErrNoThread
+	th, err := d.thread(env.Task())
+	if err != nil {
+		return err
 	}
-	for _, qp := range th.qps {
-		d.kern.FreeQueuePair(d.proc, qp)
-	}
-	d.kern.UnregisterThreadUintr(t)
-	delete(d.threads, t)
+	d.release(th)
 	return nil
 }
 
@@ -622,40 +525,6 @@ func (d *Driver) syncIO(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, bu
 	return d.Wait(env, req)
 }
 
-// Submit issues an asynchronous I/O request. Entering the trusted driver
-// costs the gate toll; the permission check happens inside the gate.
-func (d *Driver) Submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, buf []byte, priv bool) (*Request, error) {
-	if !d.open {
-		return nil, ErrClosed
-	}
-	if priv && !d.proc.Thread.InTrustedGate() {
-		return nil, ErrPrivileged
-	}
-	th, err := d.thread(env.Task())
-	if err != nil {
-		return nil, err
-	}
-	var req *Request
-	d.gate.Call(env, d.proc.Thread, func() {
-		if !priv && op != nvme.OpFlush && !d.perm.Allows(lba, uint64(cnt), op == nvme.OpWrite) {
-			err = fmt.Errorf("%w: %v [%d,+%d)", ErrPerm, op, lba, cnt)
-			return
-		}
-		if d.cfg.ZeroCopyRing {
-			// Ring datapath: stage one pre-registered command and ring
-			// the tail doorbell — no per-command PRP build.
-			env.Exec(timing.RingPrep + timing.DoorbellWrite)
-		} else {
-			env.Exec(timing.SubmitCost)
-		}
-		req, err = th.submit(env, op, lba, cnt, buf)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
 // IOVec is one segment of a vectored batch request. Buf is the contiguous
 // transfer buffer; SG, when non-empty, replaces it with a scatter-gather
 // list of block-aligned segments (gather-DMA: pages submitted in place,
@@ -667,102 +536,114 @@ type IOVec struct {
 	SG  [][]byte
 }
 
+// Submit issues an asynchronous I/O request: a batch of one.
+func (d *Driver) Submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, buf []byte, priv bool) (*Request, error) {
+	th, err := d.submitter(env, priv)
+	if err != nil {
+		return nil, err
+	}
+	iov := [1]IOVec{{LBA: lba, Cnt: cnt, Buf: buf}}
+	var reqs [1]*Request
+	if err := th.enqueue(env, op, iov[:], priv, reqs[:]); err != nil {
+		return nil, err
+	}
+	return reqs[0], nil
+}
+
 // SubmitBatch issues a whole vector of same-opcode commands through a single
 // trusted-gate entry, paying the per-command SQE-prep cost once per segment
-// but the gate toll and the doorbell MMIO cost only once per (shard, batch).
-// Segments are routed to their LBA shard and each shard's commands ring one
-// doorbell. Admission is all-or-nothing: if any segment fails its permission
-// check or any shard lacks SQ capacity for its share, nothing is enqueued.
+// but the gate toll and the doorbell MMIO cost only once per batch.
+// Admission is all-or-nothing: if any segment fails its permission check or
+// the SQ lacks capacity for the batch, nothing is enqueued.
 func (d *Driver) SubmitBatch(env *sim.Env, op nvme.Opcode, iov []IOVec, priv bool) ([]*Request, error) {
+	th, err := d.submitter(env, priv)
+	if err != nil || len(iov) == 0 {
+		return nil, err
+	}
+	reqs := make([]*Request, len(iov))
+	if err := th.enqueue(env, op, iov, priv, reqs); err != nil {
+		return nil, err
+	}
+	return reqs, nil
+}
+
+// submitter resolves the calling task's thread for a submission, refusing
+// closed drivers and privileged requests from outside the trusted gate.
+func (d *Driver) submitter(env *sim.Env, priv bool) (*Thread, error) {
 	if !d.open {
 		return nil, ErrClosed
-	}
-	if len(iov) == 0 {
-		return nil, nil
 	}
 	if priv && !d.proc.Thread.InTrustedGate() {
 		return nil, ErrPrivileged
 	}
-	th, err := d.thread(env.Task())
-	if err != nil {
-		return nil, err
-	}
-	var reqs []*Request
+	return d.thread(env.Task())
+}
+
+// enqueue is the one first-submission path; a single command is a batch of
+// one. Entering the trusted driver costs the gate toll once; inside the gate
+// the whole vector passes the permission check and the SQ capacity check
+// before anything reaches the queue, then pays SQE prep per command and one
+// doorbell write, and one nvme batch hands it to the device. reqs (len(iov),
+// caller-owned) receives the request handles in segment order.
+func (th *Thread) enqueue(env *sim.Env, op nvme.Opcode, iov []IOVec, priv bool, reqs []*Request) (err error) {
+	d := th.drv
 	d.gate.Call(env, d.proc.Thread, func() {
-		// Atomic permission precheck: reject the whole batch before
-		// anything reaches a submission queue.
-		if !priv {
+		if !priv && op != nvme.OpFlush {
 			for _, v := range iov {
-				if op != nvme.OpFlush && !d.perm.Allows(v.LBA, uint64(v.Cnt), op == nvme.OpWrite) {
+				if !d.perm.Allows(v.LBA, uint64(v.Cnt), op == nvme.OpWrite) {
 					err = fmt.Errorf("%w: %v [%d,+%d) (batch of %d rejected)", ErrPerm, op, v.LBA, v.Cnt, len(iov))
 					return
 				}
 			}
 		}
-		// Group segments by shard, preserving order within each shard.
-		byShard := make(map[int][]int, len(th.qps))
-		for i, v := range iov {
-			s := th.shardFor(v.LBA)
-			byShard[s] = append(byShard[s], i)
+		if th.qp.Inflight()+len(iov) > d.cfg.QueueDepth-1 {
+			err = fmt.Errorf("%w (%d inflight + %d batch > depth %d)",
+				nvme.ErrSQFull, th.qp.Inflight(), len(iov), d.cfg.QueueDepth)
+			return
 		}
-		// Capacity precheck across every shard keeps admission atomic.
-		for s, idxs := range byShard {
-			if th.qps[s].Inflight()+len(idxs) > d.cfg.QueueDepth-1 {
-				err = fmt.Errorf("%w (shard %d: %d inflight + %d batch > depth %d)",
-					nvme.ErrSQFull, s, th.qps[s].Inflight(), len(idxs), d.cfg.QueueDepth)
-				return
-			}
+		entries := th.entries[:0]
+		for _, v := range iov {
+			entries = append(entries, th.sqe(op, v.LBA, v.Cnt, v.Buf, v.SG))
 		}
 		perCmd := timing.SQEPrep
-		if d.cfg.ZeroCopyRing {
+		if th.ring != nil {
+			// Ring variant: commands are staged in pre-registered slots,
+			// so there is no per-command PRP build.
 			perCmd = timing.RingPrep
+			entries = th.stageRing(entries)
 		}
-		env.Exec(time.Duration(len(iov))*perCmd + time.Duration(len(byShard))*timing.DoorbellWrite)
+		env.Exec(time.Duration(len(iov))*perCmd + timing.DoorbellWrite)
+		subs, serr := th.qp.SubmitBatch(th.subs[:0], entries)
+		th.entries, th.subs = entries, subs
+		if serr != nil {
+			err = serr
+			return
+		}
 		now := env.Now()
-		reqs = make([]*Request, len(iov))
-		for s, idxs := range byShard {
-			entries := make([]nvme.SubmissionEntry, len(idxs))
-			for j, i := range idxs {
-				v := iov[i]
-				entries[j] = nvme.SubmissionEntry{Opcode: op, SLBA: v.LBA, NLB: v.Cnt, Data: v.Buf, SGL: v.SG, Prio: th.prioTag()}
-			}
-			if th.rings != nil {
-				entries = th.stageRing(s, entries)
-			}
-			subs, serr := th.qps[s].SubmitBatch(entries)
-			if serr != nil {
-				err = serr
-				return
-			}
-			for j, i := range idxs {
-				v := iov[i]
-				req := &Request{
-					op:          op,
-					lba:         v.LBA,
-					cnt:         v.Cnt,
-					buf:         v.Buf,
-					sgl:         v.SG,
-					done:        sim.NewCompletion(),
-					cqe:         subs[j].Done,
-					cid:         subs[j].CID,
-					shard:       s,
-					ring:        th.rings != nil,
-					attempts:    1,
-					SubmittedAt: now,
-				}
-				th.pending[pendKey{s, req.cid}] = req
-				th.Submitted++
-				th.BatchSubmitted++
-				th.armWatchdog(req)
-				reqs[i] = req
-			}
+		for i, v := range iov {
+			reqs[i] = &Request{op: op, lba: v.LBA, cnt: v.Cnt, buf: v.Buf, sgl: v.SG,
+				done: sim.NewCompletion(), SubmittedAt: now}
+			th.track(reqs[i], subs[i])
 		}
-		th.Batches++
 	})
-	if err != nil {
-		return nil, err
-	}
-	return reqs, nil
+	return err
+}
+
+// sqe builds the submission entry for one command, tagged with the thread's
+// current I/O class.
+func (th *Thread) sqe(op nvme.Opcode, lba uint64, cnt uint32, buf []byte, sgl [][]byte) nvme.SubmissionEntry {
+	return nvme.SubmissionEntry{Opcode: op, SLBA: lba, NLB: cnt, Data: buf, SGL: sgl, Prio: th.prioTag()}
+}
+
+// track records one accepted submission of req: the queue pair's CID and
+// CQE handle, the attempt count, the pending entry and the watchdog.
+func (th *Thread) track(req *Request, sub nvme.Submitted) {
+	req.cqe = sub.Done
+	req.cid = sub.CID
+	req.attempts++
+	th.pending[req.cid] = req
+	th.Submitted++
+	th.armWatchdog(req)
 }
 
 // WaitAll waits for every request in order and returns the first error.
@@ -850,9 +731,7 @@ func (d *Driver) SetIOClass(env *sim.Env, class uintr.Class) error {
 	}
 	th.class = class
 	if th.upid != nil && th.upid.Classes != nil {
-		for i := range th.qps {
-			th.upid.Classes.Set(uint8(i%uintr.MaxVectors), class)
-		}
+		th.upid.Classes.Set(0, class)
 	}
 	return nil
 }
@@ -866,59 +745,26 @@ func (d *Driver) IOClass(env *sim.Env) (uintr.Class, error) {
 	return th.class, nil
 }
 
-// stageRing pushes a shard's batch through its lock-free SPSC staging ring
-// and returns the drained, submission-ordered entries. The caller already
-// prechecked SQ capacity and the ring holds at least QueueDepth slots, so
-// the push/pop interleave below always terminates: when the ring fills
-// mid-batch, the in-gate consumer drains a slot before the producer
-// continues (the same backpressure a device-polled ring applies).
-func (th *Thread) stageRing(s int, entries []nvme.SubmissionEntry) []nvme.SubmissionEntry {
-	r := th.rings[s]
-	out := make([]nvme.SubmissionEntry, 0, len(entries))
-	for len(entries) > 0 || r.Len() > 0 {
-		if len(entries) > 0 && r.Push(entries[0]) {
-			entries = entries[1:]
+// stageRing pushes a batch through the thread's lock-free SPSC staging ring
+// and returns the drained, submission-ordered entries (in place: a slot is
+// only overwritten after its entry was pushed). The caller already prechecked
+// SQ capacity and the ring holds at least QueueDepth slots, so the push/pop
+// interleave below always terminates: when the ring fills mid-batch, the
+// in-gate consumer drains a slot before the producer continues (the same
+// backpressure a device-polled ring applies).
+func (th *Thread) stageRing(entries []nvme.SubmissionEntry) []nvme.SubmissionEntry {
+	out := entries[:0]
+	for next := 0; next < len(entries) || th.ring.Len() > 0; {
+		if next < len(entries) && th.ring.Push(entries[next]) {
+			next++
 			th.RingStaged++
 			continue
 		}
-		if e, ok := r.Pop(); ok {
+		if e, ok := th.ring.Pop(); ok {
 			out = append(out, e)
 		}
 	}
 	return out
-}
-
-func (th *Thread) submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, buf []byte) (*Request, error) {
-	req := &Request{
-		op:          op,
-		lba:         lba,
-		cnt:         cnt,
-		buf:         buf,
-		done:        sim.NewCompletion(),
-		shard:       th.shardFor(lba),
-		ring:        th.rings != nil,
-		SubmittedAt: env.Now(),
-	}
-	qp := th.qps[req.shard]
-	entry := nvme.SubmissionEntry{Opcode: op, SLBA: lba, NLB: cnt, Data: buf, Prio: th.prioTag()}
-	if th.rings != nil {
-		if th.rings[req.shard].Push(entry) {
-			th.RingStaged++
-			entry, _ = th.rings[req.shard].Pop()
-		}
-	}
-	cqe, err := qp.Submit(entry)
-	if err != nil {
-		return nil, err
-	}
-	req.cqe = cqe
-	// The CID assigned by the queue pair is the last one issued.
-	req.cid = qp.LastCID()
-	req.attempts++
-	th.pending[pendKey{req.shard, req.cid}] = req
-	th.Submitted++
-	th.armWatchdog(req)
-	return req, nil
 }
 
 // resubmit re-issues a request that completed with a transient error. The
@@ -926,20 +772,16 @@ func (th *Thread) submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, b
 // retry goes straight to the queue pair, like a storage driver requeueing a
 // failed command.
 func (th *Thread) resubmit(env *sim.Env, req *Request) error {
-	req.done = sim.NewCompletion()
-	req.status = nvme.StatusSuccess
-	qp := th.qps[req.shard]
-	cqe, err := qp.Submit(nvme.SubmissionEntry{Opcode: req.op, SLBA: req.lba, NLB: req.cnt, Data: req.buf, SGL: req.sgl, Prio: th.prioTag()})
+	th.entries = append(th.entries[:0], th.sqe(req.op, req.lba, req.cnt, req.buf, req.sgl))
+	subs, err := th.qp.SubmitBatch(th.subs[:0], th.entries)
+	th.subs = subs
 	if err != nil {
 		return err
 	}
-	req.cqe = cqe
-	req.cid = qp.LastCID()
-	req.attempts++
-	th.pending[pendKey{req.shard, req.cid}] = req
-	th.Submitted++
+	req.done = sim.NewCompletion()
+	req.status = nvme.StatusSuccess
+	th.track(req, subs[0])
 	th.Retries++
-	th.armWatchdog(req)
 	return nil
 }
 
@@ -959,10 +801,10 @@ func (th *Thread) armWatchdog(req *Request) {
 		if done.Done() || req.done != done {
 			return
 		}
-		if th.hasCompletions() && !th.notifyHeld() && !th.notifyInFlight() {
-			// A CQE is sitting in a queue with no aggregation window
+		if th.qp.HasCompletions() && !th.qp.NotifyPending() && !th.notifyInFlight() {
+			// A CQE is sitting in the queue with no aggregation window
 			// open and nothing consumed it: the notification was
-			// lost. Reap it ourselves. (When notifyHeld, the CQE is
+			// lost. Reap it ourselves. (When NotifyPending, the CQE is
 			// intentionally parked behind interrupt coalescing — the
 			// armed aggregation timer will deliver it, so reaping
 			// here would be a false recovery. When notifyInFlight,
@@ -991,7 +833,7 @@ func (d *Driver) Wait(env *sim.Env, req *Request) error {
 	if err != nil {
 		return err
 	}
-	backoff := d.cfg.retryBackoff()
+	backoff := retryBackoff
 	retriesLeft := d.cfg.maxRetries()
 	for {
 		d.waitDone(env, th, req)
@@ -1008,8 +850,8 @@ func (d *Driver) Wait(env *sim.Env, req *Request) error {
 			break
 		}
 	}
-	if req.ring {
-		// Ring datapath: phase-bit CQ consume with a batched head
+	if th.ring != nil {
+		// Ring variant: phase-bit CQ consume with a batched head
 		// doorbell, cheaper than the classic completion half.
 		env.Exec(timing.RingComplete)
 	} else {
@@ -1072,29 +914,20 @@ func (d *Driver) othersRunnable(env *sim.Env) bool {
 	return d.ext.Snapshot(c).NrRunning > 1
 }
 
-// drainShard consumes all visible CQEs on one queue pair and fires their
-// requests.
-func (th *Thread) drainShard(si int, now time.Duration) int {
+// drainCQ consumes all visible CQEs on the thread's queue pair and fires
+// their requests.
+func (th *Thread) drainCQ(now time.Duration) int {
 	n := 0
-	for _, ce := range th.qps[si].Poll(0) {
-		req := th.pending[pendKey{si, ce.CID}]
+	for _, ce := range th.qp.Poll(0) {
+		req := th.pending[ce.CID]
 		if req == nil {
 			continue
 		}
-		delete(th.pending, pendKey{si, ce.CID})
+		delete(th.pending, ce.CID)
 		req.status = ce.Status
 		req.DoneAt = now
 		req.done.FireAt(now)
 		n++
-	}
-	return n
-}
-
-// drainCQ consumes all visible CQEs on every shard and fires their requests.
-func (th *Thread) drainCQ(now time.Duration) int {
-	n := 0
-	for si := range th.qps {
-		n += th.drainShard(si, now)
 	}
 	return n
 }
@@ -1112,18 +945,12 @@ func (th *Thread) emitHandler(typ trace.Type, core int, aux uint64) {
 // userHandler is the userspace user-interrupt handler (§4.2): it identifies
 // the interrupt source by checking the hardware completion queue, handles
 // completions, rewrites the UPID PIR (implicit: recognition cleared it),
-// and evaluates user_try_yield before returning (§6.1 decision point). The
-// delivered user vector names the shard whose CQ raised it; out-of-range
-// vectors (or single-queue layouts) drain everything.
+// and evaluates user_try_yield before returning (§6.1 decision point).
 func (th *Thread) userHandler(ctx *sim.IRQCtx, uv uint8) {
 	th.HandlerRuns++
 	th.emitHandler(trace.HandlerEnter, ctx.Core().ID, uint64(uv))
 	defer th.emitHandler(trace.HandlerExit, ctx.Core().ID, uint64(uv))
-	if int(uv) < len(th.qps) {
-		th.drainShard(int(uv), ctx.Now())
-	} else {
-		th.drainCQ(ctx.Now())
-	}
+	th.drainCQ(ctx.Now())
 	// Figure 8: yield only when the policy demands it.
 	snap := th.drv.ext.Snapshot(ctx.Core())
 	if sched.UserTryYield(snap, ctx.Now()) {
@@ -1201,21 +1028,3 @@ func (th *Thread) kernelNativeDeliver(ctx *sim.IRQCtx, vec int) {
 // Mutation must go through SetPerm; this accessor is read-only by
 // convention (the region check guards real accesses).
 func (d *Driver) PermSnapshot(blk uint64) Perm { return d.perm.Get(blk) }
-
-// DebugThread renders a thread's diagnostic state (tests only).
-func (d *Driver) DebugThread(t *sim.Task) string {
-	th, ok := d.threads[t]
-	if !ok {
-		return "no-thread"
-	}
-	inflight := 0
-	for _, qp := range th.qps {
-		inflight += qp.Inflight()
-	}
-	var pir uint64
-	if th.upid != nil {
-		pir = th.upid.PIR
-	}
-	return fmt.Sprintf("submitted=%d handler=%d oos=%d pending=%d inflight=%d cqe=%v upidPIR=%#x",
-		th.Submitted, th.HandlerRuns, th.OutOfSchedDeliv, len(th.pending), inflight, th.hasCompletions(), pir)
-}

@@ -15,11 +15,9 @@ import (
 func ringWorkload(t *testing.T, ring bool) (elapsed time.Duration, staged uint64, data [][]byte) {
 	t.Helper()
 	cfg := aeodriver.Config{
-		Mode:            aeodriver.ModeUserInterrupt,
-		QueueDepth:      64,
-		QueuesPerThread: 2,
-		ShardStride:     32,
-		ZeroCopyRing:    ring,
+		Mode:         aeodriver.ModeUserInterrupt,
+		QueueDepth:   64,
+		ZeroCopyRing: ring,
 	}
 	batchRig(t, cfg, func(env *sim.Env, m *machine.Machine, drv *aeodriver.Driver, th *aeodriver.Thread) error {
 		const segs = 16
@@ -61,7 +59,7 @@ func ringWorkload(t *testing.T, ring bool) (elapsed time.Duration, staged uint64
 }
 
 // TestZeroCopyRingIdentity: the ring datapath must return byte-identical
-// data, actually stage every command through the SPSC rings, and take
+// data, actually stage every command through the SPSC ring, and take
 // strictly less virtual time than the batched SQE path (RingPrep <
 // SQEPrep, RingComplete < CompleteCost — the whole point of the mode).
 func TestZeroCopyRingIdentity(t *testing.T) {

@@ -18,14 +18,6 @@ type CacheConfig struct {
 	// MaxReadahead is the largest sequential read-ahead window in pages.
 	// 0 disables read-ahead.
 	MaxReadahead int
-	// InitReadahead is the window a freshly detected sequential stream
-	// starts with; the window doubles on read-ahead hits and halves on
-	// waste, clamped to [InitReadahead, MaxReadahead]. Default 4.
-	InitReadahead int
-	// ReadaheadChunk caps the pages per read-ahead command, so one window
-	// arrives as several completions and the reader can start consuming
-	// before the whole window lands. Default 8.
-	ReadaheadChunk int
 	// DirtyHighWater wakes the background flusher as soon as dirty bytes
 	// cross it. Defaults to CacheBytes/4 when the cache is bounded.
 	DirtyHighWater uint64
@@ -38,32 +30,24 @@ type CacheConfig struct {
 	// FlusherCore selects the simulated core the flusher thread runs on
 	// (modulo the machine's core count).
 	FlusherCore int
-	// FastReads enables the epoch (seqlock) lock-free read paths — the
-	// all-resident page-cache fast read and the dentry-cache fast lookup —
-	// letting cache-hit reads complete with no budgetMu, range-lock, or
-	// tree-lock traffic. Off by default so existing figures keep their
-	// locked-path timings; the zero-copy experiments switch it on.
-	FastReads bool
-	// ContentionModel charges costCachelineXfer on every budgetMu
-	// acquisition from a different core than the previous holder,
-	// modeling the lock word's cache-line ping-pong. Off by default so
-	// single-core figures keep their historical numbers.
-	ContentionModel bool
 }
+
+const (
+	// initReadahead is the window (in pages) a freshly detected sequential
+	// stream starts with; the window doubles on read-ahead hits and halves
+	// on waste, clamped to [startWindow(), MaxReadahead].
+	initReadahead = 4
+	// readaheadChunk caps the pages per read-ahead command, so one window
+	// arrives as several completions and the reader can start consuming
+	// before the whole window lands.
+	readaheadChunk = 8
+)
+
+// startWindow is initReadahead clamped to MaxReadahead.
+func (c CacheConfig) startWindow() int { return min(initReadahead, c.MaxReadahead) }
 
 // withDefaults derives the dependent thresholds.
 func (c CacheConfig) withDefaults() CacheConfig {
-	if c.MaxReadahead > 0 {
-		if c.InitReadahead <= 0 {
-			c.InitReadahead = 4
-		}
-		if c.InitReadahead > c.MaxReadahead {
-			c.InitReadahead = c.MaxReadahead
-		}
-		if c.ReadaheadChunk <= 0 {
-			c.ReadaheadChunk = 8
-		}
-	}
 	if c.CacheBytes > 0 {
 		if c.DirtyHighWater == 0 {
 			c.DirtyHighWater = c.CacheBytes / 4
@@ -86,8 +70,7 @@ func (c CacheConfig) writebackEnabled() bool {
 // CacheStats is a point-in-time snapshot of the mount's cache counters.
 type CacheStats struct {
 	Hits, Misses uint64
-	// FastReads counts reads completed by the epoch lock-free path (0
-	// unless CacheConfig.FastReads is on).
+	// FastReads counts reads completed by the epoch lock-free hit path.
 	FastReads                 uint64
 	Evictions, DirtyEvictions uint64
 	ReadaheadIssued           uint64 // pages submitted ahead
@@ -128,10 +111,6 @@ type cacheManager struct {
 	// take none of these locks — see DESIGN.md §16.
 	budgetMu ordMutex
 
-	// lastCore is the core that last acquired budgetMu (-1: none yet);
-	// the ContentionModel charges a cache-line transfer when it changes.
-	lastCore atomic.Int32
-
 	resident atomic.Uint64
 	hwm      atomic.Uint64
 	dirty    atomic.Uint64
@@ -166,25 +145,7 @@ func newCacheManager(fs *FS, cfg CacheConfig) *cacheManager {
 		cm.eng = fs.drv.Kernel().Engine()
 	}
 	cm.budgetMu.lvl = levelBudget
-	cm.lastCore.Store(-1)
 	return cm
-}
-
-// chargeContention models budgetMu's lock word migrating between cores:
-// when the acquiring core differs from the previous holder, the acquisition
-// pays one cross-core cache-line transfer — inside the critical section, so
-// the serialization grows with core count. Caller holds budgetMu.
-func (cm *cacheManager) chargeContention(env *sim.Env) {
-	if !cm.cfg.ContentionModel {
-		return
-	}
-	core := int32(-1)
-	if c := env.Task().Core(); c != nil {
-		core = int32(c.ID)
-	}
-	if prev := cm.lastCore.Swap(core); prev >= 0 && prev != core {
-		env.Exec(costCachelineXfer)
-	}
 }
 
 // register adds a file's pageCache to the eviction sweep.
@@ -274,7 +235,6 @@ func (cm *cacheManager) charge(env *sim.Env, bytes uint64) {
 		return
 	}
 	cm.budgetMu.Lock(env)
-	cm.chargeContention(env)
 	cm.makeRoom(env, bytes, true)
 	cm.account(bytes)
 	cm.budgetMu.Unlock(env)
@@ -291,7 +251,6 @@ func (cm *cacheManager) tryCharge(env *sim.Env, bytes uint64) bool {
 		return true
 	}
 	cm.budgetMu.Lock(env)
-	cm.chargeContention(env)
 	ok := cm.makeRoom(env, bytes, false)
 	if ok {
 		cm.account(bytes)
@@ -362,11 +321,7 @@ func (cm *cacheManager) reclaimPage(env *sim.Env, f *pageCache, idx uint64, cp *
 		// Evicted before any demand read used it: the read-ahead was
 		// wasted — shrink the owning file's window.
 		cm.raWaste.Add(1)
-		if w := f.raWindow / 2; w >= cm.cfg.InitReadahead {
-			f.raWindow = w
-		} else {
-			f.raWindow = cm.cfg.InitReadahead
-		}
+		f.raWindow = max(f.raWindow/2, cm.cfg.startWindow())
 		if cm.cfg.MaxReadahead > 0 {
 			cm.emit(trace.ReadaheadWaste, trace.NoCID, lba, idx)
 		}
@@ -421,7 +376,6 @@ func (cm *cacheManager) snapshot() CacheStats {
 	s := CacheStats{
 		Hits:            cm.retiredHits.Load(),
 		Misses:          cm.retiredMisses.Load(),
-		FastReads:       cm.fastReads.Load(),
 		Evictions:       cm.evictions.Load(),
 		DirtyEvictions:  cm.dirtyEvictions.Load(),
 		ReadaheadIssued: cm.raIssued.Load(),
@@ -435,6 +389,7 @@ func (cm *cacheManager) snapshot() CacheStats {
 		ResidentHWM:     cm.hwm.Load(),
 		DirtyBytes:      cm.dirty.Load(),
 	}
+	s.FastReads = cm.fastReads.Load()
 	for _, f := range cm.files {
 		s.Hits += f.Hits.Load()
 		s.Misses += f.Misses.Load()

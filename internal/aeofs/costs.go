@@ -27,13 +27,6 @@ const (
 	costRehashPerEntry = 40 * time.Nanosecond
 	// costPageAlloc allocates+zeroes a page-cache page.
 	costPageAlloc = 120 * time.Nanosecond
-	// costCachelineXfer is one cross-core cache-line transfer: the price a
-	// core pays to pull a contended lock word (and the hot fields behind
-	// it) out of another core's cache. Charged by the budgetMu contention
-	// model (CacheConfig.ContentionModel) whenever the acquiring core
-	// differs from the previous holder — the latency floor that keeps
-	// lock-based cache-hit reads from scaling flat with core count.
-	costCachelineXfer = 60 * time.Nanosecond
 )
 
 // copyBandwidth is the modeled single-core memcpy bandwidth.

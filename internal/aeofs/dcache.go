@@ -30,8 +30,7 @@ type dentCache struct {
 	// pageCache.seq): odd while any mutation — entry insert/remove/update
 	// or a grow's bucket-array swap — is in progress, changed if one
 	// completed during a lock-free probe.
-	fastOK bool
-	seq    atomic.Uint64
+	seq atomic.Uint64
 
 	// Rehashes counts completed grow operations (for the ablation).
 	Rehashes uint64
@@ -47,10 +46,9 @@ type dentEntry struct {
 	ino  uint64
 }
 
-// newDentCache creates a directory's dentry cache; fast enables the epoch
-// lock-free lookup (CacheConfig.FastReads).
-func newDentCache(fast bool) *dentCache {
-	return &dentCache{buckets: make([]dentBucket, dcache.InitBuckets), fastOK: fast}
+// newDentCache creates a directory's dentry cache.
+func newDentCache() *dentCache {
+	return &dentCache{buckets: make([]dentBucket, dcache.InitBuckets)}
 }
 
 // dentHash delegates to the shared FNV-64a hash so this wrapper and the
@@ -87,9 +85,6 @@ func (c *dentCache) Lookup(env *sim.Env, name string) (uint64, bool) {
 // negatives — the caller falls through to the trusted layer either way.
 // done=false sends the lookup down the locked path.
 func (c *dentCache) fastLookup(name string) (ino uint64, ok, done bool) {
-	if !c.fastOK {
-		return 0, false, false
-	}
 	s0 := c.seq.Load()
 	if s0&1 != 0 {
 		return 0, false, false

@@ -8,3 +8,13 @@ func (fs *FS) HasUI(ino uint64) bool {
 	sh := &fs.ishards[ino%uint64(len(fs.ishards))]
 	return sh.m[ino] != nil
 }
+
+// HoldWriters adds delta to pc.writers of every file open on the mount. While
+// the count is pinned above zero, fastReadAt bails and reads take the locked
+// slow path — the reference TestFastReadEquivalence compares the epoch hit
+// path against.
+func (fs *FS) HoldWriters(delta int64) {
+	for _, pc := range fs.cache.files {
+		pc.writers.Add(delta)
+	}
+}

@@ -224,7 +224,7 @@ func (fs *FS) invalidate(env *sim.Env, u *uInode) {
 		u.pc.dropAll(env)
 	}
 	if u.dc != nil {
-		u.dc = newDentCache(fs.cache.cfg.FastReads)
+		u.dc = newDentCache()
 	}
 	u.lock.Unlock(env)
 }
@@ -254,7 +254,7 @@ func (fs *FS) lookupChild(env *sim.Env, dirIno uint64, name string) (uint64, err
 	du := fs.uiFor(env, dirIno)
 	du.lock.Lock(env)
 	if du.dc == nil {
-		du.dc = newDentCache(fs.cache.cfg.FastReads)
+		du.dc = newDentCache()
 	}
 	dc := du.dc
 	du.lock.Unlock(env)
@@ -274,7 +274,7 @@ func (fs *FS) dcacheOf(env *sim.Env, dirIno uint64) *dentCache {
 	du := fs.uiFor(env, dirIno)
 	du.lock.Lock(env)
 	if du.dc == nil {
-		du.dc = newDentCache(fs.cache.cfg.FastReads)
+		du.dc = newDentCache()
 	}
 	dc := du.dc
 	du.lock.Unlock(env)

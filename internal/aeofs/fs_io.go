@@ -136,7 +136,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 	// tree-lock traffic. Any anomaly falls through to the locked slow path.
 	if n, ok := fs.fastReadAt(env, pc, buf, off, p0, p1); ok {
 		if !seq {
-			pc.raWindow = cm.cfg.InitReadahead
+			pc.raWindow = cm.cfg.startWindow()
 			pc.raIssued = 0
 		}
 		pc.raNext = p1 + 1
@@ -159,24 +159,25 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 		// Walk pages; fetch misses in contiguous-LBA batches, retaining
 		// page pointers for the copy-out. Pages another reader (or
 		// read-ahead) already has in flight are waited on, not re-read.
+		// Resident pages may sit between two misses, so the pending batch
+		// carries each page's index, not just where it starts.
 		got := make([]*cachePage, npages)
-		type missRun struct {
-			firstPage uint64
-			pages     []*cachePage
+		var pending struct {
+			idxs  []uint64
+			pages []*cachePage
 		}
-		var pending missRun
 		flush := func() error {
 			if len(pending.pages) == 0 {
 				return nil
 			}
-			pages, first := pending.pages, pending.firstPage
-			pending.pages = nil
-			err := fs.readPagesFromDisk(env, u, first, pages)
+			pages, idxs := pending.pages, pending.idxs
+			pending.pages, pending.idxs = nil, nil
+			err := fs.readPagesFromDisk(env, u, idxs, pages)
 			now := env.Now()
 			for i, cp := range pages {
 				if err != nil {
 					cp.doomed = true
-					pc.drop(env, first+uint64(i))
+					pc.drop(env, idxs[i])
 				}
 				if cp.doomed {
 					// Failed, or truncated/invalidated while the
@@ -200,9 +201,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 					env.Exec(costPageAlloc)
 					pc.insert(env, p, cp)
 					kept++
-					if len(pending.pages) == 0 {
-						pending.firstPage = p
-					}
+					pending.idxs = append(pending.idxs, p)
 					pending.pages = append(pending.pages, cp)
 					got[p-p0] = cp
 					break
@@ -221,7 +220,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 				if cp.ioErr != nil {
 					// Its asynchronous fill failed; retry synchronously
 					// into the same (already charged) page.
-					if err := fs.readPagesFromDisk(env, u, p, []*cachePage{cp}); err != nil {
+					if err := fs.readPagesFromDisk(env, u, []uint64{p}, []*cachePage{cp}); err != nil {
 						return 0, err
 					}
 					cp.ioErr = nil
@@ -274,7 +273,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 		}
 	}
 	if !seq {
-		pc.raWindow = cm.cfg.InitReadahead
+		pc.raWindow = cm.cfg.startWindow()
 		pc.raIssued = 0
 	}
 	pc.raNext = p1 + 1
@@ -306,7 +305,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 // page already hit, so there is nothing to prefetch that the next miss
 // (slow path) would not request.
 func (fs *FS) fastReadAt(env *sim.Env, pc *pageCache, buf []byte, off, p0, p1 uint64) (int, bool) {
-	if !fs.cache.cfg.FastReads || pc.writers.Load() != 0 {
+	if pc.writers.Load() != 0 {
 		return 0, false
 	}
 	s0 := pc.seq.Load()
@@ -348,14 +347,14 @@ func (fs *FS) fastReadAt(env *sim.Env, pc *pageCache, buf []byte, off, p0, p1 ui
 // the same SubmitBatch path the data plane uses. Pages enter the tree in
 // an in-flight state (fill pending) before submission, so a racing reader
 // blocks on the arriving page instead of duplicating the I/O. Runs are
-// chunked (ReadaheadChunk) so the window arrives as several completions
+// chunked (readaheadChunk) so the window arrives as several completions
 // and consumption overlaps the remaining transfers. Called without the
 // range lock held.
 func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 	cm, pc := fs.cache, u.pc
 	w := pc.raWindow
 	if w <= 0 {
-		w = cm.cfg.InitReadahead
+		w = cm.cfg.startWindow()
 		pc.raWindow = w
 	}
 	start := lastRead + 1
@@ -407,7 +406,7 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 	i := 0
 	for i < len(idxs) {
 		j := i + 1
-		for j < len(idxs) && j-i < cm.cfg.ReadaheadChunk &&
+		for j < len(idxs) && j-i < readaheadChunk &&
 			idxs[j] == idxs[j-1]+1 && blocks[idxs[j]] == blocks[idxs[j-1]]+1 {
 			j++
 		}
@@ -463,11 +462,12 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 	}
 }
 
-// readPagesFromDisk fills consecutive pages [firstPage, ...) from the
-// device: contiguous-LBA runs become one command each, and every run of the
-// span is submitted as a single vectored batch (one doorbell per shard, one
-// trusted-gate entry) before the pages are populated.
-func (fs *FS) readPagesFromDisk(env *sim.Env, u *uInode, firstPage uint64, pages []*cachePage) error {
+// readPagesFromDisk fills pages (pages[i] is the file's page idxs[i], in
+// ascending order) from the device: runs of consecutive pages on contiguous
+// LBAs become one command each, and every run is submitted in a single
+// vectored batch (one doorbell, one trusted-gate entry) before the pages
+// are populated.
+func (fs *FS) readPagesFromDisk(env *sim.Env, u *uInode, idxs []uint64, pages []*cachePage) error {
 	u.lock.RLock(env)
 	blocks := u.blocks
 	u.lock.RUnlock(env)
@@ -479,7 +479,7 @@ func (fs *FS) readPagesFromDisk(env *sim.Env, u *uInode, firstPage uint64, pages
 	var runs []run
 	i := 0
 	for i < len(pages) {
-		p := firstPage + uint64(i)
+		p := idxs[i]
 		if p >= uint64(len(blocks)) {
 			// Beyond allocation (hole at tail): stays a zero page.
 			if pages[i].data == nil {
@@ -488,11 +488,11 @@ func (fs *FS) readPagesFromDisk(env *sim.Env, u *uInode, firstPage uint64, pages
 			i++
 			continue
 		}
-		// Extend the run while LBAs are contiguous.
+		// Extend the run while pages and LBAs are contiguous.
 		j := i + 1
 		for j < len(pages) {
-			q := firstPage + uint64(j)
-			if q >= uint64(len(blocks)) || blocks[q] != blocks[q-1]+1 {
+			q := idxs[j]
+			if q != idxs[j-1]+1 || q >= uint64(len(blocks)) || blocks[q] != blocks[q-1]+1 {
 				break
 			}
 			j++
@@ -671,7 +671,7 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 			// already, so a concurrent evictor routes it through
 			// write-back, which blocks on our write range lock.
 			if (pageOff != 0 || pageEnd != BlockSize) && p < oldPages {
-				if err := fs.readPagesFromDisk(env, u, p, []*cachePage{cp}); err != nil {
+				if err := fs.readPagesFromDisk(env, u, []uint64{p}, []*cachePage{cp}); err != nil {
 					cp.dirty = false
 					cm.subDirty(BlockSize)
 					pc.drop(env, p)
@@ -695,7 +695,7 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 				// overwrite fixes it, a partial one must read first.
 				if pageOff == 0 && pageEnd == BlockSize {
 					cp.ioErr = nil
-				} else if err := fs.readPagesFromDisk(env, u, p, []*cachePage{cp}); err != nil {
+				} else if err := fs.readPagesFromDisk(env, u, []uint64{p}, []*cachePage{cp}); err != nil {
 					pc.rl.Unlock(env, p0, p1+1, true)
 					cm.uncharge((reserve - kept) * BlockSize)
 					return n, err

@@ -37,10 +37,6 @@ type pageCache struct {
 	cm    *cacheManager
 	owner *uInode
 
-	// lockCore is the core that last acquired treeLock inside lookup (-1:
-	// none yet), the lock word's cache-line home under ContentionModel.
-	lockCore atomic.Int32
-
 	// clockPos is the next page index the eviction CLOCK examines in this
 	// file (wraps to 0 when a sweep reaches the end of the tree).
 	clockPos uint64
@@ -49,7 +45,7 @@ type pageCache struct {
 	// a read must start at to extend the detected stream; raIssued is the
 	// high-water mark of pages already submitted ahead; raWindow is the
 	// adaptive window in pages (doubled on read-ahead hit, halved on
-	// waste, clamped to [InitReadahead, MaxReadahead]).
+	// waste, clamped to [initReadahead, MaxReadahead]).
 	raNext   uint64
 	raIssued uint64
 	raWindow int
@@ -85,7 +81,6 @@ func (p *cachePage) filled() bool { return p.fill == nil || p.fill.Done() }
 
 func newPageCache(cm *cacheManager, owner *uInode) *pageCache {
 	pc := &pageCache{cm: cm, owner: owner}
-	pc.lockCore.Store(-1)
 	pc.treeLock.lvl = levelTree
 	return pc
 }
@@ -102,29 +97,13 @@ func (pc *pageCache) peek(idx uint64) *cachePage {
 }
 
 // lookup returns the cached page or nil, setting the CLOCK reference bit
-// on a hit.
-//
-// Under ContentionModel the radix walk is charged while treeLock is held —
-// the serialization the epoch fast path (fastReadAt) exists to avoid — and
-// an acquisition whose lock word last bounced to another core pays a
-// cache-line transfer. With the model off (the default), the walk is
-// charged before the lock so the hold is zero-cost and concurrent lookups
-// do not serialize; every pre-existing golden was produced in that mode.
+// on a hit. It is the locked walk of the slow path (misses, writers,
+// read-ahead bookkeeping); all-resident reads go through fastReadAt. The
+// radix descent is charged before the lock, so the hold is zero-cost and
+// concurrent lookups do not serialize.
 func (pc *pageCache) lookup(env *sim.Env, idx uint64) *cachePage {
-	if pc.cm != nil && pc.cm.cfg.ContentionModel {
-		pc.treeLock.Lock(env)
-		core := int32(-1)
-		if c := env.Task().Core(); c != nil {
-			core = int32(c.ID)
-		}
-		if prev := pc.lockCore.Swap(core); prev >= 0 && prev != core {
-			env.Exec(costCachelineXfer)
-		}
-		env.Exec(costRadixLookup)
-	} else {
-		env.Exec(costRadixLookup)
-		pc.treeLock.Lock(env)
-	}
+	env.Exec(costRadixLookup)
+	pc.treeLock.Lock(env)
 	v := pc.tree.Get(idx)
 	pc.treeLock.Unlock(env)
 	if v == nil {

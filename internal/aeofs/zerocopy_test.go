@@ -39,29 +39,42 @@ func newCacheFixture(t *testing.T, cores int, cfg aeofs.CacheConfig) *fixture {
 }
 
 // randomOps drives one deterministic mixed read/write/truncate sequence and
-// returns every read's result, so two configurations can be compared
-// byte-for-byte.
-func randomOps(t *testing.T, fx *fixture, seed int64) [][]byte {
+// returns every read's result next to what a flat in-memory image of the
+// file says it must be, so the two read paths can be compared with each
+// other and with the bytes written. locked pins the file's pc.writers count
+// for the whole run, which sends every read down the locked slow path: the
+// reference the epoch path is held to.
+func randomOps(t *testing.T, fx *fixture, seed int64, locked bool) (outs, want [][]byte) {
 	t.Helper()
 	const fileSize = 96 * aeofs.BlockSize
-	var outs [][]byte
 	fx.run(t, "ops", func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed))
 		fd, err := fx.fs.Open(env, "/mix.dat", aeofs.O_CREATE|aeofs.O_RDWR)
 		if err != nil {
 			return err
 		}
-		if _, err := fx.fs.WriteAt(env, fd, pattern(fileSize, 1), 0); err != nil {
+		if locked {
+			fx.fs.HoldWriters(1)
+			defer fx.fs.HoldWriters(-1)
+		}
+		model := pattern(fileSize, 1)
+		if _, err := fx.fs.WriteAt(env, fd, model, 0); err != nil {
 			return err
 		}
+		model = append([]byte(nil), model...)
 		for i := 0; i < 300; i++ {
 			off := uint64(rng.Intn(fileSize - 1))
 			n := 1 + rng.Intn(4*aeofs.BlockSize)
 			switch rng.Intn(5) {
 			case 0: // write (possibly page-partial, possibly extending)
-				if _, err := fx.fs.WriteAt(env, fd, pattern(n, byte(i)), off); err != nil {
+				data := pattern(n, byte(i))
+				if _, err := fx.fs.WriteAt(env, fd, data, off); err != nil {
 					return err
 				}
+				if end := int(off) + n; end > len(model) {
+					model = append(model, make([]byte, end-len(model))...)
+				}
+				copy(model[off:], data)
 			case 1: // fsync
 				if err := fx.fs.Fsync(env, fd); err != nil {
 					return err
@@ -74,6 +87,7 @@ func randomOps(t *testing.T, fx *fixture, seed int64) [][]byte {
 					if err := fx.fs.FTruncate(env, fd, fileSize); err != nil {
 						return err
 					}
+					model = append(model[:off], make([]byte, fileSize-int(off))...)
 				}
 			default: // read
 				buf := make([]byte, n)
@@ -82,6 +96,7 @@ func randomOps(t *testing.T, fx *fixture, seed int64) [][]byte {
 					return err
 				}
 				outs = append(outs, append([]byte(nil), buf[:m]...))
+				want = append(want, append([]byte(nil), model[off:min(int(off)+n, len(model))]...))
 			}
 		}
 		got, err := readFile(env, fx.fs, "/mix.dat")
@@ -89,56 +104,64 @@ func randomOps(t *testing.T, fx *fixture, seed int64) [][]byte {
 			return err
 		}
 		outs = append(outs, got)
+		want = append(want, model)
 		return fx.fs.Close(env, fd)
 	})
-	return outs
+	return outs, want
 }
 
-// TestFastReadEquivalence runs the same seeded workload with the epoch
-// lock-free read path on and off: every read (and the final file image)
-// must be byte-identical, and the fast path must actually engage.
+// diffReads fails unless the locked reference reads, the epoch-path reads
+// and the bytes written all agree, read by read.
+func diffReads(t *testing.T, name string, slow, fast, want [][]byte) {
+	t.Helper()
+	if len(slow) != len(want) || len(fast) != len(want) {
+		t.Fatalf("%s: read count diverged: locked %d, epoch %d, model %d", name, len(slow), len(fast), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(slow[i], want[i]) {
+			t.Fatalf("%s: locked read %d differs from the bytes written (%d vs %d bytes)", name, i, len(slow[i]), len(want[i]))
+		}
+		if !bytes.Equal(fast[i], want[i]) {
+			t.Fatalf("%s: epoch read %d differs from the bytes written (%d vs %d bytes)", name, i, len(fast[i]), len(want[i]))
+		}
+	}
+}
+
+// TestFastReadEquivalence runs the same seeded workload with every read
+// forced down the locked slow path and with the epoch hit path free to
+// engage: every read (and the final file image) must match the other run
+// and the bytes written, and the hit path must actually engage.
 func TestFastReadEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		base := newCacheFixture(t, 1, aeofs.CacheConfig{})
-		fast := newCacheFixture(t, 1, aeofs.CacheConfig{FastReads: true})
-		slowOut := randomOps(t, base, seed)
-		fastOut := randomOps(t, fast, seed)
-		if len(slowOut) != len(fastOut) {
-			t.Fatalf("seed %d: read count diverged: %d vs %d", seed, len(slowOut), len(fastOut))
-		}
-		for i := range slowOut {
-			if !bytes.Equal(slowOut[i], fastOut[i]) {
-				t.Fatalf("seed %d: read %d diverged (%d vs %d bytes)",
-					seed, i, len(slowOut[i]), len(fastOut[i]))
-			}
-		}
-		if base.fs.CacheStats().FastReads != 0 {
-			t.Fatal("fast path engaged with FastReads off")
+		fast := newCacheFixture(t, 1, aeofs.CacheConfig{})
+		slowOut, want := randomOps(t, base, seed, true)
+		fastOut, _ := randomOps(t, fast, seed, false)
+		diffReads(t, fmt.Sprintf("seed %d", seed), slowOut, fastOut, want)
+		if n := base.fs.CacheStats().FastReads; n != 0 {
+			t.Fatalf("seed %d: %d epoch reads in the locked reference run", seed, n)
 		}
 		if fast.fs.CacheStats().FastReads == 0 {
-			t.Fatalf("seed %d: fast path never engaged", seed)
+			t.Fatalf("seed %d: epoch hit path never engaged", seed)
 		}
 	}
 }
 
 // TestFastReadBoundedEquivalence repeats the comparison under a tight
 // residency budget with read-ahead and background write-back on, so the
-// fast path coexists with eviction, in-flight fills, and the flusher.
+// hit path coexists with eviction, in-flight fills, and the flusher.
 func TestFastReadBoundedEquivalence(t *testing.T) {
 	cfg := aeofs.CacheConfig{
 		CacheBytes:   48 * aeofs.BlockSize,
 		MaxReadahead: 8,
 	}
-	fastCfg := cfg
-	fastCfg.FastReads = true
 	base := newCacheFixture(t, 1, cfg)
-	fast := newCacheFixture(t, 1, fastCfg)
-	slowOut := randomOps(t, base, 99)
-	fastOut := randomOps(t, fast, 99)
-	for i := range slowOut {
-		if !bytes.Equal(slowOut[i], fastOut[i]) {
-			t.Fatalf("bounded: read %d diverged", i)
-		}
+	fast := newCacheFixture(t, 1, cfg)
+	slowOut, want := randomOps(t, base, 99, true)
+	fastOut, _ := randomOps(t, fast, 99, false)
+	diffReads(t, "bounded", slowOut, fastOut, want)
+	if n := base.fs.CacheStats().FastReads; n != 0 {
+		t.Fatalf("bounded: %d epoch reads in the locked reference run", n)
 	}
 }
 
@@ -154,7 +177,6 @@ func TestLockOrderUnderWorkload(t *testing.T) {
 		CacheBytes:     32 * aeofs.BlockSize,
 		MaxReadahead:   8,
 		DirtyHighWater: 8 * aeofs.BlockSize,
-		FastReads:      true,
 	}
 	fx := newCacheFixture(t, 2, cfg)
 	fx.run(t, "seed", func(env *sim.Env) error {
@@ -214,47 +236,44 @@ func TestLockOrderUnderWorkload(t *testing.T) {
 	}
 }
 
-// TestContentionModelCharges verifies the opt-in budgetMu contention model:
-// the same two-core charge pattern must consume strictly more virtual time
-// with ContentionModel on (the cache-line transfers) than off.
-func TestContentionModelCharges(t *testing.T) {
-	elapsed := func(model bool) (d int64) {
-		cfg := aeofs.CacheConfig{CacheBytes: 64 * aeofs.BlockSize, ContentionModel: model}
-		fx := newCacheFixture(t, 2, cfg)
-		fx.run(t, "seed", func(env *sim.Env) error {
-			return writeFile(env, fx.fs, "/c.dat", pattern(16*aeofs.BlockSize, 2))
-		})
-		done := make([]bool, 2)
-		for c := 0; c < 2; c++ {
-			c := c
-			fx.m.Eng.Spawn(fmt.Sprintf("t%d", c), fx.m.Eng.Core(c), func(env *sim.Env) {
-				if _, e := fx.p.Driver.CreateQP(env); e != nil {
-					return
-				}
-				fd, err := fx.fs.Open(env, "/c.dat", aeofs.O_RDONLY)
-				if err != nil {
-					return
-				}
-				buf := make([]byte, aeofs.BlockSize)
-				for i := 0; i < 50; i++ {
-					if _, err := fx.fs.ReadAt(env, fd, buf, uint64(i%16)*aeofs.BlockSize); err != nil {
-						return
-					}
-				}
-				if fx.fs.Close(env, fd) == nil {
-					done[c] = true
-				}
-			})
-		}
-		end := fx.m.Run(0)
-		if !done[0] || !done[1] {
-			t.Fatal("contention workload did not finish")
-		}
-		return int64(end)
+// TestReadAcrossResidentGap: one read whose span is miss, hit, miss must
+// fetch the second miss from its own blocks. The pending-miss batch used to
+// record only its first page, so misses after a resident page were read from
+// the blocks of the pages right behind the first run — and cached that way.
+func TestReadAcrossResidentGap(t *testing.T) {
+	const pages = 8
+	fx := newCacheFixture(t, 1, aeofs.CacheConfig{})
+	want := make([]byte, pages*aeofs.BlockSize)
+	for i := range want {
+		want[i] = byte(i/aeofs.BlockSize)*31 + byte(i) // every page distinct
 	}
-	off := elapsed(false)
-	on := elapsed(true)
-	if on <= off {
-		t.Fatalf("ContentionModel added no time: on=%d off=%d", on, off)
-	}
+	fx.run(t, "gap", func(env *sim.Env) error {
+		fd, err := fx.fs.Open(env, "/gap.dat", aeofs.O_CREATE|aeofs.O_RDWR)
+		if err != nil {
+			return err
+		}
+		if _, err := fx.fs.WriteAt(env, fd, want, 0); err != nil {
+			return err
+		}
+		if err := fx.fs.DropCaches(env); err != nil {
+			return err
+		}
+		// Make pages 2 and 5 resident, then read the whole file at once.
+		one := make([]byte, aeofs.BlockSize)
+		for _, p := range []uint64{2, 5} {
+			if _, err := fx.fs.ReadAt(env, fd, one, p*aeofs.BlockSize); err != nil {
+				return err
+			}
+		}
+		got := make([]byte, len(want))
+		if _, err := fx.fs.ReadAt(env, fd, got, 0); err != nil {
+			return err
+		}
+		for p := 0; p < pages; p++ {
+			if !bytes.Equal(got[p*aeofs.BlockSize:(p+1)*aeofs.BlockSize], want[p*aeofs.BlockSize:(p+1)*aeofs.BlockSize]) {
+				t.Errorf("page %d read back wrong across the resident gap", p)
+			}
+		}
+		return fx.fs.Close(env, fd)
+	})
 }

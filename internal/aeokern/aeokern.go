@@ -82,9 +82,12 @@ type Kernel struct {
 	Sys      *mpk.System
 	Registry *mpk.Registry
 
-	ui         []*uintr.CoreState
-	vecOwners  map[int]KernelDeliver
-	nextVector int
+	ui        []*uintr.CoreState
+	vecOwners map[int]KernelDeliver
+	// nextVector is the lowest never-allocated vector; freeVectors holds the
+	// ones returned by FreeVector, reused before the range grows.
+	nextVector  int
+	freeVectors []int
 
 	// threadsMu guards threads and vecUPIDs: registration runs in task
 	// bodies (possibly inside a parallel window, on a lane goroutine)
@@ -176,46 +179,39 @@ func (k *Kernel) AllocQueuePair(p *Process, depth int) (*nvme.QueuePair, error) 
 	return qp, nil
 }
 
-// AllocQueuePairs hands the process n queue pairs at once (per-core
-// multi-queue sharding: independent files issue on independent qpairs).
-// Allocation is all-or-nothing: on any failure every queue pair already
-// created is returned to the device and the error is reported.
-func (k *Kernel) AllocQueuePairs(p *Process, n, depth int) ([]*nvme.QueuePair, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("aeokern: invalid queue-pair count %d", n)
-	}
-	qps := make([]*nvme.QueuePair, 0, n)
-	for i := 0; i < n; i++ {
-		qp, err := k.AllocQueuePair(p, depth)
-		if err != nil {
-			for _, q := range qps {
-				k.FreeQueuePair(p, q)
-			}
-			return nil, err
-		}
-		qps = append(qps, qp)
-	}
-	return qps, nil
-}
-
 // FreeQueuePair returns a queue pair to the kernel.
 func (k *Kernel) FreeQueuePair(p *Process, qp *nvme.QueuePair) {
 	k.dev.DeleteQueuePair(qp)
 	p.qps--
 }
 
-// AllocVector reserves a fresh hardware interrupt vector and registers the
-// kernel-path delivery callback for it.
+// AllocVector reserves a hardware interrupt vector (a freed one if any,
+// else the next fresh one) and registers the kernel-path delivery callback
+// for it.
 func (k *Kernel) AllocVector(deliver KernelDeliver) (int, error) {
-	if k.nextVector > 0xff {
+	var v int
+	switch n := len(k.freeVectors); {
+	case n > 0:
+		v = k.freeVectors[n-1]
+		k.freeVectors = k.freeVectors[:n-1]
+	case k.nextVector > 0xff:
 		return 0, ErrNoVectors
+	default:
+		v = k.nextVector
+		k.nextVector++
 	}
-	v := k.nextVector
-	k.nextVector++
 	if deliver != nil {
 		k.vecOwners[v] = deliver
 	}
 	return v, nil
+}
+
+// FreeVector returns a vector obtained from AllocVector. Its delivery
+// callback is dropped first, so an interrupt still in flight for the vector
+// counts as spurious instead of reaching the previous owner.
+func (k *Kernel) FreeVector(v int) {
+	delete(k.vecOwners, v)
+	k.freeVectors = append(k.freeVectors, v)
 }
 
 // RegisterThreadUintr installs per-thread user-interrupt state: the thread's
@@ -238,11 +234,17 @@ func (k *Kernel) RegisterThreadUintr(t *sim.Task, vector int, upid *uintr.UPID, 
 // UnregisterThreadUintr removes a thread's user-interrupt state.
 func (k *Kernel) UnregisterThreadUintr(t *sim.Task) {
 	k.threadsMu.Lock()
-	if tu, ok := k.threads[t]; ok {
+	tu, ok := k.threads[t]
+	if ok {
 		delete(k.vecUPIDs, tu.vector)
 	}
 	delete(k.threads, t)
 	k.threadsMu.Unlock()
+	// If the thread is on a core, uninstall immediately: a notification
+	// still in flight must not be recognized into the dead handler.
+	if c := t.Core(); ok && c != nil {
+		k.clearUintr(c)
+	}
 }
 
 // irqRank rates a raised vector for the cores' nested-delivery decision:

@@ -55,7 +55,7 @@ type lease struct {
 type pendTxn struct {
 	req      Request
 	replyTo  string
-	traceTxn uint32   // rename visibility-transaction id
+	traceTxn uint32    // rename visibility-transaction id
 	meta     *FileMeta // rename: the moving record
 	moved    []uint32  // rename: lease ids handed to the destination shard
 }

@@ -27,9 +27,9 @@ var ErrWire = errors.New("aeomds: malformed wire frame")
 type Op uint8
 
 const (
-	OpLookup Op = iota + 1
-	OpOpen      // open-with-layout: returns the extent map and a lease
-	OpRelease   // lease release (file close), flushes the client's size
+	OpLookup  Op = iota + 1
+	OpOpen       // open-with-layout: returns the extent map and a lease
+	OpRelease    // lease release (file close), flushes the client's size
 	OpMkdir
 	OpUnlink
 	OpReaddir
@@ -162,13 +162,13 @@ func DecodeResponse(b []byte) (Response, error) {
 	r.StripeUnit = d.U32()
 	r.Lease = d.U32()
 	r.Err = d.Str(int(d.U16()))
-	if n := int(d.U16()); n > 0 && d.Err() == nil {
+	if n := d.Count(int(d.U16()), 2); n > 0 {
 		r.Nodes = make([]uint16, n)
 		for i := range r.Nodes {
 			r.Nodes[i] = d.U16()
 		}
 	}
-	if n := int(d.U32()); n > 0 && d.Err() == nil {
+	if n := d.Count(int(d.U32()), 2+8+1); n > 0 {
 		r.Entries = make([]Dirent, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			var e Dirent
@@ -250,12 +250,12 @@ type leaseRec struct {
 
 // peerReq is one shard→shard coordination request.
 type peerReq struct {
-	Txn  uint64
-	Kind uint8
-	Dir  string // ingest: destination dir; attach: the new dir's path
-	Name string
-	Ino  uint64
-	Meta FileMeta // ingest payload
+	Txn    uint64
+	Kind   uint8
+	Dir    string // ingest: destination dir; attach: the new dir's path
+	Name   string
+	Ino    uint64
+	Meta   FileMeta // ingest payload
 	Leases []leaseRec
 }
 
@@ -292,13 +292,13 @@ func decodePeerReq(b []byte) (peerReq, error) {
 	p.Meta.Size = d.U64()
 	p.Meta.Mode = d.U32()
 	p.Meta.StripeUnit = d.U32()
-	if n := int(d.U16()); n > 0 && d.Err() == nil {
+	if n := d.Count(int(d.U16()), 2); n > 0 {
 		p.Meta.Nodes = make([]uint16, n)
 		for i := range p.Meta.Nodes {
 			p.Meta.Nodes[i] = d.U16()
 		}
 	}
-	if n := int(d.U16()); n > 0 && d.Err() == nil {
+	if n := d.Count(int(d.U16()), 4+8+2); n > 0 {
 		p.Leases = make([]leaseRec, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			var l leaseRec

@@ -74,12 +74,6 @@ type Config struct {
 	// fault plan is installed (a plan's seeded draw sequence is defined by
 	// the serial event order) and Link.Latency > 0 (the lookahead bound).
 	ParallelLanes bool
-	// SparseMesh skips client↔client links when wiring the fabric.
-	// Clients never talk to each other, so the links only cost memory —
-	// at 64 nodes × 1024 clients a full mesh is ~1.2M links versus ~140k
-	// sparse. Kept opt-in so existing configurations keep their exact
-	// link-id assignment.
-	SparseMesh bool
 }
 
 const compactKeepTail = 8
@@ -181,10 +175,10 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.members = append(c.members, ms)
 	}
-	// Full mesh: every endpoint pair that will ever talk gets a link.
-	// With SparseMesh, client↔client pairs are skipped (clients only talk
-	// to the monitor and the OSDs); endpoint creation order is unchanged,
-	// so endpoint ids agree with the full mesh either way.
+	// Every endpoint pair that will ever talk gets a link. Clients only
+	// talk to the monitor and the OSDs, so client↔client pairs get none:
+	// they would only cost memory (at 64 nodes × 1024 clients, ~1.2M links
+	// instead of ~140k).
 	names := []string{"mon"}
 	clientAt := 1 + cfg.Nodes
 	for i := 0; i < cfg.Nodes; i++ {
@@ -198,7 +192,7 @@ func New(cfg Config) (*Cluster, error) {
 			if a == b {
 				continue
 			}
-			if cfg.SparseMesh && ai >= clientAt && bi >= clientAt {
+			if ai >= clientAt && bi >= clientAt {
 				continue
 			}
 			c.Fab.Connect(a, b, cfg.Link)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -83,26 +84,26 @@ func TestParallelLanesJitter(t *testing.T) {
 	}
 }
 
-// TestSparseMeshMatchFull checks that skipping client↔client links changes
-// nothing observable: clients never talk to each other, and endpoint ids are
-// assigned before link wiring.
-func TestSparseMeshMatchFull(t *testing.T) {
-	base := Config{Nodes: 3, PGs: 2, RF: 3, Clients: 3, OpsPerClient: 15, Seed: 21,
+// TestMeshHasNoClientLinks checks the fabric wiring: clients never talk to
+// each other, so no client↔client link exists, every other ordered endpoint
+// pair has one, and a run over that mesh completes with every ack audited.
+func TestMeshHasNoClientLinks(t *testing.T) {
+	cfg := Config{Nodes: 3, PGs: 2, RF: 3, Clients: 3, OpsPerClient: 15, Seed: 21,
 		Link: netsim.Config{Latency: 5 * time.Microsecond}}
-
-	_, a1, s1 := laneRun(t, base)
-	sparse := base
-	sparse.SparseMesh = true
-	_, a2, s2 := laneRun(t, sparse)
-	if s1 != s2 {
-		t.Fatalf("stats diverge:\nfull:   %+v\nsparse: %+v", s1, s2)
-	}
-	if len(a1) != len(a2) {
-		t.Fatalf("ack counts diverge: %d vs %d", len(a1), len(a2))
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatalf("ack %d diverges: %+v vs %+v", i, a1[i], a2[i])
+	c, acks, _ := laneRun(t, cfg)
+	for _, l := range c.Fab.Links() {
+		if strings.Count(l.Name(), "client") == 2 {
+			t.Errorf("client↔client link %s wired", l.Name())
 		}
+	}
+	endpoints := 1 + cfg.Nodes + cfg.Clients
+	if want := endpoints*(endpoints-1) - cfg.Clients*(cfg.Clients-1); len(c.Fab.Links()) != want {
+		t.Errorf("%d links wired, want %d", len(c.Fab.Links()), want)
+	}
+	if len(acks) == 0 {
+		t.Error("no write was acknowledged over the mesh")
+	}
+	for _, e := range c.VerifyAcks() {
+		t.Errorf("lost-write audit: %v", e)
 	}
 }

@@ -95,7 +95,7 @@ func decodeRaftFrame(b []byte) (raftFrame, error) {
 	m.Commit = d.U64()
 	m.Compact = d.U64()
 	m.Reject = d.Bool()
-	nEnts := int(d.U16())
+	nEnts := d.Count(int(d.U16()), 8+2)
 	if d.Err() != nil {
 		return f, errShort
 	}

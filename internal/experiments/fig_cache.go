@@ -43,8 +43,6 @@ func fcConfig(cacheBytes uint64, ra bool) aeofs.CacheConfig {
 	}
 	if ra {
 		cfg.MaxReadahead = 32
-		cfg.InitReadahead = 4
-		cfg.ReadaheadChunk = 8
 	}
 	return cfg
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"aeolia/internal/aeofs"
-	"aeolia/internal/aeomds"
 	"aeolia/internal/aeokern"
+	"aeolia/internal/aeomds"
 	"aeolia/internal/aeosvc"
 	"aeolia/internal/machine"
 	"aeolia/internal/netsim"

@@ -168,8 +168,8 @@ func QDSweepTrace(qd int) (*trace.Tracer, float64, error) {
 // submission + coalesced completion interrupts.
 func QDSweep() ([]*report.Table, error) {
 	t := &report.Table{
-		ID:    "qdsweep",
-		Title: "512B random read IOPS vs queue depth: batched+coalesced vs one command per doorbell",
+		ID:      "qdsweep",
+		Title:   "512B random read IOPS vs queue depth: batched+coalesced vs one command per doorbell",
 		Columns: []string{"qd", "one/doorbell (KIOPS)", "batched+coalesced (KIOPS)", "speedup"},
 	}
 	for _, qd := range []int{1, 2, 4, 8, 16, 32} {

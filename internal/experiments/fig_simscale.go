@@ -50,7 +50,6 @@ func simScaleConfig(parallel bool) cluster.Config {
 		Nodes: simScaleNodes, PGs: simScalePGs, RF: simScaleRF,
 		Clients: simScaleClients, OpsPerClient: simScaleOps,
 		Seed: simScaleSeed, Link: simScaleLink,
-		SparseMesh:    true,
 		ParallelLanes: parallel,
 	}
 }

@@ -23,9 +23,9 @@ import (
 //     ring (pre-registered buffers, timing.RingPrep/RingComplete per
 //     command instead of the SQE-build/completion halves).
 //  2. Cache path: per-core cache-hit read throughput of AeoFS as reader
-//     cores scale 1→8, with the locked lookup path (budgetMu/treeLock,
-//     cache-line contention modeled) against the epoch fast-read path that
-//     never takes a lock on a hit.
+//     cores scale 1→8 on the epoch hit path, which never takes a lock (the
+//     locked-hit strawman it replaced is a row of history in DESIGN.md
+//     "Forks and verdicts").
 const (
 	zcBlockSize = 512
 	zcBlocks    = 1 << 16
@@ -165,23 +165,17 @@ func zcRingRun(mode string, qd int, tr *trace.Tracer) (float64, uint64, error) {
 // zcCacheResult is one cell of the cache-hit scaling half.
 type zcCacheResult struct {
 	PerCoreKIOPS float64 // slowest reader's rate (= aggregate / cores at equal work)
-	FastReads    uint64  // epoch fast-path engagements (CacheStats)
+	EpochReads   uint64  // reads served by the epoch hit path (CacheStats.FastReads)
 }
 
 // zcCacheRun measures cache-hit read throughput with `cores` reader tasks,
 // one per core, each issuing zcReadsPerCore single-block reads of a fully
-// resident file. fast selects the epoch lock-free read path; otherwise the
-// locked lookup path runs with the cache-line contention model on, which is
-// the honest baseline for a scaling claim (an uncontended-lock simulation
-// would show no degradation to escape from).
-func zcCacheRun(cores int, fast bool, tr *trace.Tracer) (*zcCacheResult, error) {
+// resident file.
+func zcCacheRun(cores int, tr *trace.Tracer) (*zcCacheResult, error) {
 	m := machine.New(cores, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: 1 << 15})
 	defer m.Eng.Shutdown()
 	m.Eng.Tracer = tr
-	cfg := aeofs.CacheConfig{FastReads: fast, ContentionModel: !fast}
-	fi, err := m.BuildFS(machine.KindAeoFS, machine.FSOptions{
-		Journals: 8, JournalBlocks: 256, Cache: cfg,
-	})
+	fi, err := m.BuildFS(machine.KindAeoFS, machine.FSOptions{Journals: 8, JournalBlocks: 256})
 	if err != nil {
 		return nil, err
 	}
@@ -258,13 +252,13 @@ func zcCacheRun(cores int, fast bool, tr *trace.Tracer) (*zcCacheResult, error) 
 	}
 	return &zcCacheResult{
 		PerCoreKIOPS: float64(zcReadsPerCore) / slowest.Seconds() / 1e3,
-		FastReads:    fi.AeoFS.CacheStats().FastReads,
+		EpochReads:   fi.AeoFS.CacheStats().FastReads,
 	}, nil
 }
 
 // FigZerocopy regenerates the zero-copy datapath study: ring vs batched vs
 // one-per-doorbell block IOPS on the wide device, and per-core cache-hit
-// read throughput 1→8 cores for the locked vs epoch read paths.
+// read throughput 1→8 cores.
 func FigZerocopy() ([]*report.Table, error) {
 	t1 := &report.Table{
 		ID:    "zerocopy_ring",
@@ -291,29 +285,23 @@ func FigZerocopy() ([]*report.Table, error) {
 	t1.Note("ring: per-command RingPrep/RingComplete replace the SQE build and completion halves (pre-registered slots, lock-free SPSC)")
 
 	t2 := &report.Table{
-		ID:    "zerocopy_cache",
-		Title: "Cache-hit read scaling: per-core KIOPS, locked lookup (contention modeled) vs epoch fast reads",
-		Columns: []string{"cores", "locked (KIOPS/core)", "fast (KIOPS/core)",
-			"fast scaling efficiency"},
+		ID:      "zerocopy_cache",
+		Title:   "Cache-hit read scaling: per-core KIOPS on the epoch hit path",
+		Columns: []string{"cores", "KIOPS/core", "scaling efficiency"},
 	}
-	var fast1 float64
+	var one float64
 	for _, cores := range zcCores {
-		locked, err := zcCacheRun(cores, false, nil)
-		if err != nil {
-			return nil, err
-		}
-		fast, err := zcCacheRun(cores, true, nil)
+		r, err := zcCacheRun(cores, nil)
 		if err != nil {
 			return nil, err
 		}
 		if cores == 1 {
-			fast1 = fast.PerCoreKIOPS
+			one = r.PerCoreKIOPS
 		}
-		t2.AddRowf(fmt.Sprintf("%d", cores), locked.PerCoreKIOPS, fast.PerCoreKIOPS,
-			fast.PerCoreKIOPS/fast1)
+		t2.AddRowf(fmt.Sprintf("%d", cores), r.PerCoreKIOPS, r.PerCoreKIOPS/one)
 	}
 	t2.Note("%d readers x %d cache-hit reads of a %d-page resident file; per-core = slowest reader's rate", zcCores[len(zcCores)-1], zcReadsPerCore, zcFilePages)
-	t2.Note("locked baseline serializes on treeLock/budgetMu with cache-line transfer charges; fast path is the seqlock walk (no locks on a hit)")
+	t2.Note("a hit is the seqlock walk: no budgetMu, range lock or tree lock")
 	return []*report.Table{t1, t2}, nil
 }
 
@@ -333,11 +321,11 @@ func FigZerocopyTrace() (ringTr, cacheTr *trace.Tracer, ring float64, cache *zcC
 		return nil, nil, 0, nil, fmt.Errorf("zerocopy: ring datapath never staged a command")
 	}
 	cacheTr = trace.New(16, 1<<18)
-	cache, err = zcCacheRun(4, true, cacheTr)
+	cache, err = zcCacheRun(4, cacheTr)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
-	if cache.FastReads == 0 {
+	if cache.EpochReads == 0 {
 		return nil, nil, 0, nil, fmt.Errorf("zerocopy: epoch fast-read path never engaged")
 	}
 	if d := ringTr.Dropped() + cacheTr.Dropped(); d != 0 {

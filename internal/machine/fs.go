@@ -42,9 +42,6 @@ type FSOptions struct {
 	// Journals/JournalBlocks size the AeoFS journal area.
 	Journals      uint64
 	JournalBlocks uint64
-	// QueuesPerThread shards each thread's I/O across this many queue
-	// pairs (0/1: single queue); see aeodriver.Config.
-	QueuesPerThread int
 	// Coalesce configures CQ interrupt aggregation on the driver's queue
 	// pairs (zero value: none).
 	Coalesce nvme.Coalescing
@@ -103,11 +100,10 @@ func (m *Machine) BuildFS(kind FSKind, opt FSOptions) (*FSInstance, error) {
 		return nil, fmt.Errorf("machine: unknown fs kind %q", kind)
 	}
 	p, err := m.Launch(string(kind), opt.Partition, aeodriver.Config{
-		Mode:            mode,
-		QueuesPerThread: opt.QueuesPerThread,
-		Coalesce:        opt.Coalesce,
-		QoS:             opt.QoS,
-		IOClass:         uintr.ClassNormal,
+		Mode:     mode,
+		Coalesce: opt.Coalesce,
+		QoS:      opt.QoS,
+		IOClass:  uintr.ClassNormal,
 	})
 	if err != nil {
 		return nil, err

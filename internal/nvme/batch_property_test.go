@@ -82,7 +82,7 @@ func TestBatchRingInvariants(t *testing.T) {
 			for i := range entries {
 				entries[i] = nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i % 4096), NLB: 1, Data: buf}
 			}
-			subs, err := qp.SubmitBatch(entries)
+			subs, err := qp.SubmitBatch(nil, entries)
 			if errors.Is(err, nvme.ErrSQFull) {
 				// Over-capacity batches must be rejected wholesale:
 				// nothing submitted, rings untouched.
@@ -141,7 +141,7 @@ func TestSubmitBatchAtomicRejection(t *testing.T) {
 		entries[i] = nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: uint64(i), NLB: 1, Data: buf}
 	}
 	tail, doorbells := qp.SQTail(), qp.SQDoorbells
-	if _, err := qp.SubmitBatch(entries); !errors.Is(err, nvme.ErrSQFull) {
+	if _, err := qp.SubmitBatch(nil, entries); !errors.Is(err, nvme.ErrSQFull) {
 		t.Fatalf("oversized batch: %v, want ErrSQFull", err)
 	}
 	if qp.SQTail() != tail || qp.SQDoorbells != doorbells || qp.Inflight() != 0 {
@@ -149,7 +149,7 @@ func TestSubmitBatchAtomicRejection(t *testing.T) {
 			tail, qp.SQTail(), doorbells, qp.SQDoorbells, qp.Inflight())
 	}
 	// A batch that exactly fits is accepted with a single doorbell write.
-	if _, err := qp.SubmitBatch(entries[:3]); err != nil {
+	if _, err := qp.SubmitBatch(nil, entries[:3]); err != nil {
 		t.Fatalf("exact-fit batch: %v", err)
 	}
 	if qp.SQDoorbells != doorbells+1 {

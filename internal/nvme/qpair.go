@@ -214,58 +214,44 @@ var ErrSQFull = errors.New("nvme: submission queue full")
 // value" error, AER status 0x1).
 var ErrDoorbell = errors.New("nvme: invalid doorbell write")
 
-// Submit places a command into the submission queue and rings the tail
-// doorbell. It returns a completion handle that fires when the CQE is
-// posted. The caller must not reuse e.Data until completion.
-func (qp *QueuePair) Submit(e SubmissionEntry) (*sim.Completion, error) {
-	if qp.Inflight() >= qp.depth-1 {
-		return nil, fmt.Errorf("%w: queue %d", ErrSQFull, qp.ID)
-	}
-	qp.nextCID++
-	e.CID = qp.nextCID
-	tail := int(qp.sqTail.Load())
-	qp.sq[tail] = e
-	comp := sim.NewCompletion()
-	qp.pending[e.CID] = comp
-	if e.Prio != 0 {
-		qp.prio[e.CID] = e.Prio
-	}
-	qp.emit(trace.SQEPrep, uint32(e.CID), e.SLBA, uint64(e.NLB))
-
-	// Ringing the doorbell hands the command to the device.
-	if err := qp.WriteSQDoorbell((tail + 1) % qp.depth); err != nil {
-		delete(qp.pending, e.CID)
-		delete(qp.prio, e.CID)
-		return nil, err
-	}
-	return comp, nil
-}
-
-// Submitted pairs a batch-accepted command's assigned CID with its
-// completion handle.
+// Submitted pairs an accepted command's assigned CID with its completion
+// handle.
 type Submitted struct {
 	CID  uint16
 	Done *sim.Completion
 }
 
+// Submit places one command into the submission queue and rings the tail
+// doorbell: a batch of one. It returns a completion handle that fires when
+// the CQE is posted. The caller must not reuse e.Data until completion.
+func (qp *QueuePair) Submit(e SubmissionEntry) (*sim.Completion, error) {
+	var one [1]Submitted
+	subs, err := qp.SubmitBatch(one[:0], []SubmissionEntry{e})
+	if err != nil {
+		return nil, err
+	}
+	return subs[0].Done, nil
+}
+
 // SubmitBatch places all entries into the submission queue and rings the
 // tail doorbell once — the batched-submission hot path: N commands, one
-// MMIO write, and the device drains the whole burst. The batch is
-// all-or-nothing: if the SQ lacks room for every entry, nothing is enqueued
-// and ErrSQFull is returned. Callers must not reuse any entry's Data until
-// its completion fires.
-func (qp *QueuePair) SubmitBatch(entries []SubmissionEntry) ([]Submitted, error) {
+// MMIO write, and the device drains the whole burst. The accepted commands
+// are appended to dst (nil, or a caller-owned scratch slice) in entry order.
+// The batch is all-or-nothing: if the SQ lacks room for every entry, nothing
+// is enqueued and ErrSQFull is returned. Callers must not reuse any entry's
+// Data until its completion fires.
+func (qp *QueuePair) SubmitBatch(dst []Submitted, entries []SubmissionEntry) ([]Submitted, error) {
 	n := len(entries)
 	if n == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	if qp.Inflight()+n > qp.depth-1 {
-		return nil, fmt.Errorf("%w: queue %d (batch %d, free %d)",
+		return dst, fmt.Errorf("%w: queue %d (batch %d, free %d)",
 			ErrSQFull, qp.ID, n, qp.depth-1-qp.Inflight())
 	}
-	out := make([]Submitted, n)
+	base := len(dst)
 	tail := int(qp.sqTail.Load())
-	for i, e := range entries {
+	for _, e := range entries {
 		qp.nextCID++
 		e.CID = qp.nextCID
 		qp.sq[tail] = e
@@ -275,17 +261,17 @@ func (qp *QueuePair) SubmitBatch(entries []SubmissionEntry) ([]Submitted, error)
 		if e.Prio != 0 {
 			qp.prio[e.CID] = e.Prio
 		}
-		out[i] = Submitted{CID: e.CID, Done: comp}
+		dst = append(dst, Submitted{CID: e.CID, Done: comp})
 		qp.emit(trace.SQEPrep, uint32(e.CID), e.SLBA, uint64(e.NLB))
 	}
 	if err := qp.WriteSQDoorbell(tail); err != nil {
-		for _, s := range out {
+		for _, s := range dst[base:] {
 			delete(qp.pending, s.CID)
 			delete(qp.prio, s.CID)
 		}
-		return nil, err
+		return dst[:base], err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // WriteSQDoorbell writes the submission-queue tail doorbell: the device

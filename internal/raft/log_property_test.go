@@ -41,10 +41,10 @@ func entryHash(e Entry) uint64 {
 }
 
 type propCluster struct {
-	rng     *propRng
-	nodes   map[int]*Node
-	ids     []int
-	inbox   map[int][]Message
+	rng   *propRng
+	nodes map[int]*Node
+	ids   []int
+	inbox map[int][]Message
 	// committed[index] = hash of the entry first observed committed there.
 	committed map[uint64]uint64
 	maxCommit map[int]uint64

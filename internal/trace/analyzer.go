@@ -119,13 +119,13 @@ type Analyzer struct {
 	sloBounds  map[uint32]time.Duration // class → delivery-latency bound (SLOBound)
 
 	// replication replay state (cross-node causal chains)
-	pgRF       map[int32]uint64            // pg → replication factor (ClusterPG)
-	raftCommit map[[2]int64]uint64         // (pg, node) → last commit index this incarnation
-	raftApply  map[[2]int64]uint64         // (pg, node) → last applied index
-	applyHash  map[[2]int64]uint64         // (pg, index) → first observed apply hash
+	pgRF       map[int32]uint64                        // pg → replication factor (ClusterPG)
+	raftCommit map[[2]int64]uint64                     // (pg, node) → last commit index this incarnation
+	raftApply  map[[2]int64]uint64                     // (pg, node) → last applied index
+	applyHash  map[[2]int64]uint64                     // (pg, index) → first observed apply hash
 	acceptSets map[[2]int64]map[uint64]map[uint32]bool // (pg, index) → term → accepting nodes
-	ackIdx     map[[2]int64]uint64         // (pg, lba) → highest acked raft index
-	readFloor  map[[2]int64]uint64         // (pg, request id) → acked-index floor at ReadStart
+	ackIdx     map[[2]int64]uint64                     // (pg, lba) → highest acked raft index
+	readFloor  map[[2]int64]uint64                     // (pg, request id) → acked-index floor at ReadStart
 
 	// metadata-service replay state
 	mdsLease  map[uint32]*mdsLeaseState  // lease id → lifecycle

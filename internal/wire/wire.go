@@ -174,6 +174,22 @@ func (r *Reader) Str(n int) string {
 	return v
 }
 
+// Count vets an element count read from the frame before a decoder sizes a
+// slice by it: n elements of at least min bytes each must fit in the unread
+// bytes, or the frame is truncated — so no count field can make a decoder
+// allocate more than the frame's own length justifies. Returns n, or 0 once
+// the reader has failed.
+func (r *Reader) Count(n, min int) int {
+	if r.err == nil && n > (len(r.buf)-r.off)/min {
+		r.err = fmt.Errorf("%w: %d element(s) of %d+ byte(s) at offset %d of %d",
+			ErrTruncated, n, min, r.off, len(r.buf))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 // Remaining returns the unread byte count.
 func (r *Reader) Remaining() int {
 	if r.err != nil {

@@ -96,3 +96,18 @@ func TestBytesCopies(t *testing.T) {
 		t.Fatal("Bytes(0) should be nil")
 	}
 }
+
+// TestCountBoundsElements: a count is accepted only if that many minimum-size
+// elements fit in the unread bytes; otherwise the reader fails sticky.
+func TestCountBoundsElements(t *testing.T) {
+	r := NewReader(make([]byte, 10))
+	if got := r.Count(5, 2); got != 5 || r.Err() != nil {
+		t.Fatalf("Count(5, 2) over 10 bytes = %d, err %v", got, r.Err())
+	}
+	if got := r.Count(6, 2); got != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Count(6, 2) over 10 bytes = %d, err %v", got, r.Err())
+	}
+	if got := r.Count(1, 2); got != 0 {
+		t.Fatalf("Count after failure = %d, want 0", got)
+	}
+}
