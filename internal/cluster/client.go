@@ -25,6 +25,9 @@ type Client struct {
 	rngCtr uint64
 	done   bool
 
+	deadline  sim.Timer // the current attempt's timeout wake-up
+	idleWakes uint64    // wake-ups that found neither a frame nor the deadline
+
 	acks []Ack
 
 	// WriteLat and ReadLat record per-operation completion latency (first
@@ -207,50 +210,58 @@ func (cl *Client) doOp(env *sim.Env, req request) {
 // acknowledgements of retried commands) are discarded by id mismatch here
 // and by the caller having moved on.
 func (cl *Client) await(env *sim.Env, deadline time.Duration, want uint32) (response, bool) {
-	env.ScheduleAt(deadline, cl.ep.SignalArrival)
+	defer cl.armDeadline(env, deadline).Cancel()
 	for {
-		m := cl.ep.TryRecv()
+		m := cl.recv(env, deadline)
 		if m == nil {
-			if cl.c.stopped || env.Now() >= deadline {
-				return response{}, false
-			}
-			c := cl.ep.Arrival()
-			if cl.ep.Pending() > 0 || cl.c.stopped {
-				continue
-			}
-			env.BlockOn(c)
-			continue
+			return response{}, false
 		}
-		env.Exec(netsim.RxCost)
-		r, err := decodeResponse(m.Payload)
-		if err != nil || r.ID != want {
-			continue
+		if r, err := decodeResponse(m.Payload); err == nil && r.ID == want {
+			return r, true
 		}
-		return r, true
 	}
 }
 
 func (cl *Client) awaitMap(env *sim.Env, deadline time.Duration) (monResp, bool) {
-	env.ScheduleAt(deadline, cl.ep.SignalArrival)
+	defer cl.armDeadline(env, deadline).Cancel()
 	for {
-		m := cl.ep.TryRecv()
+		m := cl.recv(env, deadline)
 		if m == nil {
-			if cl.c.stopped || env.Now() >= deadline {
-				return monResp{}, false
-			}
-			c := cl.ep.Arrival()
-			if cl.ep.Pending() > 0 || cl.c.stopped {
-				continue
-			}
-			env.BlockOn(c)
+			return monResp{}, false
+		}
+		if r, err := decodeMonResp(m.Payload); err == nil {
+			return r, true
+		}
+	}
+}
+
+// armDeadline arms the wake-up that ends an attempt's wait. The caller
+// cancels it on return: left armed it would fire inside a later attempt's
+// wait and wake the client for nothing.
+func (cl *Client) armDeadline(env *sim.Env, deadline time.Duration) sim.Timer {
+	cl.deadline = env.ScheduleAt(deadline, cl.ep.SignalArrival)
+	return cl.deadline
+}
+
+// recv blocks for the next frame and charges its receive cost; nil means the
+// deadline passed or the cluster stopped.
+func (cl *Client) recv(env *sim.Env, deadline time.Duration) *netsim.Msg {
+	for woke := false; ; woke = true {
+		if m := cl.ep.TryRecv(); m != nil {
+			env.Exec(netsim.RxCost)
+			return m
+		}
+		if cl.c.stopped || env.Now() >= deadline {
+			return nil
+		}
+		if woke {
+			cl.idleWakes++
+		}
+		c := cl.ep.Arrival()
+		if cl.ep.Pending() > 0 || cl.c.stopped {
 			continue
 		}
-		env.Exec(netsim.RxCost)
-		r, err := decodeMonResp(m.Payload)
-		if err != nil {
-			continue
-		}
-		return r, true
+		env.BlockOn(c)
 	}
 }
 

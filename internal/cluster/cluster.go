@@ -43,7 +43,9 @@ type Config struct {
 	// the percentage of writes (default 70).
 	Clients, OpsPerClient int
 	WritePct              int
-	// PayloadBytes sizes each written block (default 64).
+	// PayloadBytes sizes each written block (default 64). The block and its
+	// command header must fit a raft entry's 16-bit length field; New
+	// refuses a size that does not.
 	PayloadBytes int
 	// Seed drives elections, the workload mix, and composes with netsim
 	// jitter and the fault plan.
@@ -59,8 +61,8 @@ type Config struct {
 	// group member (default 2ms).
 	ClientTimeout time.Duration
 	// CompactEvery makes leaders compact their fully replicated prefix
-	// every that-many ticks, keeping compactKeepTail entries (default 64;
-	// 0 disables compaction).
+	// every that-many ticks, keeping compactKeepTail entries. No default
+	// is applied: 0 means logs are never compacted.
 	CompactEvery int
 	// Link shapes every fabric link (latency/bandwidth/jitter/queue).
 	Link netsim.Config
@@ -143,6 +145,7 @@ type Cluster struct {
 	members [][]int // pg → member node ids
 
 	stopped bool
+	atDone  Stats // Stats() when Run first found every client finished
 
 	// failMu guards failure: tasks on different lanes may fail
 	// concurrently inside a parallel window.
@@ -159,6 +162,11 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 || cfg.PGs <= 0 || cfg.RF <= 0 || cfg.RF > cfg.Nodes {
 		return nil, fmt.Errorf("cluster: bad shape nodes=%d pgs=%d rf=%d", cfg.Nodes, cfg.PGs, cfg.RF)
+	}
+	// The longest reply name belongs to the last client.
+	if n := (command{Reply: clientName(cfg.Clients - 1)}).size() + cfg.payloadBytes(); n > maxField {
+		return nil, fmt.Errorf("cluster: PayloadBytes %d makes a %d-byte command; a raft entry carries at most %d",
+			cfg.payloadBytes(), n, maxField)
 	}
 	cores := cfg.Nodes + 1 + cfg.Clients
 	m := machine.New(cores, nvme.Config{BlockSize: 4096, NumBlocks: 1 << 16})
@@ -296,6 +304,7 @@ func (c *Cluster) Run(horizon time.Duration) time.Duration {
 		}
 		if c.doneClients() == len(c.clients) {
 			if settleUntil < 0 {
+				c.atDone = c.Stats()
 				// Let commit propagation, re-applies, and compaction drain.
 				settleUntil = now + 20*time.Millisecond
 			} else if now >= settleUntil {
@@ -412,6 +421,11 @@ func (c *Cluster) Stats() Stats {
 	}
 	return s
 }
+
+// StatsAtDone returns the accounting as of the 1 ms slice of Run in which
+// the last client finished: what the workload cost, without the settle
+// period's idle heartbeats. Zero until then.
+func (c *Cluster) StatsAtDone() Stats { return c.atDone }
 
 // partition downs node id's links for cfg.PartitionFor: both directions
 // when symmetric, only outbound otherwise. The heal is scheduled on the

@@ -269,6 +269,13 @@ func (n *OSD) handleRequest(env *sim.Env, m *netsim.Msg, req request) {
 		return
 	}
 	cmd := command{Op: req.Op, ID: req.ID, LBA: req.LBA, Reply: m.Src, Data: req.Data}
+	if cmd.size() > maxField {
+		// The block fits a request but not, with the command header, a raft
+		// entry.
+		resp.Status = StatusErr
+		n.send(env, m.Src, resp.encode())
+		return
+	}
 	idx, term, ok := g.raft.Propose(cmd.encode())
 	if !ok {
 		resp.Status = StatusNotLeader
@@ -382,6 +389,9 @@ func (n *OSD) fire(site string) bool {
 // faultPoint evaluates the crash/partition sites for point on this node.
 // Returns true when the node crashed (the caller must stop processing).
 func (n *OSD) faultPoint(env *sim.Env, point string) bool {
+	if n.c.cfg.Plan == nil {
+		return false // before the site names are built: this runs per applied entry
+	}
 	if n.fire(Site(KindCrash, point, n.id)) {
 		n.crash(env)
 		return true

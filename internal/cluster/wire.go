@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"aeolia/internal/raft"
 	"aeolia/internal/wire"
@@ -33,6 +34,21 @@ const (
 )
 
 var errShort = errors.New("cluster: short frame")
+
+// maxField is the longest payload a frame's 16-bit length field describes:
+// a client block, a replicated command, a raft entry.
+const maxField = math.MaxUint16
+
+// len16 encodes a length field. Everything that reaches an encoder was
+// vetted against maxField (cluster.New for the configured block size,
+// handleRequest for client frames), so a longer one is a bug here, and
+// wrapping it would store and acknowledge a truncated block.
+func len16(n int) uint16 {
+	if n > maxField {
+		panic(fmt.Sprintf("cluster: %d bytes do not fit a 16-bit length field", n))
+	}
+	return uint16(n)
+}
 
 // done collapses any reader error (or a bad magic recorded by the caller)
 // into the package's short-frame error.
@@ -70,9 +86,9 @@ func (f raftFrame) encode() []byte {
 		U8(magicRaft).U16(f.PG).U8(byte(m.Type)).
 		U16(uint16(int16(m.From))).U16(uint16(int16(m.To))).
 		U64(m.Term).U64(m.Index).U64(m.LogTerm).U64(m.Commit).U64(m.Compact).
-		Bool(m.Reject).U16(uint16(len(m.Entries)))
+		Bool(m.Reject).U16(len16(len(m.Entries)))
 	for _, e := range m.Entries {
-		w.U64(e.Term).U16(uint16(len(e.Data))).Bytes(e.Data)
+		w.U64(e.Term).U16(len16(len(e.Data))).Bytes(e.Data)
 	}
 	return w.Frame()
 }
@@ -103,7 +119,7 @@ func decodeRaftFrame(b []byte) (raftFrame, error) {
 	for i := 0; i < nEnts; i++ {
 		term := d.U64()
 		dl := int(d.U16())
-		data := d.Bytes(dl)
+		data := d.View(dl)
 		if d.Err() != nil {
 			return f, errShort
 		}
@@ -126,7 +142,7 @@ func (r request) encode() []byte {
 	return wire.NewWriter(19 + len(r.Reply) + len(r.Data)).
 		U8(magicReq).U8(r.Op).U32(r.ID).U16(r.PG).U64(r.LBA).
 		U8(uint8(len(r.Reply))).Str(r.Reply).
-		U16(uint16(len(r.Data))).Bytes(r.Data).Frame()
+		U16(len16(len(r.Data))).Bytes(r.Data).Frame()
 }
 
 func decodeRequest(b []byte) (request, error) {
@@ -141,7 +157,7 @@ func decodeRequest(b []byte) (request, error) {
 	r.PG = d.U16()
 	r.LBA = d.U64()
 	r.Reply = d.Str(int(d.U8()))
-	r.Data = d.Bytes(int(d.U16()))
+	r.Data = d.View(int(d.U16()))
 	return r, done(d)
 }
 
@@ -160,7 +176,7 @@ func (r response) encode() []byte {
 	return wire.NewWriter(24 + len(r.Data)).
 		U8(magicResp).U8(r.Status).U32(r.ID).U16(r.PG).
 		U16(uint16(r.Leader)).U64(r.Index).U32(r.Hash).
-		U16(uint16(len(r.Data))).Bytes(r.Data).Frame()
+		U16(len16(len(r.Data))).Bytes(r.Data).Frame()
 }
 
 func decodeResponse(b []byte) (response, error) {
@@ -191,11 +207,14 @@ type command struct {
 	Data  []byte
 }
 
+// size is the encoded length: what must fit a raft entry's length field.
+func (c command) size() int { return 16 + len(c.Reply) + len(c.Data) }
+
 func (c command) encode() []byte {
-	return wire.NewWriter(16 + len(c.Reply) + len(c.Data)).
+	return wire.NewWriter(c.size()).
 		U8(c.Op).U32(c.ID).U64(c.LBA).
 		U8(uint8(len(c.Reply))).Str(c.Reply).
-		U16(uint16(len(c.Data))).Bytes(c.Data).Frame()
+		U16(len16(len(c.Data))).Bytes(c.Data).Frame()
 }
 
 func decodeCommand(b []byte) (command, error) {
@@ -205,7 +224,7 @@ func decodeCommand(b []byte) (command, error) {
 	c.ID = d.U32()
 	c.LBA = d.U64()
 	c.Reply = d.Str(int(d.U8()))
-	c.Data = d.Bytes(int(d.U16()))
+	c.Data = d.View(int(d.U16()))
 	return c, done(d)
 }
 

@@ -100,6 +100,11 @@ type replCellResult struct {
 	// LostWrites counts acked writes the post-run audit could not find on
 	// every replica — always zero in an accepted run.
 	LostWrites int
+	// RaftMsgsPerOp is the raft frames the nodes received while the
+	// workload ran — elections and heartbeats included, the settle period's
+	// idle heartbeats not — per completed operation. Replicating one entry
+	// takes an append and an acknowledgement per follower: 2*(RF-1).
+	RaftMsgsPerOp float64
 }
 
 // replRun executes one cell; tr (optional) captures the full event trace.
@@ -118,6 +123,9 @@ func replRun(rf int, scenario string, tr *trace.Tracer) (*replCellResult, error)
 		return nil, fmt.Errorf("fig_replication rf=%d %s: %w", rf, scenario, err)
 	}
 	out := &replCellResult{C: c, Stats: c.Stats(), Elapsed: elapsed}
+	if ops := out.Stats.AckedWrites + out.Stats.Reads; ops > 0 {
+		out.RaftMsgsPerOp = float64(c.StatsAtDone().RaftMsgs) / float64(ops)
+	}
 	for _, cl := range c.Clients() {
 		for _, d := range cl.WriteLat {
 			out.WriteLat.Record(d)
@@ -152,7 +160,7 @@ func FigReplication() ([]*report.Table, error) {
 		Title: "Replicated block cluster: goodput and latency vs replication factor under faults",
 		Columns: []string{"rf", "scenario", "acked_writes", "reads", "lost",
 			"goodput_ops_ms", "wr_p50_us", "wr_p99_us", "rd_p50_us", "rd_p99_us",
-			"retries", "elections", "crashes", "recovery_ms"},
+			"retries", "elections", "crashes", "recovery_ms", "raft_msgs_per_op"},
 	}
 	for _, rf := range []int{1, 3, 5} {
 		for _, scenario := range replScenarios {
@@ -161,6 +169,16 @@ func FigReplication() ([]*report.Table, error) {
 				return nil, err
 			}
 			s := r.Stats
+			// The message-economy gate: no frame may be lost to a full link
+			// queue, and on a clean fabric an op costs its 2*(RF-1) frames
+			// plus at most one of election and heartbeat overhead.
+			if s.TxOverflows != 0 {
+				return nil, fmt.Errorf("fig_replication rf=%d %s: %d link overflow(s)", rf, scenario, s.TxOverflows)
+			}
+			if max := float64(2*(rf-1) + 1); scenario == "clean" && r.RaftMsgsPerOp > max {
+				return nil, fmt.Errorf("fig_replication rf=%d clean: %.2f raft frames per op, bound %.0f",
+					rf, r.RaftMsgsPerOp, max)
+			}
 			ops := float64(s.AckedWrites + s.Reads)
 			goodput := ops / (float64(r.Elapsed) / float64(time.Millisecond))
 			recovery := "-"
@@ -180,13 +198,15 @@ func FigReplication() ([]*report.Table, error) {
 				fmt.Sprintf("%d", s.Retries),
 				fmt.Sprintf("%d", s.Elections),
 				fmt.Sprintf("%d", s.Crashes),
-				recovery)
+				recovery,
+				fmt.Sprintf("%.2f", r.RaftMsgsPerOp))
 		}
 	}
 	t.Note("lossy = 2us link jitter + 2%% seeded loss and duplication on every inter-osd link")
 	t.Note("crash = one-shot CrashAndReset armed at post-quorum on every node (each acting leader crashes after its first committed ack)")
 	t.Note("lost = acked writes missing or divergent on any replica in the post-run audit (must be 0)")
 	t.Note("raft frames ride the urgent uintr class; client frames the normal class")
+	t.Note("raft_msgs_per_op = raft frames received until the last client finished (elections and heartbeats included) per op; the floor is 2*(rf-1), and a clean cell above floor+1 or any link overflow fails the run")
 	return []*report.Table{t}, nil
 }
 

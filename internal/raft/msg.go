@@ -10,8 +10,8 @@ const (
 	MsgVote MsgType = iota
 	// MsgVoteResp answers a MsgVote (Reject = vote not granted).
 	MsgVoteResp
-	// MsgApp is AppendEntries: replication when Entries is non-empty, a
-	// heartbeat when empty.
+	// MsgApp is AppendEntries: replication when Entries is non-empty; when
+	// empty, a heartbeat or the probe after a rewind.
 	MsgApp
 	// MsgAppResp answers a MsgApp (Index = match on success, a rewind hint
 	// on rejection).
@@ -43,8 +43,10 @@ func (t MsgType) String() string {
 //     boundary (every replica stores the prefix up to it), Entries the
 //     payload (empty for heartbeats).
 //   - MsgAppResp: on success Index is the follower's new match index; on
-//     rejection it is the follower's last index, a rewind hint for the
-//     leader's next probe.
+//     rejection it is the index the leader should probe next — the
+//     follower's last index when prev lies beyond its log, one below prev on
+//     a term mismatch. The follower stores everything it ever acknowledged
+//     to this leader, so a fresh hint is never below the leader's match.
 type Message struct {
 	Type     MsgType
 	From, To int

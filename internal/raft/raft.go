@@ -11,12 +11,15 @@
 // cluster of nodes driven from a deterministic event loop replays
 // byte-identically — the property every golden experiment and the failover
 // fault matrix rely on.
+//
+// The leader is economical with messages: each entry goes to each follower
+// once (sendAppend advances next optimistically; rejections and heartbeats
+// repair losses), the commit index rides on messages sent anyway, and a
+// follower that was sent an append since the last heartbeat tick gets no
+// heartbeat at that tick. Replicating one entry costs 2*(replicas-1) messages.
 package raft
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // State is a node's role.
 type State uint8
@@ -63,7 +66,9 @@ type Config struct {
 	// (default 2).
 	ElectionTicks  int
 	HeartbeatTicks int
-	// MaxBatch bounds entries per AppendEntries (default 64).
+	// MaxBatch bounds entries per AppendEntries (default 64), and with it
+	// the entries in flight to one follower: past it the leader sends only
+	// as acknowledgements arrive.
 	MaxBatch int
 	// Seed drives the randomized election timeouts.
 	Seed uint64
@@ -123,8 +128,8 @@ type Node struct {
 	elapsed int // ticks since last heartbeat (leader) / last reset (others)
 	timeout int // this term's randomized election timeout in ticks
 
-	votes       map[int]bool
-	next, match map[int]uint64
+	votes map[int]bool
+	prs   []progress // leader only: one per peer, this node included
 
 	msgs  []Message
 	hooks Hooks
@@ -132,6 +137,25 @@ type Node struct {
 	// Elections counts campaigns started; Grants counts votes this node
 	// granted; Heartbeats counts heartbeat broadcasts sent as leader.
 	Elections, Grants, Heartbeats uint64
+}
+
+// progress is what a leader knows about one peer's log. Each entry goes to
+// each follower once: next runs ahead of match by whatever is in flight,
+// and only a rejection (or a rejected heartbeat) brings it back.
+type progress struct {
+	id int // the peer
+	// match is the highest index the peer acknowledged storing.
+	match uint64
+	// next is the first index not yet sent. sendAppend advances it past
+	// what it sends, without waiting for the acknowledgement.
+	next uint64
+	// probe is next-1 as of the election or the last rewind: until the
+	// peer acknowledges past it, it stands in for match as the base of the
+	// in-flight window.
+	probe uint64
+	// sent records an append since the last heartbeat tick; that tick
+	// skips the peer, the traffic having reset its election timer already.
+	sent bool
 }
 
 // New builds a node from its durable state. Fresh nodes pass
@@ -249,7 +273,7 @@ func (n *Node) becomeFollower(term uint64, lead int) {
 	n.term = term
 	n.lead = lead
 	n.votes = nil
-	n.next, n.match = nil, nil
+	n.prs = nil
 	n.resetTimeout()
 }
 
@@ -267,17 +291,15 @@ func (n *Node) becomeLeader() {
 	n.state = Leader
 	n.lead = n.cfg.ID
 	n.elapsed = 0
-	n.next = make(map[int]uint64, len(n.cfg.Peers))
-	n.match = make(map[int]uint64, len(n.cfg.Peers))
 	last := n.log.LastIndex()
-	for _, p := range n.cfg.Peers {
-		n.next[p] = last + 1
-		n.match[p] = 0
+	n.prs = make([]progress, len(n.cfg.Peers))
+	for i, p := range n.cfg.Peers {
+		n.prs[i] = progress{id: p, next: last + 1, probe: last}
 	}
 	// The no-op: a leader may only count replicas of its own term toward
 	// commit, so it commits one immediately to unblock older entries.
 	n.log.Append(Entry{Term: n.term})
-	n.match[n.cfg.ID] = n.log.LastIndex()
+	n.progress(n.cfg.ID).match = n.log.LastIndex()
 	if n.hooks.OnLeader != nil {
 		n.hooks.OnLeader(n.term)
 	}
@@ -286,15 +308,22 @@ func (n *Node) becomeLeader() {
 	n.bcastAppend()
 }
 
-// Tick advances the node's logical clock by one tick. Leaders heartbeat;
-// others campaign when the election timeout expires.
+// Tick advances the node's logical clock by one tick. Leaders heartbeat
+// the peers they sent nothing since the last heartbeat tick; others campaign
+// when the election timeout expires.
 func (n *Node) Tick() {
 	n.elapsed++
 	if n.state == Leader {
 		if n.elapsed >= n.cfg.heartbeatTicks() {
 			n.elapsed = 0
 			n.Heartbeats++
-			n.bcastAppend()
+			for i := range n.prs {
+				pr := &n.prs[i]
+				if pr.id != n.cfg.ID && !pr.sent {
+					n.sendAppend(pr, true)
+				}
+				pr.sent = false
+			}
 		}
 		return
 	}
@@ -326,7 +355,7 @@ func (n *Node) Propose(data []byte) (index, term uint64, ok bool) {
 		return 0, 0, false
 	}
 	idx := n.log.Append(Entry{Term: n.term, Data: data})
-	n.match[n.cfg.ID] = idx
+	n.progress(n.cfg.ID).match = idx
 	n.notifyAccept(idx, n.term)
 	n.maybeCommit()
 	n.bcastAppend()
@@ -412,12 +441,11 @@ func (n *Node) handleAppend(m Message) {
 	}
 	t, ok := n.log.Term(m.Index)
 	if !ok || t != m.LogTerm {
+		// The hint is where the leader should probe next: our last index
+		// when prev lies beyond it, else one below the mismatch.
 		hint := n.log.LastIndex()
-		if m.Index < hint {
-			hint = m.Index
-		}
-		if hint > 0 {
-			hint--
+		if m.Index > 0 && m.Index-1 < hint {
+			hint = m.Index - 1
 		}
 		n.send(Message{Type: MsgAppResp, To: m.From, Reject: true, Index: hint})
 		return
@@ -461,48 +489,59 @@ func (n *Node) handleAppend(m Message) {
 }
 
 func (n *Node) handleAppendResp(m Message) {
+	pr := n.progress(m.From)
+	if pr == nil {
+		return
+	}
 	if m.Reject {
-		nx := n.next[m.From]
-		if m.Index+1 < nx {
-			nx = m.Index + 1
-		} else if nx > 1 {
-			nx--
+		// A peer's log always holds everything it acknowledged to this
+		// leader, so a rejection it answers now hints at match or above; a
+		// lower hint was overtaken by a later acknowledgement. One at or
+		// above next-1 repeats a rewind already made.
+		if m.Index < pr.match || m.Index+1 >= pr.next {
+			return
 		}
-		if first := n.log.FirstIndex(); nx < first {
-			nx = first
-		}
-		n.next[m.From] = nx
-		n.sendAppend(m.From)
+		pr.next, pr.probe = m.Index+1, m.Index
+		n.sendAppend(pr, true)
 		return
 	}
-	if m.Index > n.match[m.From] {
-		n.match[m.From] = m.Index
+	if m.Index > pr.match {
+		pr.match = m.Index
 	}
-	if m.Index+1 > n.next[m.From] {
-		n.next[m.From] = m.Index + 1
+	if m.Index+1 > pr.next {
+		pr.next = m.Index + 1
 	}
-	before := n.commit
+	// The advanced commit index rides on the next append or heartbeat. An
+	// acknowledgement opens the window: send what it was holding back.
 	n.maybeCommit()
-	if n.commit > before {
-		// Propagate the advanced commit index right away instead of waiting
-		// for the next heartbeat; caught-up followers get an empty MsgApp.
-		n.bcastAppend()
-		return
+	n.sendAppend(pr, false)
+}
+
+// progress returns the leader's record for peer id (nil if id is unknown).
+func (n *Node) progress(id int) *progress {
+	for i := range n.prs {
+		if n.prs[i].id == id {
+			return &n.prs[i]
+		}
 	}
-	// Keep streaming if the follower is still behind.
-	if n.next[m.From] <= n.log.LastIndex() {
-		n.sendAppend(m.From)
-	}
+	return nil
 }
 
 // maybeCommit advances the commit index to the highest index replicated on
 // a quorum whose entry is from the current term.
 func (n *Node) maybeCommit() {
-	ms := make([]uint64, 0, len(n.cfg.Peers))
-	for _, p := range n.cfg.Peers {
-		ms = append(ms, n.match[p])
+	// Insertion sort, descending, on the stack for the usual group sizes.
+	var buf [7]uint64
+	ms := buf[:0]
+	for i := range n.prs {
+		v := n.prs[i].match
+		j := len(ms)
+		ms = append(ms, v)
+		for ; j > 0 && ms[j-1] < v; j-- {
+			ms[j] = ms[j-1]
+		}
+		ms[j] = v
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i] > ms[j] })
 	mid := ms[n.quorum()-1]
 	if mid <= n.commit {
 		return
@@ -519,9 +558,9 @@ func (n *Node) compactTo() uint64 {
 		return 0
 	}
 	min := n.applied
-	for _, p := range n.cfg.Peers {
-		if n.match[p] < min {
-			min = n.match[p]
+	for i := range n.prs {
+		if m := n.prs[i].match; m < min {
+			min = m
 		}
 	}
 	return min
@@ -545,32 +584,38 @@ func (n *Node) MaybeCompact(keepTail uint64) uint64 {
 }
 
 func (n *Node) bcastAppend() {
-	for _, p := range n.cfg.Peers {
-		if p == n.cfg.ID {
-			continue
+	for i := range n.prs {
+		if n.prs[i].id != n.cfg.ID {
+			n.sendAppend(&n.prs[i], false)
 		}
-		n.sendAppend(p)
 	}
 }
 
-func (n *Node) sendAppend(to int) {
-	nx := n.next[to]
-	if first := n.log.FirstIndex(); nx < first {
+// sendAppend is the one place a MsgApp is built: it sends the peer the
+// entries from pr.next up to the edge of its in-flight window and moves
+// pr.next past them. With nothing to send it stays silent unless empty is
+// set — a heartbeat, or the probe after a rewind — and then the message
+// carries only the consistency check at next-1, Commit and Compact.
+func (n *Node) sendAppend(pr *progress, empty bool) {
+	if first := n.log.FirstIndex(); pr.next < first {
 		// The prefix below first is compacted; by the compaction contract
 		// the follower already stores it.
-		nx = first
-		n.next[to] = nx
+		pr.next = first
 	}
-	prev := nx - 1
+	es := n.log.Entries(pr.next, max(pr.match, pr.probe)+uint64(n.cfg.maxBatch()))
+	if len(es) == 0 && !empty {
+		return
+	}
+	prev := pr.next - 1
 	prevTerm, ok := n.log.Term(prev)
 	if !ok {
 		panic(fmt.Sprintf("raft: node %d: no term for prev index %d (first %d last %d)",
 			n.cfg.ID, prev, n.log.FirstIndex(), n.log.LastIndex()))
 	}
-	hi := nx + uint64(n.cfg.maxBatch()) - 1
-	es := n.log.Entries(nx, hi)
+	pr.next += uint64(len(es))
+	pr.sent = true
 	n.send(Message{
-		Type: MsgApp, To: to, Index: prev, LogTerm: prevTerm,
+		Type: MsgApp, To: pr.id, Index: prev, LogTerm: prevTerm,
 		Commit: n.commit, Compact: n.log.FirstIndex() - 1, Entries: es,
 	})
 }

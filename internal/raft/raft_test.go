@@ -17,6 +17,12 @@ type harness struct {
 	down map[int]bool
 	// applied log per node (data of applied entries, in order).
 	applied map[int][]string
+	// sent records every message a live node emitted, in emission order.
+	sent []Message
+	// filter, when set, decides what becomes of each emitted message: the
+	// returned messages are queued in its place (none drops it, two
+	// duplicate it).
+	filter func(Message) []Message
 }
 
 func newHarness(t *testing.T, n int) *harness {
@@ -44,7 +50,12 @@ func (h *harness) pump() {
 				continue
 			}
 			for _, m := range h.nodes[id].Messages() {
-				h.queues[id][m.To] = append(h.queues[id][m.To], m)
+				h.sent = append(h.sent, m)
+				out := []Message{m}
+				if h.filter != nil {
+					out = h.filter(m)
+				}
+				h.queues[id][m.To] = append(h.queues[id][m.To], out...)
 				moved = true
 			}
 		}
@@ -83,6 +94,15 @@ func (h *harness) tickAll() {
 		}
 	}
 	h.pump()
+}
+
+// heartbeat runs the cluster until followers have the leader's commit index:
+// it rides on the next heartbeat, and the heartbeat tick that follows an
+// append skips the peer, so that is two heartbeat intervals at most.
+func (h *harness) heartbeat() {
+	for i := 0; i < 2*(Config{}).heartbeatTicks(); i++ {
+		h.tickAll()
+	}
 }
 
 // electLeader ticks until exactly one live leader exists, returning it.
@@ -133,6 +153,7 @@ func TestThreeNodeReplication(t *testing.T) {
 		}
 		h.pump()
 	}
+	h.heartbeat()
 	want := fmt.Sprint(h.applied[lead.ID()])
 	for _, id := range h.ids {
 		if h.nodes[id].Commit() != lead.Commit() {
@@ -211,6 +232,7 @@ func TestRestartRejoinsFromStableState(t *testing.T) {
 		t.Fatal("leader lost leadership over a follower restart")
 	}
 	h.pump()
+	h.heartbeat()
 	if h.nodes[victim].Commit() < idx2 {
 		t.Fatalf("restarted follower commit %d below %d", h.nodes[victim].Commit(), idx2)
 	}
@@ -236,7 +258,7 @@ func TestCompactionKeepsClusterLive(t *testing.T) {
 	// Followers compact when the boundary arrives with the next appends.
 	lead.Propose([]byte("post-compact"))
 	h.pump()
-	h.tickAll()
+	h.heartbeat()
 	for _, id := range h.ids {
 		n := h.nodes[id]
 		if n.Log().FirstIndex() == 1 {

@@ -164,6 +164,19 @@ func (r *Reader) Bytes(n int) []byte {
 	return v
 }
 
+// View reads n raw bytes without copying: the result aliases the frame, with
+// its capacity clipped so an append cannot reach the bytes after it. Only
+// for a decoder that owns the frame and whose callers never write to it.
+// n == 0 returns nil.
+func (r *Reader) View(n int) []byte {
+	if n == 0 || !r.need(n) {
+		return nil
+	}
+	v := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return v
+}
+
 // Str reads n raw bytes as a string.
 func (r *Reader) Str(n int) string {
 	if !r.need(n) {

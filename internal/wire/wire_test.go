@@ -97,6 +97,35 @@ func TestBytesCopies(t *testing.T) {
 	}
 }
 
+// TestViewAliasesClipped pins View's contract: no copy, capacity clipped so
+// an append cannot write into the rest of the frame, nil for zero bytes, and
+// the same sticky truncation error as Bytes.
+func TestViewAliasesClipped(t *testing.T) {
+	frame := []byte{1, 2, 3, 4}
+	r := NewReader(frame)
+	got := r.View(2)
+	frame[0] = 99
+	if got[0] != 99 {
+		t.Fatal("View copied the frame")
+	}
+	if cap(got) != 2 {
+		t.Fatalf("View capacity %d, want 2", cap(got))
+	}
+	_ = append(got, 7)
+	if frame[2] != 3 {
+		t.Fatal("append to a View overwrote the frame behind it")
+	}
+	if r.View(0) != nil {
+		t.Fatal("View(0) should be nil")
+	}
+	if r.U8() != 3 {
+		t.Fatal("View did not advance the reader")
+	}
+	if r.View(2) != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("View past the end: err %v", r.Err())
+	}
+}
+
 // TestCountBoundsElements: a count is accepted only if that many minimum-size
 // elements fit in the unread bytes; otherwise the reader fails sticky.
 func TestCountBoundsElements(t *testing.T) {
