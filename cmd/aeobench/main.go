@@ -9,7 +9,7 @@
 //	aeobench -md all          # emit markdown (for EXPERIMENTS.md)
 //	aeobench -json qdsweep    # emit JSON (for CI bench artifacts)
 //	aeobench -trace t.json    # export a Chrome trace of one QD32 window
-//	aeobench -svc             # traced 128-client service run + invariant check
+//	aeobench -svc             # svcscale sweep (rx-irq gate) + traced 128-client run + invariant check
 package main
 
 import (
@@ -27,7 +27,7 @@ func main() {
 	md := flag.Bool("md", false, "emit markdown tables")
 	jsonOut := flag.Bool("json", false, "emit JSON tables")
 	traceOut := flag.String("trace", "", "run one traced QD32 qdsweep window and write Chrome trace_event JSON to this file")
-	svc := flag.Bool("svc", false, "run the traced 128-client service sweep and check trace invariants + admission accounting")
+	svc := flag.Bool("svc", false, "run the service sweep (rx_irqs_per_req gate) and the traced 128-client cell, and check trace invariants + admission accounting")
 	cache := flag.Bool("cache", false, "run the traced sequential page-cache cell and print cache counters + invariant check")
 	slo := flag.Bool("slo", false, "run the fig_slo antagonist sweep plus the traced enforced io_flood cell; fail on trace invariant violations (incl. the urgent delivery bound)")
 	repl := flag.Bool("repl", false, "run the fig_replication sweep plus the traced rf=3 leader-crash cell; fail on linearizability violations or lost acked writes")
@@ -473,11 +473,20 @@ func runZerocopy(jsonOut bool) error {
 	return nil
 }
 
-// runSvc drives the traced 128-client admission-controlled service sweep,
-// prints the per-stage service latency table the analyzer reconstructed
-// from the trace, and fails (non-zero exit) on any causal-invariant
-// violation or admission accounting mismatch.
+// runSvc runs the client-scaling sweep, whose saturated admission-off cells
+// carry the interrupt-mitigation gate (rx_irqs_per_req), then drives the
+// traced 128-client admission-controlled cell, prints the per-stage service
+// latency table the analyzer reconstructed from the trace, and fails
+// (non-zero exit) on the gate, any causal-invariant violation or an
+// admission accounting mismatch.
 func runSvc() error {
+	tables, err := experiments.SvcScale()
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		t.Print(os.Stdout)
+	}
 	tr, r, err := experiments.SvcScaleTrace()
 	if err != nil {
 		return err

@@ -37,10 +37,10 @@ func TestServerCounterRaceHammer(t *testing.T) {
 					ts.admitted.Add(1)
 				}
 				s.Replied.Add(1)
-				s.HandlerRuns.Add(1)
-				s.KernelDeliveries.Add(1)
-				s.ActiveChecks.Add(1)
-				s.BlockedWaits.Add(1)
+				s.rx.HandlerRuns.Add(1)
+				s.rx.KernelDeliveries.Add(1)
+				s.rx.ActiveChecks.Add(1)
+				s.rx.BlockedWaits.Add(1)
 				s.ReplyRetries.Add(1)
 				s.BadRequests.Add(1)
 			}
@@ -56,8 +56,8 @@ func TestServerCounterRaceHammer(t *testing.T) {
 	if s.Shed.Load() != shed || s.Admitted.Load() != total-shed {
 		t.Fatalf("lost admit/shed updates: %d/%d", s.Admitted.Load(), s.Shed.Load())
 	}
-	if s.HandlerRuns.Load() != total || s.KernelDeliveries.Load() != total ||
-		s.ActiveChecks.Load() != total || s.BlockedWaits.Load() != total ||
+	if s.rx.HandlerRuns.Load() != total || s.rx.KernelDeliveries.Load() != total ||
+		s.rx.ActiveChecks.Load() != total || s.rx.BlockedWaits.Load() != total ||
 		s.ReplyRetries.Load() != total || s.BadRequests.Load() != total {
 		t.Fatal("lost handler-side counter updates")
 	}

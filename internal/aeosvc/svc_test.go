@@ -210,7 +210,7 @@ func TestUintrDeliveryAtServiceEdge(t *testing.T) {
 	if r.srv.UPID() == nil || r.srv.UPID().NotifySent.Load() == 0 {
 		t.Fatal("no notification interrupts posted for network arrivals")
 	}
-	if r.srv.HandlerRuns.Load() == 0 {
+	if r.srv.rx.HandlerRuns.Load() == 0 {
 		t.Fatal("dispatcher's interrupt handler never ran")
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"aeolia/internal/machine"
 	"aeolia/internal/netsim"
 	"aeolia/internal/raft"
-	"aeolia/internal/sched"
+	"aeolia/internal/rxport"
 	"aeolia/internal/sim"
-	"aeolia/internal/timing"
 	"aeolia/internal/trace"
 	"aeolia/internal/uintr"
 )
@@ -67,23 +65,21 @@ type OSD struct {
 	down    bool
 	tickDue bool
 
-	task *sim.Task
-	upid *uintr.UPID
-	ext  *sched.ExtMap
+	// rx is the node's user-interrupt receive port (bound by run).
+	rx rxport.Port
 
 	ticksToCompact int
 
 	// Stats.
-	Crashes, Partitions           uint64
-	RaftMsgs, TxOverflows         uint64
-	Compactions                   uint64
-	HandlerRuns, KernelDeliveries uint64
+	Crashes, Partitions   uint64
+	RaftMsgs, TxOverflows uint64
+	Compactions           uint64
 }
 
 func newOSD(c *Cluster, id int, proc *machine.Process) *OSD {
 	n := &OSD{c: c, id: id, proc: proc, ep: c.Fab.Endpoint(osdName(id)),
-		core:   c.M.Eng.Core(id),
-		groups: make(map[int]*group), ext: c.M.Kern.ExtMap(),
+		core:           c.M.Eng.Core(id),
+		groups:         make(map[int]*group),
 		ticksToCompact: c.cfg.CompactEvery}
 	n.ep.BindCore(n.core)
 	for pg, ms := range c.members {
@@ -152,10 +148,21 @@ func (n *OSD) Group(pg int) *raft.Node {
 // Down reports whether the node is currently crashed.
 func (n *OSD) Down() bool { return n.down }
 
-// run is the node task body: bind the uintr rx path, then loop over ticks,
-// raft frames, and client requests.
+// run is the node task body: bind the uintr receive port — raft frames post
+// the urgent vector, client frames the normal one — then loop over ticks,
+// raft frames, and client requests. The port's wait always blocks.
 func (n *OSD) run(env *sim.Env) {
-	if err := n.bindRx(env); err != nil {
+	err := n.rx.Bind(env, n.c.M.Kern, n.proc.Gate, n.ep, rxport.Config{
+		Classes: uintr.NewClassMap(uintr.ClassNormal).Set(raftUserVector, uintr.ClassUrgent),
+		Vector: func(m *netsim.Msg) uint8 {
+			if len(m.Payload) > 0 && m.Payload[0] == magicRaft {
+				return raftUserVector
+			}
+			return clientUserVector
+		},
+		Woken: func() bool { return n.c.stopped || n.tickDue },
+	})
+	if err != nil {
 		n.c.fail(fmt.Errorf("cluster: %s bind: %w", osdName(n.id), err))
 		return
 	}
@@ -170,16 +177,10 @@ func (n *OSD) run(env *sim.Env) {
 				n.tick(env)
 			}
 		}
-		m := n.ep.TryRecv()
-		if m == nil {
-			c := n.ep.Arrival()
-			if n.ep.Pending() > 0 || n.c.stopped || n.tickDue {
-				continue
-			}
-			env.BlockOn(c)
-			continue
-		}
-		if !n.down {
+		// A nil frame is a wake for the conditions checked above. A crash
+		// empties the inbox, so a node that went down mid-drain falls through
+		// Recv's unmask into the wait.
+		if m := n.rx.Recv(env); m != nil && !n.down {
 			n.handle(env, m)
 		}
 	}
@@ -444,92 +445,4 @@ func (n *OSD) restart() {
 	}
 	n.ep.Reopen()
 	n.down = false
-}
-
-// bindRx installs the node's user-interrupt registration and routes
-// endpoint deliveries into its UPID with per-magic vector classes: raft
-// frames post the urgent vector, client frames the normal one — the PR-6
-// prioritized delivery path applied to replication traffic.
-func (n *OSD) bindRx(env *sim.Env) error {
-	t := env.Task()
-	n.task = t
-	kern := n.c.M.Kern
-	vec, err := kern.AllocVector(n.kernelDeliver)
-	if err != nil {
-		return err
-	}
-	upid, _ := kern.MapUPID(t.Affinity(), vec, n.proc.Gate)
-	upid.Classes = uintr.NewClassMap(uintr.ClassNormal).Set(raftUserVector, uintr.ClassUrgent)
-	n.upid = upid
-	kern.RegisterThreadUintr(t, vec, upid, n.userHandler)
-	eng := n.c.M.Eng
-	n.ep.SetOnDeliver(func(m *netsim.Msg) {
-		uv := uint8(clientUserVector)
-		if len(m.Payload) > 0 && m.Payload[0] == magicRaft {
-			uv = raftUserVector
-		}
-		uintr.PostAndNotify(eng, upid, uv)
-	})
-	return nil
-}
-
-func (n *OSD) emitHandler(typ trace.Type, core int, aux uint64) {
-	if tr := n.c.M.Eng.Tracer; tr != nil {
-		tr.Emit(n.c.M.Eng.Now(), typ, core, -1, trace.NoCID, 0, aux)
-	}
-}
-
-// userHandler is the in-schedule delivery path: hand the inbox to the task.
-func (n *OSD) userHandler(ctx *sim.IRQCtx, uv uint8) {
-	n.HandlerRuns++
-	n.emitHandler(trace.HandlerEnter, ctx.Core().ID, uint64(uv))
-	defer n.emitHandler(trace.HandlerExit, ctx.Core().ID, uint64(uv))
-	n.ep.SignalArrival()
-	snap := n.ext.Snapshot(ctx.Core())
-	if sched.UserTryYield(snap, ctx.Now()) {
-		ctx.Core().SetNeedResched()
-	}
-}
-
-// kernelDeliver is the out-of-schedule fallback, mirroring the aeosvc
-// dispatcher: consume the PIR, insert a resume-time handler frame, wake the
-// node task.
-func (n *OSD) kernelDeliver(ctx *sim.IRQCtx, vec int) {
-	n.KernelDeliveries++
-	ctx.Charge(timing.KernelInterrupt)
-	pir := n.upid.TakePIR()
-	if tr := n.c.M.Eng.Tracer; tr != nil && n.upid.Classes != nil {
-		tr.Emit(ctx.Now(), trace.UPIDClear, n.upid.DestCPU, -1, trace.NoCID, 0, pir)
-	}
-	t := n.task
-	if t == nil {
-		return
-	}
-	if t.State() == sim.TaskRunning {
-		n.HandlerRuns++
-		n.emitHandler(trace.HandlerEnter, ctx.Core().ID, trace.KernelPathAux)
-		n.ep.SignalArrival()
-		n.emitHandler(trace.HandlerExit, ctx.Core().ID, trace.KernelPathAux)
-		return
-	}
-	t.PushResumeHook(func() time.Duration {
-		n.HandlerRuns++
-		core := -1
-		if c := t.Core(); c != nil {
-			core = c.ID
-		}
-		n.emitHandler(trace.HandlerEnter, core, trace.KernelPathAux)
-		n.ep.SignalArrival()
-		n.emitHandler(trace.HandlerExit, core, trace.KernelPathAux)
-		return timing.HandlerExec
-	})
-	switch t.State() {
-	case sim.TaskBlocked:
-		ctx.Charge(timing.WakeupTTWU)
-		ctx.Engine().Wake(t)
-	case sim.TaskRunnable:
-		if n.c.M.Kern.Sched().ShouldPreempt(t, ctx.Core()) {
-			ctx.Core().SetNeedResched()
-		}
-	}
 }

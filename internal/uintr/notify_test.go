@@ -90,3 +90,35 @@ func TestNotifyHookSNWins(t *testing.T) {
 		t.Fatalf("SN'd notification reached hook (%d) or core (%d)", h.calls, *raised)
 	}
 }
+
+// TestMaskedPostKeepsBitRaisesNothing: the receive port's mask-while-polling
+// rule in miniature. A post under SN lands in the PIR, raises nothing and
+// counts as masked; clearing SN raises nothing by itself (the port re-checks
+// its inbox instead); the next post notifies exactly once and its
+// recognition drains both bits.
+func TestMaskedPostKeepsBitRaisesNothing(t *testing.T) {
+	e, u, raised := notifyRig(t)
+	u.SN = true
+	uintr.PostAndNotify(e, u, 4)
+	if u.PIR != 1<<4 || *raised != 0 || u.ON {
+		t.Fatalf("masked post: PIR %#x, raised %d, ON %v; want bit 4 posted and nothing raised", u.PIR, *raised, u.ON)
+	}
+	if u.NotifyMasked.Load() != 1 || u.NotifySent.Load() != 0 || u.NotifySuppressed.Load() != 0 {
+		t.Fatalf("masked/sent/suppressed = %d/%d/%d, want 1/0/0",
+			u.NotifyMasked.Load(), u.NotifySent.Load(), u.NotifySuppressed.Load())
+	}
+	u.SN = false
+	e.Run(0)
+	if *raised != 0 {
+		t.Fatal("clearing SN raised a notification by itself")
+	}
+	uintr.PostAndNotify(e, u, 5)
+	e.Run(0)
+	if *raised != 1 || u.NotifySent.Load() != 1 || u.NotifyMasked.Load() != 1 {
+		t.Fatalf("post after unmask: raised %d, sent %d, masked %d; want 1/1/1",
+			*raised, u.NotifySent.Load(), u.NotifyMasked.Load())
+	}
+	if pir := u.TakePIR(); pir != 1<<4|1<<5 {
+		t.Fatalf("recognition drained %#x, want both posted bits", pir)
+	}
+}

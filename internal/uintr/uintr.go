@@ -11,6 +11,7 @@ package uintr
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -83,9 +84,12 @@ type UPID struct {
 	NotifyDuped   atomic.Uint64
 
 	// NotifySent counts physical notification interrupts actually raised;
-	// NotifySuppressed counts posts coalesced behind an outstanding one.
+	// NotifySuppressed counts posts coalesced behind an outstanding one;
+	// NotifyMasked counts posts that found SN set (the bit is in the PIR, no
+	// interrupt was raised, and the hook was not consulted).
 	NotifySent       atomic.Uint64
 	NotifySuppressed atomic.Uint64
+	NotifyMasked     atomic.Uint64
 }
 
 // TakePIR atomically consumes the posted bitmap: it returns the current PIR
@@ -104,6 +108,7 @@ func (u *UPID) TakePIR() uint64 {
 // both SENDUIPI and remapped MSI-X notifications.
 func notify(eng *sim.Engine, u *UPID, vector uint8) {
 	if u.SN {
+		u.NotifyMasked.Add(1)
 		return
 	}
 	if u.ON {
@@ -294,22 +299,11 @@ func (cs *CoreState) nextPending(floor Class) (uint8, Class, bool) {
 		m = cs.UPID.Classes
 	}
 	for cl := Class(0); cl < floor; cl++ {
-		if bits := cs.UIRR & m.Mask(cl); bits != 0 {
-			return uint8(63 - leadingZeros64(bits)), cl, true
+		if pending := cs.UIRR & m.Mask(cl); pending != 0 {
+			return uint8(63 - bits.LeadingZeros64(pending)), cl, true
 		}
 	}
 	return 0, 0, false
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(uint64(1)<<i) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // SendUIPI executes the SENDUIPI instruction against this core's UITT:
