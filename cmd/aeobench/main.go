@@ -32,7 +32,7 @@ func main() {
 	slo := flag.Bool("slo", false, "run the fig_slo antagonist sweep plus the traced enforced io_flood cell; fail on trace invariant violations (incl. the urgent delivery bound)")
 	repl := flag.Bool("repl", false, "run the fig_replication sweep plus the traced rf=3 leader-crash cell; fail on linearizability violations or lost acked writes")
 	simscale := flag.Bool("simscale", false, "run the fig_simscale 64-node/1024-client deployment serially and with parallel lanes; fail unless the two modes are byte-identical")
-	mds := flag.Bool("mds", false, "run the fig_mdscale sweep plus the traced 8-shard cell; fail on trace invariant violations (lease lifecycle, data-I/O-under-lease, rename visibility) or a lease-accounting mismatch")
+	mds := flag.Bool("mds", false, "run the fig_mdscale sweep plus the traced 8-shard cell; fail on a data node writing more than 1.5 journal images per distinct block committed, on trace invariant violations (lease lifecycle, data-I/O-under-lease, rename visibility) or on a lease-accounting mismatch")
 	zerocopy := flag.Bool("zerocopy", false, "run the fig_zerocopy sweep plus the traced ring + epoch-cache cells; fail on trace invariant violations or any read/write chain exceeding its announced copy budget")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: aeobench [-md|-json] [-trace FILE] [-svc] [-cache] [-slo] [-repl] [-simscale] [-mds] [-zerocopy] list | all | <experiment-id>...\n\nexperiments:\n")
@@ -371,8 +371,10 @@ func runSimScale(jsonOut bool) error {
 }
 
 // runMDS is the metadata-service gate: it prints the full fig_mdscale
-// sweep (the JSON form is the CI artifact), then replays the 8-shard /
-// 4-data-node cell with tracing on and fails on any trace-invariant
+// sweep (the JSON form is the CI artifact; the sweep itself fails on a data
+// node whose journal writes more than 1.5 images per distinct block
+// committed), then replays the 8-shard / 4-data-node cell with tracing on
+// (same journal gate) and fails on any trace-invariant
 // violation — lease lifecycle, data I/O under a dead lease, rename
 // visibility ordering — or a lease-accounting mismatch between the
 // service books and the traced grant stream.

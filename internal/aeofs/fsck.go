@@ -62,22 +62,13 @@ func fsckRun(env *sim.Env, drv *aeodriver.Driver, start uint64, r *FsckReport) e
 
 	// Replay committed-but-uncheckpointed journal batches into an
 	// overlay, as a real fsck does before checking.
-	overlay := map[uint64][]byte{}
-	{
-		read := func(blk uint64, cnt uint32, buf []byte) error {
-			return drv.ReadPriv(env, blk, cnt, buf)
-		}
-		var txns []txn
-		for j := uint64(0); j < sb.NumJournals; j++ {
-			regionStart := sb.JournalStart + j*sb.JournalArea
-			rt, err := scanRegion(read, regionStart, sb.JournalArea)
-			if err != nil {
-				return err
-			}
-			txns = append(txns, rt...)
-		}
-		overlay = mergeTxns(txns)
+	jr, err := scanJournal(func(blk uint64, cnt uint32, buf []byte) error {
+		return drv.ReadPriv(env, blk, cnt, buf)
+	}, &sb)
+	if err != nil {
+		return err
 	}
+	overlay := jr.images
 
 	readBlock := func(blk uint64) ([]byte, error) {
 		if img, ok := overlay[blk]; ok {

@@ -132,7 +132,7 @@ func Mkfs(env *sim.Env, drv *aeodriver.Driver, start, blocks uint64, opt MkfsOpt
 	for i := range buf {
 		buf[i] = 0
 	}
-	encodeRegionHeader(buf, 1)
+	encodeRegionHeader(buf, 1, 0)
 	for j := uint64(0); j < opt.NumJournals; j++ {
 		if err := drv.WritePriv(env, sb.JournalStart+j*opt.JournalBlocks, 1, buf); err != nil {
 			return sb, err

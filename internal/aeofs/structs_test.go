@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // ---- radix tree ----
@@ -250,10 +249,10 @@ func TestBitmapExhaustion(t *testing.T) {
 func TestBatchHeaderRoundTrip(t *testing.T) {
 	buf := make([]byte, BlockSize)
 	blks := []uint64{5, 9, 1 << 40}
-	encodeBatchHeader(buf, 77, 123*time.Microsecond, blks)
-	seq, ts, got, ok := decodeBatchHeader(buf)
-	if !ok || seq != 77 || ts != 123*time.Microsecond || len(got) != 3 {
-		t.Fatalf("decode = %d %v %v %v", seq, ts, got, ok)
+	encodeBatchHeader(buf, 77, 123, 3, blks)
+	seq, commit, nbatches, got, ok := decodeBatchHeader(buf)
+	if !ok || seq != 77 || commit != 123 || nbatches != 3 || len(got) != 3 {
+		t.Fatalf("decode = %d %d %d %v %v", seq, commit, nbatches, got, ok)
 	}
 	for i := range blks {
 		if got[i] != blks[i] {
@@ -262,22 +261,61 @@ func TestBatchHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// The merge key is each image's own stamp, not its transaction's: the
+// second transaction below holds the newest image of block 1 and the
+// oldest of block 3.
 func TestMergeTxnsLatestWins(t *testing.T) {
 	img := func(b byte) []byte { return bytes.Repeat([]byte{b}, 8) }
 	txns := []txn{
-		{ts: 10, writes: []txnWrite{{blk: 1, image: img(1)}, {blk: 2, image: img(2)}}},
-		{ts: 30, writes: []txnWrite{{blk: 1, image: img(9)}}},
-		{ts: 20, writes: []txnWrite{{blk: 1, image: img(5)}, {blk: 3, image: img(3)}}},
+		{writes: []txnWrite{{blk: 1, stamp: 10, image: img(1)}, {blk: 2, stamp: 11, image: img(2)}}},
+		{writes: []txnWrite{{blk: 1, stamp: 30, image: img(9)}, {blk: 3, stamp: 5, image: img(7)}}},
+		{writes: []txnWrite{{blk: 1, stamp: 20, image: img(5)}, {blk: 3, stamp: 21, image: img(3)}}},
 	}
 	m := mergeTxns(txns)
 	if len(m) != 3 {
 		t.Fatalf("merged %d blocks", len(m))
 	}
-	if m[1][0] != 9 {
-		t.Fatalf("blk 1 image = %d, want latest (9)", m[1][0])
+	if m[1].image[0] != 9 || m[1].stamp != 30 {
+		t.Fatalf("blk 1 image = %d, want latest (9)", m[1].image[0])
 	}
-	if m[2][0] != 2 || m[3][0] != 3 {
+	if m[2].image[0] != 2 || m[3].image[0] != 3 {
 		t.Fatal("other blocks wrong")
+	}
+}
+
+// A region whose every image lost the merge contributes nothing to the
+// commit: no transaction is kept, so no batch (and no header) is laid out
+// for it, and a transaction that loses only some images keeps the rest.
+func TestKeepWinnersDropsSupersededRegion(t *testing.T) {
+	img := func(b byte) []byte { return bytes.Repeat([]byte{b}, 8) }
+	older := []txn{
+		{writes: []txnWrite{{blk: 1, stamp: 1, image: img(1)}, {blk: 2, stamp: 2, image: img(2)}}},
+		{writes: []txnWrite{{blk: 1, stamp: 3, image: img(3)}}},
+	}
+	newer := []txn{
+		{writes: []txnWrite{{blk: 1, stamp: 4, image: img(4)}, {blk: 2, stamp: 5, image: img(5)}, {blk: 9, stamp: 6, image: img(6)}}},
+		{writes: []txnWrite{{blk: 9, stamp: 7, image: img(7)}}},
+	}
+	winners := mergeTxns(append(append([]txn(nil), older...), newer...))
+	if kept := keepWinners(older, winners); len(kept) != 0 {
+		t.Fatalf("all-superseded region kept %d transaction(s)", len(kept))
+	}
+	if groups, err := splitBatches(nil); err != nil || len(groups) != 0 {
+		t.Fatalf("no kept transactions must lay out no batch, got %d (%v)", len(groups), err)
+	}
+	kept := keepWinners(newer, winners)
+	if len(kept) != 2 || len(kept[0].writes) != 2 || kept[0].writes[0].stamp != 4 || kept[0].writes[1].stamp != 5 || kept[1].writes[0].stamp != 7 {
+		t.Fatalf("kept = %+v, want {4,5} and {7}", kept)
+	}
+}
+
+// The forced-commit threshold is a third of the region but never more than
+// one batch holds, whatever the region's size.
+func TestCommitThresholdClamped(t *testing.T) {
+	for blocks, want := range map[uint64]int{64: 21, 256: 85, 1524: 508, 1527: batchMaxBlocks, 4096: batchMaxBlocks} {
+		if got := (&journalRegion{blocks: blocks}).commitThreshold(); got != want {
+			t.Errorf("region of %d blocks: threshold %d, want %d", blocks, got, want)
+		}
 	}
 }
 

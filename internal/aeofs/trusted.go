@@ -56,15 +56,34 @@ type TrustLayer struct {
 	// recovery replayed.
 	RecoveredTxns int
 
-	// Lazy checkpointing state: transactions committed to the journal
-	// but not yet written in place.
-	uncheckpointed []txn
+	// commitSeq numbers the commits (one per Sync that wrote anything);
+	// every batch header carries it and replay orders by it. committed
+	// maps a block to the capture stamp of the newest image any commit
+	// has written for it: a commit never writes an older one. Both are
+	// guarded by syncMu.
+	commitSeq uint64
+	committed map[uint64]uint64
+
+	// Lazy checkpointing state: the newest committed image of every
+	// block journalled but not yet written in place.
+	uncheckpointed map[uint64][]byte
 	syncsSinceCkpt int
+
+	// journalID names this instance's journal in trace events (allocated
+	// from the tracer on first use; 0 = none yet).
+	journalID uint32
 
 	// Stats.
 	Creates, Removes, Renames, Appends, Truncates, Syncs uint64
 	Checkpoints                                          uint64
 	ChecksFailed                                         uint64
+	// Journal write economy. JournalImagesQueued counts the block images
+	// transactions handed to the journal, JournalBlocksDistinct the
+	// distinct blocks each commit found among them (summed over
+	// commits), JournalBlocksWritten the images that went to the journal
+	// areas. Queued/Written is the amplification the merge removes;
+	// Written/Distinct is 1 when it removes all of it.
+	JournalImagesQueued, JournalBlocksDistinct, JournalBlocksWritten uint64
 }
 
 type icacheShard struct {
@@ -125,6 +144,7 @@ func Mount(env *sim.Env, drv *aeodriver.Driver, start uint64) (*TrustLayer, erro
 		meta:         newMetaCache(),
 		regionByTask: make(map[*sim.Task]*journalRegion),
 		openers:      make(map[uint64]map[int]int),
+		committed:    make(map[uint64]uint64),
 	}
 	for i := range t.icache {
 		t.icache[i].m = make(map[uint64]*tInode)
@@ -195,6 +215,24 @@ const metaShards = 64
 
 type metaCache struct {
 	shards [metaShards]metaShard
+	// captures is the capture clock: it ticks once per snapshot taken
+	// for journaling, so two images of one block are ordered by which was
+	// captured later — the one that holds the other's changes.
+	captures uint64
+}
+
+// snapshot is a block image captured for journaling, with its capture
+// stamp.
+type snapshot struct {
+	image []byte
+	stamp uint64
+}
+
+// stamp ticks the capture clock. The caller takes it at the instant it
+// copies the block, before anything that can park.
+func (mc *metaCache) stamp() uint64 {
+	mc.captures++
+	return mc.captures
 }
 
 type metaShard struct {
@@ -255,18 +293,18 @@ func (mc *metaCache) install(env *sim.Env, blk uint64, data []byte) *metaBlock {
 }
 
 // update applies fn to the block under the shard lock and returns a
-// snapshot image for journaling.
-func (mc *metaCache) update(env *sim.Env, drv *aeodriver.Driver, blk uint64, fn func(data []byte)) ([]byte, error) {
+// stamped snapshot image for journaling.
+func (mc *metaCache) update(env *sim.Env, drv *aeodriver.Driver, blk uint64, fn func(data []byte)) (snapshot, error) {
 	mb, err := mc.get(env, drv, blk)
 	if err != nil {
-		return nil, err
+		return snapshot{}, err
 	}
 	sh := mc.shard(blk)
 	sh.lock.Lock(env)
 	fn(mb.data)
 	mb.dirty = true
-	img := make([]byte, BlockSize)
-	copy(img, mb.data)
+	img := snapshot{image: make([]byte, BlockSize), stamp: mc.stamp()}
+	copy(img.image, mb.data)
 	sh.lock.Unlock(env)
 	return img, nil
 }
@@ -295,18 +333,19 @@ type txnBuilder struct {
 }
 
 func (t *TrustLayer) begin(env *sim.Env, drv *aeodriver.Driver) *txnBuilder {
-	return &txnBuilder{t: t, env: env, drv: drv, idx: make(map[uint64]int), tx: txn{ts: env.Now()}}
+	return &txnBuilder{t: t, env: env, drv: drv, idx: make(map[uint64]int)}
 }
 
 // record adds a block image produced by metaCache.update.
-func (b *txnBuilder) record(blk uint64, img []byte) {
+func (b *txnBuilder) record(blk uint64, img snapshot) {
 	b.env.Exec(costJournalEntry)
+	w := txnWrite{blk: blk, stamp: img.stamp, image: img.image}
 	if i, ok := b.idx[blk]; ok {
-		b.tx.writes[i].image = img
+		b.tx.writes[i] = w
 		return
 	}
 	b.idx[blk] = len(b.tx.writes)
-	b.tx.writes = append(b.tx.writes, txnWrite{blk: blk, image: img})
+	b.tx.writes = append(b.tx.writes, w)
 }
 
 // commit queues the transaction on the calling thread's journal region,
@@ -316,7 +355,7 @@ func (b *txnBuilder) commit() {
 	if len(b.tx.writes) == 0 {
 		return
 	}
-	b.tx.ts = b.env.Now()
+	b.t.JournalImagesQueued += uint64(len(b.tx.writes))
 	if b.t.region(b.env).appendTxn(b.env, b.tx) {
 		// Best effort: a concurrent fsync may already be committing.
 		if err := b.t.syncLocked(b.env, b.drv); err != nil {
@@ -405,11 +444,11 @@ func (t *TrustLayer) dropInode(env *sim.Env, ino uint64) {
 // recordBitmapBlock journals the bitmap block covering bit i of bm.
 func (t *TrustLayer) recordBitmapBlock(env *sim.Env, bm *bitmap, diskStart uint64, bit uint64, b *txnBuilder) {
 	bi := bm.blockOf(bit)
-	img := make([]byte, BlockSize)
-	bm.encodeBlock(bi, img)
+	img := snapshot{image: make([]byte, BlockSize), stamp: t.meta.stamp()}
+	bm.encodeBlock(bi, img.image)
 	b.record(diskStart+bi, img)
 	// Keep the meta cache coherent so checkpoints see bitmap state.
-	t.meta.install(env, diskStart+bi, img)
+	t.meta.install(env, diskStart+bi, img.image)
 }
 
 // allocBlock allocates a data block (absolute LBA).

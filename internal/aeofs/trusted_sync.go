@@ -1,19 +1,25 @@
 package aeofs
 
 import (
-	"sort"
+	"slices"
 
 	"aeolia/internal/aeodriver"
 	"aeolia/internal/sim"
 	"aeolia/internal/trace"
 )
 
-// Sync (Table 5 ⑤) commits every thread's in-memory journal and checkpoints
-// the merged images in place (§7.4): lock all per-thread journal regions,
-// merge transactions writing to the same block by timestamp, write the
-// batches (start/commit records) to the journal areas, flush, write the
-// merged images in place, flush again, and finally retire the journal
-// space.
+// Sync (Table 5 ⑤) commits every thread's in-memory journal (§7.4): lock
+// all per-thread journal regions, merge the transactions writing to the
+// same block — newest capture wins — write the winners as one batch per
+// region (start/commit records), flush, and, when one is due, checkpoint:
+// write the committed images in place, flush again, and retire the journal
+// space. Each of the three write phases is one vectored submission, so the
+// device's channels work on a phase's commands in parallel.
+//
+// Crash points consulted while a phase's vector is being built
+// (sync:mid-journal between regions, ckpt:mid-write between in-place runs)
+// submit what was built before them and nothing after, then abandon: "some
+// landed, none flushed" means the same as when each run was its own write.
 func (t *TrustLayer) Sync(env *sim.Env, drv *aeodriver.Driver) error {
 	return t.enter(env, drv, func() error {
 		return t.syncLocked(env, drv)
@@ -28,46 +34,74 @@ func (t *TrustLayer) syncLocked(env *sim.Env, drv *aeodriver.Driver) error {
 		return err
 	}
 
-	// Lock every per-thread journaling region and snapshot its pending
+	// Lock every per-thread journaling region and take its pending
 	// transactions.
+	pending := make([][]txn, len(t.regions))
 	var all []txn
-	type regionBatch struct {
-		r       *journalRegion
-		pending []txn
-	}
-	var batches []regionBatch
-	for _, r := range t.regions {
+	for i, r := range t.regions {
 		r.mu.Lock(env)
-		if len(r.pending) > 0 {
-			p := r.pending
-			r.pending = nil
-			r.pendingBlocks = 0
-			batches = append(batches, regionBatch{r, p})
-			all = append(all, p...)
-		}
+		pending[i], r.pending, r.pendingBlocks = r.pending, nil, 0
+		all = append(all, pending[i]...)
 	}
-	if len(all) == 0 {
+	unlockRegions := func() {
 		for _, r := range t.regions {
 			r.mu.Unlock(env)
 		}
+	}
+
+	// Merge before write: per block, only the newest image goes to the
+	// journal, and not even that one if an earlier commit already wrote a
+	// newer (its transaction was captured first and queued last).
+	winners := mergeTxns(all)
+	t.JournalBlocksDistinct += uint64(len(winners))
+	for blk, w := range winners {
+		if w.stamp < t.committed[blk] {
+			delete(winners, blk)
+		}
+	}
+	if len(winners) == 0 {
+		unlockRegions()
 		return drv.Flush(env)
 	}
 
-	// Phase 1: write the journal batches.
+	// Phase 1: write the journal batches, each region's winners in its
+	// own area, all regions in one submission.
+	type plannedBatch struct {
+		r    *journalRegion
+		txns []txn
+	}
+	var plan []plannedBatch
+	for i, r := range t.regions {
+		groups, err := splitBatches(keepWinners(pending[i], winners))
+		if err != nil {
+			unlockRegions()
+			return err
+		}
+		for _, g := range groups {
+			plan = append(plan, plannedBatch{r, g})
+		}
+	}
+	t.commitSeq++
+	var batches []journalBatch
 	var werr error
-	for _, rb := range batches {
-		if err := rb.r.writeBatches(env, drv, rb.pending); err != nil {
-			werr = err
+	for i, p := range plan {
+		var b journalBatch
+		if b, werr = p.r.layBatch(p.txns, t.commitSeq, len(plan)); werr != nil {
 			break
 		}
-		if err := t.crash(CrashSyncMidJournal); err != nil {
-			werr = err
-			break
+		batches = append(batches, b)
+		if i+1 == len(plan) || plan[i+1].r != p.r {
+			// Between two regions (and after the last, as ever): the
+			// batches laid out so far go down, the rest never do.
+			if werr = t.crash(CrashSyncMidJournal); werr != nil {
+				break
+			}
 		}
 	}
-	for _, r := range t.regions {
-		r.mu.Unlock(env)
+	if err := t.writeJournal(env, drv, batches); werr == nil {
+		werr = err
 	}
+	unlockRegions()
 	if werr != nil {
 		return werr
 	}
@@ -79,8 +113,15 @@ func (t *TrustLayer) syncLocked(env *sim.Env, drv *aeodriver.Driver) error {
 	}
 	// The flush above is the commit point: every batch written in phase 1
 	// is now durable.
-	if eng := drv.Kernel().Engine(); eng.Tracer != nil {
-		eng.Tracer.Emit(eng.Now(), trace.JournalCommit, -1, -1, trace.NoCID, 0, uint64(len(all)))
+	if tr := drv.Kernel().Engine().Tracer; tr != nil {
+		tr.Emit(env.Now(), trace.JournalCommit, -1, -1, t.traceID(tr), 0, uint64(len(all)))
+	}
+	if t.uncheckpointed == nil {
+		t.uncheckpointed = make(map[uint64][]byte)
+	}
+	for blk, w := range winners {
+		t.committed[blk] = w.stamp
+		t.uncheckpointed[blk] = w.image
 	}
 	if err := t.crash(CrashSyncAfterCommit); err != nil {
 		// Crash after the commit records are durable but before any
@@ -92,7 +133,6 @@ func (t *TrustLayer) syncLocked(env *sim.Env, drv *aeodriver.Driver) error {
 	// Checkpoint lazily (as jbd2 does): the commit above already made
 	// the transactions durable; in-place writes and journal retirement
 	// only happen periodically or when journal space runs low.
-	t.uncheckpointed = append(t.uncheckpointed, all...)
 	t.syncsSinceCkpt++
 	needCkpt := t.syncsSinceCkpt >= checkpointEvery
 	for _, r := range t.regions {
@@ -104,6 +144,56 @@ func (t *TrustLayer) syncLocked(env *sim.Env, drv *aeodriver.Driver) error {
 		return nil
 	}
 	return t.checkpointLocked(env, drv)
+}
+
+// keepWinners reduces a region's pending transactions to the writes that
+// won the merge, dropping transactions left with none. It filters in place:
+// the commit owns the pending list it took from the region.
+func keepWinners(pending []txn, winners map[uint64]txnWrite) []txn {
+	kept := pending[:0]
+	for _, tx := range pending {
+		ws := tx.writes[:0]
+		for _, w := range tx.writes {
+			if winners[w.blk].stamp == w.stamp {
+				ws = append(ws, w)
+			}
+		}
+		if len(ws) > 0 {
+			kept = append(kept, txn{writes: ws})
+		}
+	}
+	return kept
+}
+
+// writeJournal submits the commit's batches as one vectored write and, once
+// it has returned, reports each batch to the tracer.
+func (t *TrustLayer) writeJournal(env *sim.Env, drv *aeodriver.Driver, batches []journalBatch) error {
+	iov := make([]aeodriver.IOVec, len(batches))
+	for i, b := range batches {
+		iov[i] = b.vec
+	}
+	if err := drv.WriteVPriv(env, iov); err != nil {
+		return err
+	}
+	tr := drv.Kernel().Engine().Tracer
+	for _, b := range batches {
+		images := uint64(b.vec.Cnt - 2)
+		t.JournalBlocksWritten += images
+		if tr != nil {
+			tr.Emit(env.Now(), trace.JournalWrite, -1, b.region, t.traceID(tr), b.vec.LBA, images)
+		}
+	}
+	return nil
+}
+
+// traceID returns the id that ties this instance's JournalWrite and
+// JournalCommit events together when several AeoFS instances share one
+// engine's tracer.
+func (t *TrustLayer) traceID(tr *trace.Tracer) uint32 {
+	if t.journalID == 0 {
+		t.journalID = tr.NextChain()
+	}
+	return t.journalID
 }
 
 // checkpointEvery bounds how many commits may pass between checkpoints.
@@ -119,8 +209,8 @@ func (t *TrustLayer) Checkpoint(env *sim.Env, drv *aeodriver.Driver) error {
 	})
 }
 
-// checkpointLocked writes the merged uncheckpointed images in place and
-// retires the journal space. Caller holds syncMu.
+// checkpointLocked writes the uncheckpointed images in place and retires
+// the journal space. Caller holds syncMu.
 func (t *TrustLayer) checkpointLocked(env *sim.Env, drv *aeodriver.Driver) error {
 	if len(t.uncheckpointed) == 0 {
 		return nil
@@ -128,8 +218,7 @@ func (t *TrustLayer) checkpointLocked(env *sim.Env, drv *aeodriver.Driver) error
 	if err := t.crash(CrashCkptBeforeWrite); err != nil {
 		return err
 	}
-	merged := mergeTxns(t.uncheckpointed)
-	if err := t.writeMerged(env, drv, merged, CrashCkptMidWrite); err != nil {
+	if err := t.writeInPlace(env, drv, t.uncheckpointed, CrashCkptMidWrite); err != nil {
 		return err
 	}
 	if err := drv.Flush(env); err != nil {
@@ -138,16 +227,14 @@ func (t *TrustLayer) checkpointLocked(env *sim.Env, drv *aeodriver.Driver) error
 	if err := t.crash(CrashCkptBeforeRetire); err != nil {
 		return err
 	}
-	hdr := make([]byte, BlockSize)
+	var used []*journalRegion
 	for _, r := range t.regions {
-		if r.diskNext <= r.start+1 {
-			continue
+		if r.diskNext > r.start+1 {
+			used = append(used, r)
 		}
-		encodeRegionHeader(hdr, r.seq)
-		if err := drv.WritePriv(env, r.start, 1, hdr); err != nil {
-			return err
-		}
-		r.diskNext = r.start + 1
+	}
+	if err := t.retire(env, drv, used); err != nil {
+		return err
 	}
 	if err := t.crash(CrashCkptAfterRetire); err != nil {
 		return err
@@ -158,75 +245,87 @@ func (t *TrustLayer) checkpointLocked(env *sim.Env, drv *aeodriver.Driver) error
 	return drv.Flush(env)
 }
 
-// writeMerged writes blk->image map in ascending order, batching contiguous
-// runs. crashSite, if non-empty, is consulted before each run after the
-// first (an in-place rewrite torn mid-way).
-func (t *TrustLayer) writeMerged(env *sim.Env, drv *aeodriver.Driver, merged map[uint64][]byte, crashSite string) error {
-	blks := make([]uint64, 0, len(merged))
-	for blk := range merged {
+// retire rewrites the given regions' headers as one vectored write, making
+// every batch in them, and every batch of a commit up to the current one
+// anywhere, stale.
+func (t *TrustLayer) retire(env *sim.Env, drv *aeodriver.Driver, regions []*journalRegion) error {
+	var iov []aeodriver.IOVec
+	for _, r := range regions {
+		hdr := make([]byte, BlockSize)
+		encodeRegionHeader(hdr, r.seq, t.commitSeq)
+		iov = append(iov, aeodriver.IOVec{LBA: r.start, Cnt: 1, Buf: hdr})
+		r.diskNext = r.start + 1
+	}
+	return drv.WriteVPriv(env, iov)
+}
+
+// maxRunBlocks caps one in-place write command.
+const maxRunBlocks = 256
+
+// writeInPlace writes a blk->image map in ascending order as one vectored
+// submission, one command per contiguous run, each gathering its images
+// where they lie. crashSite, if non-empty, is consulted before each run
+// after the first (an in-place rewrite torn mid-way): the runs before it
+// are submitted, the rest never are.
+func (t *TrustLayer) writeInPlace(env *sim.Env, drv *aeodriver.Driver, images map[uint64][]byte, crashSite string) error {
+	blks := make([]uint64, 0, len(images))
+	for blk := range images {
 		blks = append(blks, blk)
 	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	i := 0
-	for i < len(blks) {
+	slices.Sort(blks)
+	var iov []aeodriver.IOVec
+	var cerr error
+	for i := 0; i < len(blks); {
 		if i > 0 && crashSite != "" {
-			if err := t.crash(crashSite); err != nil {
-				return err
+			if cerr = t.crash(crashSite); cerr != nil {
+				break
 			}
 		}
 		j := i + 1
-		for j < len(blks) && blks[j] == blks[j-1]+1 && j-i < 256 {
+		for j < len(blks) && blks[j] == blks[j-1]+1 && j-i < maxRunBlocks {
 			j++
 		}
-		run := make([]byte, (j-i)*BlockSize)
-		for k := i; k < j; k++ {
-			copy(run[(k-i)*BlockSize:], merged[blks[k]])
+		sg := make([][]byte, 0, j-i)
+		for _, blk := range blks[i:j] {
+			sg = append(sg, images[blk])
 		}
-		if err := drv.WritePriv(env, blks[i], uint32(j-i), run); err != nil {
-			return err
-		}
+		iov = append(iov, aeodriver.IOVec{LBA: blks[i], Cnt: uint32(j - i), SG: sg})
 		i = j
 	}
-	return nil
+	if err := drv.WriteVPriv(env, iov); err != nil {
+		return err
+	}
+	return cerr
 }
 
-// recover scans all journal regions at mount and replays committed
-// transactions in timestamp order.
+// recover scans all journal regions at mount and replays the committed
+// batches, newest commit winning per block.
 func (t *TrustLayer) recover(env *sim.Env, drv *aeodriver.Driver) error {
-	read := func(blk uint64, cnt uint32, buf []byte) error {
+	jr, err := scanJournal(func(blk uint64, cnt uint32, buf []byte) error {
 		return drv.ReadPriv(env, blk, cnt, buf)
+	}, &t.sb)
+	if err != nil {
+		return err
 	}
-	var all []txn
+	// Continue both sequences past everything the disk has seen, so that
+	// no batch left over from before this mount can pass for a new one.
+	t.commitSeq = jr.lastCommit
 	for _, r := range t.regions {
-		txns, err := scanRegion(read, r.start, r.blocks)
-		if err != nil {
-			return err
-		}
-		all = append(all, txns...)
+		r.seq = jr.nextSeq
 	}
-	t.RecoveredTxns = len(all)
-	if len(all) == 0 {
+	t.RecoveredTxns = jr.batches
+	if jr.batches == 0 {
 		return nil
 	}
-	merged := mergeTxns(all)
-	if err := t.writeMerged(env, drv, merged, ""); err != nil {
+	if err := t.writeInPlace(env, drv, jr.images, ""); err != nil {
 		return err
 	}
 	if err := drv.Flush(env); err != nil {
 		return err
 	}
 	// Retire replayed journal space.
-	hdr := make([]byte, BlockSize)
-	maxSeq := uint64(1)
-	for range all {
-		maxSeq++
-	}
-	for _, r := range t.regions {
-		r.seq = maxSeq
-		encodeRegionHeader(hdr, r.seq)
-		if err := drv.WritePriv(env, r.start, 1, hdr); err != nil {
-			return err
-		}
+	if err := t.retire(env, drv, t.regions); err != nil {
+		return err
 	}
 	return drv.Flush(env)
 }

@@ -125,7 +125,25 @@ func AblJournal() ([]*report.Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(regions), fmt.Sprintf("%.0f", res.KOpsPerSec()))
+		t.Note("%d regions: %s", regions, journalEconomy(fi.Trust))
 	}
 	t.Note("a single region serializes every thread's transactions on one lock and one disk area")
 	return []*report.Table{t}, nil
+}
+
+// journalEconomy renders a mount's journal write economy: how many block
+// images its transactions queued for each one its commits wrote (what
+// merging before writing saves), and how many it wrote per distinct block
+// committed (1.00 when the merge leaves nothing to save).
+func journalEconomy(t *aeofs.TrustLayer) string {
+	return fmt.Sprintf("journal: %d images queued, %d written (%.2f queued per written, %.2f written per distinct block committed)",
+		t.JournalImagesQueued, t.JournalBlocksWritten,
+		ratio(t.JournalImagesQueued, t.JournalBlocksWritten), ratio(t.JournalBlocksWritten, t.JournalBlocksDistinct))
+}
+
+func ratio(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }

@@ -24,6 +24,14 @@ import (
 // intact, matching the in-memory reference model. Everything is
 // deterministic in the seed, so a failing cell's Repro line reproduces it
 // exactly.
+//
+// The base cells drive one thread, so one journal region: a commit's
+// vectored journal write has one batch and sync:mid-journal can only fire
+// after it. TwoRegionPoints names the points that sit *between* the pieces
+// of a vectored phase; each also gets two-region cells, where a second
+// thread creating files in its own directory keeps a second region (and
+// more in-place runs) in every commit, and the crash lands after the first
+// piece was submitted and before the second was.
 
 // MatrixOptions parameterize one cell (or a whole matrix run).
 type MatrixOptions struct {
@@ -45,6 +53,9 @@ type MatrixOptions struct {
 	CheckpointEvery int
 	// DiskBlocks is the device size (default 16384 blocks).
 	DiskBlocks uint64
+	// Regions is how many journal regions every commit spans: 1 (the
+	// default) or 2, which adds the metadata-only second thread.
+	Regions int
 }
 
 func (o MatrixOptions) withDefaults() MatrixOptions {
@@ -60,14 +71,18 @@ func (o MatrixOptions) withDefaults() MatrixOptions {
 	if o.DiskBlocks == 0 {
 		o.DiskBlocks = 1 << 14
 	}
+	if o.Regions <= 0 {
+		o.Regions = 1
+	}
 	return o
 }
 
 // CellResult reports one matrix cell.
 type CellResult struct {
-	Point string
-	Torn  bool
-	Seed  uint64
+	Point   string
+	Torn    bool
+	Seed    uint64
+	Regions int
 
 	// CrashFired reports whether the crash point was actually reached.
 	CrashFired bool
@@ -81,12 +96,16 @@ type CellResult struct {
 	Err error
 	// PlanLog is the fault plan's firing log (for reproduction).
 	PlanLog string
+	// Visits counts how often the workload passed each aeofs crash
+	// point before the crash: a point no cell ever visits is a hole in
+	// the matrix, not a pass.
+	Visits map[string]uint64
 }
 
 // Repro returns a one-line reproduction record for the cell; pasting the
 // seed/point/torn triple into RunCell rebuilds the exact schedule.
 func (r *CellResult) Repro() string {
-	return fmt.Sprintf("crashmatrix seed=%d point=%q torn=%v (%s)", r.Seed, r.Point, r.Torn, r.PlanLog)
+	return fmt.Sprintf("crashmatrix seed=%d point=%q torn=%v regions=%d (%s)", r.Seed, r.Point, r.Torn, r.Regions, r.PlanLog)
 }
 
 func (r *CellResult) String() string {
@@ -94,22 +113,32 @@ func (r *CellResult) String() string {
 	if r.Err != nil {
 		verdict = "FAIL: " + r.Err.Error()
 	}
-	return fmt.Sprintf("%-20s torn=%-5v committed=%-2d recovered=%-2d %s",
-		r.Point, r.Torn, r.Committed, r.RecoveredTxns, verdict)
+	return fmt.Sprintf("%-20s regions=%d torn=%-5v committed=%-2d recovered=%-2d %s",
+		r.Point, r.Regions, r.Torn, r.Committed, r.RecoveredTxns, verdict)
 }
 
-// RunMatrix runs every registered crash point × {clean, torn} cell and
-// returns the results (one per cell, in registry order).
+// TwoRegionPoints returns the crash points that also run as two-region
+// cells: those consulted between the pieces of a vectored write phase.
+func TwoRegionPoints() []string {
+	return []string{aeofs.CrashSyncMidJournal, aeofs.CrashCkptMidWrite}
+}
+
+// RunMatrix runs every registered crash point × {clean, torn} cell, then
+// the two-region cells, and returns the results (one per cell, in that
+// order).
 func RunMatrix(opts MatrixOptions) []*CellResult {
 	var out []*CellResult
-	for _, point := range aeofs.CrashPoints() {
-		for _, torn := range []bool{false, true} {
-			o := opts
-			o.Point = point
-			o.Torn = torn
-			out = append(out, RunCell(o))
+	cells := func(regions int, points []string) {
+		for _, point := range points {
+			for _, torn := range []bool{false, true} {
+				o := opts
+				o.Point, o.Torn, o.Regions = point, torn, regions
+				out = append(out, RunCell(o))
+			}
 		}
 	}
+	cells(1, aeofs.CrashPoints())
+	cells(2, TwoRegionPoints())
 	return out
 }
 
@@ -129,7 +158,7 @@ func cellContent(seed uint64, i, size int) []byte {
 // RunCell runs one crash-consistency cell on a fresh simulated machine.
 func RunCell(opts MatrixOptions) *CellResult {
 	opts = opts.withDefaults()
-	res := &CellResult{Point: opts.Point, Torn: opts.Torn, Seed: opts.Seed}
+	res := &CellResult{Point: opts.Point, Torn: opts.Torn, Seed: opts.Seed, Regions: opts.Regions}
 
 	// Crash on a later visit of the point, not the first, so several
 	// files commit beforehand and the reference model is non-trivial.
@@ -144,15 +173,27 @@ func RunCell(opts MatrixOptions) *CellResult {
 	if strings.HasPrefix(opts.Point, "wb:") {
 		occurrence = 3
 	}
+	// With two regions in every commit sync:mid-journal is visited twice
+	// per fsync, after each region's batch is laid out: an odd visit is
+	// the one between the two.
+	if opts.Regions == 2 && opts.Point == aeofs.CrashSyncMidJournal {
+		occurrence = 7
+	}
 	plan := NewPlan(opts.Seed).On(opts.Point, At(occurrence))
 	if opts.Torn {
 		// Torn mode: at power loss most unflushed blocks get a seeded
 		// verdict (survive whole / torn prefix); the rest drop.
 		plan.On(SiteCrashTorn, WithProb(0.75, 0))
 	}
-	defer func() { res.PlanLog = plan.String() }()
+	defer func() {
+		res.PlanLog = plan.String()
+		res.Visits = make(map[string]uint64)
+		for _, site := range aeofs.CrashPoints() {
+			res.Visits[site] = plan.Occurrences(site)
+		}
+	}()
 
-	m := machine.New(1, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: opts.DiskBlocks})
+	m := machine.New(opts.Regions, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: opts.DiskBlocks})
 	part := aeokern.Partition{Start: 0, Blocks: opts.DiskBlocks, Writable: true}
 	p, err := m.Launch("cell-w", part, aeodriver.Config{Mode: aeodriver.ModeUserInterrupt})
 	if err != nil {
@@ -164,11 +205,60 @@ func RunCell(opts MatrixOptions) *CellResult {
 	committed := map[string][]byte{}
 	var werr error
 	crashed := false
+	// Two-region cells: the workload thread and the metadata thread take
+	// turns through these counters. Round i's create is queued (created
+	// > i) before round i's fsync, and the next create waits for that
+	// fsync (synced > i), so a file is in the model exactly when the
+	// fsync that committed it returned.
+	var (
+		fs              *aeofs.FS
+		created, synced int
+		stop            bool
+		turn            sim.WaitQueue
+	)
+	metaPath := func(i int) string { return fmt.Sprintf("/meta/m%03d", i) }
+	if opts.Regions == 2 {
+		m.Eng.Spawn("metadata", m.Eng.Core(1), func(env *sim.Env) {
+			fail := func(e error) {
+				werr, stop = e, true
+				turn.Broadcast(env.Engine())
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					fail(fmt.Errorf("metadata thread panic: %v", r))
+				}
+			}()
+			if _, e := p.Driver.CreateQP(env); e != nil {
+				fail(e)
+				return
+			}
+			for i := 0; i < opts.Files; i++ {
+				for (fs == nil || synced < i) && !stop {
+					turn.Wait(env)
+				}
+				if stop {
+					return
+				}
+				fd, e := fs.Open(env, metaPath(i), aeofs.O_CREATE|aeofs.O_RDWR)
+				if e == nil {
+					e = fs.Close(env, fd)
+				}
+				if e != nil {
+					fail(e)
+					return
+				}
+				created = i + 1
+				turn.Broadcast(env.Engine())
+			}
+		})
+	}
 	m.Eng.Spawn("workload", m.Eng.Core(0), func(env *sim.Env) {
 		defer func() {
 			if r := recover(); r != nil {
 				werr = fmt.Errorf("workload panic: %v", r)
 			}
+			stop = true
+			turn.Broadcast(env.Engine())
 		}()
 		if _, e := p.Driver.CreateQP(env); e != nil {
 			werr = e
@@ -183,15 +273,17 @@ func RunCell(opts MatrixOptions) *CellResult {
 		// Mount with the background flusher enabled so the wb:* crash
 		// points are reached; the budget is generous (no eviction
 		// pressure), keeping the workload's durability schedule intact.
-		fs := aeofs.NewFSWithCache(trust, p.Driver, 1, aeofs.CacheConfig{
+		mounted := aeofs.NewFSWithCache(trust, p.Driver, opts.Regions, aeofs.CacheConfig{
 			CacheBytes:     64 * aeofs.BlockSize,
 			DirtyHighWater: aeofs.BlockSize,
 			DirtyHardLimit: 32 * aeofs.BlockSize,
 			FlushInterval:  500 * time.Microsecond,
 		})
-		if e := fs.Mkdir(env, "/data"); e != nil {
-			werr = e
-			return
+		for _, dir := range []string{"/data", "/meta"}[:opts.Regions] {
+			if e := mounted.Mkdir(env, dir); e != nil {
+				werr = e
+				return
+			}
 		}
 		// Make the directory durable before arming the crash, then
 		// inject from here on.
@@ -200,6 +292,8 @@ func RunCell(opts MatrixOptions) *CellResult {
 			return
 		}
 		trust.Crash = plan.CrashFunc()
+		fs = mounted
+		turn.Broadcast(env.Engine())
 
 		isCrash := func(e error) bool { return errors.Is(e, aeofs.ErrCrashInjected) }
 		for i := 0; i < opts.Files; i++ {
@@ -214,6 +308,12 @@ func RunCell(opts MatrixOptions) *CellResult {
 				werr = e
 				return
 			}
+			for opts.Regions == 2 && created <= i && !stop {
+				turn.Wait(env)
+			}
+			if stop {
+				return
+			}
 			if e = fs.Fsync(env, fd); e != nil {
 				crashed = isCrash(e)
 				if !crashed {
@@ -224,6 +324,9 @@ func RunCell(opts MatrixOptions) *CellResult {
 			// fsync returned success: the file is part of the
 			// committed reference model.
 			committed[path] = data
+			if opts.Regions == 2 {
+				committed[metaPath(i)] = nil
+			}
 			if e = fs.Close(env, fd); e != nil {
 				werr = e
 				return
@@ -237,6 +340,8 @@ func RunCell(opts MatrixOptions) *CellResult {
 					return
 				}
 			}
+			synced = i + 1
+			turn.Broadcast(env.Engine())
 		}
 	})
 	m.Run(0)

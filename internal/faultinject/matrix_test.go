@@ -24,10 +24,28 @@ func TestCrashMatrix(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		results := RunMatrix(MatrixOptions{Seed: seed})
-		if want := 2 * len(aeofs.CrashPoints()); len(results) != want {
+		if want := 2 * (len(aeofs.CrashPoints()) + len(TwoRegionPoints())); len(results) != want {
 			t.Fatalf("seed %d: %d cells, want %d", seed, len(results), want)
 		}
+		visits := map[string]uint64{}
 		for _, r := range results {
+			for site, n := range r.Visits {
+				visits[site] += n
+			}
+			if r.Regions == 2 {
+				// Every commit of a two-region cell must lay out two
+				// batches, and the mid-journal crash must land between
+				// them, or the cell is not testing what it says.
+				mid, full := r.Visits[aeofs.CrashSyncMidJournal], r.Visits[aeofs.CrashSyncBeforeFlush]
+				if mid < 2*full {
+					t.Errorf("seed %d: %s regions=2: %d mid-journal visits over %d full commits: commits span one region",
+						seed, r.Point, mid, full)
+				}
+				if r.Point == aeofs.CrashSyncMidJournal && mid != 2*full+1 {
+					t.Errorf("seed %d: %s regions=2: crashed on visit %d after %d full commits: not between two regions",
+						seed, r.Point, mid, full)
+				}
+			}
 			if r.Err != nil {
 				t.Errorf("seed %d: cell failed: %s\n  repro: %s", seed, r, r.Repro())
 				continue
@@ -37,6 +55,14 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			if r.Committed == 0 {
 				t.Errorf("seed %d: %s torn=%v: no files committed before crash (trivial model)", seed, r.Point, r.Torn)
+			}
+		}
+		// A point the commit path no longer passes through would leave
+		// its cells failing with "never fired"; say which point, and say
+		// it even if someone relaxes that check.
+		for _, site := range aeofs.CrashPoints() {
+			if visits[site] == 0 {
+				t.Errorf("seed %d: crash point %s was never visited by any cell", seed, site)
 			}
 		}
 		if t.Failed() {

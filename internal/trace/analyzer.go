@@ -99,8 +99,8 @@ type Analyzer struct {
 	undelivered  map[int32]int           // per-qid commands doorbelled but not device-started
 	held         map[[2]int64]bool       // CIDs inside an armed (unraised) aggregation
 	handlerDepth int
-	postsPending map[int32]int // per-core UPID posts not yet recognized
-	journalDirty int           // journal writes since last commit
+	postsPending map[int32]int  // per-core UPID posts not yet recognized
+	journalDirty map[uint32]int // journal instance (CID) -> its batches written since its last commit
 	netSent      map[int32]uint64
 	netArrived   map[int32]uint64 // delivered + dropped, per link
 
@@ -173,6 +173,7 @@ func Analyze(evs []Event) *Analyzer {
 		recogClass:   make(map[[2]int64]uint64),
 		postMarks:    make(map[[2]int64]postMark),
 		sloBounds:    make(map[uint32]time.Duration),
+		journalDirty: make(map[uint32]int),
 		pgRF:         make(map[int32]uint64),
 		raftCommit:   make(map[[2]int64]uint64),
 		raftApply:    make(map[[2]int64]uint64),
@@ -376,14 +377,16 @@ func (a *Analyzer) step(e Event) {
 		}
 
 	case JournalWrite:
-		a.journalDirty++
+		a.journalDirty[e.CID]++
 
 	case JournalCommit:
-		if a.journalDirty == 0 {
+		// Keyed by journal instance: another file system's batches on
+		// the same engine are no evidence that this one wrote any.
+		if a.journalDirty[e.CID] == 0 {
 			a.violate(e.Seq, "commit-after-journal-write",
-				"commit of %d txn(s) with no journal batch written since last commit", e.Aux)
+				"journal %d: commit of %d txn(s) with no batch of its own written since its last commit", int32(e.CID), e.Aux)
 		}
-		a.journalDirty = 0
+		delete(a.journalDirty, e.CID)
 
 	case PagecacheFlush:
 		// ordering relative to journal is checked by aeofs crash tests;

@@ -211,6 +211,28 @@ func TestAnalyzerCommitWithoutJournalWrite(t *testing.T) {
 	}
 }
 
+// The rule is per journal instance (the events' CID): several AeoFS
+// instances share one engine's tracer, and one's commit must neither
+// consume nor be excused by another's batches.
+func TestAnalyzerJournalRulePerInstance(t *testing.T) {
+	const A, B = 7, 9
+	var ok evb
+	ok.add(0, JournalWrite, -1, 0, A, 100, 3).
+		add(100, JournalWrite, -1, 2, B, 900, 5).
+		add(1000, JournalCommit, -1, -1, A, 0, 4).
+		add(1100, JournalCommit, -1, -1, B, 0, 6)
+	if a := Analyze(ok.evs); len(a.Violations) != 0 {
+		t.Fatalf("interleaved write-A write-B commit-A commit-B must be clean, got %v", a.Violations)
+	}
+
+	var bad evb
+	bad.add(0, JournalWrite, -1, 0, A, 100, 3).
+		add(1000, JournalCommit, -1, -1, B, 0, 1)
+	if a := Analyze(bad.evs); !hasViolation(a, "commit-after-journal-write") {
+		t.Fatalf("commit of B with only A's batch written must violate, got %v", a.Violations)
+	}
+}
+
 func TestAnalyzerHandlerBracketBalance(t *testing.T) {
 	var b evb
 	b.add(0, HandlerExit, 0, -1, NoCID, 0, 3)

@@ -80,11 +80,14 @@ const (
 	HandlerEnter
 	HandlerExit
 	// JournalWrite: one journal batch (header + images + commit record)
-	// reached its on-disk region. QID = journal region id, LBA = batch
-	// start block, Aux = block images in the batch.
+	// reached its on-disk region — emitted when the commit's vectored
+	// write has returned. QID = journal region id, CID = journal instance
+	// (one per mounted AeoFS, from NextChain), LBA = batch start block,
+	// Aux = block images in the batch.
 	JournalWrite
 	// JournalCommit: a Sync's flush made its journal batches durable (the
-	// commit point). Aux = transactions committed.
+	// commit point); one event per commit. CID = journal instance, Aux =
+	// transactions committed.
 	JournalCommit
 	// PagecacheFlush: a file's dirty pages were written back as a
 	// vectored batch. LBA = first run's start block, Aux = dirty pages.
@@ -386,8 +389,9 @@ type Tracer struct {
 	rings []ring
 }
 
-// NextChain allocates a copy-chain id (for BufCopy/BufHandoff CIDs) unique
-// across every emitter sharing this tracer — multiple FS mounts or service
+// NextChain allocates an id (a copy chain's, for BufCopy/BufHandoff CIDs, or
+// a journal instance's, for JournalWrite/JournalCommit CIDs) unique across
+// every emitter sharing this tracer — multiple FS mounts or service
 // instances on one engine can never collide. Returns NoCID on a nil tracer
 // so disabled-tracing paths can skip their emissions.
 func (tr *Tracer) NextChain() uint32 {
