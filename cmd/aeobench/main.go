@@ -28,7 +28,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON tables")
 	traceOut := flag.String("trace", "", "run one traced QD32 qdsweep window and write Chrome trace_event JSON to this file")
 	svc := flag.Bool("svc", false, "run the service sweep (rx_irqs_per_req gate) and the traced 128-client cell, and check trace invariants + admission accounting")
-	cache := flag.Bool("cache", false, "run the traced sequential page-cache cell and print cache counters + invariant check")
+	cache := flag.Bool("cache", false, "run the fig_cache sweep (read-ahead speedup / no-loss / waste gate) plus the traced sequential cell; print cache counters and fail on trace invariant violations")
 	slo := flag.Bool("slo", false, "run the fig_slo antagonist sweep plus the traced enforced io_flood cell; fail on trace invariant violations (incl. the urgent delivery bound)")
 	repl := flag.Bool("repl", false, "run the fig_replication sweep plus the traced rf=3 leader-crash cell; fail on linearizability violations or lost acked writes")
 	simscale := flag.Bool("simscale", false, "run the fig_simscale 64-node/1024-client deployment serially and with parallel lanes; fail unless the two modes are byte-identical")
@@ -197,11 +197,18 @@ func runTraced(path string) error {
 	return nil
 }
 
-// runCache drives the traced sequential page-cache cell (default budget,
-// read-ahead on), prints the cache counters — hit/miss, evictions,
-// read-ahead waste, resident high-water mark — and fails (non-zero exit)
-// on any trace-invariant violation.
+// runCache is the page-cache gate: it runs the fig_cache sweep, which fails
+// unless read-ahead earns its place as the default (sequential speedup, no
+// loss on random and mixed reads, bounded waste — experiments.FigCache),
+// then drives the traced sequential cell (default budget, read-ahead on),
+// prints its cache counters — hit/miss, evictions, read-ahead waste,
+// resident high-water mark — and fails (non-zero exit) on any
+// trace-invariant violation.
 func runCache(jsonOut bool) error {
+	tables, err := experiments.FigCache()
+	if err != nil {
+		return err
+	}
 	tr, r, err := experiments.FigCacheTrace()
 	if err != nil {
 		return err
@@ -223,12 +230,15 @@ func runCache(jsonOut bool) error {
 		fmt.Sprintf("%d", s.ReadaheadWaste), fmt.Sprintf("%d", s.WritebackRuns),
 		fmt.Sprintf("%d", s.WritebackPages), fmt.Sprintf("%d", s.Throttled),
 		fmt.Sprintf("%d", s.ResidentHWM>>10))
+	tables = append(tables, t)
 	if jsonOut {
-		if err := report.WriteJSON(os.Stdout, []*report.Table{t}); err != nil {
+		if err := report.WriteJSON(os.Stdout, tables); err != nil {
 			return err
 		}
 	} else {
-		t.Print(os.Stdout)
+		for _, t := range tables {
+			t.Print(os.Stdout)
+		}
 	}
 	for _, v := range an.Violations {
 		fmt.Fprintf(os.Stderr, "aeobench: trace invariant violation: %v\n", v)

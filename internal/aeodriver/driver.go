@@ -380,11 +380,23 @@ func (d *Driver) CreateQP(env *sim.Env) (*Thread, error) {
 	return th, nil
 }
 
-// DeleteQP releases the calling task's queue pair (Table 4 ④).
+// DeleteQP releases the calling task's queue pair (Table 4 ④). Requests
+// still in flight (fire-and-forget submissions nobody has waited for) are
+// waited out first, lowest CID first so that the order is the same on every
+// run: once the vector is freed nothing would ever fire their completions.
 func (d *Driver) DeleteQP(env *sim.Env) error {
 	th, err := d.thread(env.Task())
 	if err != nil {
 		return err
+	}
+	for len(th.pending) > 0 {
+		var next *Request
+		for _, req := range th.pending {
+			if next == nil || req.cid < next.cid {
+				next = req
+			}
+		}
+		d.waitDone(env, th, next)
 	}
 	d.release(th)
 	return nil
@@ -979,9 +991,13 @@ func (th *Thread) kernelDeliver(ctx *sim.IRQCtx, vec int) {
 // deliverViaKernel finishes a kernel-path delivery: if the target thread is
 // actively checking on a CPU, handle the completion in interrupt context;
 // otherwise insert the userspace handler frame and wake/resched the thread.
+// A thread that has exited gets no frame — it would never run — so the
+// kernel reaps its queue in interrupt context too: what the thread left in
+// flight (fire-and-forget read-ahead) still completes, and whoever waits on
+// it is woken.
 func (th *Thread) deliverViaKernel(ctx *sim.IRQCtx) {
 	t := th.task
-	if t.State() == sim.TaskRunning {
+	if s := t.State(); s == sim.TaskRunning || s == sim.TaskDone {
 		th.HandlerRuns++
 		th.emitHandler(trace.HandlerEnter, ctx.Core().ID, trace.KernelPathAux)
 		th.drainCQ(ctx.Now())

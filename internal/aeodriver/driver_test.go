@@ -412,3 +412,63 @@ func TestCloseReleasesQueuePairs(t *testing.T) {
 		t.Fatalf("I/O after close: err = %v, want ErrClosed", err)
 	}
 }
+
+// TestUnwaitedRequestsOutliveTheirThread covers what a thread leaves in
+// flight when it goes: a fire-and-forget submission's OnComplete must still
+// run whether the thread simply returns (the kernel reaps its queue in
+// interrupt context) or deletes its queue pair (which waits the requests
+// out; in poll mode nobody else would ever look at the queue).
+func TestUnwaitedRequestsOutliveTheirThread(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mode     aeodriver.CompletionMode
+		deleteQP bool
+	}{
+		{"uintr/exit", aeodriver.ModeUserInterrupt, false},
+		{"uintr/deleteQP", aeodriver.ModeUserInterrupt, true},
+		{"kintr/exit", aeodriver.ModeKernelInterrupt, false},
+		{"poll/deleteQP", aeodriver.ModePoll, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(t, 1)
+			p := launch(t, m, "app", aeokern.Partition{Start: 0, Blocks: 1 << 16, Writable: true},
+				aeodriver.Config{Mode: tc.mode})
+			const cmds = 4
+			completed := 0
+			var err error
+			m.Eng.Spawn("io", m.Eng.Core(0), func(env *sim.Env) {
+				if _, err = p.Driver.CreateQP(env); err != nil {
+					return
+				}
+				iov := make([]aeodriver.IOVec, cmds)
+				for i := range iov {
+					iov[i] = aeodriver.IOVec{LBA: uint64(8 * i), Cnt: 8, Buf: make([]byte, 8*4096)}
+				}
+				var reqs []*aeodriver.Request
+				if reqs, err = p.Driver.SubmitBatch(env, nvme.OpRead, iov, false); err != nil {
+					return
+				}
+				for _, r := range reqs {
+					r.OnComplete(func(r *aeodriver.Request) {
+						if r.Err() == nil {
+							completed++
+						}
+					})
+				}
+				if tc.deleteQP {
+					err = p.Driver.DeleteQP(env)
+					if err == nil && completed != cmds {
+						err = errors.New("DeleteQP returned with requests in flight")
+					}
+				}
+			})
+			m.Run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if completed != cmds {
+				t.Fatalf("%d of %d unwaited requests completed", completed, cmds)
+			}
+		})
+	}
+}

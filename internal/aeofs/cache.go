@@ -4,19 +4,22 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aeolia/internal/aeodriver"
 	"aeolia/internal/sim"
 	"aeolia/internal/trace"
 )
 
 // CacheConfig tunes the mount-wide memory-bounded page cache. The zero
-// value reproduces the legacy behavior: unbounded residency, no
-// read-ahead, write-back only at fsync/close.
+// value is unbounded residency, write-back only at fsync/close, and
+// sequential read-ahead with a window of up to defaultMaxReadahead pages.
 type CacheConfig struct {
 	// CacheBytes is the global residency budget shared by every file of
 	// the mount; the CLOCK hand evicts to stay within it. 0 = unbounded.
 	CacheBytes uint64
-	// MaxReadahead is the largest sequential read-ahead window in pages.
-	// 0 disables read-ahead.
+	// MaxReadahead is the largest sequential read-ahead window in pages;
+	// 0 means defaultMaxReadahead. Read-ahead is the read path of every
+	// mount: a negative value switches it off, and exists only so that
+	// fig_cache can measure its named "off" baseline (DESIGN.md §17).
 	MaxReadahead int
 	// DirtyHighWater wakes the background flusher as soon as dirty bytes
 	// cross it. Defaults to CacheBytes/4 when the cache is bounded.
@@ -34,9 +37,13 @@ type CacheConfig struct {
 
 const (
 	// initReadahead is the window (in pages) a freshly detected sequential
-	// stream starts with; the window doubles on read-ahead hits and halves
+	// stream starts with; the window doubles on read-ahead hits while the
+	// stream has proven itself twice as long (pageCache.raRun) and halves
 	// on waste, clamped to [startWindow(), MaxReadahead].
 	initReadahead = 4
+	// defaultMaxReadahead is the window cap of a mount that does not set
+	// one.
+	defaultMaxReadahead = 32
 	// readaheadChunk caps the pages per read-ahead command, so one window
 	// arrives as several completions and the reader can start consuming
 	// before the whole window lands.
@@ -48,6 +55,9 @@ func (c CacheConfig) startWindow() int { return min(initReadahead, c.MaxReadahea
 
 // withDefaults derives the dependent thresholds.
 func (c CacheConfig) withDefaults() CacheConfig {
+	if c.MaxReadahead == 0 {
+		c.MaxReadahead = defaultMaxReadahead
+	}
 	if c.CacheBytes > 0 {
 		if c.DirtyHighWater == 0 {
 			c.DirtyHighWater = c.CacheBytes / 4
@@ -143,6 +153,13 @@ func newCacheManager(fs *FS, cfg CacheConfig) *cacheManager {
 	}
 	if fs != nil {
 		cm.eng = fs.drv.Kernel().Engine()
+		if fs.drv.Mode() == aeodriver.ModePoll {
+			// Read-ahead is fire-and-forget: nobody waits on the request,
+			// so its completion must announce itself. A polling driver has
+			// no notification — a reader parked on the arriving page would
+			// never see it land.
+			cm.cfg.MaxReadahead = -1
+		}
 	}
 	cm.budgetMu.lvl = levelBudget
 	return cm

@@ -90,7 +90,7 @@ type OpenFile struct {
 }
 
 // NewFS creates a process's FS instance over a mounted trust layer with
-// the legacy cache behavior (unbounded, demand-fetch, flush at fsync).
+// the zero CacheConfig (unbounded, read-ahead, flush at fsync).
 func NewFS(trust *TrustLayer, drv *aeodriver.Driver, cores int) *FS {
 	return NewFSWithCache(trust, drv, cores, CacheConfig{})
 }
@@ -121,7 +121,7 @@ func (fs *FS) DropCaches(env *sim.Env) error {
 		}
 		pc.dropAll(env)
 		pc.rl.Lock(env, 0, ^uint64(0), true)
-		pc.clockPos, pc.raNext, pc.raIssued, pc.raWindow = 0, 0, 0, 0
+		pc.clockPos, pc.raNext, pc.raIssued, pc.raRun, pc.raWindow = 0, 0, 0, 0, 0
 		pc.rl.Unlock(env, 0, ^uint64(0), true)
 	}
 	return nil

@@ -135,11 +135,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 	// seqlock-validated tree snapshot with no budgetMu, range-lock, or
 	// tree-lock traffic. Any anomaly falls through to the locked slow path.
 	if n, ok := fs.fastReadAt(env, pc, buf, off, p0, p1); ok {
-		if !seq {
-			pc.raWindow = cm.cfg.startWindow()
-			pc.raIssued = 0
-		}
-		pc.raNext = p1 + 1
+		pc.advanceStream(seq, p0, p1)
 		fs.ReadsOps.Add(1)
 		fs.BytesRead.Add(uint64(n))
 		return n, nil
@@ -212,7 +208,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 					if err := flush(); err != nil {
 						return 0, err
 					}
-					env.BlockOn(cp.fill)
+					cp.awaitFill(env)
 				}
 				if cp.doomed {
 					continue // dropped while in flight; re-look-up
@@ -266,18 +262,16 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 	}
 
 	// Adapt the read-ahead window and top up the pipeline (outside the
-	// range lock: the speculative charge may need to evict within it).
-	if raHit && pc.raWindow < cm.cfg.MaxReadahead {
-		if pc.raWindow *= 2; pc.raWindow > cm.cfg.MaxReadahead {
-			pc.raWindow = cm.cfg.MaxReadahead
-		}
-	}
-	if !seq {
-		pc.raWindow = cm.cfg.startWindow()
-		pc.raIssued = 0
-	}
-	pc.raNext = p1 + 1
+	// range lock: the speculative charge may need to evict within it). A
+	// hit widens the window only as far as the stream has proven itself:
+	// a short sequential burst (a read-modify-write) never earns more than
+	// the initial window, a long scan reaches the cap after as many pages
+	// and widens again at once after waste halved it.
+	pc.advanceStream(seq, p0, p1)
 	if seq {
+		if w := pc.raWindow; raHit && w < cm.cfg.MaxReadahead && uint64(2*w) <= pc.raRun {
+			pc.raWindow = min(2*w, cm.cfg.MaxReadahead)
+		}
 		fs.issueReadahead(env, u, p1)
 	}
 	if cid := fs.beginChain(trace.PathFSRead, 1); cid != trace.NoCID {
@@ -780,43 +774,47 @@ func (fs *FS) writebackPages(env *sim.Env, u *uInode, dirty []uint64, background
 
 	// Gather dirty contiguous-LBA runs, then persist the whole flush as
 	// one vectored batch: a single gate entry and one doorbell per shard
-	// instead of one submission round-trip per run.
+	// instead of one submission round-trip per run. Zero-copy gather: a
+	// run's scatter list references the pages' own buffers, so the device
+	// DMAs straight out of the cache with no staging copy.
+	//
+	// The dirty list is a snapshot taken before the range lock, and the
+	// other flushers (fsync, background, dirty eviction) hold compatible
+	// read locks: a listed page may since have been written back and
+	// evicted, cleaned, or truncated away. Such a page ends the run before
+	// it and contributes nothing — its bytes are on the device already (or
+	// its block is being freed), and writing anything else in its place
+	// would overwrite acknowledged data.
 	var iov []aeodriver.IOVec
 	var runCPs [][]*cachePage
-	i := 0
-	for i < len(dirty) {
-		p := dirty[i]
+	var sg [][]byte
+	var cps []*cachePage
+	var last uint64 // page index of the open run's last page
+	closeRun := func() {
+		if len(cps) > 0 {
+			first := last + 1 - uint64(len(cps))
+			iov = append(iov, aeodriver.IOVec{LBA: blocks[first], Cnt: uint32(len(cps)), SG: sg})
+			runCPs = append(runCPs, cps)
+			sg, cps = nil, nil
+		}
+	}
+	for _, p := range dirty {
 		if p >= uint64(len(blocks)) {
-			i++
 			continue
 		}
-		j := i + 1
-		for j < len(dirty) {
-			q := dirty[j]
-			if q != dirty[j-1]+1 || q >= uint64(len(blocks)) || blocks[q] != blocks[q-1]+1 {
-				break
-			}
-			j++
+		cp := u.pc.lookup(env, p)
+		if cp == nil || !cp.dirty {
+			closeRun()
+			continue
 		}
-		// Zero-copy gather: the run's scatter list references the pages'
-		// own buffers, so the device DMAs straight out of the cache with
-		// no staging copy. A page that vanished mid-flush (concurrent
-		// truncate) contributes a zero block, as the staged copy used to.
-		sg := make([][]byte, 0, j-i)
-		var cps []*cachePage
-		for k := i; k < j; k++ {
-			cp := u.pc.lookup(env, dirty[k])
-			if cp == nil {
-				sg = append(sg, make([]byte, BlockSize))
-				continue
-			}
-			cps = append(cps, cp)
-			sg = append(sg, cp.data)
+		if len(cps) > 0 && (p != last+1 || blocks[p] != blocks[last]+1) {
+			closeRun()
 		}
-		iov = append(iov, aeodriver.IOVec{LBA: blocks[p], Cnt: uint32(j - i), SG: sg})
-		runCPs = append(runCPs, cps)
-		i = j
+		cps = append(cps, cp)
+		sg = append(sg, cp.data)
+		last = p
 	}
+	closeRun()
 	if len(iov) == 0 {
 		return nil
 	}

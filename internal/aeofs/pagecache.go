@@ -43,11 +43,14 @@ type pageCache struct {
 
 	// Sequential-stream state, mutated only by readAt. raNext is the page
 	// a read must start at to extend the detected stream; raIssued is the
-	// high-water mark of pages already submitted ahead; raWindow is the
-	// adaptive window in pages (doubled on read-ahead hit, halved on
-	// waste, clamped to [initReadahead, MaxReadahead]).
+	// high-water mark of pages already submitted ahead; raRun is the
+	// stream's proven length, the pages read in sequence since a read last
+	// broke it; raWindow is the adaptive window in pages (doubled on a
+	// read-ahead hit while 2*raWindow <= raRun, halved on waste, clamped
+	// to [initReadahead, MaxReadahead]).
 	raNext   uint64
 	raIssued uint64
+	raRun    uint64
 	raWindow int
 
 	// Hits/Misses count page lookups. Atomic: lookup bumps them outside
@@ -79,10 +82,34 @@ type cachePage struct {
 // filled reports whether the page's contents are valid.
 func (p *cachePage) filled() bool { return p.fill == nil || p.fill.Done() }
 
+// awaitFill parks until the page's in-flight fill has landed. The sleep is
+// interruptible — the kernel-path delivery of any other completion on the
+// task's queue pair resumes it — so it re-blocks until the fill itself has
+// fired: returning early hands the caller a buffer the DMA has not written
+// yet (a reader copies zeros, a writer's bytes are overwritten).
+func (p *cachePage) awaitFill(env *sim.Env) {
+	for !p.filled() {
+		env.BlockOn(p.fill)
+	}
+}
+
 func newPageCache(cm *cacheManager, owner *uInode) *pageCache {
 	pc := &pageCache{cm: cm, owner: owner}
 	pc.treeLock.lvl = levelTree
 	return pc
+}
+
+// advanceStream records a completed read of pages [p0, p1] in the
+// sequential-stream detector; seq says whether it extended the stream. A
+// read that breaks the stream starts a new one at the initial window.
+func (pc *pageCache) advanceStream(seq bool, p0, p1 uint64) {
+	if !seq {
+		pc.raWindow = pc.cm.cfg.startWindow()
+		pc.raIssued = 0
+		pc.raRun = 0
+	}
+	pc.raRun += p1 - p0 + 1
+	pc.raNext = p1 + 1
 }
 
 // peek is the lock-free tree read of the epoch fast path: no virtual-time
@@ -125,9 +152,7 @@ func (pc *pageCache) acquireForWrite(env *sim.Env, idx uint64) *cachePage {
 		if cp == nil {
 			return nil
 		}
-		if !cp.filled() {
-			env.BlockOn(cp.fill)
-		}
+		cp.awaitFill(env)
 		if cp.doomed {
 			continue
 		}

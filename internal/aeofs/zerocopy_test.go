@@ -16,11 +16,17 @@ import (
 
 // newCacheFixture is newFixture with an explicit cache configuration.
 func newCacheFixture(t *testing.T, cores int, cfg aeofs.CacheConfig) *fixture {
+	return newModeFixture(t, cores, cfg, aeodriver.ModeUserInterrupt)
+}
+
+// newModeFixture is newCacheFixture over a driver in the given completion
+// mode.
+func newModeFixture(t *testing.T, cores int, cfg aeofs.CacheConfig, mode aeodriver.CompletionMode) *fixture {
 	t.Helper()
 	m := machine.New(cores, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: testDiskBlocks})
 	t.Cleanup(m.Eng.Shutdown)
 	p, err := m.Launch("app", aeokern.Partition{Start: 0, Blocks: testDiskBlocks, Writable: true},
-		aeodriver.Config{Mode: aeodriver.ModeUserInterrupt})
+		aeodriver.Config{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,18 +31,60 @@ const (
 // so the CLOCK hand works for a living).
 var fcCacheSizes = []uint64{512 << 10, 1 << 20, 2 << 20}
 
-// fcDefaultCache is the budget the acceptance criterion (sequential
-// read-ahead speedup) is checked at.
+// fcDefaultCache is the budget the traced cell runs at and the sequential
+// read-ahead speedup must reach fcSeqSpeedup at.
 const fcDefaultCache = uint64(1 << 20)
 
-// fcConfig builds the cache configuration for one cell.
+// Bounds of fcGate, which read-ahead must pass to stay the mount default:
+// what sequential reads must gain, what reads that are not sequential may
+// lose, and how much of what is issued may be evicted unread.
+const (
+	fcSeqSpeedup    = 2.0  // seqread on/off at fcDefaultCache
+	fcSeqSpeedupMin = 1.5  // seqread on/off at every budget
+	fcNonSeqLoss    = 0.01 // randread, mixed: on may trail off by this fraction
+	fcSeqWasteMax   = 0.40 // seqread: ReadaheadWaste / ReadaheadIssued
+)
+
+// fcGate checks one (workload, budget) pair of cells against the bounds
+// above.
+func fcGate(pattern string, cacheBytes uint64, off, on *fcResult) error {
+	ratio := on.Res.MBps() / off.Res.MBps()
+	cell := fmt.Sprintf("fig_cache %s/%d KiB", pattern, cacheBytes>>10)
+	if pattern != "seqread" {
+		if ratio < 1-fcNonSeqLoss {
+			return fmt.Errorf("%s: read-ahead on runs at %.3fx of off, bound %.2fx", cell, ratio, 1-fcNonSeqLoss)
+		}
+		return nil
+	}
+	want := fcSeqSpeedupMin
+	if cacheBytes == fcDefaultCache {
+		want = fcSeqSpeedup
+	}
+	if ratio < want {
+		return fmt.Errorf("%s: read-ahead speedup %.2fx (on %.1f MB/s, off %.1f MB/s), bound %.1fx",
+			cell, ratio, on.Res.MBps(), off.Res.MBps(), want)
+	}
+	issued, waste := on.Stats.ReadaheadIssued, on.Stats.ReadaheadWaste
+	if issued == 0 || on.Stats.ReadaheadHits == 0 {
+		return fmt.Errorf("%s: %d pages issued, %d hit: the window never engaged", cell, issued, on.Stats.ReadaheadHits)
+	}
+	if float64(waste) > fcSeqWasteMax*float64(issued) {
+		return fmt.Errorf("%s: %d of %d read-ahead pages evicted unread, bound %.0f%%", cell, waste, issued, 100*fcSeqWasteMax)
+	}
+	return nil
+}
+
+// fcConfig builds the cache configuration for one cell. "on" is the mount's
+// default; "off" is this figure's baseline, the synchronous demand-fetch
+// configuration the default is measured against — the one caller of the
+// negative MaxReadahead (DESIGN.md §17).
 func fcConfig(cacheBytes uint64, ra bool) aeofs.CacheConfig {
 	cfg := aeofs.CacheConfig{
 		CacheBytes:  cacheBytes,
 		FlusherCore: 1,
 	}
-	if ra {
-		cfg.MaxReadahead = 32
+	if !ra {
+		cfg.MaxReadahead = -1
 	}
 	return cfg
 }
@@ -214,7 +256,8 @@ func fcHitPct(s aeofs.CacheStats) string {
 // read-ahead off and on. Sequential reads with read-ahead pipeline the
 // device's channels and dominate the synchronous demand-fetch
 // configuration; random reads are insensitive to the window; the mixed
-// cell exercises dirty write-back under eviction pressure.
+// cell exercises dirty write-back under eviction pressure. Each pair of
+// cells must pass fcGate, or the run is an error.
 func FigCache() ([]*report.Table, error) {
 	t := &report.Table{
 		ID:    "fig_cache",
@@ -224,11 +267,13 @@ func FigCache() ([]*report.Table, error) {
 	}
 	for _, pattern := range []string{"seqread", "randread", "mixed"} {
 		for _, cacheBytes := range fcCacheSizes {
-			for _, ra := range []bool{false, true} {
+			var cells [2]*fcResult // off, on
+			for i, ra := range []bool{false, true} {
 				r, err := figCacheRun(pattern, cacheBytes, ra, nil)
 				if err != nil {
 					return nil, fmt.Errorf("fig_cache %s/%d/%v: %w", pattern, cacheBytes, ra, err)
 				}
+				cells[i] = r
 				mode := "off"
 				if ra {
 					mode = "on"
@@ -242,11 +287,16 @@ func FigCache() ([]*report.Table, error) {
 					fmt.Sprintf("%d", r.Stats.ReadaheadWaste),
 					fmt.Sprintf("%d", r.Stats.ResidentHWM>>10))
 			}
+			if err := fcGate(pattern, cacheBytes, cells[0], cells[1]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	t.Note("one 4 MiB file, cold cache per cell; seqread %d KiB x %d passes, randread/mixed %d x 4 KiB ops (70%% reads)",
 		fcSeqChunk>>10, fcSeqPasses, fcRandOps)
 	t.Note("read-ahead: adaptive window 4..32 pages, 8-page commands; write-back: background flusher on core 1")
+	t.Note("on = mount default, off = baseline; gate: seqread on/off >= %.1fx at %d KiB and >= %.1fx everywhere, randread/mixed >= %.2fx, seqread ra_waste <= %.0f%% of issued",
+		fcSeqSpeedup, fcDefaultCache>>10, fcSeqSpeedupMin, 1-fcNonSeqLoss, 100*fcSeqWasteMax)
 	return []*report.Table{t}, nil
 }
 

@@ -27,13 +27,10 @@ func TestFigCacheReadaheadSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Res.MBps() < 2*off.Res.MBps() {
-		t.Fatalf("read-ahead speedup %.2fx (on %.1f MB/s, off %.1f MB/s): want >= 2x",
-			on.Res.MBps()/off.Res.MBps(), on.Res.MBps(), off.Res.MBps())
-	}
-	if on.Stats.ReadaheadIssued == 0 || on.Stats.ReadaheadHits == 0 {
-		t.Fatalf("read-ahead cell issued %d / hit %d pages: the window never engaged",
-			on.Stats.ReadaheadIssued, on.Stats.ReadaheadHits)
+	// The experiment's own gate: >= 2x at this budget, the window engaged,
+	// waste bounded.
+	if err := fcGate("seqread", fcDefaultCache, off, on); err != nil {
+		t.Fatal(err)
 	}
 	t.Logf("sequential read-ahead speedup: %.2fx (%.1f vs %.1f MB/s, %d pages issued, %d hits, %d wasted)",
 		on.Res.MBps()/off.Res.MBps(), on.Res.MBps(), off.Res.MBps(),

@@ -46,8 +46,8 @@ type FSOptions struct {
 	// pairs (zero value: none).
 	Coalesce nvme.Coalescing
 	// Cache configures the AeoFS page cache (budget, read-ahead,
-	// background write-back); the zero value keeps the legacy unbounded
-	// demand-fetch behavior.
+	// background write-back); the zero value is unbounded, with
+	// sequential read-ahead and write-back at fsync/close.
 	Cache aeofs.CacheConfig
 	// QoS enables priority-class delivery in the driver (threads start at
 	// uintr.ClassNormal and retag per request via SetIOClass); see

@@ -57,6 +57,9 @@ type Device struct {
 	// the durable store. Reads overlay it, so completed writes are always
 	// visible to subsequent commands.
 	cache map[uint64][]byte
+	// freeImgs holds the images of blocks that left the cache (destage,
+	// power loss) for writeRaw to reuse.
+	freeImgs [][]byte
 
 	qps    map[int]*QueuePair
 	nextQP int
@@ -182,7 +185,11 @@ func (d *Device) writeRaw(slba uint64, n uint32, buf []byte) {
 		blk := slba + i
 		img := d.cache[blk]
 		if img == nil {
-			img = make([]byte, bs)
+			if n := len(d.freeImgs); n > 0 {
+				img, d.freeImgs = d.freeImgs[n-1], d.freeImgs[:n-1]
+			} else {
+				img = make([]byte, bs)
+			}
 			d.cache[blk] = img
 		}
 		copy(img, buf[i*bs:(i+1)*bs])
@@ -201,8 +208,16 @@ func (d *Device) writeDurable(blk uint64, img []byte) {
 func (d *Device) destage() {
 	for blk, img := range d.cache {
 		d.writeDurable(blk, img)
-		delete(d.cache, blk)
+		d.uncache(blk, img)
 	}
+}
+
+// uncache drops blk from the write cache and keeps its image for the next
+// newly cached block: nothing but d.cache ever references an image, and
+// writeRaw overwrites all of it.
+func (d *Device) uncache(blk uint64, img []byte) {
+	delete(d.cache, blk)
+	d.freeImgs = append(d.freeImgs, img)
 }
 
 // CachedBlocks returns the number of completed-but-unflushed blocks.
@@ -235,7 +250,7 @@ func (d *Device) CrashAndReset(resolve func(blk uint64, durable, cached []byte) 
 				d.writeDurable(blk, img)
 			}
 		}
-		delete(d.cache, blk)
+		d.uncache(blk, d.cache[blk])
 	}
 	d.PowerCycles++
 }

@@ -648,9 +648,9 @@ func (e *Engine) runCurrent(c *Core) {
 			c.execStart = c.now()
 			rem := t.execRem
 			if c.execEv.Armed() {
-				panic("sim: runCurrent overwriting pending execEv from " + c.execEvFrom)
+				panic("sim: runCurrent of " + t.Name + " overwriting pending execEv from " + c.execEvFrom)
 			}
-			c.execEvFrom = "runCurrent:" + t.Name
+			c.execEvFrom = "runCurrent"
 			c.execEv = c.Schedule(rem, func() { c.execDone() })
 			return
 		case opSpin:
