@@ -1,13 +1,12 @@
 package aeolia
 
-// One benchmark per table and figure of the paper's evaluation, each
-// regenerating the artifact through internal/experiments (the same code
-// cmd/aeobench runs), plus micro-benchmarks of the hot substrates.
+// Micro-benchmarks of the hot substrates: the host-time cost of the
+// simulator's own primitives.
 //
 //	go test -bench=. -benchmem
 //
-// The per-op time of a BenchmarkFigN is the host time to regenerate that
-// figure; the figure's *contents* are printed by `go run ./cmd/aeobench`.
+// The paper's figures are not benchmarks: `go run ./cmd/aeobench <id>`
+// regenerates and checks each one.
 
 import (
 	"testing"
@@ -16,50 +15,11 @@ import (
 	"aeolia/internal/aeodriver"
 	"aeolia/internal/aeofs"
 	"aeolia/internal/aeokern"
-	"aeolia/internal/experiments"
 	"aeolia/internal/machine"
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
 	"aeolia/internal/vfs"
 )
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e := experiments.Lookup(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tables, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatal("experiment produced no tables")
-		}
-	}
-}
-
-// ---- figure/table regeneration benches ----
-
-func BenchmarkFig2ReadLatency(b *testing.B)      { runExperiment(b, "fig2") }
-func BenchmarkFig3Breakdown(b *testing.B)        { runExperiment(b, "fig3") }
-func BenchmarkFig4WakeupPath(b *testing.B)       { runExperiment(b, "fig4") }
-func BenchmarkFig5CoreSharing(b *testing.B)      { runExperiment(b, "fig5") }
-func BenchmarkFig10SingleThread(b *testing.B)    { runExperiment(b, "fig10") }
-func BenchmarkFig11MultiThread(b *testing.B)     { runExperiment(b, "fig11") }
-func BenchmarkFig12LCCompute(b *testing.B)       { runExperiment(b, "fig12") }
-func BenchmarkFig13LCTP(b *testing.B)            { runExperiment(b, "fig13") }
-func BenchmarkFig14FSSingle(b *testing.B)        { runExperiment(b, "fig14") }
-func BenchmarkFig15FSData(b *testing.B)          { runExperiment(b, "fig15") }
-func BenchmarkFig16FXMARK(b *testing.B)          { runExperiment(b, "fig16") }
-func BenchmarkFig17AeoliaBreakdown(b *testing.B) { runExperiment(b, "fig17") }
-func BenchmarkFig18Filebench(b *testing.B)       { runExperiment(b, "fig18") }
-func BenchmarkFig19FilebenchUFS(b *testing.B)    { runExperiment(b, "fig19") }
-func BenchmarkTab6Sharing(b *testing.B)          { runExperiment(b, "tab6") }
-func BenchmarkTab8LevelDB(b *testing.B)          { runExperiment(b, "tab8") }
-
-// ---- substrate micro-benchmarks (host-time costs of the simulator) ----
 
 // BenchmarkSimContextSwitch measures the host cost of one simulated
 // block/wake/dispatch cycle.
@@ -211,19 +171,10 @@ func BenchmarkAeoFSCreate(b *testing.B) {
 	}
 }
 
-func BenchmarkAbl1TrustToll(b *testing.B)        { runExperiment(b, "abl1") }
-func BenchmarkAbl2PerThreadJournal(b *testing.B) { runExperiment(b, "abl2") }
-
-// BenchmarkQDSweep regenerates the batched-submission / interrupt-coalescing
-// queue-depth sweep (CI's bench-smoke job runs exactly this benchmark and
-// archives the output for the performance trajectory).
-func BenchmarkQDSweep(b *testing.B) { runExperiment(b, "qdsweep") }
-
 // BenchmarkCacheHitReadParallel measures the host cost of the epoch
 // fast-read path under full parallel load: eight reader tasks, one per
 // core, each performing b.N cache-hit reads of a resident file — the cell
-// the fig_zerocopy cache half sweeps. CI's bench-smoke job runs one
-// iteration and archives the output.
+// the fig_zerocopy cache half sweeps.
 func BenchmarkCacheHitReadParallel(b *testing.B) {
 	const cores = 8
 	m := machine.New(cores, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: 1 << 15})

@@ -40,8 +40,10 @@ func TestRegistryCoversPaperEvaluation(t *testing.T) {
 	}
 }
 
-// TestFastExperimentsProduceTables runs the cheap experiments end to end
-// (the expensive ones are exercised by the benchmark suite).
+// TestFastExperimentsProduceTables runs the cheap paper figures end to end.
+// Tier-1 runs these five and the golden-backed figures (TestFigures); CI's
+// figures job runs every registry entry through aeobench, the expensive
+// ones (fig15 alone is a minute) included.
 func TestFastExperimentsProduceTables(t *testing.T) {
 	for _, id := range []string{"fig2", "fig3", "fig4", "fig17", "abl1"} {
 		e := Lookup(id)

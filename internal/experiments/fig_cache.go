@@ -300,20 +300,48 @@ func FigCache() ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// FigCacheTrace runs the sequential cell at the default budget with
-// read-ahead on and tracing enabled, returning the tracer for invariant
-// checking (budget never exceeded, no CQE fills an evicted page, dirty
-// evictions preceded by write-back).
-func FigCacheTrace() (*trace.Tracer, *fcResult, error) {
+// fcTraceGate checks the traced cell: the cache, read-ahead and write-back
+// events the invariants range over all occurred, none of the invariants —
+// the budget is never exceeded, no completion fills an evicted page, a dirty
+// eviction follows a write-back that covers it, every I/O chain is causal —
+// was violated, and the cache's own high-water mark agrees about the budget.
+func fcTraceGate(c *tracedCell, residentHWM uint64) error {
+	if err := c.clean(trace.CacheBudget, trace.CacheInsert, trace.CacheEvict,
+		trace.ReadaheadIssue, trace.ReadaheadHit, trace.WritebackRun); err != nil {
+		return err
+	}
+	if residentHWM > fcDefaultCache {
+		return fmt.Errorf("%s: resident high-water mark %d exceeds the %d-byte budget", c.name, residentHWM, fcDefaultCache)
+	}
+	return nil
+}
+
+// figCacheTrace runs the sequential cell at the default budget with
+// read-ahead on and tracing on, and reports its cache counters.
+func figCacheTrace() (*Traced, error) {
 	tr := trace.New(2, 1<<19)
 	r, err := figCacheRun("seqread", fcDefaultCache, true, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if d := tr.Dropped(); d != 0 {
-		return nil, nil, fmt.Errorf("fig_cache: trace ring dropped %d events", d)
+	c := captured(fmt.Sprintf("fig_cache seqread/%d KiB/on", fcDefaultCache>>10), tr)
+	s := r.Stats
+	t := &report.Table{
+		ID:    "cache_counters",
+		Title: "Page-cache counters (traced sequential cell, read-ahead on)",
+		Columns: []string{"hits", "misses", "evict", "dirty_evict",
+			"ra_issued", "ra_hits", "ra_waste", "wb_runs", "wb_pages",
+			"throttled", "hwm_kb"},
 	}
-	return tr, r, nil
+	t.AddRowf(s.Hits, s.Misses, s.Evictions, s.DirtyEvictions,
+		s.ReadaheadIssued, s.ReadaheadHits, s.ReadaheadWaste,
+		s.WritebackRuns, s.WritebackPages, s.Throttled, s.ResidentHWM>>10)
+	return &Traced{
+		Events: c.evs,
+		Tables: []*report.Table{t},
+		Summary: fmt.Sprintf("%d ops, %.1f MB/s, p99 %v",
+			r.Res.Ops, r.Res.MBps(), r.Res.Latency.P99()),
+	}, fcTraceGate(c, s.ResidentHWM)
 }
 
 // splitmix64 is the deterministic content/offset generator shared by the

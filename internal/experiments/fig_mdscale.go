@@ -166,15 +166,10 @@ func mdScaleRun(shards, dataNodes int, tr *trace.Tracer) (*mdScaleResult, error)
 			return nil, fmt.Errorf("fst %d: %w", i, err)
 		}
 	}
-	// The journal-economy gate: a commit writes each block it covers
-	// once. A data node writing more than mdsJournalBound images per
-	// distinct block committed has gone back to journalling every queued
-	// image (4.8 on this workload before the merge moved ahead of the
-	// write), and every request admitted behind such a commit pays for it.
 	for i, fi := range fis {
 		t := fi.Trust
-		if float64(t.JournalBlocksWritten) > mdsJournalBound*float64(t.JournalBlocksDistinct) {
-			return nil, fmt.Errorf("fst %d: %s, bound %.1f", i, journalEconomy(t), mdsJournalBound)
+		if err := mdsJournalGate(i, t); err != nil {
+			return nil, err
 		}
 		res.JournalQueued += t.JournalImagesQueued
 		res.JournalWritten += t.JournalBlocksWritten
@@ -188,6 +183,19 @@ func mdScaleRun(shards, dataNodes int, tr *trace.Tracer) (*mdScaleResult, error)
 		res.Meta.Merge(&pc.Meta)
 	}
 	return res, nil
+}
+
+// mdsJournalGate is the journal-economy predicate of one data node: a commit
+// writes each block it covers once. A node writing more than
+// mdsJournalBound images per distinct block committed has gone back to
+// journalling every queued image (4.8 on this workload before the merge
+// moved ahead of the write), and every request admitted behind such a
+// commit pays for it.
+func mdsJournalGate(node int, t *aeofs.TrustLayer) error {
+	if float64(t.JournalBlocksWritten) > mdsJournalBound*float64(t.JournalBlocksDistinct) {
+		return fmt.Errorf("fst %d: %s, bound %.1f", node, journalEconomy(t), mdsJournalBound)
+	}
+	return nil
 }
 
 // mdsRunClient replays one client's stream: a setup phase (own directory
@@ -268,11 +276,29 @@ func mdsRunClient(env *sim.Env, c *aeomds.Client, p *workload.MetaProfile, id in
 	return nil
 }
 
+// mdsShardSweep is the shard-count sweep; the scaling criterion compares its
+// ends and must hold by mdsScalingMin at every data-node width.
+var mdsShardSweep = []int{1, 2, 4, 8}
+
+const mdsScalingMin = 2.0
+
+// mdsScalingGate checks one data-node width: namespace-op throughput at the
+// most shards against the throughput at one.
+func mdsScalingGate(dataNodes int, oneShardKOps, mostShardsKOps float64) error {
+	if mostShardsKOps < mdsScalingMin*oneShardKOps {
+		return fmt.Errorf("fig_mdscale dn=%d: %d shards %.1f kops vs 1 shard %.1f kops, want >= %.0fx",
+			dataNodes, mdsShardSweep[len(mdsShardSweep)-1], mostShardsKOps, oneShardKOps, mdsScalingMin)
+	}
+	return nil
+}
+
 // MDScale regenerates the metadata-scaling study: namespace-op throughput
 // and open-to-first-byte latency versus MDS shard count and data-node
 // width. Throughput rises with shards (the namespace is CPU-bound on the
 // metadata path) while OTFB stays near the base round trip — data I/O
-// never revisits the MDS after the open returns its layout lease.
+// never revisits the MDS after the open returns its layout lease. Every
+// data node must pass mdsJournalGate and every width mdsScalingGate, or the
+// run is an error.
 func MDScale() ([]*report.Table, error) {
 	t := &report.Table{
 		ID:    "mdscale",
@@ -282,17 +308,22 @@ func MDScale() ([]*report.Table, error) {
 	}
 	var queued, written uint64
 	for _, dn := range []int{2, 4} {
-		for _, shards := range []int{1, 2, 4, 8} {
+		kops := make([]float64, len(mdsShardSweep))
+		for i, shards := range mdsShardSweep {
 			r, err := mdScaleRun(shards, dn, nil)
 			if err != nil {
 				return nil, fmt.Errorf("mdscale %d/%d: %w", shards, dn, err)
 			}
+			kops[i] = r.KOps()
 			queued += r.JournalQueued
 			written += r.JournalWritten
 			t.AddRowf(fmt.Sprintf("%d", shards), fmt.Sprintf("%d", dn),
 				fmt.Sprintf("%.1f", r.KOps()),
 				usec(r.Meta.Median()), usec(r.Meta.P99()),
 				usec(r.OTFB.Median()), usec(r.OTFB.P99()))
+		}
+		if err := mdsScalingGate(dn, kops[0], kops[len(kops)-1]); err != nil {
+			return nil, err
 		}
 	}
 	t.Note("%d closed-loop clients, mdmix profile, %d metadata ops each; %s MDS CPU per op", mdsClients, mdsOpsPerCli, mdsOpCPU)
@@ -302,17 +333,35 @@ func MDScale() ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// MDScaleTrace runs the largest cell (8 shards, 4 data nodes) fully traced
-// and returns the tracer and result for the invariant gates: zero
-// lease/rename violations and balanced lease books.
-func MDScaleTrace() (*trace.Tracer, *mdScaleResult, error) {
+// mdsTraceGate checks the traced cell: leases were granted and data I/O
+// happened, no invariant — lease lifecycle, every data I/O under a live
+// layout lease (an uncited one carries lease id NoCID, which is never
+// granted: the MDS is off the data path after open), rename visibility
+// order — was violated, and the service's lease books agree with the traced
+// grant stream.
+func mdsTraceGate(c *tracedCell, granted uint64) error {
+	if err := c.clean(trace.MDSLeaseGrant, trace.MDSDataIO); err != nil {
+		return err
+	}
+	if grants := c.count(trace.MDSLeaseGrant); granted != grants {
+		return fmt.Errorf("%s: lease accounting: books say %d granted, trace says %d", c.name, granted, grants)
+	}
+	return nil
+}
+
+// mdScaleTrace runs the largest cell (most shards, 4 data nodes) with
+// tracing on; the cell's own journal gate applies to it too.
+func mdScaleTrace() (*Traced, error) {
 	tr := trace.New(32, 1<<19)
-	r, err := mdScaleRun(8, 4, tr)
+	shards := mdsShardSweep[len(mdsShardSweep)-1]
+	r, err := mdScaleRun(shards, 4, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if d := tr.Dropped(); d != 0 {
-		return nil, nil, fmt.Errorf("mdscale: trace ring dropped %d events", d)
-	}
-	return tr, r, nil
+	c := captured(fmt.Sprintf("fig_mdscale %d shards/4 data nodes", shards), tr)
+	return &Traced{
+		Events: c.evs,
+		Summary: fmt.Sprintf("%.1f ns-kops, otfb p99 %v; leases %d granted / %d released / %d revoked",
+			r.KOps(), r.OTFB.P99(), r.Svc.Granted, r.Svc.Released, r.Svc.Revoked),
+	}, mdsTraceGate(c, r.Svc.Granted)
 }

@@ -37,15 +37,10 @@ func qdSweepUnit(qd int) int { return min(max(qd/2, 1), qdSweepMaxUnit) }
 // In batched mode, commands are issued qdSweepUnit(qd) at a time through
 // SubmitBatch (one doorbell per batch) with CQ interrupt coalescing matched
 // to the unit; otherwise one command per doorbell with per-CQE interrupts.
+// A non-nil tracer is installed on the machine's engine; tracing consumes no
+// virtual time, so the measured KIOPS are identical with or without one.
 // Returns KIOPS.
-func qdSweepRun(qd int, batched bool) (float64, error) {
-	return qdSweepRunTraced(qd, batched, nil)
-}
-
-// qdSweepRunTraced is qdSweepRun with an optional tracer installed on the
-// machine's engine. Tracing consumes no virtual time, so the measured KIOPS
-// are identical with tr nil or not.
-func qdSweepRunTraced(qd int, batched bool, tr *trace.Tracer) (float64, error) {
+func qdSweepRun(qd int, batched bool, tr *trace.Tracer) (float64, error) {
 	cfg := aeodriver.Config{
 		Mode: aeodriver.ModeUserInterrupt,
 		// Room for the full window plus the next batch, so admission
@@ -151,21 +146,27 @@ func qdSweepRunTraced(qd int, batched bool, tr *trace.Tracer) (float64, error) {
 	return kiops, nil
 }
 
-// QDSweepTrace runs one batched qdsweep window at the given queue depth
-// with tracing enabled and returns the tracer (for Chrome export and
-// invariant checking) along with the measured KIOPS.
-func QDSweepTrace(qd int) (*trace.Tracer, float64, error) {
-	tr := trace.New(1, 1<<17)
-	kiops, err := qdSweepRunTraced(qd, true, tr)
-	if err != nil {
-		return nil, 0, err
+// qdGateDepth and qdGateSpeedup are the sweep's acceptance criterion: at
+// this queue depth the batched+coalesced path must sustain at least this
+// multiple of the one-command-per-doorbell path's IOPS.
+const (
+	qdGateDepth   = 32
+	qdGateSpeedup = 2.0
+)
+
+// qdGate checks one queue depth's pair of cells against the criterion.
+func qdGate(qd int, base, fast float64) error {
+	if qd == qdGateDepth && fast < qdGateSpeedup*base {
+		return fmt.Errorf("qdsweep QD%d: batched+coalesced %.1f KIOPS vs one/doorbell %.1f KIOPS: speedup %.2fx, bound %.1fx",
+			qd, fast, base, fast/base, qdGateSpeedup)
 	}
-	return tr, kiops, nil
+	return nil
 }
 
 // QDSweep regenerates the batching/coalescing scaling study: 512B random
 // read IOPS vs queue depth, one command per doorbell against batched
-// submission + coalesced completion interrupts.
+// submission + coalesced completion interrupts. The QD32 pair must pass
+// qdGate, or the run is an error.
 func QDSweep() ([]*report.Table, error) {
 	t := &report.Table{
 		ID:      "qdsweep",
@@ -173,12 +174,15 @@ func QDSweep() ([]*report.Table, error) {
 		Columns: []string{"qd", "one/doorbell (KIOPS)", "batched+coalesced (KIOPS)", "speedup"},
 	}
 	for _, qd := range []int{1, 2, 4, 8, 16, 32} {
-		base, err := qdSweepRun(qd, false)
+		base, err := qdSweepRun(qd, false, nil)
 		if err != nil {
 			return nil, err
 		}
-		fast, err := qdSweepRun(qd, true)
+		fast, err := qdSweepRun(qd, true, nil)
 		if err != nil {
+			return nil, err
+		}
+		if err := qdGate(qd, base, fast); err != nil {
 			return nil, err
 		}
 		t.AddRowf(fmt.Sprintf("%d", qd), base, fast, fast/base)
@@ -186,4 +190,55 @@ func QDSweep() ([]*report.Table, error) {
 	t.Note("batch unit = min(qd/2, %d), coalescing max-events matched to the unit, max-delay 20us", qdSweepMaxUnit)
 	t.Note("one doorbell MMIO + one interrupt per batch amortize the per-command control path")
 	return []*report.Table{t}, nil
+}
+
+// qdTraceGate checks the traced window: every command the workload issued
+// left a complete causal chain whose completion was consumed inside the
+// user-interrupt handler (batched doorbells, coalescing and UINTR delivery
+// at full depth), and the per-stage histograms account for every chain.
+func qdTraceGate(c *tracedCell, kiops float64) error {
+	if kiops <= 0 {
+		return fmt.Errorf("%s: traced run reported %.1f KIOPS", c.name, kiops)
+	}
+	if err := c.clean(); err != nil {
+		return err
+	}
+	if len(c.an.Chains) == 0 {
+		return fmt.Errorf("%s: no causal chains reconstructed", c.name)
+	}
+	for _, ch := range c.an.Chains {
+		if !ch.Complete() {
+			return fmt.Errorf("%s: incomplete chain qid=%d cid=%d: %+v", c.name, ch.QID, ch.CID, *ch)
+		}
+		if !ch.Delivered() {
+			return fmt.Errorf("%s: chain qid=%d cid=%d consumed outside the handler path", c.name, ch.QID, ch.CID)
+		}
+	}
+	hs := c.an.StageHistograms()
+	if got := hs[trace.StageEndToEnd].Count(); got != uint64(len(c.an.Chains)) {
+		return fmt.Errorf("%s: end-to-end histogram holds %d samples for %d chains", c.name, got, len(c.an.Chains))
+	}
+	if hs[trace.StageDevice].Percentile(50) <= 0 {
+		return fmt.Errorf("%s: device stage p50 is not positive", c.name)
+	}
+	return nil
+}
+
+// qdSweepTrace runs one batched window at the gate's queue depth with
+// tracing on and reports the per-stage latency table the analyzer
+// reconstructed from the stream.
+func qdSweepTrace() (*Traced, error) {
+	tr := trace.New(1, 1<<17)
+	kiops, err := qdSweepRun(qdGateDepth, true, tr)
+	if err != nil {
+		return nil, err
+	}
+	c := captured(fmt.Sprintf("qdsweep QD%d batched", qdGateDepth), tr)
+	stages := c.an.LatencyTable()
+	stages.ID = "qdsweep_stages"
+	return &Traced{
+		Events:  c.evs,
+		Tables:  []*report.Table{stages},
+		Summary: fmt.Sprintf("%.0f KIOPS, %d chains", kiops, len(c.an.Chains)),
+	}, qdTraceGate(c, kiops)
 }

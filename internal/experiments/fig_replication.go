@@ -151,9 +151,23 @@ func replRun(rf int, scenario string, tr *trace.Tracer) (*replCellResult, error)
 	return out, nil
 }
 
+// replGate is the message-economy predicate of one cell: no frame may be
+// lost to a full link queue, and on a clean fabric an op costs its 2*(RF-1)
+// frames plus at most one of election and heartbeat overhead.
+func replGate(rf int, scenario string, txOverflows uint64, raftMsgsPerOp float64) error {
+	if txOverflows != 0 {
+		return fmt.Errorf("fig_replication rf=%d %s: %d link overflow(s)", rf, scenario, txOverflows)
+	}
+	if max := float64(2*(rf-1) + 1); scenario == "clean" && raftMsgsPerOp > max {
+		return fmt.Errorf("fig_replication rf=%d clean: %.2f raft frames per op, bound %.0f", rf, raftMsgsPerOp, max)
+	}
+	return nil
+}
+
 // FigReplication regenerates the replication study: goodput and latency of
 // the multi-raft block cluster across replication factors 1/3/5 under a
-// clean fabric, a lossy jittery fabric, and repeated leader crashes.
+// clean fabric, a lossy jittery fabric, and repeated leader crashes. Every
+// cell must pass replGate, or the run is an error.
 func FigReplication() ([]*report.Table, error) {
 	t := &report.Table{
 		ID:    "fig_replication",
@@ -169,15 +183,8 @@ func FigReplication() ([]*report.Table, error) {
 				return nil, err
 			}
 			s := r.Stats
-			// The message-economy gate: no frame may be lost to a full link
-			// queue, and on a clean fabric an op costs its 2*(RF-1) frames
-			// plus at most one of election and heartbeat overhead.
-			if s.TxOverflows != 0 {
-				return nil, fmt.Errorf("fig_replication rf=%d %s: %d link overflow(s)", rf, scenario, s.TxOverflows)
-			}
-			if max := float64(2*(rf-1) + 1); scenario == "clean" && r.RaftMsgsPerOp > max {
-				return nil, fmt.Errorf("fig_replication rf=%d clean: %.2f raft frames per op, bound %.0f",
-					rf, r.RaftMsgsPerOp, max)
+			if err := replGate(rf, scenario, s.TxOverflows, r.RaftMsgsPerOp); err != nil {
+				return nil, err
 			}
 			ops := float64(s.AckedWrites + s.Reads)
 			goodput := ops / (float64(r.Elapsed) / float64(time.Millisecond))
@@ -210,18 +217,44 @@ func FigReplication() ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// FigReplicationTrace runs the rf=3 crash cell — replication, failover, and
-// recovery all live — with tracing enabled, returning the tracer and cell
-// for linearizability gating.
-func FigReplicationTrace() (*trace.Tracer, *replCellResult, error) {
+// replTraceGate checks the traced cell: it measured something adversarial
+// (crashes fired, writes were still acknowledged, a recovery gap was
+// observed), no linearizability invariant — commit monotonicity, no
+// divergent committed entries, no acknowledgement before quorum, no stale
+// read after an acknowledged write — was violated, and the post-run audit
+// (lost) found every acknowledged write intact on every replica.
+func replTraceGate(c *tracedCell, crashes, ackedWrites uint64, recovery time.Duration, lost []error) error {
+	if crashes == 0 {
+		return fmt.Errorf("%s: no crash fired — the cell measured nothing adversarial", c.name)
+	}
+	if ackedWrites == 0 {
+		return fmt.Errorf("%s: no writes acknowledged", c.name)
+	}
+	if recovery == 0 {
+		return fmt.Errorf("%s: no recovery time observed despite %d crashes", c.name, crashes)
+	}
+	if err := c.clean(); err != nil {
+		return err
+	}
+	if len(lost) != 0 {
+		return fmt.Errorf("%s: %d lost or divergent acked write(s): %v", c.name, len(lost), lost)
+	}
+	return nil
+}
+
+// figReplicationTrace runs the rf=3 crash cell — replication, failover and
+// recovery all live — with tracing on.
+func figReplicationTrace() (*Traced, error) {
 	cfg := replConfig(3, "crash")
 	tr := trace.New(cfg.Nodes+1+cfg.Clients, 1<<19)
 	r, err := replRun(3, "crash", tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if d := tr.Dropped(); d != 0 {
-		return nil, nil, fmt.Errorf("fig_replication: trace ring dropped %d events", d)
-	}
-	return tr, r, nil
+	c := captured("fig_replication rf=3 crash", tr)
+	return &Traced{
+		Events: c.evs,
+		Summary: fmt.Sprintf("%d acked writes, %d crashes, %d elections, worst recovery %v",
+			r.Stats.AckedWrites, r.Stats.Crashes, r.Stats.Elections, r.Recovery),
+	}, replTraceGate(c, r.Stats.Crashes, r.Stats.AckedWrites, r.Recovery, r.C.VerifyAcks())
 }

@@ -112,6 +112,16 @@ func simScaleRun(parallel bool) (*simScaleResult, error) {
 	}, nil
 }
 
+// simScaleGate is the determinism gate: the parallel-lane run must reproduce
+// the serial run's acks and stats exactly.
+func simScaleGate(serial, par *simScaleResult) error {
+	if par.AckHash != serial.AckHash || par.Stats != serial.Stats {
+		return fmt.Errorf("fig_simscale: parallel run diverged from serial (ack hash %#x vs %#x)",
+			par.AckHash, serial.AckHash)
+	}
+	return nil
+}
+
 // FigSimScale runs the 64-node/1024-client deployment serially and with
 // parallel lanes, gates on byte-identical results, and reports wall-clock
 // timing for both modes plus engine event rates on the existing qdsweep and
@@ -137,9 +147,8 @@ func FigSimScale() ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if par.AckHash != serial.AckHash || par.Stats != serial.Stats {
-		return nil, fmt.Errorf("fig_simscale: parallel run diverged from serial (ack hash %#x vs %#x)",
-			par.AckHash, serial.AckHash)
+	if err := simScaleGate(serial, par); err != nil {
+		return nil, err
 	}
 	for _, r := range []*simScaleResult{serial, par} {
 		mode := "serial"
@@ -193,7 +202,7 @@ func FigSimScale() ([]*report.Table, error) {
 	// Serial-engine rate on the existing scenarios: a calendar/pooling
 	// regression in the core engine shows up here even with lanes off.
 	qdStart := time.Now()
-	if _, err := qdSweepRun(16, true); err != nil {
+	if _, err := qdSweepRun(16, true, nil); err != nil {
 		return nil, fmt.Errorf("fig_simscale qdsweep probe: %w", err)
 	}
 	tt.AddRowf("qdsweep_qd16", "serial", fmt.Sprintf("%d", gmp),

@@ -235,11 +235,27 @@ func sloRun(antagonist string, enforce bool, tr *trace.Tracer) (*sloCellResult, 
 	return out, nil
 }
 
+// sloGateAntagonist is the antagonist the headline criterion is read under
+// (and the traced cell runs against): enforcement must cut the urgent
+// tenant's p99.9 completion latency by at least sloGateCut.
+const (
+	sloGateAntagonist = "io_flood"
+	sloGateCut        = 2
+)
+
+// sloTailGate checks one antagonist's off/on pair of urgent p99.9 tails.
+func sloTailGate(antagonist string, off, on time.Duration) error {
+	if antagonist == sloGateAntagonist && (on <= 0 || off < sloGateCut*on) {
+		return fmt.Errorf("fig_slo %s: urgent p99.9 %v unenforced vs %v enforced, want >= %dx lower",
+			antagonist, off, on, sloGateCut)
+	}
+	return nil
+}
+
 // FigSlo regenerates the SLO-enforcement study: per-tenant p50/p99/p99.9
 // completion latency for the urgent and normal tenants while each
-// antagonist runs, with the QoS stack off and on. The acceptance criterion
-// rides the io_flood rows: enforcement must cut the urgent tenant's p99.9
-// by at least 2x.
+// antagonist runs, with the QoS stack off and on. The io_flood pair must
+// pass sloTailGate, or the run is an error.
 func FigSlo() ([]*report.Table, error) {
 	t := &report.Table{
 		ID:    "fig_slo",
@@ -248,11 +264,13 @@ func FigSlo() ([]*report.Table, error) {
 			"p50_us", "p99_us", "p999_us", "shed", "preempt"},
 	}
 	for _, antagonist := range sloAntagonists {
-		for _, enforce := range []bool{false, true} {
+		var urgentTail [2]time.Duration // off, on
+		for i, enforce := range []bool{false, true} {
 			r, err := sloRun(antagonist, enforce, nil)
 			if err != nil {
 				return nil, err
 			}
+			urgentTail[i] = r.Tenants[sloUrgentTenant].Latency.Percentile(99.9)
 			mode := "off"
 			if enforce {
 				mode = "on"
@@ -272,6 +290,9 @@ func FigSlo() ([]*report.Table, error) {
 					fmt.Sprintf("%d", r.Preemptions))
 			}
 		}
+		if err := sloTailGate(antagonist, urgentTail[0], urgentTail[1]); err != nil {
+			return nil, err
+		}
 	}
 	t.Note("enforcement on = admission + strict-priority dequeue + per-class I/O tags + graded CQ coalescing (urgent bypass) + prioritized uintr delivery")
 	t.Note("antagonists: cpu_hog pinned to a worker core; io_flood QD16 16KiB reads on the bulk tenant, no backoff; cache_thrash 1MiB scratch vs 256KiB cache budget")
@@ -279,18 +300,37 @@ func FigSlo() ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// FigSloTrace runs the io_flood/enforcement-on cell with tracing enabled —
-// the cell where every QoS mechanism is live — and returns the tracer for
-// invariant checking (priority order, preemption brackets, urgent delivery
-// bound) plus the cell result for accounting and threshold checks.
-func FigSloTrace() (*trace.Tracer, *sloCellResult, error) {
+// sloTraceGate checks the traced cell: it measured something adversarial
+// (urgent and antagonist ops both completed), no invariant — priority-ordered
+// delivery and the urgent delivery bound armed by SLOBound included — was
+// violated, and every request left a complete service chain. (The admission
+// books are sloRun's to check, in every cell.)
+func sloTraceGate(c *tracedCell, urgentOps, antagOps uint64) error {
+	if urgentOps == 0 {
+		return fmt.Errorf("%s: urgent tenant completed no ops", c.name)
+	}
+	if antagOps == 0 {
+		return fmt.Errorf("%s: antagonist completed no ops — the cell measured nothing adversarial", c.name)
+	}
+	if err := c.clean(trace.SLOBound); err != nil {
+		return err
+	}
+	return c.svcChainsComplete()
+}
+
+// figSloTrace runs the io_flood/enforcement-on cell — the one where every
+// QoS mechanism is live — with tracing on.
+func figSloTrace() (*Traced, error) {
 	tr := trace.New(6, 1<<19)
-	r, err := sloRun("io_flood", true, tr)
+	r, err := sloRun(sloGateAntagonist, true, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if d := tr.Dropped(); d != 0 {
-		return nil, nil, fmt.Errorf("fig_slo: trace ring dropped %d events", d)
-	}
-	return tr, r, nil
+	c := captured("fig_slo "+sloGateAntagonist+"/on", tr)
+	urgent := r.Tenants[sloUrgentTenant]
+	return &Traced{
+		Events: c.evs,
+		Summary: fmt.Sprintf("urgent p99.9 %v under enforced %s, %d antagonist ops, %d preemptions, %d chains",
+			urgent.Latency.Percentile(99.9), sloGateAntagonist, r.AntagOps, r.Preemptions, len(c.an.SvcChains)),
+	}, sloTraceGate(c, urgent.Ops, r.AntagOps)
 }

@@ -112,11 +112,43 @@ func svcScaleRun(n int, admission bool, tr *trace.Tracer) (*svcScaleResult, erro
 	return out, nil
 }
 
+// svcGateClients is the client count the admission criterion is read at: the
+// sweep's largest, where the uncontrolled service queues deepest.
+const svcGateClients = 128
+
+// svcRxGate checks one cell against the interrupt-mitigation bound.
+func svcRxGate(n int, admission bool, rxIRQs float64) error {
+	if !admission && n >= 32 && rxIRQs > svcRxIRQBound {
+		return fmt.Errorf("svcscale %d/off: %.3f rx notifications per request, bound %.2f", n, rxIRQs, svcRxIRQBound)
+	}
+	return nil
+}
+
+// svcTailGate checks the svcGateClients pair of cells: admission control
+// must yield a strictly lower p99 than the uncontrolled configuration, by
+// shedding (a budget that never binds proves nothing), and an uncontrolled
+// service must shed nothing.
+func svcTailGate(offP99, onP99 time.Duration, offShed, onShed uint64) error {
+	if onP99 >= offP99 {
+		return fmt.Errorf("svcscale %d clients: admission p99 %v, uncontrolled p99 %v: want strictly lower under control",
+			svcGateClients, onP99, offP99)
+	}
+	if onShed == 0 {
+		return fmt.Errorf("svcscale %d clients: admission control shed nothing — the budget is not binding", svcGateClients)
+	}
+	if offShed != 0 {
+		return fmt.Errorf("svcscale %d clients: uncontrolled run shed %d requests", svcGateClients, offShed)
+	}
+	return nil
+}
+
 // SvcScale regenerates the service client-scaling study: p50/p99 completion
 // latency and goodput vs client count, with and without per-tenant
 // admission control. At high client counts the uncontrolled service queues
 // every arrival and the tail explodes; admission sheds early (clients back
-// off and retry) and keeps the tail near the base round trip.
+// off and retry) and keeps the tail near the base round trip. Every cell
+// must pass svcRxGate and the largest pair svcTailGate, or the run is an
+// error.
 func SvcScale() ([]*report.Table, error) {
 	t := &report.Table{
 		ID:    "svcscale",
@@ -124,20 +156,21 @@ func SvcScale() ([]*report.Table, error) {
 		Columns: []string{"clients", "admission", "p50_us", "p99_us",
 			"goodput_kops", "shed", "rx_irqs_per_req"},
 	}
-	for _, n := range []int{8, 32, 128} {
-		for _, admission := range []bool{false, true} {
+	for _, n := range []int{8, 32, svcGateClients} {
+		var cells [2]*svcScaleResult // off, on
+		for i, admission := range []bool{false, true} {
 			r, err := svcScaleRun(n, admission, nil)
 			if err != nil {
 				return nil, fmt.Errorf("svcscale %d/%v: %w", n, admission, err)
 			}
+			cells[i] = r
 			mode := "off"
 			if admission {
 				mode = "on"
 			}
 			rxIRQs := float64(r.Srv.UPID().NotifySent.Load()) / float64(r.Srv.Stats().Received)
-			if !admission && n >= 32 && rxIRQs > svcRxIRQBound {
-				return nil, fmt.Errorf("svcscale %d/off: %.3f rx notifications per request, bound %.2f",
-					n, rxIRQs, svcRxIRQBound)
+			if err := svcRxGate(n, admission, rxIRQs); err != nil {
+				return nil, err
 			}
 			t.AddRowf(fmt.Sprintf("%d", n), mode,
 				usec(r.Res.Latency.Percentile(50)),
@@ -146,6 +179,12 @@ func SvcScale() ([]*report.Table, error) {
 				fmt.Sprintf("%d", r.Shed),
 				fmt.Sprintf("%.3f", rxIRQs))
 		}
+		if n == svcGateClients {
+			off, on := cells[0], cells[1]
+			if err := svcTailGate(off.Res.Latency.P99(), on.Res.Latency.P99(), off.Shed, on.Shed); err != nil {
+				return nil, err
+			}
+		}
 	}
 	t.Note("closed loop, QD 2 per client, %d ops each, 60%% reads; 4 tenants (weights 4:2:1:1), %d ops/s/tenant", svcOpsPerCli, 15000)
 	t.Note("shed requests are retried after client-side exponential backoff; goodput counts completed ops only")
@@ -153,17 +192,44 @@ func SvcScale() ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// SvcScaleTrace runs the largest admission-controlled cell (128 clients)
-// with tracing enabled and returns the tracer for invariant checking and
-// per-stage latency reporting, plus the server for accounting checks.
-func SvcScaleTrace() (*trace.Tracer, *svcScaleResult, error) {
+// svcTraceGate checks the traced cell: every client finished its ops, every
+// request left a complete service chain with no invariant violated, and each
+// service stage has samples. (The admission books are svcScaleRun's to
+// check, in every cell.)
+func svcTraceGate(c *tracedCell, ops uint64) error {
+	if want := uint64(svcGateClients * svcOpsPerCli); ops != want {
+		return fmt.Errorf("%s: completed %d ops, want %d", c.name, ops, want)
+	}
+	if err := c.clean(); err != nil {
+		return err
+	}
+	if err := c.svcChainsComplete(); err != nil {
+		return err
+	}
+	hists := c.an.SvcStageHistograms()
+	for _, stage := range []string{trace.SvcStageRecvToAdmit, trace.SvcStageAdmitToFSOp,
+		trace.SvcStageFSOpToReply, trace.SvcStageEndToEnd} {
+		if hists[stage].Count() == 0 {
+			return fmt.Errorf("%s: stage %q has no samples", c.name, stage)
+		}
+	}
+	return nil
+}
+
+// svcScaleTrace runs the largest admission-controlled cell with tracing on
+// and reports the per-stage service latency table the analyzer
+// reconstructed from the stream.
+func svcScaleTrace() (*Traced, error) {
 	tr := trace.New(5, 1<<19)
-	r, err := svcScaleRun(128, true, tr)
+	r, err := svcScaleRun(svcGateClients, true, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if d := tr.Dropped(); d != 0 {
-		return nil, nil, fmt.Errorf("svcscale: trace ring dropped %d events", d)
-	}
-	return tr, r, nil
+	c := captured(fmt.Sprintf("svcscale %d/on", svcGateClients), tr)
+	return &Traced{
+		Events: c.evs,
+		Tables: []*report.Table{c.an.SvcLatencyTable()},
+		Summary: fmt.Sprintf("%d ops, p99 %v, %d chains, %d shed",
+			r.Res.Ops, r.Res.Latency.P99(), len(c.an.SvcChains), r.Shed),
+	}, svcTraceGate(c, r.Res.Ops)
 }

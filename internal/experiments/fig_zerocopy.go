@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aeolia/internal/aeodriver"
@@ -256,9 +257,42 @@ func zcCacheRun(cores int, tr *trace.Tracer) (*zcCacheResult, error) {
 	}, nil
 }
 
+// Bounds of the figure's two acceptance criteria.
+const (
+	zcRingSpeedup = 1.5 // ring over batched+coalesced KIOPS at zcQD
+	zcFlatLoss    = 0.1 // per-core KIOPS at the most reader cores may trail one core's by this fraction
+)
+
+// zcRingGate checks the block half at one queue depth: the staging ring
+// staged commands (it engaged, not a fallback) and at zcQD beats the
+// batched baseline by zcRingSpeedup.
+func zcRingGate(qd int, batched, ring float64, staged uint64) error {
+	if staged == 0 {
+		return fmt.Errorf("fig_zerocopy QD%d: ring datapath never staged a command", qd)
+	}
+	if qd == zcQD && ring < zcRingSpeedup*batched {
+		return fmt.Errorf("fig_zerocopy QD%d: ring %.1f KIOPS vs batched %.1f KIOPS, want >= %.1fx", qd, ring, batched, zcRingSpeedup)
+	}
+	return nil
+}
+
+// zcFlatGate checks the cache half: the epoch path served reads at both
+// ends of the core sweep and held per-core throughput flat across it.
+func zcFlatGate(one, most *zcCacheResult) error {
+	if one.EpochReads == 0 || most.EpochReads == 0 {
+		return fmt.Errorf("fig_zerocopy: epoch fast-read path never engaged: %d/%d fast reads", one.EpochReads, most.EpochReads)
+	}
+	if most.PerCoreKIOPS < (1-zcFlatLoss)*one.PerCoreKIOPS {
+		return fmt.Errorf("fig_zerocopy: per-core cache-hit throughput not flat: 1 core %.1f, %d cores %.1f KIOPS/core",
+			one.PerCoreKIOPS, zcCores[len(zcCores)-1], most.PerCoreKIOPS)
+	}
+	return nil
+}
+
 // FigZerocopy regenerates the zero-copy datapath study: ring vs batched vs
 // one-per-doorbell block IOPS on the wide device, and per-core cache-hit
-// read throughput 1→8 cores.
+// read throughput 1→8 cores. The halves must pass zcRingGate and
+// zcFlatGate, or the run is an error.
 func FigZerocopy() ([]*report.Table, error) {
 	t1 := &report.Table{
 		ID:    "zerocopy_ring",
@@ -275,8 +309,11 @@ func FigZerocopy() ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ring, _, err := zcRingRun("ring", qd, nil)
+		ring, staged, err := zcRingRun("ring", qd, nil)
 		if err != nil {
+			return nil, err
+		}
+		if err := zcRingGate(qd, batched, ring, staged); err != nil {
 			return nil, err
 		}
 		t1.AddRowf(fmt.Sprintf("%d", qd), one, batched, ring, ring/batched)
@@ -289,47 +326,71 @@ func FigZerocopy() ([]*report.Table, error) {
 		Title:   "Cache-hit read scaling: per-core KIOPS on the epoch hit path",
 		Columns: []string{"cores", "KIOPS/core", "scaling efficiency"},
 	}
-	var one float64
-	for _, cores := range zcCores {
+	cells := make([]*zcCacheResult, len(zcCores))
+	for i, cores := range zcCores {
 		r, err := zcCacheRun(cores, nil)
 		if err != nil {
 			return nil, err
 		}
-		if cores == 1 {
-			one = r.PerCoreKIOPS
-		}
-		t2.AddRowf(fmt.Sprintf("%d", cores), r.PerCoreKIOPS, r.PerCoreKIOPS/one)
+		cells[i] = r
+		t2.AddRowf(fmt.Sprintf("%d", cores), r.PerCoreKIOPS, r.PerCoreKIOPS/cells[0].PerCoreKIOPS)
+	}
+	if err := zcFlatGate(cells[0], cells[len(cells)-1]); err != nil {
+		return nil, err
 	}
 	t2.Note("%d readers x %d cache-hit reads of a %d-page resident file; per-core = slowest reader's rate", zcCores[len(zcCores)-1], zcReadsPerCore, zcFilePages)
 	t2.Note("a hit is the seqlock walk: no budgetMu, range lock or tree lock")
 	return []*report.Table{t1, t2}, nil
 }
 
-// FigZerocopyTrace runs the ring cell at QD32 and the 4-core epoch cache
-// cell fully traced — each on its own tracer, since the two machines'
-// NVMe queue/command-id namespaces would collide in one event stream —
-// for the copy-budget invariant gate: every traced read/write chain must
-// stay within its announced per-path copy budget, and both zero-copy
-// mechanisms must demonstrably engage.
-func FigZerocopyTrace() (ringTr, cacheTr *trace.Tracer, ring float64, cache *zcCacheResult, err error) {
-	ringTr = trace.New(16, 1<<18)
-	ring, staged, err := zcRingRun("ring", zcQD, ringTr)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
+// zcTraceGate checks the two traced cells: both mechanisms engaged, neither
+// stream violated an invariant (the announced per-path copy budgets
+// included), the cache cell holds the copy and handoff events the budget
+// ranges over, and no chain in either cell copied its payload more than
+// once end to end.
+func zcTraceGate(ring, cache *tracedCell, staged, epochReads uint64) error {
 	if staged == 0 {
-		return nil, nil, 0, nil, fmt.Errorf("zerocopy: ring datapath never staged a command")
+		return fmt.Errorf("%s: ring datapath never staged a command", ring.name)
 	}
-	cacheTr = trace.New(16, 1<<18)
-	cache, err = zcCacheRun(4, cacheTr)
+	if epochReads == 0 {
+		return fmt.Errorf("%s: epoch fast-read path never engaged", cache.name)
+	}
+	if err := ring.clean(); err != nil {
+		return err
+	}
+	if err := cache.clean(trace.BufCopy, trace.BufHandoff); err != nil {
+		return err
+	}
+	for _, c := range []*tracedCell{ring, cache} {
+		if _, _, maxPerChain := c.an.CopyStats(); maxPerChain > 1 {
+			return fmt.Errorf("%s: a chain performed %d payload copies — budget is 1 end to end", c.name, maxPerChain)
+		}
+	}
+	return nil
+}
+
+// figZerocopyTrace runs the ring cell at zcQD and the 4-core epoch cache
+// cell with tracing on — each on its own tracer and analysed apart, since
+// the two machines' NVMe queue/command-id namespaces would collide in one
+// replay. Events is the ring cell's stream followed by the cache cell's.
+func figZerocopyTrace() (*Traced, error) {
+	ringTr := trace.New(16, 1<<18)
+	kiops, staged, err := zcRingRun("ring", zcQD, ringTr)
 	if err != nil {
-		return nil, nil, 0, nil, err
+		return nil, err
 	}
-	if cache.EpochReads == 0 {
-		return nil, nil, 0, nil, fmt.Errorf("zerocopy: epoch fast-read path never engaged")
+	cacheTr := trace.New(16, 1<<18)
+	cr, err := zcCacheRun(4, cacheTr)
+	if err != nil {
+		return nil, err
 	}
-	if d := ringTr.Dropped() + cacheTr.Dropped(); d != 0 {
-		return nil, nil, 0, nil, fmt.Errorf("zerocopy: trace ring dropped %d events", d)
-	}
-	return ringTr, cacheTr, ring, cache, nil
+	ring := captured(fmt.Sprintf("fig_zerocopy ring QD%d", zcQD), ringTr)
+	cache := captured("fig_zerocopy cache 4 cores", cacheTr)
+	rc, rn, _ := ring.an.CopyStats()
+	cc, cn, _ := cache.an.CopyStats()
+	return &Traced{
+		Events: slices.Concat(ring.evs, cache.evs),
+		Summary: fmt.Sprintf("ring %.0f KIOPS at QD%d; cache %.0f KIOPS/core x4 (%d fast reads); %d chains, %d copies",
+			kiops, zcQD, cr.PerCoreKIOPS, cr.EpochReads, rc+cc, rn+cn),
+	}, zcTraceGate(ring, cache, staged, cr.EpochReads)
 }
