@@ -146,13 +146,16 @@ func (c Config) maxRetries() int {
 
 // Request is an in-flight I/O request handle.
 type Request struct {
-	op     nvme.Opcode
-	lba    uint64
-	cnt    uint32
-	buf    []byte
-	sgl    [][]byte
-	done   *sim.Completion // fired when the driver has handled the CQE
-	cqe    *sim.Completion // fired when the CQE becomes visible (polling)
+	op  nvme.Opcode
+	lba uint64
+	cnt uint32
+	buf []byte
+	sgl [][]byte
+	// done and cqe live in the request, so a command is one allocation; a
+	// retry resets them, and attempts is what tells one submission of the
+	// request from the next.
+	done   sim.Completion // fired when the driver has handled the CQE
+	cqe    sim.Completion // fired when the CQE becomes visible (polling)
 	status nvme.Status
 	cid    uint16
 	// attempts counts submissions of this request (1 + retries).
@@ -177,8 +180,7 @@ func (r *Request) Err() error {
 // park (no Exec/Block/mutex), only inspect the request and flip state.
 // Unlike Wait, OnComplete performs no retries: check r.Err() in fn.
 func (r *Request) OnComplete(fn func(*Request)) {
-	done := r.done
-	done.OnFire(func() { fn(r) })
+	r.done.OnFire(func() { fn(r) })
 }
 
 // Thread is the per-thread driver state: one dedicated queue pair (Table 4's
@@ -204,11 +206,15 @@ type Thread struct {
 	// pending maps the queue pair's CIDs to their in-flight requests.
 	pending map[uint16]*Request
 
-	// entries and subs are enqueue's scratch for the SQ entries it builds
-	// and the queue pair's answers; only the owning task submits, so they
-	// are reused across submissions without a lock.
+	// entries and cids are enqueue's scratch for the SQ entries it builds
+	// and the CIDs the queue pair assigns them; only the owning task
+	// submits, so they are reused across submissions without a lock.
 	entries []nvme.SubmissionEntry
-	subs    []nvme.Submitted
+	cids    []uint16
+
+	// handlerFrame is th.runHandlerFrame, bound once: the resume hook every
+	// kernel-path delivery pushes.
+	handlerFrame func() time.Duration
 
 	// Stats.
 	Submitted        uint64
@@ -344,6 +350,7 @@ func (d *Driver) CreateQP(env *sim.Env) (*Thread, error) {
 		qp:      qp,
 		pending: make(map[uint16]*Request),
 	}
+	th.handlerFrame = th.runHandlerFrame
 	if d.cfg.ZeroCopyRing {
 		th.ring = nvme.NewSPSC[nvme.SubmissionEntry](d.cfg.QueueDepth)
 	}
@@ -614,8 +621,9 @@ func (th *Thread) enqueue(env *sim.Env, op nvme.Opcode, iov []IOVec, priv bool, 
 			return
 		}
 		entries := th.entries[:0]
-		for _, v := range iov {
-			entries = append(entries, th.sqe(op, v.LBA, v.Cnt, v.Buf, v.SG))
+		for i, v := range iov {
+			reqs[i] = &Request{op: op, lba: v.LBA, cnt: v.Cnt, buf: v.Buf, sgl: v.SG}
+			entries = append(entries, th.sqe(reqs[i]))
 		}
 		perCmd := timing.SQEPrep
 		if th.ring != nil {
@@ -625,33 +633,32 @@ func (th *Thread) enqueue(env *sim.Env, op nvme.Opcode, iov []IOVec, priv bool, 
 			entries = th.stageRing(entries)
 		}
 		env.Exec(time.Duration(len(iov))*perCmd + timing.DoorbellWrite)
-		subs, serr := th.qp.SubmitBatch(th.subs[:0], entries)
-		th.entries, th.subs = entries, subs
+		cids, serr := th.qp.SubmitBatch(th.cids[:0], entries)
+		th.entries, th.cids = entries, cids
 		if serr != nil {
 			err = serr
 			return
 		}
 		now := env.Now()
-		for i, v := range iov {
-			reqs[i] = &Request{op: op, lba: v.LBA, cnt: v.Cnt, buf: v.Buf, sgl: v.SG,
-				done: sim.NewCompletion(), SubmittedAt: now}
-			th.track(reqs[i], subs[i])
+		for i, req := range reqs {
+			req.SubmittedAt = now
+			th.track(req, cids[i])
 		}
 	})
 	return err
 }
 
-// sqe builds the submission entry for one command, tagged with the thread's
-// current I/O class.
-func (th *Thread) sqe(op nvme.Opcode, lba uint64, cnt uint32, buf []byte, sgl [][]byte) nvme.SubmissionEntry {
-	return nvme.SubmissionEntry{Opcode: op, SLBA: lba, NLB: cnt, Data: buf, SGL: sgl, Prio: th.prioTag()}
+// sqe builds the submission entry for req, tagged with the thread's current
+// I/O class and carrying the request's CQE handle.
+func (th *Thread) sqe(req *Request) nvme.SubmissionEntry {
+	return nvme.SubmissionEntry{Opcode: req.op, SLBA: req.lba, NLB: req.cnt, Data: req.buf, SGL: req.sgl,
+		Prio: th.prioTag(), Done: &req.cqe}
 }
 
-// track records one accepted submission of req: the queue pair's CID and
-// CQE handle, the attempt count, the pending entry and the watchdog.
-func (th *Thread) track(req *Request, sub nvme.Submitted) {
-	req.cqe = sub.Done
-	req.cid = sub.CID
+// track records one accepted submission of req: the queue pair's CID, the
+// attempt count, the pending entry and the watchdog.
+func (th *Thread) track(req *Request, cid uint16) {
+	req.cid = cid
 	req.attempts++
 	th.pending[req.cid] = req
 	th.Submitted++
@@ -784,15 +791,16 @@ func (th *Thread) stageRing(entries []nvme.SubmissionEntry) []nvme.SubmissionEnt
 // retry goes straight to the queue pair, like a storage driver requeueing a
 // failed command.
 func (th *Thread) resubmit(env *sim.Env, req *Request) error {
-	th.entries = append(th.entries[:0], th.sqe(req.op, req.lba, req.cnt, req.buf, req.sgl))
-	subs, err := th.qp.SubmitBatch(th.subs[:0], th.entries)
-	th.subs = subs
+	req.cqe = sim.Completion{}
+	th.entries = append(th.entries[:0], th.sqe(req))
+	cids, err := th.qp.SubmitBatch(th.cids[:0], th.entries)
+	th.cids = cids
 	if err != nil {
 		return err
 	}
-	req.done = sim.NewCompletion()
+	req.done = sim.Completion{}
 	req.status = nvme.StatusSuccess
-	th.track(req, subs[0])
+	th.track(req, cids[0])
 	th.Retries++
 	return nil
 }
@@ -805,12 +813,12 @@ func (th *Thread) armWatchdog(req *Request) {
 		return
 	}
 	eng := th.drv.kern.Engine()
-	done := req.done
+	attempt := req.attempts
 	var check func()
 	check = func() {
-		// A fired (or replaced, on retry) completion means the normal
-		// delivery path already handled this submission.
-		if done.Done() || req.done != done {
+		// A fired completion, or a later attempt (a retry), means the
+		// normal delivery path already handled this submission.
+		if req.done.Done() || req.attempts != attempt {
 			return
 		}
 		if th.qp.HasCompletions() && !th.qp.NotifyPending() && !th.notifyInFlight() {
@@ -828,7 +836,7 @@ func (th *Thread) armWatchdog(req *Request) {
 			th.NotifyRecovered++
 			th.drainCQ(eng.Now())
 		}
-		if !done.Done() && req.done == done {
+		if !req.done.Done() && req.attempts == attempt {
 			eng.Schedule(d, check)
 		}
 	}
@@ -878,7 +886,7 @@ func (d *Driver) waitDone(env *sim.Env, th *Thread, req *Request) {
 		switch {
 		case d.cfg.Mode == ModePoll:
 			// Busy-poll the completion queue.
-			env.SpinWait(req.cqe)
+			env.SpinWait(&req.cqe)
 			th.drainCQ(env.Now())
 		case d.cfg.Policy == PolicyAlwaysBlock || d.othersRunnable(env):
 			// Scheduling decision point after issuing the I/O
@@ -886,13 +894,13 @@ func (d *Driver) waitDone(env *sim.Env, th *Thread, req *Request) {
 			// The out-of-schedule user interrupt takes the kernel
 			// path, wakes us, and inserts the handler frame.
 			th.BlockedWaits++
-			env.BlockOn(req.done)
+			env.BlockOn(&req.done)
 		default:
 			// Active checking (§2.1): no other runnable task, so
 			// stay on the CPU; the in-schedule user interrupt
 			// resumes us directly.
 			th.ActiveCheckWaits++
-			env.SpinWait(req.done)
+			env.SpinWait(&req.done)
 		}
 	}
 }
@@ -930,7 +938,11 @@ func (d *Driver) othersRunnable(env *sim.Env) bool {
 // their requests.
 func (th *Thread) drainCQ(now time.Duration) int {
 	n := 0
-	for _, ce := range th.qp.Poll(0) {
+	// The scratch is on this call's stack, not the thread's: firing a request
+	// can run its task, which may drain the same queue again before the loop
+	// moves on.
+	var scratch [32]nvme.CompletionEntry
+	for _, ce := range th.qp.PollAppend(scratch[:0], 0) {
 		req := th.pending[ce.CID]
 		if req == nil {
 			continue
@@ -1004,17 +1016,7 @@ func (th *Thread) deliverViaKernel(ctx *sim.IRQCtx) {
 		th.emitHandler(trace.HandlerExit, ctx.Core().ID, trace.KernelPathAux)
 		return
 	}
-	t.PushResumeHook(func() time.Duration {
-		th.HandlerRuns++
-		core := -1
-		if c := th.task.Core(); c != nil {
-			core = c.ID
-		}
-		th.emitHandler(trace.HandlerEnter, core, trace.KernelPathAux)
-		th.drainCQ(th.drv.kern.Engine().Now())
-		th.emitHandler(trace.HandlerExit, core, trace.KernelPathAux)
-		return timing.HandlerExec
-	})
+	t.PushResumeHook(th.handlerFrame)
 	switch t.State() {
 	case sim.TaskBlocked:
 		ctx.Charge(timing.WakeupTTWU)
@@ -1024,6 +1026,20 @@ func (th *Thread) deliverViaKernel(ctx *sim.IRQCtx) {
 			ctx.Core().SetNeedResched()
 		}
 	}
+}
+
+// runHandlerFrame is the userspace handler frame the kernel path inserts: it
+// runs on the thread's own CPU time when the thread is switched back in.
+func (th *Thread) runHandlerFrame() time.Duration {
+	th.HandlerRuns++
+	core := -1
+	if c := th.task.Core(); c != nil {
+		core = c.ID
+	}
+	th.emitHandler(trace.HandlerEnter, core, trace.KernelPathAux)
+	th.drainCQ(th.drv.kern.Engine().Now())
+	th.emitHandler(trace.HandlerExit, core, trace.KernelPathAux)
+	return timing.HandlerExec
 }
 
 // kernelIntrDeliver is the ModeKernelInterrupt (+k_intr) completion path:

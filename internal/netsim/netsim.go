@@ -134,8 +134,11 @@ type Endpoint struct {
 	// endpoints fall back to unattributed (engine-lane) scheduling.
 	home *sim.Core
 
-	inbox   []*Msg
-	arrival *sim.Completion
+	inbox []*Msg
+	// arrival is re-armed in place: a receiver waits, is released, and comes
+	// back for the next arrival through Arrival, never through a pointer it
+	// kept, so a wait allocates nothing.
+	arrival sim.Completion
 	deliver func(*Msg)
 	out     map[string]*Link
 	closed  bool
@@ -200,18 +203,16 @@ func (ep *Endpoint) SetOnDeliver(fn func(*Msg)) { ep.deliver = fn }
 // it with Env.BlockOn or Env.SpinWait; re-check Pending after re-arming and
 // before blocking to avoid lost wakeups.
 func (ep *Endpoint) Arrival() *sim.Completion {
-	if ep.arrival == nil || ep.arrival.Done() {
-		ep.arrival = sim.NewCompletion()
+	if ep.arrival.Done() {
+		ep.arrival = sim.Completion{}
 	}
-	return ep.arrival
+	return &ep.arrival
 }
 
 // SignalArrival fires the armed arrival completion (if any): the receiver's
 // interrupt handler calls this to hand the inbox to the waiting task.
 func (ep *Endpoint) SignalArrival() {
-	if ep.arrival != nil {
-		ep.arrival.FireAt(ep.now())
-	}
+	ep.arrival.FireAt(ep.now())
 }
 
 // Send transmits payload to the named destination over the connecting

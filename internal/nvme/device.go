@@ -76,6 +76,9 @@ type Device struct {
 
 	inj Injector
 
+	// freeCmds holds the command records not in flight.
+	freeCmds []*command
+
 	// Stats.
 	ReadOps    uint64
 	WriteOps   uint64
@@ -338,55 +341,73 @@ func max(a, b time.Duration) time.Duration {
 	return b
 }
 
+// command is one command inside the device, from the doorbell that handed
+// it over to the posting of its CQE: the entry, the queue pair it came from,
+// the status it will complete with and, for a torn write, the prefix that
+// still reaches the write cache. Records are recycled through the device's
+// free list — the device's events run on one lane, so the list needs no lock
+// — and fire is bound once per record: scheduling a completion allocates
+// nothing.
+type command struct {
+	dev  *Device
+	qp   *QueuePair
+	e    SubmissionEntry
+	st   Status
+	torn []byte // torn-write injection: leading blocks that land before the failure
+	fire func() // c.complete
+	// live is set from process to complete. A record that completes while it
+	// sits in the free list was kept, or scheduled twice, by someone: its
+	// entry already belongs to another command.
+	live bool
+}
+
+// newCommand takes a record from the free list for entry e of qp.
+func (d *Device) newCommand(qp *QueuePair, e *SubmissionEntry) *command {
+	var c *command
+	if n := len(d.freeCmds); n > 0 {
+		c, d.freeCmds = d.freeCmds[n-1], d.freeCmds[:n-1]
+	} else {
+		c = &command{dev: d}
+		c.fire = c.complete
+	}
+	c.qp, c.e, c.st, c.live = qp, *e, StatusSuccess, true
+	return c
+}
+
 // process executes a submitted command: schedules data movement and CQE
 // posting at the modeled completion time.
-func (d *Device) process(qp *QueuePair, e SubmissionEntry) {
+func (d *Device) process(qp *QueuePair, entry *SubmissionEntry) {
+	c := d.newCommand(qp, entry)
+	e := &c.e
 	qp.emit(trace.DeviceStart, uint32(e.CID), e.SLBA, uint64(e.NLB))
-	st := d.validate(&e)
-	if st != StatusSuccess {
+	if c.st = d.validate(e); c.st != StatusSuccess {
 		// Errors complete quickly, without touching media.
-		d.eng.Schedule(200*time.Nanosecond, func() {
-			qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(st))
-			qp.postCompletion(e.CID, st)
-		})
+		d.eng.Schedule(200*time.Nanosecond, c.fire)
 		return
 	}
 	var fault CommandFault
 	if d.inj != nil {
-		fault = d.inj.InjectCommand(&e)
+		fault = d.inj.InjectCommand(e)
 		if fault.ExtraLatency > 0 {
 			d.InjectedLatency++
 		}
 	}
-	if fault.Status != StatusSuccess {
+	if c.st = fault.Status; c.st != StatusSuccess {
 		d.InjectedErrors++
 		if e.Opcode == OpWrite && fault.TornBlocks > 0 {
 			// The transfer tore mid-flight: a prefix of the data
 			// reaches the volatile cache before the command fails.
 			d.InjectedTorn++
-			torn := fault.TornBlocks
-			if torn > e.NLB {
-				torn = e.NLB
-			}
 			src := e.Data
 			if len(e.SGL) > 0 {
 				src = flattenSGL(e.SGL)
 			}
-			tornData := src[:int(torn)*d.cfg.BlockSize]
-			d.eng.Schedule(200*time.Nanosecond+fault.ExtraLatency, func() {
-				d.writeRaw(e.SLBA, torn, tornData)
-				qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(fault.Status))
-				qp.postCompletion(e.CID, fault.Status)
-			})
-			return
+			c.torn = src[:int(min(fault.TornBlocks, e.NLB))*d.cfg.BlockSize]
 		}
-		d.eng.Schedule(200*time.Nanosecond+fault.ExtraLatency, func() {
-			qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(fault.Status))
-			qp.postCompletion(e.CID, fault.Status)
-		})
+		d.eng.Schedule(200*time.Nanosecond+fault.ExtraLatency, c.fire)
 		return
 	}
-	done := d.completionTime(&e) + fault.ExtraLatency
+	done := d.completionTime(e) + fault.ExtraLatency
 	switch e.Opcode {
 	case OpRead:
 		d.ReadOps++
@@ -397,29 +418,38 @@ func (d *Device) process(qp *QueuePair, e SubmissionEntry) {
 	case OpFlush:
 		d.FlushOps++
 	}
-	d.eng.ScheduleAt(done, func() {
-		// Data movement happens at completion time: a read observes
-		// the medium as of completion; a write lands in the volatile
-		// cache then (a flush makes it durable).
-		switch e.Opcode {
-		case OpRead:
-			if len(e.SGL) > 0 {
-				d.moveSGL(OpRead, e.SLBA, e.NLB, e.SGL)
-			} else {
-				d.readRaw(e.SLBA, e.NLB, e.Data)
-			}
-		case OpWrite:
-			if len(e.SGL) > 0 {
-				d.moveSGL(OpWrite, e.SLBA, e.NLB, e.SGL)
-			} else {
-				d.writeRaw(e.SLBA, e.NLB, e.Data)
-			}
-		case OpFlush:
-			d.destage()
+	d.eng.ScheduleAt(done, c.fire)
+}
+
+// complete is the command's completion event. Data movement happens now: a
+// read observes the medium as of completion; a write lands in the volatile
+// cache now (a flush makes it durable). The record goes back to the free
+// list before the CQE is posted, because posting can run the submitter, and
+// its next command should find this record free.
+func (c *command) complete() {
+	if !c.live {
+		panic("nvme: command record completed after it was recycled")
+	}
+	d, qp, e := c.dev, c.qp, &c.e
+	switch {
+	case c.st != StatusSuccess:
+		if len(c.torn) > 0 {
+			d.writeRaw(e.SLBA, uint32(len(c.torn)/d.cfg.BlockSize), c.torn)
 		}
-		qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(StatusSuccess))
-		qp.postCompletion(e.CID, StatusSuccess)
-	})
+	case e.Opcode == OpFlush:
+		d.destage()
+	case len(e.SGL) > 0:
+		d.moveSGL(e.Opcode, e.SLBA, e.NLB, e.SGL)
+	case e.Opcode == OpRead:
+		d.readRaw(e.SLBA, e.NLB, e.Data)
+	default:
+		d.writeRaw(e.SLBA, e.NLB, e.Data)
+	}
+	qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(c.st))
+	cid, st := e.CID, c.st
+	c.qp, c.e, c.torn, c.live = nil, SubmissionEntry{}, nil, false
+	d.freeCmds = append(d.freeCmds, c)
+	qp.postCompletion(cid, st)
 }
 
 // moveSGL transfers nlb blocks between the medium and a scatter-gather

@@ -9,6 +9,8 @@ package nvme
 
 import (
 	"fmt"
+
+	"aeolia/internal/sim"
 )
 
 // Opcode identifies an NVMe I/O command.
@@ -113,6 +115,13 @@ type SubmissionEntry struct {
 	// values less urgent (drivers encode their delivery class as class+1).
 	// See Coalescing.UrgentMax.
 	Prio uint8
+	// Done, if set, is the submitter's handle for this command: the queue
+	// pair fires it the instant the command's CQE becomes visible, which is
+	// when a poller could discover it. It is the submitter's memory (a
+	// driver keeps it inside its request), so the queue pair allocates
+	// nothing per command. It stands for the host's bookkeeping by CID and
+	// is not part of what the device sees.
+	Done *sim.Completion
 }
 
 // CompletionEntry is one CQ slot.

@@ -110,8 +110,8 @@ type QueuePair struct {
 	// "wire" of the MSI-X interrupt. Polling drivers leave it nil.
 	OnCompletion func(qp *QueuePair)
 
-	// pending maps CID -> per-command completion handles, letting driver
-	// models wait for specific commands.
+	// pending maps CID -> the submitter's completion handle (the entry's
+	// Done), letting driver models wait for specific commands.
 	pending map[uint16]*sim.Completion
 	// prio remembers in-flight commands' non-zero priority tags so the
 	// completion side can apply the per-class coalescing bypass.
@@ -126,6 +126,7 @@ type QueuePair struct {
 	unNotified       int
 	coalesceEv       sim.Timer
 	coalesceDeadline time.Duration
+	coalesceFn       func() // qp.coalesceExpired, bound once
 
 	// Submitted counts commands accepted into the SQ.
 	Submitted uint64
@@ -159,7 +160,7 @@ func (qp *QueuePair) emit(typ trace.Type, cid uint32, lba, aux uint64) {
 }
 
 func newQueuePair(d *Device, id, depth int) *QueuePair {
-	return &QueuePair{
+	qp := &QueuePair{
 		ID:      id,
 		dev:     d,
 		depth:   depth,
@@ -169,6 +170,8 @@ func newQueuePair(d *Device, id, depth int) *QueuePair {
 		pending: make(map[uint16]*sim.Completion),
 		prio:    make(map[uint16]uint8),
 	}
+	qp.coalesceFn = qp.coalesceExpired
+	return qp
 }
 
 // Depth returns the queue depth.
@@ -214,33 +217,31 @@ var ErrSQFull = errors.New("nvme: submission queue full")
 // value" error, AER status 0x1).
 var ErrDoorbell = errors.New("nvme: invalid doorbell write")
 
-// Submitted pairs an accepted command's assigned CID with its completion
-// handle.
-type Submitted struct {
-	CID  uint16
-	Done *sim.Completion
-}
-
 // Submit places one command into the submission queue and rings the tail
-// doorbell: a batch of one. It returns a completion handle that fires when
-// the CQE is posted. The caller must not reuse e.Data until completion.
+// doorbell: a batch of one. It returns the completion handle that fires when
+// the CQE is posted — e.Done, or a fresh one if the caller supplied none.
+// The caller must not reuse e.Data until completion.
 func (qp *QueuePair) Submit(e SubmissionEntry) (*sim.Completion, error) {
-	var one [1]Submitted
-	subs, err := qp.SubmitBatch(one[:0], []SubmissionEntry{e})
-	if err != nil {
+	if e.Done == nil {
+		e.Done = sim.NewCompletion()
+	}
+	one := [1]SubmissionEntry{e}
+	var cid [1]uint16
+	if _, err := qp.SubmitBatch(cid[:0], one[:]); err != nil {
 		return nil, err
 	}
-	return subs[0].Done, nil
+	return e.Done, nil
 }
 
 // SubmitBatch places all entries into the submission queue and rings the
 // tail doorbell once — the batched-submission hot path: N commands, one
-// MMIO write, and the device drains the whole burst. The accepted commands
-// are appended to dst (nil, or a caller-owned scratch slice) in entry order.
+// MMIO write, and the device drains the whole burst. The CIDs assigned to the
+// accepted commands are appended to dst (nil, or a caller-owned scratch
+// slice) in entry order.
 // The batch is all-or-nothing: if the SQ lacks room for every entry, nothing
 // is enqueued and ErrSQFull is returned. Callers must not reuse any entry's
 // Data until its completion fires.
-func (qp *QueuePair) SubmitBatch(dst []Submitted, entries []SubmissionEntry) ([]Submitted, error) {
+func (qp *QueuePair) SubmitBatch(dst []uint16, entries []SubmissionEntry) ([]uint16, error) {
 	n := len(entries)
 	if n == 0 {
 		return dst, nil
@@ -256,18 +257,19 @@ func (qp *QueuePair) SubmitBatch(dst []Submitted, entries []SubmissionEntry) ([]
 		e.CID = qp.nextCID
 		qp.sq[tail] = e
 		tail = (tail + 1) % qp.depth
-		comp := sim.NewCompletion()
-		qp.pending[e.CID] = comp
+		if e.Done != nil {
+			qp.pending[e.CID] = e.Done
+		}
 		if e.Prio != 0 {
 			qp.prio[e.CID] = e.Prio
 		}
-		dst = append(dst, Submitted{CID: e.CID, Done: comp})
+		dst = append(dst, e.CID)
 		qp.emit(trace.SQEPrep, uint32(e.CID), e.SLBA, uint64(e.NLB))
 	}
 	if err := qp.WriteSQDoorbell(tail); err != nil {
-		for _, s := range dst[base:] {
-			delete(qp.pending, s.CID)
-			delete(qp.prio, s.CID)
+		for _, cid := range dst[base:] {
+			delete(qp.pending, cid)
+			delete(qp.prio, cid)
 		}
 		return dst[:base], err
 	}
@@ -293,7 +295,7 @@ func (qp *QueuePair) WriteSQDoorbell(tail int) error {
 	// are fully written above.
 	qp.sqTail.Store(int64(tail))
 	for head != tail {
-		e := qp.sq[head]
+		e := &qp.sq[head]
 		head = (head + 1) % qp.depth
 		qp.sqHead.Store(int64(head))
 		qp.Submitted++
@@ -351,8 +353,11 @@ func (qp *QueuePair) postCompletion(cid uint16, st Status) {
 		comp.FireAt(qp.dev.eng.Now())
 	}
 
-	prio := qp.prio[cid]
-	delete(qp.prio, cid)
+	var prio uint8
+	if len(qp.prio) > 0 {
+		prio = qp.prio[cid]
+		delete(qp.prio, cid)
+	}
 	qp.signalCompletion(cid, prio)
 }
 
@@ -398,12 +403,15 @@ func (qp *QueuePair) signalCompletion(cid uint16, prio uint8) {
 // armCoalesce schedules the aggregation timer to fire at deadline.
 func (qp *QueuePair) armCoalesce(deadline time.Duration) {
 	qp.coalesceDeadline = deadline
-	qp.coalesceEv = qp.dev.eng.Schedule(deadline-qp.dev.eng.Now(), func() {
-		qp.coalesceEv = sim.Timer{}
-		if qp.unNotified > 0 {
-			qp.raiseCoalesced()
-		}
-	})
+	qp.coalesceEv = qp.dev.eng.Schedule(deadline-qp.dev.eng.Now(), qp.coalesceFn)
+}
+
+// coalesceExpired is the aggregation timer running out.
+func (qp *QueuePair) coalesceExpired() {
+	qp.coalesceEv = sim.Timer{}
+	if qp.unNotified > 0 {
+		qp.raiseCoalesced()
+	}
 }
 
 // raiseCoalesced fires the aggregated CQ interrupt and resets the
@@ -423,12 +431,17 @@ func (qp *QueuePair) raiseCoalesced() {
 	qp.OnCompletion(qp)
 }
 
-// Poll consumes up to max CQEs (0 = all available), firing their completion
-// handles, and returns them. This is the polling/interrupt-handler consume
-// path; it advances the CQ head doorbell.
-func (qp *QueuePair) Poll(max int) []CompletionEntry {
-	var out []CompletionEntry
-	for qp.cqCount.Load() > 0 && (max == 0 || len(out) < max) {
+// Poll consumes up to max CQEs (0 = all available) and returns them. This is
+// the polling/interrupt-handler consume path; it advances the CQ head
+// doorbell.
+func (qp *QueuePair) Poll(max int) []CompletionEntry { return qp.PollAppend(nil, max) }
+
+// PollAppend is Poll appending to out (a caller-owned scratch slice, as in
+// SubmitBatch), so a handler that drains into a buffer on its stack
+// allocates nothing.
+func (qp *QueuePair) PollAppend(out []CompletionEntry, max int) []CompletionEntry {
+	base := len(out)
+	for qp.cqCount.Load() > 0 && (max == 0 || len(out)-base < max) {
 		head := int(qp.cqHead.Load())
 		ce := qp.cq[head]
 		qp.cqHead.Store(int64((head + 1) % qp.depth))

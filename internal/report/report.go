@@ -116,9 +116,8 @@ func (t *Table) Markdown(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// JSON writes a machine-readable rendering (one object per table). CI's
-// bench-smoke job archives this as the BENCH_* trajectory artifact, so the
-// field names are part of that contract.
+// JSON writes a machine-readable rendering (one object per table): what
+// `aeobench -json` prints, so the field names are that flag's contract.
 func WriteJSON(w io.Writer, tables []*Table) error {
 	type jsonTable struct {
 		ID      string     `json:"id"`

@@ -65,6 +65,9 @@ type Port struct {
 	cfg  Config
 	task *sim.Task
 	upid *uintr.UPID
+	// handlerFrame is p.runHandlerFrame, bound once: the resume hook every
+	// kernel-path delivery pushes.
+	handlerFrame func() time.Duration
 
 	// Stats. Atomic: the IRQ-context paths bump them and the race tier
 	// hammers them from real goroutines.
@@ -85,6 +88,7 @@ func (p *Port) Bind(env *sim.Env, kern *aeokern.Kernel, gate *mpk.Gate, ep *nets
 	upid, _ := kern.MapUPID(t.Affinity(), vec, gate)
 	upid.Classes = cfg.Classes
 	p.kern, p.ep, p.cfg, p.task, p.upid = kern, ep, cfg, t, upid
+	p.handlerFrame = p.runHandlerFrame
 	kern.RegisterThreadUintr(t, vec, upid, p.userHandler)
 	eng := kern.Engine()
 	ep.SetOnDeliver(func(m *netsim.Msg) {
@@ -165,6 +169,17 @@ func (p *Port) userHandler(ctx *sim.IRQCtx, uv uint8) {
 	}
 }
 
+// runHandlerFrame is the handler frame the kernel path inserts: it runs on
+// the task's own CPU time when the task is switched back in.
+func (p *Port) runHandlerFrame() time.Duration {
+	core := -1
+	if c := p.task.Core(); c != nil {
+		core = c.ID
+	}
+	p.runHandler(core, trace.KernelPathAux)
+	return timing.HandlerExec
+}
+
 // kernelDeliver is the out-of-schedule path: the notification vector missed
 // UINV (the task is context-switched out), so it arrives as a kernel
 // interrupt. The kernel consumes the PIR, inserts the handler frame to run
@@ -181,14 +196,7 @@ func (p *Port) kernelDeliver(ctx *sim.IRQCtx, vec int) {
 		p.runHandler(ctx.Core().ID, trace.KernelPathAux)
 		return
 	}
-	t.PushResumeHook(func() time.Duration {
-		core := -1
-		if c := t.Core(); c != nil {
-			core = c.ID
-		}
-		p.runHandler(core, trace.KernelPathAux)
-		return timing.HandlerExec
-	})
+	t.PushResumeHook(p.handlerFrame)
 	switch t.State() {
 	case sim.TaskBlocked:
 		ctx.Charge(timing.WakeupTTWU)

@@ -8,6 +8,7 @@ import (
 
 	"aeolia/internal/aeodriver"
 	"aeolia/internal/aeokern"
+	"aeolia/internal/alloctest"
 	"aeolia/internal/machine"
 	"aeolia/internal/netsim"
 	"aeolia/internal/nvme"
@@ -214,5 +215,59 @@ func TestWaitAssertion(t *testing.T) {
 	}
 	if queued != "rxport: rx waits with SN=false and 1 frames queued" {
 		t.Errorf("queued wait: recovered %v, want the port's assertion", queued)
+	}
+}
+
+// TestAllocsMaskedReceive: a frame that lands while the task drains its inbox
+// costs the port nothing — no interrupt, and a Recv plus the work on the
+// frame that allocate nothing, in the port or in the engine under it. (The
+// frames are sent up front: what a frame costs the fabric is netsim's.)
+func TestAllocsMaskedReceive(t *testing.T) {
+	const frames, work = 600, 5 * time.Microsecond
+	got := 0
+	r := newPortRig(t, true, 0, func(r *portRig, env *sim.Env) {
+		for f := r.port.Recv(env); f != nil; f = r.port.Recv(env) {
+			got++
+			env.Exec(work)
+		}
+	})
+	payloads := make([]string, frames)
+	for i := range payloads {
+		payloads[i] = "lo"
+	}
+	r.send(50*time.Microsecond, netsim.TxCost, payloads...)
+	for r.fab.Endpoint("rx").Delivered < frames || got == 0 {
+		r.m.Eng.Run(r.m.Eng.Now() + 10*time.Microsecond)
+	}
+	if left := frames - got; left < 400 {
+		t.Fatalf("only %d frames left in the inbox: the receiver is not the slow side", left)
+	}
+	sent := r.port.upid.NotifySent.Load()
+	alloctest.AtMost(t, 0, 10, func() { r.m.Eng.Run(r.m.Eng.Now() + 10*work) })
+	if r.port.upid.NotifySent.Load() != sent || !r.port.upid.SN {
+		t.Fatalf("%d notifications during the drain, SN=%v: the drain was not masked",
+			r.port.upid.NotifySent.Load()-sent, r.port.upid.SN)
+	}
+}
+
+// TestAllocsKernelPathDelivery: the out-of-schedule path — kernel interrupt,
+// handler frame pushed, task woken and switched in, frame run, arrival
+// signalled, Recv back in its wait — allocates nothing either. The posts come
+// straight from an event, as the endpoint's delivery hook would make them,
+// with no frame behind them: Recv finds the inbox empty and waits again.
+func TestAllocsKernelPathDelivery(t *testing.T) {
+	r := newPortRig(t, false, 0, nil)
+	eng := r.m.Eng
+	var post func()
+	post = func() {
+		uintr.PostAndNotify(eng, r.port.upid, loVec)
+		eng.Schedule(20*time.Microsecond, post)
+	}
+	eng.Run(40 * time.Microsecond) // bound, and blocked in its first wait
+	post()
+	alloctest.AtMost(t, 0, 10, func() { eng.Run(eng.Now() + 200*time.Microsecond) })
+	// (The last delivery's frame may still be waiting for its task's switch-in.)
+	if k, h := r.port.KernelDeliveries.Load(), r.port.HandlerRuns.Load(); k < 200 || h+1 < k {
+		t.Fatalf("%d kernel deliveries, %d handler runs: the gate measured something else", k, h)
 	}
 }

@@ -5,42 +5,48 @@ import (
 	"time"
 )
 
-// Trace, when set, receives engine execution-path notes (debugging).
+// Trace, when set, receives engine execution-path notes (debugging). Every
+// call site tests it first, so no argument is evaluated or boxed while it is
+// nil.
 var Trace func(format string, args ...any)
-
-func debugf(format string, args ...any) {
-	if Trace != nil {
-		Trace(format, args...)
-	}
-}
 
 // IRQHandler handles an interrupt vector raised on a core. It runs in
 // "interrupt context": it may charge time via ctx.Charge, wake tasks, fire
 // completions, and request rescheduling, but must not block.
 type IRQHandler func(ctx *IRQCtx, vector int)
 
-// IRQCtx is the context passed to interrupt handlers.
+// IRQCtx is the context passed to interrupt handlers. It is valid until the
+// handler returns and no longer: it lives in the core's recycled IRQ frame,
+// so a context kept past that point would read and charge some later
+// interrupt. Every method panics on one instead.
 type IRQCtx struct {
 	eng  *Engine
 	core *Core
 	cost time.Duration
+	live bool // the handler this context was handed to is still running
+}
+
+func (c *IRQCtx) check() {
+	if !c.live {
+		panic("sim: IRQCtx used after its interrupt handler returned")
+	}
 }
 
 // Charge adds d to the time consumed by this interrupt on the core.
-func (c *IRQCtx) Charge(d time.Duration) { c.cost += d }
+func (c *IRQCtx) Charge(d time.Duration) { c.check(); c.cost += d }
 
 // Engine returns the owning engine.
-func (c *IRQCtx) Engine() *Engine { return c.eng }
+func (c *IRQCtx) Engine() *Engine { c.check(); return c.eng }
 
 // Core returns the interrupted core.
-func (c *IRQCtx) Core() *Core { return c.core }
+func (c *IRQCtx) Core() *Core { c.check(); return c.core }
 
 // Now returns the current virtual time on the interrupted core.
-func (c *IRQCtx) Now() time.Duration { return c.core.now() }
+func (c *IRQCtx) Now() time.Duration { c.check(); return c.core.now() }
 
 // Current returns the task that was running when the interrupt arrived
 // (nil if the core was idle).
-func (c *IRQCtx) Current() *Task { return c.core.current }
+func (c *IRQCtx) Current() *Task { c.check(); return c.core.current }
 
 type pendingIRQ struct {
 	vector int
@@ -50,13 +56,15 @@ type pendingIRQ struct {
 // frame is started by startIRQ and charges its handler cost through endEv;
 // nested frames (preemptive delivery of a more urgent vector) run their
 // handler synchronously and push their cost into the frame they
-// interrupted.
+// interrupted. A core allocates one frame per nesting depth it ever reaches
+// and reuses it for every later interrupt at that depth.
 type irqFrame struct {
+	IRQCtx
 	vector int
 	rank   int
-	ctx    *IRQCtx
 	endEv  Timer         // bottom frame only: pending end-of-IRQ event
 	endAt  time.Duration // virtual time endEv fires at
+	end    func()        // c.frameEnd(f), bound when the frame is allocated
 }
 
 // DefaultMaxIRQNest bounds the IRQ stack depth (bottom frame plus nested
@@ -89,7 +97,8 @@ type Core struct {
 	inIRQ        bool
 	inTransition bool
 	pending      []pendingIRQ
-	irqStack     []*irqFrame
+	irqFrames    []*irqFrame // irqFrames[:irqDepth] is the IRQ stack, the rest are retired frames awaiting reuse
+	irqDepth     int
 	irqRank      func(vector int) int
 
 	// MaxIRQNest bounds the IRQ stack depth when an IRQ ranking is
@@ -97,7 +106,7 @@ type Core struct {
 	MaxIRQNest int
 
 	// inBody is set while control is handed to the current task's body
-	// goroutine (between resume and yield). The body is the only context
+	// (from t.next() until it parks). The body is the only context
 	// that can execute during that window, and it cannot be suspended
 	// mid-statement: scheduling operations it triggers (wakes, spawns)
 	// must defer preemption of this core to the next decision point.
@@ -106,6 +115,15 @@ type Core struct {
 	irqHandler IRQHandler
 
 	tickEv Timer
+
+	// incoming is the task a charged transition (switch-in, or the resume
+	// hooks' handler frame) is on its way to; at most one is in flight
+	// because inTransition is set for its duration.
+	incoming *Task
+
+	// The core's event callbacks, bound once so that scheduling one
+	// allocates nothing.
+	execDoneFn, tickFn, idledFn, switchedFn, hookedFn func()
 
 	// Stats.
 	IdleTime       time.Duration
@@ -117,7 +135,9 @@ type Core struct {
 }
 
 func newCore(e *Engine, id int) *Core {
-	return &Core{ID: id, eng: e, idle: true}
+	c := &Core{ID: id, eng: e, idle: true}
+	c.execDoneFn, c.tickFn, c.idledFn, c.switchedFn, c.hookedFn = c.execDone, c.tick, c.idled, c.switched, c.hooked
+	return c
 }
 
 // Current returns the task running on the core, or nil if idle.
@@ -219,8 +239,8 @@ func (c *Core) RaiseIRQ(vector int) {
 		return
 	}
 	if c.inIRQ {
-		if c.irqRank != nil && len(c.irqStack) < c.maxNest() {
-			if inner := c.irqStack[len(c.irqStack)-1]; c.irqRank(vector) < inner.rank {
+		if c.irqRank != nil && c.irqDepth < c.maxNest() {
+			if inner := c.irqFrames[c.irqDepth-1]; c.irqRank(vector) < inner.rank {
 				c.nestIRQ(vector)
 				return
 			}
@@ -231,11 +251,35 @@ func (c *Core) RaiseIRQ(vector int) {
 	c.startIRQ(vector)
 }
 
+// pushFrame opens the IRQ frame for the next nesting depth.
+func (c *Core) pushFrame(vector int) *irqFrame {
+	if c.irqDepth == len(c.irqFrames) {
+		f := &irqFrame{IRQCtx: IRQCtx{eng: c.eng, core: c}}
+		f.end = func() { c.frameEnd(f) }
+		c.irqFrames = append(c.irqFrames, f)
+	}
+	f := c.irqFrames[c.irqDepth]
+	f.vector, f.rank, f.cost = vector, c.rankOf(vector), 0
+	c.irqDepth++
+	return f
+}
+
+// handle runs the core's interrupt handler on f; f's context is valid for
+// exactly that long.
+func (c *Core) handle(f *irqFrame) {
+	if c.irqHandler != nil {
+		f.live = true
+		c.irqHandler(&f.IRQCtx, f.vector)
+		f.live = false
+	}
+}
+
 func (c *Core) startIRQ(vector int) {
-	e := c.eng
 	now := c.now()
 	c.IRQCount++
-	debugf("%v core%d startIRQ vec=%d cur=%v", now, c.ID, vector, c.current)
+	if Trace != nil {
+		Trace("%v core%d startIRQ vec=%d cur=%v", now, c.ID, vector, c.current)
+	}
 	if c.idle {
 		// Fold accumulated idle time but keep the core logically idle:
 		// the ISR interrupts the idle loop, and leaving idle (with its
@@ -248,14 +292,11 @@ func (c *Core) startIRQ(vector int) {
 		c.suspendExec()
 	}
 	c.inIRQ = true
-	f := &irqFrame{vector: vector, rank: c.rankOf(vector), ctx: &IRQCtx{eng: e, core: c}}
-	c.irqStack = append(c.irqStack, f)
-	if c.irqHandler != nil {
-		c.irqHandler(f.ctx, vector)
-	}
-	if f.ctx.cost > 0 {
-		f.endAt = c.now() + f.ctx.cost
-		f.endEv = c.Schedule(f.ctx.cost, func() { c.frameEnd(f) })
+	f := c.pushFrame(vector)
+	c.handle(f)
+	if f.cost > 0 {
+		f.endAt = c.now() + f.cost
+		f.endEv = c.Schedule(f.cost, f.end)
 		return
 	}
 	c.frameEnd(f)
@@ -267,28 +308,26 @@ func (c *Core) startIRQ(vector int) {
 // interrupted handler is itself still executing, by folding into the charge
 // it is accumulating.
 func (c *Core) nestIRQ(vector int) {
-	e := c.eng
 	c.IRQCount++
 	c.NestedIRQCount++
-	debugf("%v core%d nestIRQ vec=%d depth=%d", c.now(), c.ID, vector, len(c.irqStack))
-	f := &irqFrame{vector: vector, rank: c.rankOf(vector), ctx: &IRQCtx{eng: e, core: c}}
-	c.irqStack = append(c.irqStack, f)
-	if c.irqHandler != nil {
-		c.irqHandler(f.ctx, vector)
+	if Trace != nil {
+		Trace("%v core%d nestIRQ vec=%d depth=%d", c.now(), c.ID, vector, c.irqDepth)
 	}
-	c.irqStack = c.irqStack[:len(c.irqStack)-1]
-	cost := f.ctx.cost
+	f := c.pushFrame(vector)
+	c.handle(f)
+	c.irqDepth--
+	cost := f.cost
 	if cost <= 0 {
 		return
 	}
-	parent := c.irqStack[len(c.irqStack)-1]
+	parent := c.irqFrames[c.irqDepth-1]
 	if !parent.endEv.Armed() {
-		parent.ctx.cost += cost
+		parent.cost += cost
 		return
 	}
 	parent.endEv.Cancel()
 	parent.endAt += cost
-	parent.endEv = c.ScheduleAt(parent.endAt, func() { c.frameEnd(parent) })
+	parent.endEv = c.ScheduleAt(parent.endAt, parent.end)
 }
 
 // suspendExec pauses the current task's Exec/Spin slice, folding the elapsed
@@ -299,7 +338,9 @@ func (c *Core) suspendExec() {
 		return
 	}
 	now := c.now()
-	debugf("%v core%d suspendExec %s op=%d ev=%v", now, c.ID, t.Name, t.op, c.execEv.Armed())
+	if Trace != nil {
+		Trace("%v core%d suspendExec %s op=%d ev=%v", now, c.ID, t.Name, t.op, c.execEv.Armed())
+	}
 	elapsed := now - c.execStart
 	t.CPUTime += elapsed
 	switch t.op {
@@ -337,13 +378,13 @@ func (c *Core) resumeExec() {
 				c.execEvFrom, c.execEv.At(), c.now(), t.Name))
 		}
 		c.execEvFrom = "resumeExec"
-		c.execEv = c.Schedule(t.execRem, func() { c.execDone() })
+		c.execEv = c.Schedule(t.execRem, c.execDoneFn)
 	case opSpin:
 		if t.spinOn.Done() {
 			c.eng.runCurrent(c)
 			return
 		}
-		// Keep spinning; the completion's OnFire hook resumes us.
+		// Keep spinning; the completion releases us when it fires.
 	default:
 		c.eng.runCurrent(c)
 	}
@@ -363,11 +404,13 @@ func (c *Core) execDone() {
 // frameEnd retires the bottom IRQ frame once its charged cost has elapsed
 // (nested frames retire synchronously inside nestIRQ).
 func (c *Core) frameEnd(f *irqFrame) {
-	debugf("%v core%d endIRQ vec=%d cur=%v", c.now(), c.ID, f.vector, c.current)
-	if n := len(c.irqStack); n == 0 || c.irqStack[n-1] != f {
+	if Trace != nil {
+		Trace("%v core%d endIRQ vec=%d cur=%v", c.now(), c.ID, f.vector, c.current)
+	}
+	if n := c.irqDepth; n == 0 || c.irqFrames[n-1] != f {
 		panic("sim: IRQ frame ended out of order")
 	}
-	c.irqStack = c.irqStack[:len(c.irqStack)-1]
+	c.irqDepth--
 	f.endEv = Timer{}
 	c.inIRQ = false
 	if len(c.pending) > 0 {
@@ -435,26 +478,27 @@ func (c *Core) goIdle() {
 }
 
 func (c *Core) armTick() {
-	e := c.eng
-	if e.TickPeriod <= 0 || c.tickEv.Armed() {
+	if c.eng.TickPeriod <= 0 || c.tickEv.Armed() {
 		return
 	}
-	var tick func()
-	tick = func() {
-		c.tickEv = Timer{}
-		if c.current == nil {
-			return
-		}
-		c.tickEv = c.Schedule(e.TickPeriod, tick)
-		if e.sched != nil {
-			e.sched.Tick(c)
-		}
-		if c.needResched && !c.inIRQ && !c.inTransition && c.current != nil {
-			c.suspendExec()
-			e.preemptCurrent(c)
-		}
+	c.tickEv = c.Schedule(c.eng.TickPeriod, c.tickFn)
+}
+
+// tick is the scheduler tick: it re-arms itself while the core runs a task.
+func (c *Core) tick() {
+	e := c.eng
+	c.tickEv = Timer{}
+	if c.current == nil {
+		return
 	}
-	c.tickEv = c.Schedule(e.TickPeriod, tick)
+	c.tickEv = c.Schedule(e.TickPeriod, c.tickFn)
+	if e.sched != nil {
+		e.sched.Tick(c)
+	}
+	if c.needResched && !c.inIRQ && !c.inTransition && c.current != nil {
+		c.suspendExec()
+		e.preemptCurrent(c)
+	}
 }
 
 func (c *Core) stopTick() {
@@ -511,15 +555,7 @@ func (e *Engine) reschedule(c *Core, charge bool) {
 			// overlapped with whatever the core was waiting for.
 			if charge && e.CtxSwitchCost > 0 {
 				c.inTransition = true
-				c.Schedule(e.CtxSwitchCost, func() {
-					c.inTransition = false
-					if c.current == nil && e.sched.NrRunnable(c) > 0 {
-						e.reschedule(c, true)
-						return
-					}
-					c.goIdle()
-					c.drainPending()
-				})
+				c.Schedule(e.CtxSwitchCost, c.idledFn)
 				return
 			}
 			c.goIdle()
@@ -541,13 +577,46 @@ func (e *Engine) reschedule(c *Core, charge bool) {
 	c.needResched = false
 	if cost > 0 {
 		c.inTransition = true
-		c.Schedule(cost, func() {
-			c.inTransition = false
-			e.startTask(c, next)
-		})
+		c.incoming = next
+		c.Schedule(cost, c.switchedFn)
 		return
 	}
 	e.startTask(c, next)
+}
+
+// idled ends the charged switch to the idle task.
+func (c *Core) idled() {
+	c.inTransition = false
+	if c.current == nil && c.eng.sched.NrRunnable(c) > 0 {
+		c.eng.reschedule(c, true)
+		return
+	}
+	c.goIdle()
+	c.drainPending()
+}
+
+// endTransition ends a charged transition and returns the task it was for.
+func (c *Core) endTransition() *Task {
+	t := c.incoming
+	c.incoming = nil
+	c.inTransition = false
+	return t
+}
+
+// switched ends the charged switch to the incoming task.
+func (c *Core) switched() { c.eng.startTask(c, c.endTransition()) }
+
+// hooked ends the handler frame startTask charged for the incoming task's
+// resume hooks.
+func (c *Core) hooked() {
+	t := c.endTransition()
+	if c.current != t {
+		return
+	}
+	if Trace != nil {
+		Trace("%v core%d hook-continue %s op=%d", c.now(), c.ID, t.Name, t.op)
+	}
+	c.eng.continueTask(c, t)
 }
 
 func (c *Core) drainPending() {
@@ -558,7 +627,9 @@ func (c *Core) drainPending() {
 
 // startTask makes t current on c and resumes its body.
 func (e *Engine) startTask(c *Core, t *Task) {
-	debugf("%v core%d startTask %s op=%d", c.now(), c.ID, t.Name, t.op)
+	if Trace != nil {
+		Trace("%v core%d startTask %s op=%d", c.now(), c.ID, t.Name, t.op)
+	}
 	c.SwitchCount++
 	c.current = t
 	t.core = c
@@ -580,21 +651,15 @@ func (e *Engine) startTask(c *Core, t *Task) {
 		c.inTransition = true
 		var cost time.Duration
 		for len(t.onResume) > 0 {
-			fn := t.onResume[0]
-			t.onResume = t.onResume[1:]
-			cost += fn()
+			cost += t.popResumeHook()()
 		}
 		if cost > 0 {
-			debugf("%v core%d hook-transition %s cost=%v", c.now(), c.ID, t.Name, cost)
+			if Trace != nil {
+				Trace("%v core%d hook-transition %s cost=%v", c.now(), c.ID, t.Name, cost)
+			}
 			t.CPUTime += cost
-			c.Schedule(cost, func() {
-				c.inTransition = false
-				if c.current != t {
-					return
-				}
-				debugf("%v core%d hook-continue %s op=%d", c.now(), c.ID, t.Name, t.op)
-				e.continueTask(c, t)
-			})
+			c.incoming = t
+			c.Schedule(cost, c.hookedFn)
 			return
 		}
 		c.inTransition = false
@@ -620,7 +685,7 @@ func (e *Engine) continueTask(c *Core, t *Task) {
 	}
 }
 
-// runCurrent resumes the current task's goroutine and services the ops it
+// runCurrent resumes the current task's body and services the ops it
 // parks with, until the task starts a timed wait (exec/spin) or leaves the
 // core (block/yield/done).
 func (e *Engine) runCurrent(c *Core) {
@@ -629,13 +694,16 @@ func (e *Engine) runCurrent(c *Core) {
 		if t == nil {
 			panic("sim: runCurrent on idle core")
 		}
-		debugf("%v core%d runCurrent resume %s", c.now(), c.ID, t.Name)
+		if Trace != nil {
+			Trace("%v core%d runCurrent resume %s", c.now(), c.ID, t.Name)
+		}
 		// Hand control to the task body.
 		c.inBody = true
-		t.resume <- struct{}{}
-		<-t.yield
+		t.next()
 		c.inBody = false
-		debugf("%v core%d parked %s op=%d", c.now(), c.ID, t.Name, t.op)
+		if Trace != nil {
+			Trace("%v core%d parked %s op=%d", c.now(), c.ID, t.Name, t.op)
+		}
 
 		switch t.op {
 		case opExec:
@@ -651,7 +719,7 @@ func (e *Engine) runCurrent(c *Core) {
 				panic("sim: runCurrent of " + t.Name + " overwriting pending execEv from " + c.execEvFrom)
 			}
 			c.execEvFrom = "runCurrent"
-			c.execEv = c.Schedule(rem, func() { c.execDone() })
+			c.execEv = c.Schedule(rem, c.execDoneFn)
 			return
 		case opSpin:
 			if t.spinOn.Done() {
@@ -662,9 +730,7 @@ func (e *Engine) runCurrent(c *Core) {
 				return
 			}
 			c.execStart = c.now()
-			comp := t.spinOn
-			spinTask := t
-			comp.OnFire(func() { e.spinFired(spinTask) })
+			t.spinOn.wait(t, opSpin)
 			return
 		case opBlock:
 			if e.TaskStopHook != nil {

@@ -2,17 +2,25 @@
 // machine: virtual nanosecond time, simulated cores, tasks (coroutines),
 // interrupt delivery, and a pluggable thread scheduler.
 //
-// The engine and every task body execute mutually exclusively — control is
-// handed back and forth over unbuffered channels — so simulations are
-// deterministic and free of data races by construction, while task bodies
-// are written as ordinary sequential Go code.
+// The engine and every task body execute mutually exclusively — a task body
+// is a coroutine of the engine (iter.Pull) and a park is a direct switch —
+// so simulations are deterministic and free of data races by construction,
+// while task bodies are written as ordinary sequential Go code.
 //
 // Scale refactor: events live in a sharded calendar (per-lane heaps under a
-// global min-index), event nodes and task-runner goroutines are pooled, and
-// — when Config.ParallelLanes is set — lanes whose next events fall inside
-// a conservative lookahead window execute concurrently between barriers,
-// with a merge that reassigns sequence numbers in exactly the order a
-// serial run would have, so results stay byte-identical either way.
+// global min-index), event nodes are pooled, and — when Config.ParallelLanes
+// is set — lanes whose next events fall inside a conservative lookahead
+// window execute concurrently between barriers, with a merge that reassigns
+// sequence numbers in exactly the order a serial run would have, so results
+// stay byte-identical either way.
+//
+// The steady state allocates nothing: an event is a pooled node carrying a
+// callback its owner bound once (a core's exec-done, tick and transition
+// ends, an IRQ frame's end), interrupt frames are recycled per core and
+// nesting depth, and a task waiting on a Completion sits in the completion's
+// own waiter slot. Every such pool belongs to the object whose lane runs it,
+// never to the engine, so parallel windows stay race-free and (at, seq)
+// order cannot depend on it.
 //
 // All latency- and scheduling-sensitive experiments of the Aeolia
 // reproduction (Figures 2-5, 10-13, 17) run on this engine; the calibrated
@@ -21,7 +29,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,12 +85,6 @@ type Engine struct {
 	cores []*Core
 	sched Scheduler
 	tasks []*Task
-
-	// Task-runner goroutine pool: finished tasks release their runner for
-	// the next Spawn instead of leaking a parked goroutine per task.
-	runnersMu   sync.Mutex
-	freeRunners []*runner
-	allRunners  []*runner
 
 	liveTasks atomic.Int64
 	running   bool
@@ -347,8 +348,7 @@ func (e *Engine) cancelEvent(ev *Event) {
 }
 
 // Spawn creates a task pinned to core and makes it runnable at the current
-// virtual time. The body runs on a pooled runner goroutine under the
-// engine's coroutine discipline.
+// virtual time. The body runs as a coroutine of the engine.
 func (e *Engine) Spawn(name string, core *Core, body func(*Env)) *Task {
 	if e.win != nil {
 		panic("sim: Spawn during a parallel window (spawn serially, e.g. before ParallelAfter)")
@@ -362,14 +362,11 @@ func (e *Engine) Spawn(name string, core *Core, body func(*Env)) *Task {
 		core:  nil,
 	}
 	t.affinity = core
+	t.wakeFn = func() { e.Wake(t) }
 	e.tasks = append(e.tasks, t)
 	e.liveTasks.Add(1)
 
-	r := e.takeRunner()
-	t.runner = r
-	t.resume = r.resume
-	t.yield = r.yield
-	r.assign <- t
+	t.start()
 
 	t.state = TaskRunnable
 	t.StartedAt = e.now
@@ -377,66 +374,6 @@ func (e *Engine) Spawn(name string, core *Core, body func(*Env)) *Task {
 	e.sched.Enqueue(t)
 	e.kickAfterWake(t)
 	return t
-}
-
-// runner is a pooled task-frame: a goroutine plus its handoff channels,
-// reused across task lifetimes so churny workloads do not pay a goroutine
-// spawn (and leak a parked goroutine) per task.
-type runner struct {
-	assign chan *Task
-	resume chan struct{}
-	yield  chan struct{}
-}
-
-func (r *runner) loop() {
-	for t := range r.assign {
-		runTask(t)
-	}
-}
-
-func runTask(t *Task) {
-	// Wait for the first dispatch.
-	<-t.resume
-	defer func() {
-		if rec := recover(); rec != nil {
-			if rec != errAborted {
-				panic(rec)
-			}
-			// Aborted by Engine.Shutdown: unwind quietly and return the
-			// runner to its assign loop.
-			t.yield <- struct{}{}
-		}
-	}()
-	t.body(&Env{t: t})
-	t.op = opDone
-	t.yield <- struct{}{}
-}
-
-func (e *Engine) takeRunner() *runner {
-	e.runnersMu.Lock()
-	if n := len(e.freeRunners); n > 0 {
-		r := e.freeRunners[n-1]
-		e.freeRunners = e.freeRunners[:n-1]
-		e.runnersMu.Unlock()
-		return r
-	}
-	e.runnersMu.Unlock()
-	r := &runner{
-		assign: make(chan *Task),
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	e.allRunners = append(e.allRunners, r)
-	go r.loop()
-	return r
-}
-
-// releaseRunner returns a finished task's runner to the pool. Called from
-// the dispatch path, which may be a lane goroutine, hence the mutex.
-func (e *Engine) releaseRunner(r *runner) {
-	e.runnersMu.Lock()
-	e.freeRunners = append(e.freeRunners, r)
-	e.runnersMu.Unlock()
 }
 
 var errAborted = fmt.Errorf("sim: task aborted")
@@ -526,33 +463,22 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 // LiveTasks returns the number of tasks not yet finished.
 func (e *Engine) LiveTasks() int { return int(e.liveTasks.Load()) }
 
-// Shutdown aborts all unfinished task goroutines and retires the runner
-// pool so tests do not leak goroutines. The simulation must not be Run
-// again afterwards.
+// Shutdown unwinds every unfinished task body (its deferred functions run; a
+// body that was never dispatched never starts) so that nothing of the engine
+// is left running. The simulation must not be Run again afterwards.
 func (e *Engine) Shutdown() {
 	for _, t := range e.tasks {
-		if t.state == TaskDone || t.state == TaskNew {
+		if t.state == TaskDone {
 			continue
 		}
-		t.aborted = true
-		t.resume <- struct{}{}
-		<-t.yield
 		t.state = TaskDone
+		t.stop()
 	}
-	for _, r := range e.allRunners {
-		close(r.assign)
-	}
-	e.allRunners = nil
-	e.freeRunners = nil
 }
 
 func (e *Engine) taskFinished(t *Task) {
 	t.FinishedAt = t.affinity.now()
 	e.liveTasks.Add(-1)
-	if t.runner != nil {
-		e.releaseRunner(t.runner)
-		t.runner = nil
-	}
 }
 
 // DebugCore renders a core's execution state (diagnostics).

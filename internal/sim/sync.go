@@ -64,10 +64,21 @@ func (m *Mutex) unlock(e *Engine) {
 		m.owner = nil
 		return
 	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
+	next := popWaiter(&m.waiters)
 	m.owner = next
 	e.Wake(next)
+}
+
+// popWaiter takes the longest-waiting task off a FIFO of waiters, moving the
+// rest down: q = q[1:] would walk the array's base forward until every
+// append had to reallocate, and these queues are a handful of tasks long.
+func popWaiter(q *[]*Task) *Task {
+	s := *q
+	t := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	*q = s[:n]
+	return t
 }
 
 // Locked reports whether the mutex is held.
@@ -146,8 +157,7 @@ func (rw *RWMutex) dispatch(e *Engine) {
 		return
 	}
 	if rw.readers == 0 && len(rw.waitWriters) > 0 {
-		next := rw.waitWriters[0]
-		rw.waitWriters = rw.waitWriters[1:]
+		next := popWaiter(&rw.waitWriters)
 		rw.writer = next
 		e.Wake(next)
 		return
@@ -191,9 +201,7 @@ func (wq *WaitQueue) Signal(e *Engine) bool {
 	if len(wq.waiters) == 0 {
 		return false
 	}
-	t := wq.waiters[0]
-	wq.waiters = wq.waiters[1:]
-	e.Wake(t)
+	e.Wake(popWaiter(&wq.waiters))
 	return true
 }
 

@@ -51,11 +51,10 @@ const (
 	opDone         // task body returned
 )
 
-// Task is a simulated thread. Its body runs on a dedicated goroutine, but
-// the engine and all task bodies are mutually exclusive: exactly one of them
-// executes at any instant, handing control back and forth through unbuffered
-// channels, so the simulation is deterministic and data-race free by
-// construction.
+// Task is a simulated thread. Its body runs as a coroutine (coro.go): the
+// engine and all task bodies are mutually exclusive, exactly one of them
+// executes at any instant and control passes by direct switch, so the
+// simulation is deterministic and data-race free by construction.
 type Task struct {
 	ID   int
 	Name string
@@ -64,9 +63,11 @@ type Task struct {
 	body  func(*Env)
 	state TaskState
 
-	// resume hands control to the task goroutine; yield hands it back.
-	resume chan struct{}
-	yield  chan struct{}
+	// next switches into the body until it parks; yield, called by the body,
+	// switches back; stop unwinds a parked (or never started) body.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// op and its operands, valid while parked.
 	op      taskOp
@@ -78,17 +79,18 @@ type Task struct {
 	// affinity is the core whose runqueue the task belongs to; tasks are
 	// pinned for the lifetime of the simulation.
 	affinity *Core
-	// runner is the pooled goroutine executing the body; it is released
-	// back to the engine's pool when the task finishes.
-	runner *runner
-	// aborted is set by Engine.Shutdown to unwind the goroutine.
-	aborted bool
 
 	// onResume runs on the task's virtual CPU right before the task body
 	// continues — used to inject a userspace interrupt-handler frame for
 	// out-of-schedule user interrupts (§6.1). It may charge time via the
-	// returned duration.
+	// returned duration. Hooks before hookHead already ran; the slice is
+	// rewound when the last one is taken, so a task that is delivered to
+	// over and over keeps pushing into the same array.
 	onResume []func() time.Duration
+	hookHead int
+
+	// wakeFn is Wake(t), bound once for Sleep's timer.
+	wakeFn func()
 
 	// Sched is scheduler-private per-task state (e.g. the EEVDF entity).
 	Sched any
@@ -119,6 +121,18 @@ func (t *Task) PushResumeHook(fn func() time.Duration) {
 	t.onResume = append(t.onResume, fn)
 }
 
+// popResumeHook takes the oldest queued hook; len(t.onResume) > 0 says there
+// is one.
+func (t *Task) popResumeHook() func() time.Duration {
+	fn := t.onResume[t.hookHead]
+	t.onResume[t.hookHead] = nil
+	t.hookHead++
+	if t.hookHead == len(t.onResume) {
+		t.onResume, t.hookHead = t.onResume[:0], 0
+	}
+	return fn
+}
+
 func (t *Task) String() string {
 	return fmt.Sprintf("task(%d:%s)", t.ID, t.Name)
 }
@@ -126,18 +140,28 @@ func (t *Task) String() string {
 // Affinity returns the core this task is pinned to.
 func (t *Task) Affinity() *Core { return t.affinity }
 
-// park transfers control from the task goroutine back to the engine and
-// waits until the engine resumes this task.
-func (t *Task) park() {
-	t.yield <- struct{}{}
-	<-t.resume
-	if t.aborted {
-		panic(errAborted)
-	}
+// TaskPanic is what Engine.Run panics with when a task body panicked: the
+// body's own panic value, the task it came from and the virtual time on its
+// core. errors.As and errors.Is see through it when the value is an error.
+type TaskPanic struct {
+	Task  string
+	At    time.Duration
+	Value any
+	Stack []byte // the body's stack where it panicked
+}
+
+func (p *TaskPanic) Error() string {
+	return fmt.Sprintf("sim: task %q panicked at %v: %v\n%s", p.Task, p.At, p.Value, p.Stack)
+}
+
+// Unwrap returns the body's panic value if it is an error.
+func (p *TaskPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }
 
 // Env is the API a task body uses to interact with virtual time and the
-// scheduler. It is only valid on the task's own goroutine.
+// scheduler. It is only valid inside the task's own body.
 type Env struct {
 	t *Task
 }
@@ -208,8 +232,7 @@ func (e *Env) Yield() {
 
 // Sleep blocks the task for d of virtual time.
 func (e *Env) Sleep(d time.Duration) {
-	t := e.t
-	t.affinity.Schedule(d, func() { t.eng.Wake(t) })
+	e.t.affinity.Schedule(d, e.t.wakeFn)
 	e.Block()
 }
 
@@ -219,17 +242,13 @@ func (e *Env) BlockOn(c *Completion) {
 	if c.Done() {
 		return
 	}
-	t := e.t
-	c.OnFire(func() { t.eng.Wake(t) })
+	c.wait(e.t, opBlock)
 	e.Block()
 }
 
 func (t *Task) runResumeHooks() {
 	for len(t.onResume) > 0 {
-		fn := t.onResume[0]
-		t.onResume = t.onResume[1:]
-		cost := fn()
-		if cost > 0 {
+		if cost := t.popResumeHook()(); cost > 0 {
 			t.op = opExec
 			t.execRem = cost
 			t.park()
@@ -238,10 +257,22 @@ func (t *Task) runResumeHooks() {
 }
 
 // Completion is a one-shot condition that tasks can poll (SpinWait) or that
-// interrupt handlers can complete. It also records completion time.
+// interrupt handlers can complete. It also records completion time. The zero
+// value is an unfired completion, so one can live inside the request it
+// belongs to; it must not be copied once anything waits on it.
 type Completion struct {
-	done   bool
-	at     time.Duration
+	done bool
+	at   time.Duration
+
+	// waiter is the task SpinWait or BlockOn parked on the completion and
+	// waitOp which of the two it was; waitPos is how many callbacks were
+	// registered before it, which is where among them it is released. The
+	// usual completion has exactly this one waiter and no callback, and then
+	// waiting on it allocates nothing.
+	waiter  *Task
+	waitOp  taskOp
+	waitPos int
+
 	onFire []func()
 }
 
@@ -264,6 +295,27 @@ func (c *Completion) OnFire(fn func()) {
 	c.onFire = append(c.onFire, fn)
 }
 
+// wait registers t, parked with op (opSpin or opBlock), for release when the
+// completion fires. A second waiter on the same completion registers as a
+// callback: release order is registration order either way.
+func (c *Completion) wait(t *Task, op taskOp) {
+	if c.waiter != nil {
+		c.OnFire(func() { t.eng.release(t, op) })
+		return
+	}
+	c.waiter, c.waitOp, c.waitPos = t, op, len(c.onFire)
+}
+
+// release lets go of a task that parked on a completion with op: a spinner
+// resumes on the spot, a blocked task is woken.
+func (e *Engine) release(t *Task, op taskOp) {
+	if op == opSpin {
+		e.spinFired(t)
+		return
+	}
+	e.Wake(t)
+}
+
 // Fire marks the completion done and runs registered callbacks. Firing an
 // already-done completion is a no-op.
 func (c *Completion) Fire() { c.FireAt(0) }
@@ -275,8 +327,18 @@ func (c *Completion) FireAt(now time.Duration) {
 	}
 	c.done = true
 	c.at = now
-	for _, fn := range c.onFire {
+	// Detach everything first: a released task may run on the spot and its
+	// owner may reuse the completion's memory.
+	fns, w, op, pos := c.onFire, c.waiter, c.waitOp, c.waitPos
+	c.onFire, c.waiter = nil, nil
+	if w != nil {
+		for _, fn := range fns[:pos] {
+			fn()
+		}
+		fns = fns[pos:]
+		w.eng.release(w, op)
+	}
+	for _, fn := range fns {
 		fn()
 	}
-	c.onFire = nil
 }

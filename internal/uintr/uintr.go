@@ -117,13 +117,13 @@ func notify(eng *sim.Engine, u *UPID, vector uint8) {
 		u.NotifySuppressed.Add(1)
 		return
 	}
-	raise := func() { eng.Core(u.DestCPU).RaiseIRQ(u.NV) }
 	if u.Hook == nil {
 		u.ON = true
 		u.NotifySent.Add(1)
-		raise()
+		eng.Core(u.DestCPU).RaiseIRQ(u.NV)
 		return
 	}
+	raise := func() { eng.Core(u.DestCPU).RaiseIRQ(u.NV) }
 	v := u.Hook.OnNotify(u, vector)
 	if v.Drop {
 		// ON deliberately stays clear: a dropped notification must not
