@@ -160,34 +160,39 @@ func (c *Client) call(env *sim.Env, shard int, req Request) (Response, error) {
 	}
 }
 
-// svcCall runs one data-server round trip.
-func (c *Client) svcCall(env *sim.Env, node uint16, req aeosvc.Request) (aeosvc.Response, error) {
+// svcCall runs one data-server round trip. A reply's data is copied into
+// dst (n bytes) and its frame handed back to the data server, whose next
+// reply may be written into it; the returned Response carries no Data.
+func (c *Client) svcCall(env *sim.Env, node uint16, req aeosvc.Request, dst []byte) (aeosvc.Response, int, error) {
 	c.nextID++
 	req.ID = c.nextID
 	req.Tenant = c.cfg.Tenant
 	if err := c.ep.Send(env, c.cfg.DataEndpoints[node], req.Encode()); err != nil {
-		return aeosvc.Response{}, err
+		return aeosvc.Response{}, 0, err
 	}
 	for {
 		m, err := c.recv(env)
 		if err != nil {
-			return aeosvc.Response{}, err
+			return aeosvc.Response{}, 0, err
 		}
 		if m.Payload[0] != svcRespMagic {
-			return aeosvc.Response{}, fmt.Errorf("%w: unexpected magic %#x awaiting data reply", ErrWire, m.Payload[0])
+			return aeosvc.Response{}, 0, fmt.Errorf("%w: unexpected magic %#x awaiting data reply", ErrWire, m.Payload[0])
 		}
 		resp, err := aeosvc.DecodeResponse(m.Payload)
 		if err != nil {
-			return aeosvc.Response{}, err
+			return aeosvc.Response{}, 0, err
 		}
+		n := copy(dst, resp.Data)
+		resp.Data = nil
+		c.ep.Release(m)
 		if resp.ID != req.ID {
 			continue
 		}
 		c.DataOps++
 		if resp.Status != aeosvc.StatusOK {
-			return resp, fmt.Errorf("aeomds: data node %d: %s", node, resp.Err)
+			return resp, 0, fmt.Errorf("aeomds: data node %d: %s", node, resp.Err)
 		}
-		return resp, nil
+		return resp, n, nil
 	}
 }
 
@@ -254,7 +259,7 @@ func (c *Client) ensureFD(env *sim.Env, lay *layout, node uint16) (uint32, error
 	if fd, ok := lay.fds[node]; ok {
 		return fd, nil
 	}
-	resp, err := c.svcCall(env, node, aeosvc.Request{Op: aeosvc.OpOpen, Path: objPath(lay.ino)})
+	resp, _, err := c.svcCall(env, node, aeosvc.Request{Op: aeosvc.OpOpen, Path: objPath(lay.ino)}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -324,13 +329,12 @@ func (c *Client) ReadAt(env *sim.Env, path string, p []byte, off uint64) (int, e
 			return got, ErrStaleLayout
 		}
 		c.emit(env, trace.MDSDataIO, int(sp.node), lay.lease, lay.ino, uint64(sp.n))
-		resp, err := c.svcCall(env, sp.node, aeosvc.Request{
+		_, n, err := c.svcCall(env, sp.node, aeosvc.Request{
 			Op: aeosvc.OpRead, FD: fd, Off: sp.localOff, Len: sp.n,
-		})
+		}, p[got:])
 		if err != nil {
 			return got, err
 		}
-		n := copy(p[got:], resp.Data)
 		got += n
 		if uint32(n) < sp.n {
 			return got, nil
@@ -355,9 +359,9 @@ func (c *Client) WriteAt(env *sim.Env, path string, p []byte, off uint64) (int, 
 			return done, ErrStaleLayout
 		}
 		c.emit(env, trace.MDSDataIO, int(sp.node), lay.lease, lay.ino, uint64(sp.n))
-		if _, err := c.svcCall(env, sp.node, aeosvc.Request{
+		if _, _, err := c.svcCall(env, sp.node, aeosvc.Request{
 			Op: aeosvc.OpWrite, FD: fd, Off: sp.localOff, Data: p[done : done+int(sp.n)],
-		}); err != nil {
+		}, nil); err != nil {
 			return done, err
 		}
 		done += int(sp.n)

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aeolia/internal/fifo"
+	"aeolia/internal/netsim"
 	"aeolia/internal/uintr"
 )
 
@@ -38,12 +40,15 @@ type TenantStats struct {
 	Received, Admitted, Shed uint64
 }
 
-// pending is one received request waiting for a worker.
+// pending is one received request waiting for a worker. The server
+// recycles it once the reply is sent.
 type pending struct {
-	req     Request
-	conn    int32  // connection id (netsim source endpoint)
-	replyTo string // endpoint to send the response to
-	recvAt  time.Duration
+	req    Request
+	conn   int32 // connection id (netsim source endpoint)
+	recvAt time.Duration
+	// frame is the request as it arrived: its source names the reply
+	// endpoint, and its payload backs req.Data until the reply is sent.
+	frame netsim.Msg
 }
 
 // tenantState is the runtime side of one TenantConfig.
@@ -51,7 +56,7 @@ type tenantState struct {
 	cfg     TenantConfig
 	tokens  float64
 	last    time.Duration // last refill
-	queue   []*pending
+	queue   fifo.Queue[*pending]
 	deficit float64 // weighted-fair dequeue credit
 
 	// Atomic: snapshotted by TenantStats while the dispatcher is still
@@ -213,7 +218,7 @@ func (a *Admission) Offer(now time.Duration, p *pending) bool {
 			ts.shed.Add(1)
 			return false
 		}
-		if ts.cfg.MaxBacklog > 0 && len(ts.queue) >= ts.cfg.MaxBacklog {
+		if ts.cfg.MaxBacklog > 0 && ts.queue.Len() >= ts.cfg.MaxBacklog {
 			ts.shed.Add(1)
 			return false
 		}
@@ -222,7 +227,7 @@ func (a *Admission) Offer(now time.Duration, p *pending) bool {
 		}
 	}
 	ts.admitted.Add(1)
-	ts.queue = append(ts.queue, p)
+	ts.queue.Push(p)
 	a.queued++
 	return true
 }
@@ -255,7 +260,7 @@ func (g *admGroup) next() *pending {
 	// credited within one lap of the cursor.
 	for pass := 0; pass < 2*len(g.members); pass++ {
 		ts := g.members[g.rr%len(g.members)]
-		if len(ts.queue) == 0 {
+		if ts.queue.Len() == 0 {
 			// An idle tenant holds no credit (classic DRR reset).
 			ts.deficit = 0
 			g.rr++
@@ -266,8 +271,7 @@ func (g *admGroup) next() *pending {
 			ts.deficit += ts.weight()
 		}
 		ts.deficit--
-		p := ts.queue[0]
-		ts.queue = ts.queue[1:]
+		p, _ := ts.queue.Pop()
 		if ts.deficit < 1 {
 			// Credit exhausted; the next dequeue moves on.
 			g.rr++

@@ -99,12 +99,16 @@ type Client struct {
 }
 
 // slot is one in-flight request awaiting its reply (or its retry time).
+// Slots are recycled when their op completes.
 type slot struct {
 	req     Request
 	sentAt  time.Duration
 	firstAt time.Duration // when the op was first issued (for End bookkeeping)
 	backoff time.Duration
 	retryAt time.Duration // > 0: parked until then
+	// data backs req.Data for writes and puts. Every send encodes a copy,
+	// so it is free again once the op completes.
+	data []byte
 }
 
 // NewClient creates the client and its fabric endpoint ("c<ID>"). The
@@ -128,11 +132,10 @@ func (c *Client) call(env *sim.Env, req Request, nextID *uint64) (Response, erro
 	for {
 		req.ID = *nextID
 		*nextID++
-		if err := c.ep.Send(env, c.svc, req.Encode()); err != nil {
+		if err := c.send(env, &req); err != nil {
 			return Response{}, err
 		}
-		m := c.ep.Recv(env)
-		resp, err := DecodeResponse(m.Payload)
+		resp, err := c.recv(env)
 		if err != nil {
 			return Response{}, err
 		}
@@ -151,6 +154,23 @@ func (c *Client) call(env *sim.Env, req Request, nextID *uint64) (Response, erro
 		}
 		return resp, nil
 	}
+}
+
+// send transmits req in a frame from the client's free list; the server
+// releases it to that list once the reply is out.
+func (c *Client) send(env *sim.Env, req *Request) error {
+	return c.ep.Send(env, c.svc, req.encode(c.ep.Frame(req.size())))
+}
+
+// recv takes the next reply and hands its frame straight back to the
+// server: the client keeps a reply's header, and counts the bytes moved by
+// its Value, so the returned Data is nil.
+func (c *Client) recv(env *sim.Env) (Response, error) {
+	m := c.ep.Recv(env)
+	resp, err := DecodeResponse(m.Payload)
+	resp.Data = nil
+	c.ep.Release(m)
+	return resp, err
 }
 
 // Run executes the closed loop: open a private file, issue cfg.Ops mixed
@@ -186,12 +206,19 @@ func (c *Client) Run(env *sim.Env) error {
 
 	c.Result.Start = env.Now()
 	inflight := make(map[uint64]*slot)
-	var parked []*slot
+	var parked, free []*slot
 	issued, done := 0, 0
 	warm := cfg.WarmupOps
 	total := cfg.Ops + warm
 
-	mkReq := func() Request {
+	// payload returns the slot's data buffer, n bytes long.
+	payload := func(s *slot, n int) []byte {
+		if cap(s.data) < n {
+			s.data = make([]byte, n)
+		}
+		return s.data[:n]
+	}
+	mkReq := func(s *slot) Request {
 		r := Request{Tenant: cfg.Tenant, Class: cfg.Class}
 		if rng.Float64() < cfg.KVFrac {
 			key := fmt.Sprintf("k%d-%d", cfg.ID, rng.Intn(16))
@@ -201,7 +228,7 @@ func (c *Client) Run(env *sim.Env) error {
 			} else {
 				r.Op = OpPut
 				r.Path = key
-				val := make([]byte, 64)
+				val := payload(s, 64)
 				rng.Read(val)
 				r.Data = val
 			}
@@ -221,7 +248,7 @@ func (c *Client) Run(env *sim.Env) error {
 			r.Op = OpWrite
 			r.FD = fd
 			r.Off = off
-			data := make([]byte, cfg.ioBytes())
+			data := payload(s, cfg.ioBytes())
 			rng.Read(data)
 			r.Data = data
 		}
@@ -232,7 +259,7 @@ func (c *Client) Run(env *sim.Env) error {
 		nextID++
 		s.sentAt = env.Now()
 		s.retryAt = 0
-		if err := c.ep.Send(env, c.svc, s.req.Encode()); err != nil {
+		if err := c.send(env, &s.req); err != nil {
 			return err
 		}
 		inflight[s.req.ID] = s
@@ -255,7 +282,13 @@ func (c *Client) Run(env *sim.Env) error {
 		parked = keep
 		// Fill the pipeline with fresh ops.
 		for len(inflight) < cfg.qd() && issued < total {
-			s := &slot{req: mkReq(), firstAt: env.Now(), backoff: cfg.backoff()}
+			var s *slot
+			if n := len(free); n > 0 {
+				s, free = free[n-1], free[:n-1]
+			} else {
+				s = &slot{}
+			}
+			s.req, s.firstAt, s.backoff = mkReq(s), env.Now(), cfg.backoff()
 			if err := send(s); err != nil {
 				return err
 			}
@@ -277,8 +310,7 @@ func (c *Client) Run(env *sim.Env) error {
 			}
 			continue
 		}
-		m := c.ep.Recv(env)
-		resp, err := DecodeResponse(m.Payload)
+		resp, err := c.recv(env)
 		if err != nil {
 			return err
 		}
@@ -296,6 +328,7 @@ func (c *Client) Run(env *sim.Env) error {
 				s.backoff = cfg.maxBackoff()
 			}
 			parked = append(parked, s)
+			continue
 		case StatusOK:
 			done++
 			if done <= warm {
@@ -305,12 +338,9 @@ func (c *Client) Run(env *sim.Env) error {
 				break
 			}
 			c.Result.Ops++
-			switch s.req.Op {
-			case OpRead, OpGet:
-				c.Result.Bytes += uint64(len(resp.Data))
-			case OpWrite, OpPut:
-				c.Result.Bytes += uint64(resp.Value)
-			}
+			// A read's or get's Value is the length of the data it
+			// carried; a write's or put's, the bytes stored.
+			c.Result.Bytes += uint64(resp.Value)
 			c.Result.Samples = append(c.Result.Samples, env.Now()-s.sentAt)
 		default:
 			// KV misses are expected before the first put on a key;
@@ -318,6 +348,8 @@ func (c *Client) Run(env *sim.Env) error {
 			c.Result.Errors++
 			done++
 		}
+		s.req = Request{}
+		free = append(free, s)
 	}
 
 	resp, err = c.call(env, Request{Tenant: cfg.Tenant, Class: cfg.Class, Op: OpClose, FD: fd}, &nextID)

@@ -95,6 +95,9 @@ type Server struct {
 	ep    *netsim.Endpoint
 	adm   *Admission
 	conns map[int32]*connState
+	// free holds retired pending records. The dispatcher takes them and
+	// workers return them, all on the server's one engine lane.
+	free []*pending
 
 	workWQ  sim.WaitQueue
 	stopped bool
@@ -246,7 +249,8 @@ func (s *Server) handle(env *sim.Env, m *netsim.Msg) {
 	if tr := s.eng.Tracer; tr != nil {
 		tr.Emit(now, trace.SvcReqRecv, s.coreID(env), int(conn.id), uint32(req.ID), 0, uint64(req.Op))
 	}
-	p := &pending{req: req, conn: conn.id, replyTo: m.Src, recvAt: now}
+	p := s.newPending()
+	p.req, p.conn, p.recvAt, p.frame = req, conn.id, now, *m
 	// With QoS the admit/shed aux also carries the serving class
 	// (class<<16 | tenant); without it the encoding is unchanged.
 	tenantAux := uint64(req.Tenant)
@@ -266,6 +270,25 @@ func (s *Server) handle(env *sim.Env, m *netsim.Msg) {
 		tr.Emit(now, trace.SvcShed, s.coreID(env), int(conn.id), uint32(req.ID), 0, tenantAux)
 	}
 	s.reply(env, p, Response{ID: req.ID, Status: StatusThrottled}, nil)
+}
+
+// newPending takes a record from the free list, or allocates one.
+func (s *Server) newPending() *pending {
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		return p
+	}
+	return &pending{}
+}
+
+// retire ends p once its reply is out: the request's frame goes back to the
+// client, whose next request may be encoded into it, and the record to the
+// free list.
+func (s *Server) retire(p *pending) {
+	s.ep.Release(&p.frame)
+	*p = pending{}
+	s.free = append(s.free, p)
 }
 
 // conn returns (creating if needed) the connection state for a message's
@@ -394,7 +417,7 @@ func (s *Server) execute(env *sim.Env, p *pending) (Response, []byte) {
 		// straight into its payload region, so the page cache's copy-out is
 		// the only copy between cached data and wire bytes. The old path
 		// staged the read in a scratch buffer that Encode copied again.
-		f := newReadFrame(req.ID, int(req.Len))
+		f := newReadFrame(s.ep.Frame(respHeader+int(req.Len)), req.ID, int(req.Len))
 		n, err := s.fs.ReadAt(env, int(req.FD), f.Payload(), req.Off)
 		if err != nil {
 			return fail(err)
@@ -475,14 +498,17 @@ func (s *Server) emitPath(typ trace.Type, path int, cid uint32, aux uint64) {
 	s.eng.Tracer.Emit(s.eng.Now(), typ, -1, path, cid, 0, aux)
 }
 
-// reply sends the response for p, retiring its connection slot. enc, when
-// non-nil, is the pre-encoded frame from the zero-copy read path; otherwise
-// the response is encoded here. Reply-link backpressure (ErrOverflow) is
-// absorbed by a bounded retry loop — the closed-loop clients keep reply
-// queues shallow, so this only triggers under deliberately tiny link depths.
+// reply sends the response for p, retiring its connection slot and then p.
+// enc, when non-nil, is the pre-encoded frame from the zero-copy read path;
+// otherwise the response is encoded here. Either way the frame comes from
+// the server's free list: the client releases it once decoded.
+// Reply-link backpressure (ErrOverflow) is absorbed by a bounded retry loop
+// — the closed-loop clients keep reply queues shallow, so this only
+// triggers under deliberately tiny link depths.
 func (s *Server) reply(env *sim.Env, p *pending, resp Response, enc []byte) {
+	defer s.retire(p)
 	if enc == nil {
-		enc = resp.Encode()
+		enc = resp.encode(s.ep.Frame(resp.size()))
 	}
 	if tr := s.eng.Tracer; tr != nil {
 		tr.Emit(env.Now(), trace.SvcReply, s.coreID(env), int(p.conn), uint32(p.req.ID), 0, uint64(resp.Status))
@@ -492,12 +518,12 @@ func (s *Server) reply(env *sim.Env, p *pending, resp Response, enc []byte) {
 		cs.outstanding--
 	}
 	for {
-		err := s.ep.Send(env, p.replyTo, enc)
+		err := s.ep.Send(env, p.frame.Src, enc)
 		if err == nil {
 			return
 		}
 		if !errors.Is(err, netsim.ErrOverflow) {
-			s.fail(fmt.Errorf("aeosvc: reply to %s: %w", p.replyTo, err))
+			s.fail(fmt.Errorf("aeosvc: reply to %s: %w", p.frame.Src, err))
 			return
 		}
 		s.ReplyRetries.Add(1)

@@ -109,16 +109,22 @@ type Request struct {
 
 const reqHeader = 1 + 1 + 2 + 8 + 4 + 8 + 4 + 2 + 4 + 1
 
-// Encode serializes the request.
-func (r *Request) Encode() []byte {
-	return wire.NewWriter(reqHeader + len(r.Path) + len(r.Data)).
+// Encode serializes the request into a frame of its own.
+func (r *Request) Encode() []byte { return r.encode(make([]byte, 0, r.size())) }
+
+func (r *Request) size() int { return reqHeader + len(r.Path) + len(r.Data) }
+
+// encode writes the frame over b[:0]: the client passes a buffer from its
+// endpoint's free list, which the server releases once the reply is out.
+func (r *Request) encode(b []byte) []byte {
+	return wire.Into(b).
 		U8(reqMagic).U8(byte(r.Op)).U16(r.Tenant).U64(r.ID).
 		U32(r.FD).U64(r.Off).U32(r.Len).
 		U16(uint16(len(r.Path))).U32(uint32(len(r.Data))).U8(r.Class).
 		Str(r.Path).Bytes(r.Data).Frame()
 }
 
-// DecodeRequest parses one request frame.
+// DecodeRequest parses one request frame. The request's Data aliases b.
 func DecodeRequest(b []byte) (Request, error) {
 	var r Request
 	if len(b) < reqHeader {
@@ -145,7 +151,7 @@ func DecodeRequest(b []byte) (Request, error) {
 			ErrWire, len(b)-reqHeader, plen+dlen)
 	}
 	r.Path = d.Str(plen)
-	r.Data = d.Bytes(dlen)
+	r.Data = d.View(dlen)
 	return r, nil
 }
 
@@ -164,9 +170,15 @@ type Response struct {
 
 const respHeader = 1 + 1 + 2 + 8 + 4 + 4
 
-// Encode serializes the response.
-func (r *Response) Encode() []byte {
-	return wire.NewWriter(respHeader + len(r.Err) + len(r.Data)).
+// Encode serializes the response into a frame of its own.
+func (r *Response) Encode() []byte { return r.encode(make([]byte, 0, r.size())) }
+
+func (r *Response) size() int { return respHeader + len(r.Err) + len(r.Data) }
+
+// encode writes the frame over b[:0]: the server passes a buffer from its
+// endpoint's free list, which the client releases once decoded.
+func (r *Response) encode(b []byte) []byte {
+	return wire.Into(b).
 		U8(respMagic).U8(byte(r.Status)).U16(uint16(len(r.Err))).
 		U64(r.ID).U32(r.Value).U32(uint32(len(r.Data))).
 		Str(r.Err).Bytes(r.Data).Frame()
@@ -188,11 +200,12 @@ const (
 	respDlenOff  = respValueOff + 4
 )
 
-// newReadFrame allocates a StatusOK response frame with room for dataCap
-// payload bytes. Fill Payload(), then Finish(n) with the byte count
-// actually read.
-func newReadFrame(id uint64, dataCap int) *readFrame {
-	b := make([]byte, respHeader+dataCap)
+// newReadFrame lays a StatusOK response frame with room for dataCap payload
+// bytes over buf, whose capacity must hold it (the server passes a buffer
+// from its endpoint's free list). Fill Payload(), then Finish(n) with the
+// byte count actually read.
+func newReadFrame(buf []byte, id uint64, dataCap int) *readFrame {
+	b := buf[:respHeader+dataCap]
 	b[0] = respMagic
 	b[1] = byte(StatusOK)
 	binary.LittleEndian.PutUint16(b[2:], 0) // elen: OK replies carry no error
@@ -213,7 +226,7 @@ func (f *readFrame) Finish(n int) []byte {
 	return f.frame[:respHeader+n]
 }
 
-// DecodeResponse parses one response frame.
+// DecodeResponse parses one response frame. The response's Data aliases b.
 func DecodeResponse(b []byte) (Response, error) {
 	var r Response
 	if len(b) < respHeader {
@@ -233,6 +246,6 @@ func DecodeResponse(b []byte) (Response, error) {
 			ErrWire, len(b)-respHeader, elen+dlen)
 	}
 	r.Err = d.Str(elen)
-	r.Data = d.Bytes(dlen)
+	r.Data = d.View(dlen)
 	return r, nil
 }

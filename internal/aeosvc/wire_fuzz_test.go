@@ -20,7 +20,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add((&Request{ID: 0x1122334455667788, Tenant: 0xAABB, Op: OpRead, Class: 2, FD: 0x0A0B0C0D,
 		Off: 0x1020304050607080, Len: 0x11223344, Path: "/x", Data: []byte{0xDE, 0xAD}}).Encode())
 	f.Add((&Response{ID: 0x0807060504030201, Status: StatusErr, Value: 0xCAFEBABE, Err: "no", Data: []byte{1, 2, 3}}).Encode())
-	f.Add(newReadFrame(7, 8).Finish(5))
+	f.Add(newReadFrame(make([]byte, 0, respHeader+8), 7, 8).Finish(5))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, c := range codecs {
 			wiretest.Check(t, b, c)

@@ -51,11 +51,13 @@ func TestResponseRoundTrip(t *testing.T) {
 // TestReadFrameIdentity pins the zero-copy read reply to the generic
 // encoder: filling a pre-sized frame and finishing it at n bytes must be
 // byte-identical to Response.Encode with the same payload, for full,
-// short (EOF-trimmed), and empty reads.
+// short (EOF-trimmed), and empty reads. The frame is laid over a recycled
+// buffer's stale bytes, as the server's free list hands them out.
 func TestReadFrameIdentity(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5E, 0x11}, 300)
 	for _, n := range []int{len(payload), 123, 1, 0} {
-		f := newReadFrame(77, len(payload))
+		stale := bytes.Repeat([]byte{0xFF}, respHeader+len(payload))
+		f := newReadFrame(stale[:0], 77, len(payload))
 		copy(f.Payload(), payload)
 		got := f.Finish(n)
 		want := (&Response{ID: 77, Status: StatusOK, Value: uint32(n), Data: payload[:n]}).Encode()

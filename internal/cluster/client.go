@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"time"
 
@@ -25,7 +26,13 @@ type Client struct {
 	rngCtr uint64
 	done   bool
 
+	reply []byte // the endpoint name requests carry, built once
+	// buf holds the current write's block. Every attempt's request frame
+	// is a copy, so the next op may overwrite it.
+	buf []byte
+
 	deadline  sim.Timer // the current attempt's timeout wake-up
+	wake      func()    // cl.ep.SignalArrival, bound once: the deadline's callback
 	idleWakes uint64    // wake-ups that found neither a frame nor the deadline
 
 	acks []Ack
@@ -41,6 +48,8 @@ type Client struct {
 func newClient(c *Cluster, id int) *Client {
 	cl := &Client{c: c, id: id, ep: c.Fab.Endpoint(clientName(id)),
 		core: c.M.Eng.Core(c.cfg.Nodes + 1 + id)}
+	cl.reply = []byte(cl.ep.Name())
+	cl.wake = cl.ep.SignalArrival
 	cl.ep.BindCore(cl.core)
 	return cl
 }
@@ -88,24 +97,33 @@ func (cl *Client) run(env *sim.Env) {
 		reqid := uint32(cl.id)<<24 | uint32(seq)
 		if int((r>>16)%100) < cl.c.cfg.writePct() {
 			cl.doOp(env, request{Op: OpWrite, ID: reqid, PG: uint16(pg), LBA: lba,
-				Data: cl.payload(reqid), Reply: cl.ep.Name()})
+				Data: cl.payload(reqid), Reply: cl.reply})
 		} else {
 			cl.doOp(env, request{Op: OpRead, ID: reqid, PG: uint16(pg), LBA: lba,
-				Reply: cl.ep.Name()})
+				Reply: cl.reply})
 		}
 	}
 }
 
-// payload derives a deterministic, per-request-unique block body.
+// payload derives a deterministic, per-request-unique block body into the
+// client's buffer: byte i is byte i%8 of the (i/8+1)-th splitmix64 step from
+// the request's seed, so each step is stored whole, little-endian.
 func (cl *Client) payload(reqid uint32) []byte {
 	n := cl.c.cfg.payloadBytes()
-	b := make([]byte, n)
+	if cap(cl.buf) < n {
+		cl.buf = make([]byte, n)
+	}
+	b := cl.buf[:n]
 	x := clsplitmix64(cl.c.cfg.Seed ^ uint64(reqid)<<13 ^ 0xA3)
-	for i := range b {
-		if i%8 == 0 {
-			x = clsplitmix64(x)
+	for i := 0; i < n; i += 8 {
+		x = clsplitmix64(x)
+		if n-i >= 8 {
+			binary.LittleEndian.PutUint64(b[i:], x)
+			continue
 		}
-		b[i] = byte(x >> ((i % 8) * 8))
+		for j := i; j < n; j++ {
+			b[j] = byte(x >> ((j - i) * 8))
+		}
 	}
 	return b
 }
@@ -149,12 +167,15 @@ func (cl *Client) doOp(env *sim.Env, req request) {
 		rot = 1
 	}
 	start := env.Now()
-	enc := req.encode()
 	for {
 		if cl.c.stopped {
 			return
 		}
-		cl.send(env, osdName(target), enc)
+		// Each attempt sends a frame of its own, from this client's free
+		// list: the node releases a request frame once it has handled it,
+		// and a timed-out attempt's frame may still be in flight when the
+		// next one goes out, so no attempt may reuse another's.
+		cl.send(env, cl.c.osdNames[target], req.encode(cl.ep.Frame(req.size())))
 		resp, ok := cl.await(env, env.Now()+cl.c.cfg.clientTimeout(), req.ID)
 		if !ok {
 			if cl.c.stopped {
@@ -216,7 +237,12 @@ func (cl *Client) await(env *sim.Env, deadline time.Duration, want uint32) (resp
 		if m == nil {
 			return response{}, false
 		}
-		if r, err := decodeResponse(m.Payload); err == nil && r.ID == want {
+		r, err := decodeResponse(m.Payload)
+		// The client keeps a response's header, not its data: the frame
+		// goes back to the node that sent it.
+		r.Data = nil
+		cl.ep.Release(m)
+		if err == nil && r.ID == want {
 			return r, true
 		}
 	}
@@ -239,7 +265,7 @@ func (cl *Client) awaitMap(env *sim.Env, deadline time.Duration) (monResp, bool)
 // cancels it on return: left armed it would fire inside a later attempt's
 // wait and wake the client for nothing.
 func (cl *Client) armDeadline(env *sim.Env, deadline time.Duration) sim.Timer {
-	cl.deadline = env.ScheduleAt(deadline, cl.ep.SignalArrival)
+	cl.deadline = env.ScheduleAt(deadline, cl.wake)
 	return cl.deadline
 }
 

@@ -21,6 +21,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,6 +144,9 @@ type Cluster struct {
 	nodes   []*OSD
 	clients []*Client
 	members [][]int // pg → member node ids
+	// osdNames[i] is OSD i's endpoint name, built once: frames are sent by
+	// destination name.
+	osdNames []string
 
 	stopped bool
 	atDone  Stats // Stats() when Run first found every client finished
@@ -164,7 +168,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: bad shape nodes=%d pgs=%d rf=%d", cfg.Nodes, cfg.PGs, cfg.RF)
 	}
 	// The longest reply name belongs to the last client.
-	if n := (command{Reply: clientName(cfg.Clients - 1)}).size() + cfg.payloadBytes(); n > maxField {
+	if n := (command{Reply: []byte(clientName(cfg.Clients - 1))}).size() + cfg.payloadBytes(); n > maxField {
 		return nil, fmt.Errorf("cluster: PayloadBytes %d makes a %d-byte command; a raft entry carries at most %d",
 			cfg.payloadBytes(), n, maxField)
 	}
@@ -195,6 +199,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Clients; i++ {
 		names = append(names, clientName(i))
 	}
+	c.osdNames = names[1:clientAt]
 	for ai, a := range names {
 		for bi, b := range names {
 			if a == b {
@@ -352,8 +357,10 @@ func (c *Cluster) Acks() []Ack {
 
 // VerifyAcks audits that no acknowledged write was lost: every ack's
 // (pg, index) must be applied on every live member of the group with the
-// acknowledged payload hash, and all replicas of a group must agree on
-// every applied index. Returns the violations found (nil = clean).
+// acknowledged payload hash, all replicas of a group must agree on every
+// applied index, and every block a replica stores must still hash to what
+// the write that stored it hashed to when it was applied. Returns the
+// violations found (nil = clean).
 func (c *Cluster) VerifyAcks() []error {
 	var errs []error
 	for _, a := range c.Acks() {
@@ -384,6 +391,26 @@ func (c *Cluster) VerifyAcks() []error {
 				if h2, ok := g.appliedHash[idx]; ok && h2 != h {
 					errs = append(errs, fmt.Errorf("pg=%d idx=%d: node %d applied %#x, node %d applied %#x",
 						pg, idx, ms[0], h, id, h2))
+				}
+			}
+		}
+	}
+	// Stored bytes. A follower's blocks alias the frames they arrived in, so
+	// a frame recycled while it still backs a block shows up here and
+	// nowhere else: the checks above compare hashes taken at apply time.
+	for _, n := range c.nodes {
+		for _, pg := range n.pgs {
+			g := n.groups[pg]
+			lbas := make([]uint64, 0, len(g.store))
+			for lba := range g.store {
+				lbas = append(lbas, lba)
+			}
+			slices.Sort(lbas)
+			for _, lba := range lbas {
+				b := g.store[lba]
+				if h, want := fnv32(b.data), g.appliedHash[b.index]; h != want {
+					errs = append(errs, fmt.Errorf("pg=%d lba=%d on node %d: stored block hashes %#x, its write (idx %d) applied %#x",
+						pg, lba, n.id, h, b.index, want))
 				}
 			}
 		}

@@ -72,7 +72,7 @@ func TestPayloadBytesLimit(t *testing.T) {
 	}
 	for _, a := range acks {
 		for _, id := range c.Members(a.PG) {
-			if got := len(c.Node(id).groups[a.PG].store[a.LBA]); got != ok.PayloadBytes {
+			if got := len(c.Node(id).groups[a.PG].store[a.LBA].data); got != ok.PayloadBytes {
 				t.Errorf("node %d stores %d bytes at lba %d, want %d", id, got, a.LBA, ok.PayloadBytes)
 			}
 		}
@@ -116,5 +116,5 @@ func TestOversizeCommandRefused(t *testing.T) {
 			t.Error("encoding a 65536-byte block wrapped its length instead of refusing")
 		}
 	}()
-	request{Op: OpWrite, Data: make([]byte, maxField+1)}.encode()
+	request{Op: OpWrite, Data: make([]byte, maxField+1)}.encode(nil)
 }

@@ -42,12 +42,20 @@ type group struct {
 	peers []int
 	raft  *raft.Node
 
-	store       map[uint64][]byte // lba → applied block payload
+	store       map[uint64]block  // lba → the newest write applied to it
 	appliedHash map[uint64]uint32 // raft index → applied payload hash (audit)
 	pending     map[uint64]pendingCmd
 
 	announceTerm  uint64 // set by the OnLeader hook, drained to a monitor report
 	announcedTerm uint64
+}
+
+// block is one stored block: the bytes applied and the raft index of the
+// write that applied them. A follower's bytes alias the frame the entry
+// arrived in, so VerifyAcks re-hashes them against appliedHash[index].
+type block struct {
+	data  []byte
+	index uint64
 }
 
 // OSD is one storage node: an endpoint on the fabric, a uintr-driven rx
@@ -68,6 +76,12 @@ type OSD struct {
 	// rx is the node's user-interrupt receive port (bound by run).
 	rx rxport.Port
 
+	// ents is the entries scratch raft frames decode into: Step copies the
+	// entries into the log before the next frame is decoded.
+	ents []raft.Entry
+	// tickFn is n.onTick, bound once: the repeating tick event's callback.
+	tickFn func()
+
 	ticksToCompact int
 
 	// Stats.
@@ -77,10 +91,11 @@ type OSD struct {
 }
 
 func newOSD(c *Cluster, id int, proc *machine.Process) *OSD {
-	n := &OSD{c: c, id: id, proc: proc, ep: c.Fab.Endpoint(osdName(id)),
+	n := &OSD{c: c, id: id, proc: proc, ep: c.Fab.Endpoint(c.osdNames[id]),
 		core:           c.M.Eng.Core(id),
 		groups:         make(map[int]*group),
 		ticksToCompact: c.cfg.CompactEvery}
+	n.tickFn = n.onTick
 	n.ep.BindCore(n.core)
 	for pg, ms := range c.members {
 		hosted := false
@@ -93,7 +108,7 @@ func newOSD(c *Cluster, id int, proc *machine.Process) *OSD {
 			continue
 		}
 		g := &group{pg: pg, peers: ms,
-			store:       make(map[uint64][]byte),
+			store:       make(map[uint64]block),
 			appliedHash: make(map[uint64]uint32),
 			pending:     make(map[uint64]pendingCmd)}
 		g.raft = raft.New(n.raftConfig(ms), raft.HardState{Vote: raft.None}, raft.NewLog())
@@ -190,14 +205,16 @@ func (n *OSD) run(env *sim.Env) {
 // tick due and wakes the task — raft work happens in task context where CPU
 // can be charged.
 func (n *OSD) scheduleTick() {
-	n.core.Schedule(n.c.cfg.tickInterval(), func() {
-		if n.c.stopped {
-			return
-		}
-		n.tickDue = true
-		n.ep.SignalArrival()
-		n.scheduleTick()
-	})
+	n.core.Schedule(n.c.cfg.tickInterval(), n.tickFn)
+}
+
+func (n *OSD) onTick() {
+	if n.c.stopped {
+		return
+	}
+	n.tickDue = true
+	n.ep.SignalArrival()
+	n.scheduleTick()
 }
 
 func (n *OSD) tick(env *sim.Env) {
@@ -229,11 +246,18 @@ func (n *OSD) handle(env *sim.Env, m *netsim.Msg) {
 	}
 	switch m.Payload[0] {
 	case magicRaft:
-		f, err := decodeRaftFrame(m.Payload)
+		f, err := decodeRaftFrame(m.Payload, n.ents)
 		if err != nil {
 			return
 		}
+		n.ents = f.Msg.Entries
 		n.RaftMsgs++
+		if len(f.Msg.Entries) == 0 {
+			// Nothing of a frame without entries outlives its decode. One
+			// with entries is this replica's copy of the blocks: the log and
+			// the store alias it, and its sender allocated it to size.
+			n.ep.Release(m)
+		}
 		g := n.groups[int(f.PG)]
 		if g == nil {
 			return
@@ -247,6 +271,9 @@ func (n *OSD) handle(env *sim.Env, m *netsim.Msg) {
 			return
 		}
 		n.handleRequest(env, m, req)
+		// The proposed command is a copy and the reply goes to the fabric's
+		// name for the source: the request frame is done with.
+		n.ep.Release(m)
 	}
 }
 
@@ -255,13 +282,13 @@ func (n *OSD) handleRequest(env *sim.Env, m *netsim.Msg, req request) {
 	resp := response{ID: req.ID, PG: req.PG, Leader: -1}
 	if g == nil {
 		resp.Status = StatusErr
-		n.send(env, m.Src, resp.encode())
+		n.respond(env, m.Src, resp)
 		return
 	}
 	if g.raft.State() != raft.Leader {
 		resp.Status = StatusNotLeader
 		resp.Leader = int16(g.raft.Leader())
-		n.send(env, m.Src, resp.encode())
+		n.respond(env, m.Src, resp)
 		return
 	}
 	// The pre-append point: the leader holds the write but has not yet
@@ -269,19 +296,21 @@ func (n *OSD) handleRequest(env *sim.Env, m *netsim.Msg, req request) {
 	if req.Op == OpWrite && n.faultPoint(env, PointPreAppend) {
 		return
 	}
-	cmd := command{Op: req.Op, ID: req.ID, LBA: req.LBA, Reply: m.Src, Data: req.Data}
+	cmd := command{Op: req.Op, ID: req.ID, LBA: req.LBA, Reply: req.Reply, Data: req.Data}
 	if cmd.size() > maxField {
 		// The block fits a request but not, with the command header, a raft
 		// entry.
 		resp.Status = StatusErr
-		n.send(env, m.Src, resp.encode())
+		n.respond(env, m.Src, resp)
 		return
 	}
-	idx, term, ok := g.raft.Propose(cmd.encode())
+	// The log keeps the entry and the store its data, so it is allocated to
+	// size.
+	idx, term, ok := g.raft.Propose(cmd.encode(make([]byte, 0, cmd.size())))
 	if !ok {
 		resp.Status = StatusNotLeader
 		resp.Leader = int16(g.raft.Leader())
-		n.send(env, m.Src, resp.encode())
+		n.respond(env, m.Src, resp)
 		return
 	}
 	g.pending[idx] = pendingCmd{term: term, id: req.ID, reply: m.Src,
@@ -300,7 +329,16 @@ func (n *OSD) drain(env *sim.Env) {
 				Leader: int16(n.id)}.encode())
 		}
 		for _, msg := range g.raft.Messages() {
-			n.send(env, osdName(msg.To), raftFrame{PG: uint16(pg), Msg: msg}.encode())
+			f := raftFrame{PG: uint16(pg), Msg: msg}
+			var b []byte
+			if len(msg.Entries) == 0 {
+				b = n.ep.Frame(f.size())
+			} else {
+				// The follower keeps this frame (see handle): allocated to
+				// size, since it never comes back.
+				b = make([]byte, 0, f.size())
+			}
+			n.send(env, n.c.osdNames[msg.To], f.encode(b))
 		}
 		if n.applyCommitted(env, g) {
 			return // crashed mid-apply
@@ -314,28 +352,38 @@ func (n *OSD) drain(env *sim.Env) {
 // applyCommitted applies every newly committed entry to the group's store,
 // answering the proposals this node still holds pending. Returns true if a
 // fault-point crash interrupted the node.
+//
+// A write's block is hashed once per replica: that hash is the audit
+// witness (appliedHash) and, on the proposer, the acknowledged hash. The
+// RaftApply event's hash of the whole entry is computed only for a tracer.
 func (n *OSD) applyCommitted(env *sim.Env, g *group) bool {
 	eng := n.c.M.Eng
 	for _, ie := range g.raft.CommittedEntries() {
-		if len(ie.Entry.Data) > 0 && n.faultPoint(env, PointPreApply) {
+		data := ie.Entry.Data
+		if len(data) > 0 && n.faultPoint(env, PointPreApply) {
 			// Committed but not applied: recovery re-applies from the
 			// compaction boundary, idempotently.
 			return true
 		}
-		entryHash := fnv32(ie.Entry.Data)
-		cmd, cmdOK := command{}, false
-		if len(ie.Entry.Data) > 0 {
-			if c, err := decodeCommand(ie.Entry.Data); err == nil {
-				cmd, cmdOK = c, true
-			}
+		var cmd command
+		write := false
+		if len(data) > 0 {
+			c, err := decodeCommand(data)
+			cmd, write = c, err == nil && c.Op == OpWrite
 		}
-		appliedHash := entryHash
-		if cmdOK && cmd.Op == OpWrite {
-			g.store[cmd.LBA] = cmd.Data
-			appliedHash = fnv32(cmd.Data)
+		var applied uint32
+		if write {
+			g.store[cmd.LBA] = block{data: cmd.Data, index: ie.Index}
+			applied = fnv32(cmd.Data)
+		} else {
+			applied = fnv32(data) // a no-op or a read: a few header bytes
 		}
-		g.appliedHash[ie.Index] = appliedHash
+		g.appliedHash[ie.Index] = applied
 		if tr := eng.Tracer; tr != nil {
+			entryHash := applied
+			if write {
+				entryHash = fnv32(data)
+			}
 			tr.Emit(eng.Now(), trace.RaftApply, n.id, g.pg, uint32(n.id), ie.Index, uint64(entryHash))
 		}
 		p, isPending := g.pending[ie.Index]
@@ -354,7 +402,9 @@ func (n *OSD) applyCommitted(env *sim.Env, g *group) bool {
 		}
 		resp := response{Status: StatusOK, ID: p.id, PG: uint16(g.pg), Leader: int16(n.id), Index: ie.Index}
 		if p.isRead {
-			val := g.store[p.lba]
+			// A read reports the hash of the bytes it serves, computed from
+			// them, never looked up: it is what the audit trusts them by.
+			val := g.store[p.lba].data
 			resp.Hash = fnv32(val)
 			resp.Data = val
 			if tr := eng.Tracer; tr != nil {
@@ -362,11 +412,17 @@ func (n *OSD) applyCommitted(env *sim.Env, g *group) bool {
 					ie.Index<<32|uint64(resp.Hash))
 			}
 		} else {
-			resp.Hash = fnv32(cmd.Data)
+			resp.Hash = applied
 		}
-		n.send(env, p.reply, resp.encode())
+		n.respond(env, p.reply, resp)
 	}
 	return false
+}
+
+// respond answers a client. The client releases the frame once it has
+// decoded it, so it comes from this node's free list.
+func (n *OSD) respond(env *sim.Env, dst string, r response) {
+	n.send(env, dst, r.encode(n.ep.Frame(r.size())))
 }
 
 // send transmits best-effort: link overflow is counted and dropped (raft

@@ -39,7 +39,7 @@ func TestWakeMasksBurst(t *testing.T) {
 		2: 50*time.Microsecond + 100*time.Nanosecond,
 	} {
 		ep := c.Fab.Endpoint(osdName(peer))
-		frame := raftFrame{PG: 0, Msg: raft.Message{Type: raft.MsgAppResp, From: peer, To: 0}}.encode()
+		frame := raftFrame{PG: 0, Msg: raft.Message{Type: raft.MsgAppResp, From: peer, To: 0}}.encode(nil)
 		eng.Spawn("tx", eng.Core(peer), func(env *sim.Env) {
 			env.Sleep(at)
 			if err := ep.Send(env, osdName(0), frame); err != nil {
@@ -118,8 +118,8 @@ func TestCrashMidDrainRestartsUnmasked(t *testing.T) {
 	eng.Spawn("probe", eng.Core(cfg.Nodes), func(env *sim.Env) {
 		env.Sleep(at - env.Now())
 		t0 := env.Now()
-		req := request{Op: OpRead, ID: 1, PG: 0, LBA: 1, Reply: "probe"}
-		if err := probe.Send(env, osdName(0), req.encode()); err != nil {
+		req := request{Op: OpRead, ID: 1, PG: 0, LBA: 1, Reply: []byte("probe")}
+		if err := probe.Send(env, osdName(0), req.encode(nil)); err != nil {
 			t.Errorf("probe: %v", err)
 			return
 		}

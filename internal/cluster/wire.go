@@ -62,6 +62,9 @@ func done(d *wire.Reader) error {
 // fnv32 hashes payload bytes; it is the 32-bit value carried in
 // ClusterAck/ClusterRead/RaftApply trace events and compared across replicas.
 func fnv32(b []byte) uint32 {
+	if onHash != nil {
+		onHash(b)
+	}
 	h := uint32(2166136261)
 	for _, c := range b {
 		h ^= uint32(c)
@@ -70,19 +73,34 @@ func fnv32(b []byte) uint32 {
 	return h
 }
 
+// onHash, when a test sets it, sees every buffer fnv32 hashes.
+var onHash func([]byte)
+
+// The data-path encoders (raft frames, requests, responses, commands) write
+// their frame over b[:0] and return it; b should have room for size() bytes
+// (a shorter one grows, so nil works, but allocates). Frames the receiver
+// releases once decoded come from the sending endpoint's free list
+// (netsim.Endpoint.Frame); the rest are allocated to size where they are
+// sent, with the reason. The monitor's frames are control plane, a handful
+// per election, and allocate their own.
+
 // raftFrame wraps one raft message for a placement group on the wire.
 type raftFrame struct {
 	PG  uint16
 	Msg raft.Message
 }
 
-func (f raftFrame) encode() []byte {
+func (f raftFrame) size() int {
 	n := 1 + 2 + 1 + 2 + 2 + 8*5 + 1 + 2
 	for _, e := range f.Msg.Entries {
 		n += 8 + 2 + len(e.Data)
 	}
+	return n
+}
+
+func (f raftFrame) encode(b []byte) []byte {
 	m := f.Msg
-	w := wire.NewWriter(n).
+	w := wire.Into(b).
 		U8(magicRaft).U16(f.PG).U8(byte(m.Type)).
 		U16(uint16(int16(m.From))).U16(uint16(int16(m.To))).
 		U64(m.Term).U64(m.Index).U64(m.LogTerm).U64(m.Commit).U64(m.Compact).
@@ -93,7 +111,10 @@ func (f raftFrame) encode() []byte {
 	return w.Frame()
 }
 
-func decodeRaftFrame(b []byte) (raftFrame, error) {
+// decodeRaftFrame decodes b, appending its entries to ents[:0]: the
+// receiving OSD passes the scratch the previous frame's entries used, since
+// raft copies them into its log. The entries' data alias b.
+func decodeRaftFrame(b []byte, ents []raft.Entry) (raftFrame, error) {
 	var f raftFrame
 	if len(b) < 1 || b[0] != magicRaft {
 		return f, errShort
@@ -115,7 +136,7 @@ func decodeRaftFrame(b []byte) (raftFrame, error) {
 	if d.Err() != nil {
 		return f, errShort
 	}
-	m.Entries = make([]raft.Entry, 0, nEnts)
+	m.Entries = ents[:0]
 	for i := 0; i < nEnts; i++ {
 		term := d.U64()
 		dl := int(d.U16())
@@ -130,18 +151,23 @@ func decodeRaftFrame(b []byte) (raftFrame, error) {
 
 // request is one client command on the wire.
 type request struct {
-	Op    uint8
-	ID    uint32 // request id (client id << 24 | per-client sequence)
-	PG    uint16
-	LBA   uint64
-	Data  []byte
-	Reply string // reply endpoint (encoded so retried commands survive in the log)
+	Op   uint8
+	ID   uint32 // request id (client id << 24 | per-client sequence)
+	PG   uint16
+	LBA  uint64
+	Data []byte
+	// Reply names the reply endpoint (encoded so retried commands survive
+	// in the log). Decoded, it aliases the frame: a leader answers the
+	// fabric's own name for the source, so nothing turns it into a string.
+	Reply []byte
 }
 
-func (r request) encode() []byte {
-	return wire.NewWriter(19 + len(r.Reply) + len(r.Data)).
+func (r request) size() int { return 19 + len(r.Reply) + len(r.Data) }
+
+func (r request) encode(b []byte) []byte {
+	return wire.Into(b).
 		U8(magicReq).U8(r.Op).U32(r.ID).U16(r.PG).U64(r.LBA).
-		U8(uint8(len(r.Reply))).Str(r.Reply).
+		U8(uint8(len(r.Reply))).Bytes(r.Reply).
 		U16(len16(len(r.Data))).Bytes(r.Data).Frame()
 }
 
@@ -156,7 +182,7 @@ func decodeRequest(b []byte) (request, error) {
 	r.ID = d.U32()
 	r.PG = d.U16()
 	r.LBA = d.U64()
-	r.Reply = d.Str(int(d.U8()))
+	r.Reply = d.View(int(d.U8()))
 	r.Data = d.View(int(d.U16()))
 	return r, done(d)
 }
@@ -169,11 +195,13 @@ type response struct {
 	Leader int16 // hint on StatusNotLeader (-1 when unknown)
 	Index  uint64
 	Hash   uint32
-	Data   []byte
+	Data   []byte // decoded, aliases the frame
 }
 
-func (r response) encode() []byte {
-	return wire.NewWriter(24 + len(r.Data)).
+func (r response) size() int { return 24 + len(r.Data) }
+
+func (r response) encode(b []byte) []byte {
+	return wire.Into(b).
 		U8(magicResp).U8(r.Status).U32(r.ID).U16(r.PG).
 		U16(uint16(r.Leader)).U64(r.Index).U32(r.Hash).
 		U16(len16(len(r.Data))).Bytes(r.Data).Frame()
@@ -192,28 +220,29 @@ func decodeResponse(b []byte) (response, error) {
 	r.Leader = int16(d.U16())
 	r.Index = d.U64()
 	r.Hash = d.U32()
-	r.Data = d.Bytes(int(d.U16()))
+	r.Data = d.View(int(d.U16()))
 	return r, done(d)
 }
 
 // command is the payload serialized into raft entries: the replicated
 // operation every replica applies. Reads are serialized through the log too
 // (log-ordered reads), which is what makes the stale-read invariant sound.
+// Decoded, Reply and Data alias the entry.
 type command struct {
 	Op    uint8
 	ID    uint32
 	LBA   uint64
-	Reply string
+	Reply []byte
 	Data  []byte
 }
 
 // size is the encoded length: what must fit a raft entry's length field.
 func (c command) size() int { return 16 + len(c.Reply) + len(c.Data) }
 
-func (c command) encode() []byte {
-	return wire.NewWriter(c.size()).
+func (c command) encode(b []byte) []byte {
+	return wire.Into(b).
 		U8(c.Op).U32(c.ID).U64(c.LBA).
-		U8(uint8(len(c.Reply))).Str(c.Reply).
+		U8(uint8(len(c.Reply))).Bytes(c.Reply).
 		U16(len16(len(c.Data))).Bytes(c.Data).Frame()
 }
 
@@ -223,7 +252,7 @@ func decodeCommand(b []byte) (command, error) {
 	c.Op = d.U8()
 	c.ID = d.U32()
 	c.LBA = d.U64()
-	c.Reply = d.Str(int(d.U8()))
+	c.Reply = d.View(int(d.U8()))
 	c.Data = d.View(int(d.U16()))
 	return c, done(d)
 }

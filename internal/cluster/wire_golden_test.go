@@ -15,7 +15,7 @@ import (
 
 func TestClusterRequestWireGolden(t *testing.T) {
 	r := request{Op: OpWrite, ID: 0x01020304, PG: 7, LBA: 0x1122334455667788,
-		Reply: "c3", Data: []byte{9, 9}}
+		Reply: []byte("c3"), Data: []byte{9, 9}}
 	want := make([]byte, 0, 19+len(r.Reply)+len(r.Data))
 	want = append(want, magicReq, r.Op)
 	want = binary.LittleEndian.AppendUint32(want, r.ID)
@@ -26,7 +26,7 @@ func TestClusterRequestWireGolden(t *testing.T) {
 	want = binary.LittleEndian.AppendUint16(want, uint16(len(r.Data)))
 	want = append(want, r.Data...)
 
-	got := r.encode()
+	got := r.encode(nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("request frame drifted:\n got %x\nwant %x", got, want)
 	}
@@ -35,7 +35,7 @@ func TestClusterRequestWireGolden(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	if back.Op != r.Op || back.ID != r.ID || back.PG != r.PG || back.LBA != r.LBA ||
-		back.Reply != r.Reply || !bytes.Equal(back.Data, r.Data) {
+		!bytes.Equal(back.Reply, r.Reply) || !bytes.Equal(back.Data, r.Data) {
 		t.Fatalf("round trip mismatch: %+v != %+v", back, r)
 	}
 }
@@ -53,7 +53,7 @@ func TestClusterResponseWireGolden(t *testing.T) {
 	want = binary.LittleEndian.AppendUint16(want, uint16(len(r.Data)))
 	want = append(want, r.Data...)
 
-	got := r.encode()
+	got := r.encode(nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("response frame drifted:\n got %x\nwant %x", got, want)
 	}
@@ -94,11 +94,11 @@ func TestRaftFrameWireGolden(t *testing.T) {
 		want = append(want, e.Data...)
 	}
 
-	got := f.encode()
+	got := f.encode(nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("raft frame drifted:\n got %x\nwant %x", got, want)
 	}
-	back, err := decodeRaftFrame(got)
+	back, err := decodeRaftFrame(got, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -14,14 +14,25 @@
 // Everything is engine-single-threaded and seeded: two fabrics built the
 // same way over engines fed the same events produce byte-identical message
 // timelines.
+//
+// A frame costs the host nothing in the steady state. Each link recycles its
+// in-flight records, whose departure and arrival callbacks are bound once;
+// each inbox is a ring of Msg values; and each endpoint keeps a free list of
+// frame buffers that its receivers hand back once they are done decoding
+// (Frame, Release). A record or buffer that crosses lanes — taken by the
+// sender, returned at or after the arrival — is recycled only in engine
+// context (sim.Engine.InWindow false); inside a parallel window a frame
+// allocates, as its event node does, so the lists need no lock.
 package netsim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"aeolia/internal/faultinject"
+	"aeolia/internal/fifo"
 	"aeolia/internal/sim"
 	"aeolia/internal/trace"
 )
@@ -61,7 +72,11 @@ type Config struct {
 	QueueDepth int
 }
 
-// Msg is one delivered message.
+// Msg is one delivered message. The *Msg a receive returns lives in the
+// endpoint and is valid until that endpoint's next receive (TryRecv or Recv,
+// whether or not it finds a message); the one a delivery hook is handed, for
+// the duration of the hook. After that it reads as recycled: no payload, ids
+// and times of -1. A caller that needs a field for longer copies it.
 type Msg struct {
 	Src, Dst     string
 	SrcID, DstID int // endpoint ids (stable: fabric creation order)
@@ -71,6 +86,10 @@ type Msg struct {
 	// Dup marks a fault-injected duplicate transmission.
 	Dup bool
 }
+
+// recycled is what a Msg reads once its endpoint has received again.
+var recycled = Msg{Src: "netsim: recycled Msg", Dst: "netsim: recycled Msg",
+	SrcID: -1, DstID: -1, SentAt: -1, DeliveredAt: -1}
 
 // Fabric owns the endpoints and links of one simulated network.
 type Fabric struct {
@@ -111,8 +130,10 @@ func (f *Fabric) Endpoint(name string) *Endpoint {
 // needed). Reconnecting an existing pair replaces its configuration.
 func (f *Fabric) Connect(src, dst string, cfg Config) *Link {
 	s, d := f.Endpoint(src), f.Endpoint(dst)
-	l := &Link{fab: f, id: len(f.links), src: s, dst: d, cfg: cfg,
-		site: src + "->" + dst}
+	site := src + "->" + dst
+	l := &Link{fab: f, id: len(f.links), src: s, dst: d, cfg: cfg, site: site,
+		siteHash: fnv1a64(site), dropSite: "net:drop:" + site, dupSite: "net:dup:" + site}
+	l.departFn = l.depart
 	f.links = append(f.links, l)
 	s.out[dst] = l
 	return l
@@ -134,7 +155,12 @@ type Endpoint struct {
 	// endpoints fall back to unattributed (engine-lane) scheduling.
 	home *sim.Core
 
-	inbox []*Msg
+	inbox fifo.Queue[Msg]
+	// recv holds what the last two receives handed out: a receive copies
+	// the oldest inbox message into one slot and poisons the other, which
+	// the receive before it returned.
+	recv [2]Msg
+	cur  int
 	// arrival is re-armed in place: a receiver waits, is released, and comes
 	// back for the next arrival through Arrival, never through a pointer it
 	// kept, so a wait allocates nothing.
@@ -142,6 +168,12 @@ type Endpoint struct {
 	deliver func(*Msg)
 	out     map[string]*Link
 	closed  bool
+
+	// frames[c] holds free frame buffers of capacity at least 1<<c: frames
+	// this endpoint sent that their receivers released. Only an endpoint
+	// that has taken a Frame keeps any.
+	frames [][][]byte
+	draws  bool
 
 	// Delivered counts messages that reached this endpoint's inbox.
 	Delivered uint64
@@ -170,7 +202,7 @@ func (ep *Endpoint) now() time.Duration {
 func (ep *Endpoint) ID() int { return ep.id }
 
 // Pending returns the number of queued undelivered messages.
-func (ep *Endpoint) Pending() int { return len(ep.inbox) }
+func (ep *Endpoint) Pending() int { return ep.inbox.Len() }
 
 // Close marks the endpoint closed: in-flight messages that arrive later —
 // including fault-injected duplicates of messages consumed before the close
@@ -180,7 +212,7 @@ func (ep *Endpoint) Pending() int { return len(ep.inbox) }
 // popped after the fact.
 func (ep *Endpoint) Close() {
 	ep.closed = true
-	ep.inbox = nil
+	ep.inbox.Reset()
 }
 
 // Reopen re-enables delivery after Close (a crashed node restarting on the
@@ -217,7 +249,8 @@ func (ep *Endpoint) SignalArrival() {
 
 // Send transmits payload to the named destination over the connecting
 // link. It charges TxCost of CPU and returns ErrNoRoute or ErrOverflow
-// without transmitting on failure.
+// without transmitting on failure. On success the payload belongs to the
+// fabric and then to the receiver: the sender must not write to it again.
 func (ep *Endpoint) Send(env *sim.Env, dst string, payload []byte) error {
 	l := ep.out[dst]
 	if l == nil {
@@ -228,22 +261,25 @@ func (ep *Endpoint) Send(env *sim.Env, dst string, payload []byte) error {
 }
 
 // TryRecv pops the oldest inbox message without blocking or charging CPU
-// (interrupt-context safe). Returns nil when the inbox is empty.
+// (interrupt-context safe). Returns nil when the inbox is empty. Either way
+// the Msg the previous receive returned is recycled.
 func (ep *Endpoint) TryRecv() *Msg {
-	if len(ep.inbox) == 0 {
+	ep.recv[ep.cur] = recycled
+	m, ok := ep.inbox.Pop()
+	if !ok {
 		return nil
 	}
-	m := ep.inbox[0]
-	ep.inbox = ep.inbox[1:]
-	return m
+	ep.cur ^= 1
+	ep.recv[ep.cur] = m
+	return &ep.recv[ep.cur]
 }
 
 // Recv blocks the calling task until a message arrives, then pops and
 // returns it, charging RxCost.
 func (ep *Endpoint) Recv(env *sim.Env) *Msg {
-	for len(ep.inbox) == 0 {
+	for ep.inbox.Len() == 0 {
 		c := ep.Arrival()
-		if len(ep.inbox) > 0 {
+		if ep.inbox.Len() > 0 {
 			break
 		}
 		env.BlockOn(c)
@@ -252,14 +288,77 @@ func (ep *Endpoint) Recv(env *sim.Env) *Msg {
 	return ep.TryRecv()
 }
 
+// Frame buffers come in power-of-two capacities from 1<<minFrameClass to
+// 1<<maxFrameClass bytes; a larger frame is allocated to size and never
+// pooled. Each class keeps at most maxFreeFrames buffers.
+const (
+	minFrameClass = 6
+	maxFrameClass = 17
+	maxFreeFrames = 64
+)
+
+// Frame returns an empty buffer with room for n bytes, for a frame this
+// endpoint is about to send: one that a receiver of an earlier frame
+// released, or a new one. A protocol encodes into it only when the frame's
+// receiver releases what it decodes; a frame the receiver keeps (stores,
+// logs) is better allocated to size, since it never comes back.
+func (ep *Endpoint) Frame(n int) []byte {
+	ep.draws = true
+	c := minFrameClass
+	if n > 1<<minFrameClass {
+		c = bits.Len(uint(n - 1))
+	}
+	if c > maxFrameClass {
+		return make([]byte, 0, n)
+	}
+	if !ep.fab.eng.InWindow() && c < len(ep.frames) {
+		if free := ep.frames[c]; len(free) > 0 {
+			b := free[len(free)-1]
+			free[len(free)-1] = nil
+			ep.frames[c] = free[:len(free)-1]
+			return b
+		}
+	}
+	return make([]byte, 0, 1<<c)
+}
+
+// Release hands m's payload back to the endpoint that sent it, for a later
+// Frame of that endpoint's. The receiver calls it once it is the payload's
+// last reader: it has decoded the frame and keeps nothing that aliases it.
+// m's payload reads nil afterwards, so releasing twice is harmless. The
+// buffer is left to the collector instead when its sender never takes
+// frames, and inside a parallel window, where the sender's free list belongs
+// to the sender's lane.
+func (ep *Endpoint) Release(m *Msg) {
+	b := m.Payload
+	m.Payload = nil
+	if b == nil || m.SrcID < 0 || m.SrcID >= len(ep.fab.order) || ep.fab.eng.InWindow() {
+		return
+	}
+	src := ep.fab.order[m.SrcID]
+	c := bits.Len(uint(cap(b))) - 1
+	if !src.draws || c < minFrameClass || c > maxFrameClass {
+		return
+	}
+	for len(src.frames) <= c {
+		src.frames = append(src.frames, nil)
+	}
+	if len(src.frames[c]) < maxFreeFrames {
+		src.frames[c] = append(src.frames[c], b[:0])
+	}
+}
+
 // Link is one unidirectional src→dst pipe.
 type Link struct {
-	fab  *Fabric
-	id   int
-	src  *Endpoint
-	dst  *Endpoint
-	cfg  Config
-	site string // "<src>-><dst>", names the fault-injection sites
+	fab      *Fabric
+	id       int
+	src      *Endpoint
+	dst      *Endpoint
+	cfg      Config
+	site     string // "<src>-><dst>", names the fault-injection sites
+	siteHash uint64 // fnv1a64(site), the jitter stream's per-link key
+
+	dropSite, dupSite string // the fault plan's site names for this link
 
 	busyUntil  time.Duration // serialization horizon (last departure)
 	lastArrive time.Duration // FIFO floor on arrival times
@@ -267,8 +366,27 @@ type Link struct {
 	seq        uint64        // per-link transmission counter (jitter draws)
 	down       bool          // partitioned: everything arriving is lost
 
+	departFn func()    // l.depart, bound once
+	free     []*flight // records not in flight (engine context only)
+
 	// Stats.
 	Sent, Delivered, Dropped, Duped, Overflows uint64
+}
+
+// flight is one frame on its link, from transmit to arrival. Records belong
+// to the link and go back to its free list when they land; land is bound
+// once per record, so booking an arrival allocates nothing.
+type flight struct {
+	l       *Link
+	payload []byte
+	sentAt  time.Duration
+	dup     bool // a fault-injected duplicate
+	drop    bool // the fault plan drops it on arrival
+	// live is set from schedule to arrival. A record that lands while it
+	// sits in the free list was kept, or scheduled twice, by someone: its
+	// payload already belongs to another frame.
+	live bool
+	land func() // f.arrive
 }
 
 // ID returns the link id (creation order; the QID of its trace events).
@@ -309,7 +427,7 @@ func (l *Link) jitter() time.Duration {
 	if l.cfg.Jitter <= 0 {
 		return 0
 	}
-	h := splitmix64(l.fab.seed ^ fnv1a64(l.site) ^ l.seq*0x9e3779b97f4a7c15)
+	h := splitmix64(l.fab.seed ^ l.siteHash ^ l.seq*0x9e3779b97f4a7c15)
 	return time.Duration(h % uint64(l.cfg.Jitter+1))
 }
 
@@ -322,9 +440,10 @@ func (l *Link) transmit(payload []byte) error {
 		return fmt.Errorf("%w: %s (depth %d)", ErrOverflow, l.site, l.depth())
 	}
 	l.schedule(payload, false)
-	if p := l.fab.plan; p != nil && p.Fire("net:dup:"+l.site) && l.queued < l.depth() {
+	if p := l.fab.plan; p != nil && p.Fire(l.dupSite) && l.queued < l.depth() {
 		// The duplicate is its own transmission (and its own NetSend), so
-		// the analyzer's sent >= delivered+dropped accounting holds.
+		// the analyzer's sent >= delivered+dropped accounting holds. It is
+		// its own copy, too: each receiver may release what it got.
 		l.Duped++
 		l.schedule(append([]byte(nil), payload...), true)
 	}
@@ -357,38 +476,61 @@ func (l *Link) schedule(payload []byte, dup bool) {
 		arrive = l.lastArrive
 	}
 	l.lastArrive = arrive
-	drop := false
-	if p := l.fab.plan; p != nil && p.Fire("net:drop:"+l.site) {
-		drop = true
-	}
-	m := &Msg{Src: l.src.name, Dst: l.dst.name, SrcID: l.src.id, DstID: l.dst.id,
-		Payload: payload, SentAt: now, Dup: dup}
-	onArrive := func() {
-		if drop || l.down {
-			l.Dropped++
-			if tr := eng.Tracer; tr != nil {
-				tr.Emit(l.dst.now(), trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(payload)))
-			}
-			return
-		}
-		l.deliverMsg(m)
-	}
+	f := l.newFlight()
+	f.payload, f.sentAt, f.dup, f.live = payload, now, dup, true
+	f.drop = l.fab.plan != nil && l.fab.plan.Fire(l.dropSite)
 	if src := l.src.home; src != nil {
-		src.ScheduleAt(depart, func() { l.queued-- })
-		if dst := l.dst.home; dst != nil {
-			src.ScheduleOn(dst, arrive, onArrive)
-		} else {
-			src.ScheduleOn(nil, arrive, onArrive)
+		src.ScheduleAt(depart, l.departFn)
+		src.ScheduleOn(l.dst.home, arrive, f.land)
+		return
+	}
+	eng.ScheduleAt(depart, l.departFn)
+	eng.ScheduleAt(arrive, f.land)
+}
+
+// depart releases the sender-side queue slot of the oldest frame on the
+// wire (departures fire in transmit order).
+func (l *Link) depart() { l.queued-- }
+
+// newFlight takes a record from the free list, or allocates one.
+func (l *Link) newFlight() *flight {
+	if n := len(l.free); n > 0 && !l.fab.eng.InWindow() {
+		f := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return f
+	}
+	f := &flight{l: l}
+	f.land = f.arrive
+	return f
+}
+
+// arrive is a record's arrival event (event context, on the destination's
+// lane). The record is recycled before the message is delivered, because
+// delivery can run the receiver, and what it sends next should find the
+// record free.
+func (f *flight) arrive() {
+	if !f.live {
+		panic("netsim: in-flight record landed after it was recycled")
+	}
+	l, payload, sentAt, dup, drop := f.l, f.payload, f.sentAt, f.dup, f.drop
+	f.payload, f.live = nil, false
+	if !l.fab.eng.InWindow() {
+		l.free = append(l.free, f)
+	}
+	if drop || l.down {
+		l.Dropped++
+		if tr := l.fab.eng.Tracer; tr != nil {
+			tr.Emit(l.dst.now(), trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(payload)))
 		}
 		return
 	}
-	eng.ScheduleAt(depart, func() { l.queued-- })
-	eng.ScheduleAt(arrive, onArrive)
+	l.deliverMsg(payload, sentAt, dup)
 }
 
 // deliverMsg lands one message at the destination endpoint (event context,
 // on the destination's lane).
-func (l *Link) deliverMsg(m *Msg) {
+func (l *Link) deliverMsg(payload []byte, sentAt time.Duration, dup bool) {
 	eng := l.fab.eng
 	now := l.dst.now()
 	if l.dst.closed {
@@ -398,17 +540,17 @@ func (l *Link) deliverMsg(m *Msg) {
 		l.Dropped++
 		l.dst.DroppedClosed++
 		if tr := eng.Tracer; tr != nil {
-			tr.Emit(now, trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(m.Payload)))
+			tr.Emit(now, trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(payload)))
 		}
 		return
 	}
-	m.DeliveredAt = now
 	l.Delivered++
 	if tr := eng.Tracer; tr != nil {
-		tr.Emit(now, trace.NetDeliver, -1, l.id, trace.NoCID, 0, uint64(len(m.Payload)))
+		tr.Emit(now, trace.NetDeliver, -1, l.id, trace.NoCID, 0, uint64(len(payload)))
 	}
 	d := l.dst
-	d.inbox = append(d.inbox, m)
+	m := d.inbox.Push(Msg{Src: l.src.name, Dst: d.name, SrcID: l.src.id, DstID: d.id,
+		Payload: payload, SentAt: sentAt, DeliveredAt: now, Dup: dup})
 	d.Delivered++
 	if d.deliver != nil {
 		d.deliver(m)

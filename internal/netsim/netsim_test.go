@@ -50,10 +50,10 @@ func TestFIFOUnderJitter(t *testing.T) {
 		Jitter: 5 * time.Microsecond, QueueDepth: 128})
 
 	const n = 50
-	var msgs []*Msg
+	var msgs []Msg // copies: a received *Msg is valid until the next receive
 	eng.Spawn("rx", eng.Core(1), func(env *sim.Env) {
 		for i := 0; i < n; i++ {
-			msgs = append(msgs, f.Endpoint("b").Recv(env))
+			msgs = append(msgs, *f.Endpoint("b").Recv(env))
 		}
 	})
 	eng.Spawn("tx", eng.Core(0), func(env *sim.Env) {
@@ -176,9 +176,9 @@ func TestFaultInjectedLoss(t *testing.T) {
 	f.UsePlan(faultinject.NewPlan(9).On("net:drop:a->b", faultinject.Once()))
 	f.Connect("a", "b", Config{Latency: time.Microsecond})
 
-	var got []*Msg
+	var got []Msg
 	eng.Spawn("rx", eng.Core(1), func(env *sim.Env) {
-		got = append(got, f.Endpoint("b").Recv(env))
+		got = append(got, *f.Endpoint("b").Recv(env))
 	})
 	eng.Spawn("tx", eng.Core(0), func(env *sim.Env) {
 		f.Endpoint("a").Send(env, "b", []byte("one"))
@@ -204,10 +204,10 @@ func TestFaultInjectedDuplication(t *testing.T) {
 	f.UsePlan(faultinject.NewPlan(9).On("net:dup:a->b", faultinject.Once()))
 	f.Connect("a", "b", Config{Latency: time.Microsecond})
 
-	var got []*Msg
+	var got []Msg
 	eng.Spawn("rx", eng.Core(1), func(env *sim.Env) {
 		for i := 0; i < 2; i++ {
-			got = append(got, f.Endpoint("b").Recv(env))
+			got = append(got, *f.Endpoint("b").Recv(env))
 		}
 	})
 	eng.Spawn("tx", eng.Core(0), func(env *sim.Env) {

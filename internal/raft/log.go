@@ -55,7 +55,11 @@ func (l *Log) Entry(i uint64) (Entry, bool) {
 	return l.entries[i-l.offset], true
 }
 
-// Entries returns a copy of entries in [lo, hi] clamped to the stored range.
+// Entries returns the entries in [lo, hi] clamped to the stored range, as a
+// view of the log: no copy is made, and the caller must not write to it. A
+// view stays valid for good, because the log never writes a slot it has
+// handed out: Append only writes past the end, and TruncateSuffix and
+// CompactPrefix move the entries they keep to fresh storage.
 func (l *Log) Entries(lo, hi uint64) []Entry {
 	if lo < l.offset {
 		lo = l.offset
@@ -66,9 +70,7 @@ func (l *Log) Entries(lo, hi uint64) []Entry {
 	if lo > hi {
 		return nil
 	}
-	out := make([]Entry, hi-lo+1)
-	copy(out, l.entries[lo-l.offset:hi-l.offset+1])
-	return out
+	return l.entries[lo-l.offset : hi-l.offset+1 : hi-l.offset+1]
 }
 
 // Append adds entries at the tail and returns the new last index.
@@ -80,7 +82,9 @@ func (l *Log) Append(es ...Entry) uint64 {
 // TruncateSuffix drops every entry with index >= from (the conflict path of
 // AppendEntries). Truncating at or below the compaction boundary panics:
 // compacted entries are by construction committed everywhere, and a
-// committed entry must never be truncated.
+// committed entry must never be truncated. The kept prefix moves to fresh
+// storage, so the entries that replace the dropped ones cannot overwrite a
+// view Entries handed out (a message still in someone's queue).
 func (l *Log) TruncateSuffix(from uint64) {
 	if from < l.offset {
 		panic(fmt.Sprintf("raft: suffix truncation at %d below compaction boundary %d", from, l.offset))
@@ -88,7 +92,7 @@ func (l *Log) TruncateSuffix(from uint64) {
 	if from > l.LastIndex() {
 		return
 	}
-	l.entries = l.entries[:from-l.offset]
+	l.entries = append([]Entry(nil), l.entries[:from-l.offset]...)
 }
 
 // CompactPrefix discards entries with index <= to, retaining the boundary

@@ -302,6 +302,24 @@ func TestPropertyLogOps(t *testing.T) {
 	}
 }
 
+// TestEntriesViewOutlivesTruncation: Entries hands out views, not copies,
+// and a MsgApp built from one may sit in a queue while its sender steps
+// down and overwrites the conflicting suffix. The view must keep reading
+// the entries it was taken over.
+func TestEntriesViewOutlivesTruncation(t *testing.T) {
+	lg := NewLog()
+	lg.Append(Entry{Term: 1, Data: []byte("a")}, Entry{Term: 1, Data: []byte("b")}, Entry{Term: 1, Data: []byte("c")})
+	view := lg.Entries(2, 3)
+	lg.TruncateSuffix(2)
+	lg.Append(Entry{Term: 2, Data: []byte("x")}, Entry{Term: 2, Data: []byte("y")})
+	if len(view) != 2 || view[0].Term != 1 || string(view[0].Data) != "b" || string(view[1].Data) != "c" {
+		t.Fatalf("view of entries 2-3 reads %+v after the suffix was replaced", view)
+	}
+	if e, _ := lg.Entry(2); e.Term != 2 || string(e.Data) != "x" {
+		t.Fatalf("log entry 2 is %+v, want the replacement", e)
+	}
+}
+
 // TestTruncateBelowBoundaryPanics pins the "no committed entry is ever
 // truncated" guard: the compaction boundary is committed everywhere by
 // construction, so suffix truncation below it must refuse loudly.

@@ -131,8 +131,12 @@ type Node struct {
 	votes map[int]bool
 	prs   []progress // leader only: one per peer, this node included
 
-	msgs  []Message
-	hooks Hooks
+	// msgs collects the outbox; spare is the slice the previous Messages
+	// returned, whose storage the next drain reuses.
+	msgs, spare []Message
+	// applying backs the slice CommittedEntries returns.
+	applying []IndexedEntry
+	hooks    Hooks
 
 	// Elections counts campaigns started; Grants counts votes this node
 	// granted; Heartbeats counts heartbeat broadcasts sent as leader.
@@ -224,26 +228,29 @@ func (n *Node) setCommit(c uint64) {
 }
 
 // Messages drains the outbox: every message generated since the last drain,
-// in generation order.
+// in generation order. The outbox is double-buffered, so the slice is valid
+// until the next Messages call; copy out any message kept longer (a Message
+// value is safe to keep: its Entries are a view of a log, see Log.Entries).
 func (n *Node) Messages() []Message {
 	out := n.msgs
-	n.msgs = nil
+	n.msgs, n.spare = n.spare[:0], out
 	return out
 }
 
 // CommittedEntries returns the entries in (applied, commit] and marks them
-// applied. The caller must apply them in order before the next call.
+// applied. The caller must apply them in order before the next call. The
+// slice is the node's own buffer, valid until the node's next Step, Tick,
+// Propose or CommittedEntries.
 func (n *Node) CommittedEntries() []IndexedEntry {
 	if n.applied >= n.commit {
 		return nil
 	}
-	es := n.log.Entries(n.applied+1, n.commit)
-	out := make([]IndexedEntry, len(es))
-	for i, e := range es {
-		out[i] = IndexedEntry{Index: n.applied + 1 + uint64(i), Entry: e}
+	n.applying = n.applying[:0]
+	for i, e := range n.log.Entries(n.applied+1, n.commit) {
+		n.applying = append(n.applying, IndexedEntry{Index: n.applied + 1 + uint64(i), Entry: e})
 	}
 	n.applied = n.commit
-	return out
+	return n.applying
 }
 
 // quorum returns the majority size.

@@ -178,6 +178,14 @@ func (e *Engine) Now() time.Duration {
 	return e.now
 }
 
+// InWindow reports whether a parallel window is executing. An object whose
+// records are taken on one lane and returned on another recycles them only
+// outside a window (engine context), where no second lane can run; inside
+// one it allocates and lets them go, as event nodes do. Safe from any lane:
+// the window is opened before the lane goroutines start and closed after
+// they are joined.
+func (e *Engine) InWindow() bool { return e.win != nil }
+
 // Cores returns the simulated cores.
 func (e *Engine) Cores() []*Core { return e.cores }
 

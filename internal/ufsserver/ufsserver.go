@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"aeolia/internal/aeofs"
+	"aeolia/internal/fifo"
 	"aeolia/internal/sim"
 	"aeolia/internal/timing"
 	"aeolia/internal/vfs"
@@ -27,7 +28,7 @@ type request struct {
 // (and would poll SPDK completion queues between requests).
 type worker struct {
 	id     int
-	queue  []*request
+	queue  fifo.Queue[*request]
 	signal *sim.Completion
 	task   *sim.Task
 
@@ -84,13 +85,12 @@ func (s *Server) workerLoop(env *sim.Env, w *worker) {
 		if s.stopped {
 			return
 		}
-		if len(w.queue) == 0 {
+		req, ok := w.queue.Pop()
+		if !ok {
 			w.signal = sim.NewCompletion()
 			env.SpinWait(w.signal)
 			continue
 		}
-		req := w.queue[0]
-		w.queue = w.queue[1:]
 		start := env.Now()
 		env.Exec(s.perWorkerCost)
 		req.fn(env)
@@ -107,7 +107,7 @@ func (s *Server) submit(env *sim.Env, wi int, fn func(env *sim.Env)) {
 	w := s.workers[wi%len(s.workers)]
 	env.Exec(timing.IPC) // marshal + enqueue + doorbell
 	req := &request{fn: fn, done: sim.NewCompletion()}
-	w.queue = append(w.queue, req)
+	w.queue.Push(req)
 	w.signal.Fire()
 	env.SpinWait(req.done)
 	env.Exec(timing.IPC / 2) // read the response

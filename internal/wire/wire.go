@@ -33,6 +33,13 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// Into returns a Writer that assembles its frame over buf[:0]: a buffer
+// with room for the whole frame, such as one from the sending endpoint's
+// free list, is written in place and nothing is allocated.
+func Into(buf []byte) *Writer {
+	return &Writer{buf: buf[:0]}
+}
+
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) *Writer {
 	w.buf = append(w.buf, v)
@@ -153,8 +160,8 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// Bytes reads n raw bytes into a fresh slice (frames belong to the fabric;
-// decoded messages must not alias them). n == 0 returns nil.
+// Bytes reads n raw bytes into a fresh slice, for a decoded value that must
+// outlive the frame (View aliases it instead). n == 0 returns nil.
 func (r *Reader) Bytes(n int) []byte {
 	if n == 0 || !r.need(n) {
 		return nil
