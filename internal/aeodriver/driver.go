@@ -124,13 +124,9 @@ type Config struct {
 	// command carries the thread's current I/O class as its completion
 	// priority tag (see nvme.Coalescing.UrgentMax for the per-class
 	// aggregation bypass). Off (the default), the legacy class-less
-	// behavior is kept.
-	QoS bool
-	// IOClass is each thread's initial I/O class when QoS is enabled.
-	// Note the zero value is uintr.ClassUrgent — QoS configurations
-	// should set it explicitly (uintr.ClassNormal for mixed workloads);
+	// behavior is kept. Every thread starts in uintr.ClassNormal;
 	// SetIOClass changes it per thread at runtime.
-	IOClass uintr.Class
+	QoS bool
 }
 
 func (c Config) maxRetries() int {
@@ -349,6 +345,7 @@ func (d *Driver) CreateQP(env *sim.Env) (*Thread, error) {
 		task:    t,
 		qp:      qp,
 		pending: make(map[uint16]*Request),
+		class:   uintr.ClassNormal,
 	}
 	th.handlerFrame = th.runHandlerFrame
 	if d.cfg.ZeroCopyRing {
@@ -375,9 +372,7 @@ func (d *Driver) CreateQP(env *sim.Env) (*Thread, error) {
 			// The queue pair posts user vector 0 into the thread's UPID.
 			th.upid, _ = d.kern.MapUPID(t.Affinity(), th.vector, d.gate)
 			if d.cfg.QoS {
-				th.class = d.cfg.IOClass
-				th.upid.Classes = uintr.NewClassMap(uintr.ClassNormal)
-				th.upid.Classes.Set(0, th.class)
+				th.upid.Classes = uintr.NewClassMap(th.class)
 			}
 			d.kern.RegisterThreadUintr(t, th.vector, th.upid, th.userHandler)
 		}

@@ -34,6 +34,9 @@ var (
 // legacy/exception range, like Linux's external vector space).
 const firstDeviceVector = 0x30
 
+// ProcessQPLimit caps the queue pairs one process holds at once.
+const ProcessQPLimit = 64
+
 // Partition is the coarse, kernel-maintained permission a process holds on
 // the disk: a contiguous LBA range plus writability.
 type Partition struct {
@@ -104,9 +107,6 @@ type Kernel struct {
 
 	nextPID int
 
-	// QPPerProcess caps queue pairs per process (default 64).
-	QPPerProcess int
-
 	// SpuriousKernelIRQs counts interrupts no owner claimed.
 	SpuriousKernelIRQs uint64
 }
@@ -115,16 +115,15 @@ type Kernel struct {
 // every core and the context-switch hooks that maintain the UINTR MSRs.
 func New(eng *sim.Engine, sch *sched.EEVDF, dev *nvme.Device) *Kernel {
 	k := &Kernel{
-		eng:          eng,
-		sch:          sch,
-		dev:          dev,
-		Sys:          mpk.NewSystem(),
-		Registry:     mpk.NewRegistry(),
-		vecOwners:    make(map[int]KernelDeliver),
-		threads:      make(map[*sim.Task]*threadUintr),
-		vecUPIDs:     make(map[int]*uintr.UPID),
-		nextVector:   firstDeviceVector,
-		QPPerProcess: 64,
+		eng:        eng,
+		sch:        sch,
+		dev:        dev,
+		Sys:        mpk.NewSystem(),
+		Registry:   mpk.NewRegistry(),
+		vecOwners:  make(map[int]KernelDeliver),
+		threads:    make(map[*sim.Task]*threadUintr),
+		vecUPIDs:   make(map[int]*uintr.UPID),
+		nextVector: firstDeviceVector,
 	}
 	for _, c := range eng.Cores() {
 		k.ui = append(k.ui, uintr.NewCoreState())
@@ -168,7 +167,7 @@ func (k *Kernel) NewProcess(name string, part Partition) (*Process, error) {
 // AllocQueuePair hands the process an NVMe queue pair, mapped into its
 // address space (③ in Table 4's backing service).
 func (k *Kernel) AllocQueuePair(p *Process, depth int) (*nvme.QueuePair, error) {
-	if p.qps >= k.QPPerProcess {
+	if p.qps >= ProcessQPLimit {
 		return nil, ErrQPLimit
 	}
 	qp, err := k.dev.CreateQueuePair(depth)

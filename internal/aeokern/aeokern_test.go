@@ -33,14 +33,15 @@ func TestPartitionBounds(t *testing.T) {
 
 func TestQueuePairAccounting(t *testing.T) {
 	_, k := newKernel(t, 1)
-	k.QPPerProcess = 2
 	p, _ := k.NewProcess("p", aeokern.Partition{Start: 0, Blocks: 64})
 	q1, err := k.AllocQueuePair(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.AllocQueuePair(p, 8); err != nil {
-		t.Fatal(err)
+	for i := 1; i < aeokern.ProcessQPLimit; i++ {
+		if _, err := k.AllocQueuePair(p, 8); err != nil {
+			t.Fatalf("queue pair %d: %v", i, err)
+		}
 	}
 	if _, err := k.AllocQueuePair(p, 8); !errors.Is(err, aeokern.ErrQPLimit) {
 		t.Fatalf("err = %v, want ErrQPLimit", err)

@@ -10,10 +10,6 @@ import (
 	"aeolia/internal/trace"
 )
 
-// Data-server response frames (aeosvc) share the client endpoint with MDS
-// replies and revokes; dispatch keys on the leading byte.
-const svcRespMagic = 0xA8
-
 // ErrNotOpen is returned by data I/O on a path with no live layout.
 var ErrNotOpen = errors.New("aeomds: path not open")
 
@@ -29,8 +25,6 @@ type ClientConfig struct {
 	Shards int
 	// DataEndpoints maps stripe-node index → data-server endpoint name.
 	DataEndpoints []string
-	// Tenant is stamped into data-server requests.
-	Tenant uint16
 }
 
 // layout is one cached open file: the lease, extent map, and per-node
@@ -59,8 +53,8 @@ type Client struct {
 	layouts map[string]*layout
 
 	// MetaOps / DataOps count completed round trips; Revokes counts
-	// lease revocations honored.
-	MetaOps, DataOps, Revokes uint64
+	// lease revocations honored; BadFrames counts empty frames dropped.
+	MetaOps, DataOps, Revokes, BadFrames uint64
 }
 
 // NewClient builds a client endpoint on the fabric.
@@ -108,7 +102,9 @@ func (c *Client) handleRevoke(env *sim.Env, payload []byte) error {
 	return c.ep.Send(env, ShardEndpoint(int(rv.Shard)), ack.encode())
 }
 
-// recv blocks for the next frame, honoring interleaved revokes.
+// recv blocks for the next non-empty frame, honoring interleaved revokes.
+// Data-server replies (aeosvc) share the endpoint with MDS replies and
+// revokes; callers dispatch on the leading byte.
 func (c *Client) recv(env *sim.Env) (*netsim.Msg, error) {
 	for {
 		m := c.ep.TryRecv()
@@ -120,7 +116,11 @@ func (c *Client) recv(env *sim.Env) (*netsim.Msg, error) {
 			continue
 		}
 		env.Exec(netsim.RxCost)
-		if len(m.Payload) > 0 && m.Payload[0] == magicRevoke {
+		if len(m.Payload) == 0 {
+			c.BadFrames++
+			continue
+		}
+		if m.Payload[0] == magicRevoke {
 			if err := c.handleRevoke(env, m.Payload); err != nil {
 				return nil, err
 			}
@@ -166,7 +166,6 @@ func (c *Client) call(env *sim.Env, shard int, req Request) (Response, error) {
 func (c *Client) svcCall(env *sim.Env, node uint16, req aeosvc.Request, dst []byte) (aeosvc.Response, int, error) {
 	c.nextID++
 	req.ID = c.nextID
-	req.Tenant = c.cfg.Tenant
 	if err := c.ep.Send(env, c.cfg.DataEndpoints[node], req.Encode()); err != nil {
 		return aeosvc.Response{}, 0, err
 	}
@@ -175,7 +174,7 @@ func (c *Client) svcCall(env *sim.Env, node uint16, req aeosvc.Request, dst []by
 		if err != nil {
 			return aeosvc.Response{}, 0, err
 		}
-		if m.Payload[0] != svcRespMagic {
+		if !aeosvc.IsResponse(m.Payload) {
 			return aeosvc.Response{}, 0, fmt.Errorf("%w: unexpected magic %#x awaiting data reply", ErrWire, m.Payload[0])
 		}
 		resp, err := aeosvc.DecodeResponse(m.Payload)

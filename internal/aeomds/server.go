@@ -17,8 +17,6 @@ type Config struct {
 	Shards int
 	// DataNodes is how many data servers files stripe across.
 	DataNodes int
-	// Layout is the striping policy stamped into new files.
-	Layout Layout
 	// OpCPU is the per-operation CPU cost on the owning shard's core
 	// (default 1.5us) — the decode+hash+update work a real MGM would do.
 	OpCPU time.Duration
@@ -84,8 +82,10 @@ type Service struct {
 
 	// Lease accounting (engine-serialized).
 	Granted, Released, RevokesSent, Revoked uint64
-	// Ops counts client operations answered.
-	Ops uint64
+	// Ops counts client operations answered. BadFrames counts frames
+	// dropped unanswered: empty, of unknown magic, undecodable client
+	// requests and revoke acks, and acks for a lease not being revoked.
+	Ops, BadFrames uint64
 }
 
 // NewService builds the service and its shard endpoints on the fabric.
@@ -94,7 +94,7 @@ func NewService(fab *netsim.Fabric, cfg Config) *Service {
 		eng: fab.Engine(),
 		fab: fab,
 		cfg: cfg,
-		ns:  NewNamespace(cfg.shards(), cfg.DataNodes, cfg.Layout),
+		ns:  NewNamespace(cfg.shards(), cfg.DataNodes, Layout{}),
 	}
 	for i := 0; i < cfg.shards(); i++ {
 		svc.rt = append(svc.rt, &shardRT{
@@ -186,6 +186,7 @@ func (svc *Service) serveShard(env *sim.Env, i int) {
 			continue
 		}
 		if len(m.Payload) == 0 {
+			svc.BadFrames++
 			continue
 		}
 		env.Exec(netsim.RxCost + svc.cfg.opCPU())
@@ -199,7 +200,7 @@ func (svc *Service) serveShard(env *sim.Env, i int) {
 		case magicRevokeAck:
 			svc.handleRevokeAck(env, i, m)
 		default:
-			svc.fail(fmt.Errorf("aeomds: shard %d: unknown magic %#x", i, m.Payload[0]))
+			svc.BadFrames++
 		}
 	}
 }
@@ -247,13 +248,13 @@ func (svc *Service) revokeLeases(env *sim.Env, i int, ino uint64) {
 func (svc *Service) handleRevokeAck(env *sim.Env, i int, m *netsim.Msg) {
 	ack, err := decodeRevokeAck(m.Payload)
 	if err != nil {
-		svc.fail(err)
+		svc.BadFrames++
 		return
 	}
 	rt := svc.rt[i]
 	l := rt.leases[ack.Lease]
 	if l == nil || !l.revoking {
-		svc.fail(fmt.Errorf("aeomds: shard %d: revoke ack for unknown lease %d", i, ack.Lease))
+		svc.BadFrames++
 		return
 	}
 	delete(rt.leases, ack.Lease)
@@ -271,7 +272,7 @@ func (svc *Service) nextTxn(i int) uint64 {
 func (svc *Service) handleClient(env *sim.Env, i int, m *netsim.Msg) {
 	req, err := DecodeRequest(m.Payload)
 	if err != nil {
-		svc.fail(err)
+		svc.BadFrames++
 		return
 	}
 	sh := svc.ns.Shard(i)

@@ -359,3 +359,57 @@ func TestServiceCrossShardMkdirRename(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHostileFramesDropped: malformed input bounces at the protocol
+// boundary. An empty frame reaching a client parked on a call, and three
+// frames a shard cannot act on (an undecodable request, an unknown magic, a
+// revoke-ack for a lease it never granted), are dropped and counted; the
+// service stays healthy and the next valid operation succeeds.
+func TestHostileFramesDropped(t *testing.T) {
+	tc := newTestCluster(t, 1, 1, nil)
+	defer tc.m.Eng.Shutdown()
+	tc.connect(0)
+	tc.fab.Connect("evil", ClientEndpoint(0), testLink)
+	tc.fab.Connect("evil", ShardEndpoint(0), testLink)
+	c := NewClient(tc.fab, ClientConfig{ID: 0, Shards: 1, DataEndpoints: []string{"fst0"}})
+
+	var failure error
+	tc.m.Eng.Spawn("driver", tc.m.Eng.Core(0), func(env *sim.Env) {
+		defer tc.stop()
+		evil := tc.fab.Endpoint("evil")
+		send := func(dst string, b []byte) {
+			if err := evil.Send(env, dst, b); err != nil && failure == nil {
+				failure = err
+			}
+		}
+		// The empty frame lands while the client awaits its mkdir reply.
+		send(ClientEndpoint(0), []byte{})
+		if err := c.Mkdir(env, "/d"); err != nil {
+			failure = fmt.Errorf("mkdir after empty frame: %w", err)
+			return
+		}
+		send(ShardEndpoint(0), []byte{magicReq, byte(OpLookup)})
+		send(ShardEndpoint(0), []byte{0x77, 1, 2, 3})
+		send(ShardEndpoint(0), (&revokeAck{Lease: 12345}).encode())
+		env.Sleep(100 * time.Microsecond)
+		if _, err := c.Stat(env, "/d"); err != nil {
+			failure = fmt.Errorf("stat after hostile frames: %w", err)
+		}
+	})
+	tc.m.Run(time.Second)
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if err := tc.svc.Err(); err != nil {
+		t.Fatalf("service failed on hostile input: %v", err)
+	}
+	if c.BadFrames != 1 {
+		t.Fatalf("client BadFrames = %d, want 1", c.BadFrames)
+	}
+	if tc.svc.BadFrames != 3 {
+		t.Fatalf("shard BadFrames = %d, want 3", tc.svc.BadFrames)
+	}
+	if err := tc.svc.CheckAccounting(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // Wire magics. Client↔shard traffic uses 0xC1/0xC2, asynchronous lease
 // revocation 0xC3/0xC4, and shard↔shard coordination (rename ingest, mkdir
-// attach) 0xC5/0xC6. Clients multiplex 0xC2/0xC3 (and aeosvc's 0xA8 data
+// attach) 0xC5/0xC6. Clients multiplex 0xC2/0xC3 (and aeosvc's data
 // responses) on one endpoint, dispatching on the leading magic byte.
 const (
 	magicReq       = 0xC1

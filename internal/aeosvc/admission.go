@@ -25,7 +25,7 @@ type TenantConfig struct {
 	// backlog sheds even when tokens remain (default 0 = unbounded).
 	MaxBacklog int
 	// Class is the tenant's delivery priority class. Only meaningful on a
-	// QoS admission controller (NewAdmissionQoS): dequeue is strict
+	// QoS admission controller (NewAdmission with qos): dequeue is strict
 	// priority across classes, weighted fair within a class, and workers
 	// tag the tenant's I/O so urgent completions bypass coalescing. The
 	// zero value is ClassUrgent — set Class explicitly for every tenant
@@ -115,17 +115,10 @@ type Admission struct {
 // NewAdmission builds the admission controller. Requests from tenants not
 // in cfgs are assigned a default (unlimited) tenant config on first use
 // only when enabled is false; with admission enabled, unknown tenants are
-// shed outright.
-func NewAdmission(enabled bool, cfgs []TenantConfig) *Admission {
-	return NewAdmissionQoS(enabled, false, cfgs)
-}
-
-// NewAdmissionQoS builds a class-aware admission controller: Next drains
-// strictly highest-class-first (ClassUrgent before ClassHigh before ...),
-// with weighted fair dequeue among the tenants of each class. With qos
-// false it degenerates to the single-queue controller, byte-for-byte
-// compatible with NewAdmission.
-func NewAdmissionQoS(enabled, qos bool, cfgs []TenantConfig) *Admission {
+// shed outright. With qos, Next drains strictly highest-class-first
+// (ClassUrgent before ClassHigh before ...), with weighted fair dequeue
+// among the tenants of each class; without it there is one queue.
+func NewAdmission(enabled, qos bool, cfgs []TenantConfig) *Admission {
 	a := &Admission{enabled: enabled, qos: qos, byID: make(map[uint16]*tenantState)}
 	n := 1
 	if qos {

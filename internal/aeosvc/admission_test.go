@@ -12,7 +12,7 @@ func mkPending(tenant uint16, id uint64) *pending {
 func TestAdmissionTokenBucket(t *testing.T) {
 	// 1000 ops/s, burst 4: four requests pass at t=0, the fifth sheds, and
 	// one token returns every millisecond.
-	a := NewAdmission(true, []TenantConfig{{ID: 1, OpsPerSec: 1000, Burst: 4}})
+	a := NewAdmission(true, false, []TenantConfig{{ID: 1, OpsPerSec: 1000, Burst: 4}})
 	var id uint64
 	for i := 0; i < 4; i++ {
 		id++
@@ -42,7 +42,7 @@ func TestAdmissionTokenBucket(t *testing.T) {
 }
 
 func TestAdmissionBacklogBound(t *testing.T) {
-	a := NewAdmission(true, []TenantConfig{{ID: 1, Burst: 100, MaxBacklog: 3}})
+	a := NewAdmission(true, false, []TenantConfig{{ID: 1, Burst: 100, MaxBacklog: 3}})
 	var id uint64
 	admitted := 0
 	for i := 0; i < 5; i++ {
@@ -65,7 +65,7 @@ func TestAdmissionBacklogBound(t *testing.T) {
 }
 
 func TestAdmissionDisabledAdmitsAll(t *testing.T) {
-	a := NewAdmission(false, nil)
+	a := NewAdmission(false, false, nil)
 	var id uint64
 	for i := 0; i < 100; i++ {
 		id++
@@ -83,7 +83,7 @@ func TestAdmissionDisabledAdmitsAll(t *testing.T) {
 }
 
 func TestAdmissionUnknownTenantShedWhenEnabled(t *testing.T) {
-	a := NewAdmission(true, []TenantConfig{{ID: 1}})
+	a := NewAdmission(true, false, []TenantConfig{{ID: 1}})
 	if a.Offer(0, mkPending(99, 1)) {
 		t.Fatal("unknown tenant admitted under enforcement")
 	}
@@ -98,7 +98,7 @@ func TestAdmissionUnknownTenantShedWhenEnabled(t *testing.T) {
 func TestWeightedFairDequeue(t *testing.T) {
 	// Weight 3 vs weight 1, both with deep backlogs: over any window the
 	// dequeue ratio tracks 3:1.
-	a := NewAdmission(true, []TenantConfig{
+	a := NewAdmission(true, false, []TenantConfig{
 		{ID: 1, Weight: 3, Burst: 100},
 		{ID: 2, Weight: 1, Burst: 100},
 	})
@@ -128,7 +128,7 @@ func TestWeightedFairDequeue(t *testing.T) {
 
 func TestDequeueDrainsIdleTenants(t *testing.T) {
 	// A heavyweight tenant with an empty queue must not starve the other.
-	a := NewAdmission(true, []TenantConfig{
+	a := NewAdmission(true, false, []TenantConfig{
 		{ID: 1, Weight: 100, Burst: 100},
 		{ID: 2, Weight: 1, Burst: 100},
 	})
@@ -149,7 +149,7 @@ func TestDequeueDrainsIdleTenants(t *testing.T) {
 }
 
 func TestDequeueFIFOWithinTenant(t *testing.T) {
-	a := NewAdmission(false, nil)
+	a := NewAdmission(false, false, nil)
 	for i := 1; i <= 10; i++ {
 		a.Offer(0, mkPending(1, uint64(i)))
 	}

@@ -17,7 +17,7 @@ import (
 // reallocate on every admit (Next popped with queue = queue[1:]). 10 000
 // admit/dequeue cycles allocate nothing now.
 func TestAllocsAdmissionStandingDepth(t *testing.T) {
-	a := NewAdmission(false, []TenantConfig{{ID: 1}})
+	a := NewAdmission(false, false, []TenantConfig{{ID: 1}})
 	p := mkPending(1, 1)
 	for i := 0; i < 3; i++ {
 		a.Offer(0, p)

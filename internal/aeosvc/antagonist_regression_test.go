@@ -138,21 +138,16 @@ func urgentCellResults(t *testing.T, antagonist string, enforce bool) []*aeosvc.
 		ants = append(ants, attack.SpawnCPUHog(m.Eng, m.Eng.Core(1)))
 	case "io_flood":
 		ants = append(ants, attack.SpawnIOFlood(m.Eng, fab, "svc", m.Eng.Core(5), attack.FloodConfig{
-			Tenant:    2,
-			Class:     uint8(uintr.ClassBulk),
-			QD:        16,
-			IOBytes:   16384,
-			FileBytes: 1 << 20,
-			Seed:      regressionSeed * 7,
-			Link:      link,
+			Tenant: 2,
+			Seed:   regressionSeed * 7,
+			Link:   link,
 		}))
 	case "cache_thrash":
 		// Large thrash reads: every one is a multi-page device burst ahead
 		// of the urgent tenant's (evicted, hence missing) reads.
 		ants = append(ants, attack.SpawnCacheThrasher(m.Eng, m.Eng.Core(5), fi.FS, attack.ThrashConfig{
-			FileBytes: 1 << 20,
-			IOBytes:   1 << 14,
-			Seed:      regressionSeed * 13,
+			IOBytes: 1 << 14,
+			Seed:    regressionSeed * 13,
 		}))
 	default:
 		t.Fatalf("unknown antagonist %q", antagonist)

@@ -26,21 +26,21 @@ type ClientConfig struct {
 	// absorb the open/prefill convoy every client rig produces at t=0 and
 	// any cold-cache transient, which would otherwise dominate p99.9.
 	WarmupOps int
-	// ReadFrac of the file ops are reads (the rest writes).
+	// ReadFrac of the ops are reads (the rest writes).
 	ReadFrac float64
-	// KVFrac of the ops target the KV store instead of the file
-	// (requires the server's KV mode).
-	KVFrac float64
 	// IOBytes per read/write (default 4096).
 	IOBytes int
 	// FileBytes is the working-set file size (default 16384).
 	FileBytes int
 	Seed      int64
-	// Backoff after a throttled reply, doubling up to MaxBackoff
-	// (defaults 200us / 3.2ms). The cap keeps shed-retry storms bounded.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 }
+
+// A throttled request waits backoff before its retry, doubling per shed up
+// to maxBackoff. The cap keeps shed-retry storms bounded.
+const (
+	backoff    = 200 * time.Microsecond
+	maxBackoff = 3200 * time.Microsecond
+)
 
 func (c ClientConfig) qd() int {
 	if c.QD <= 0 {
@@ -61,20 +61,6 @@ func (c ClientConfig) fileBytes() int {
 		return 16384
 	}
 	return c.FileBytes
-}
-
-func (c ClientConfig) backoff() time.Duration {
-	if c.Backoff <= 0 {
-		return 200 * time.Microsecond
-	}
-	return c.Backoff
-}
-
-func (c ClientConfig) maxBackoff() time.Duration {
-	if c.MaxBackoff <= 0 {
-		return 3200 * time.Microsecond
-	}
-	return c.MaxBackoff
 }
 
 // ClientResult is one client's closed-loop measurement.
@@ -106,7 +92,7 @@ type slot struct {
 	firstAt time.Duration // when the op was first issued (for End bookkeeping)
 	backoff time.Duration
 	retryAt time.Duration // > 0: parked until then
-	// data backs req.Data for writes and puts. Every send encodes a copy,
+	// data backs req.Data for writes. Every send encodes a copy,
 	// so it is free again once the op completes.
 	data []byte
 }
@@ -128,7 +114,7 @@ func (c *Client) Endpoint() *netsim.Endpoint { return c.ep }
 // call issues one request and blocks for its reply, retrying throttles with
 // backoff. Setup traffic only — the measured loop pipelines instead.
 func (c *Client) call(env *sim.Env, req Request, nextID *uint64) (Response, error) {
-	backoff := c.cfg.backoff()
+	wait := backoff
 	for {
 		req.ID = *nextID
 		*nextID++
@@ -146,10 +132,8 @@ func (c *Client) call(env *sim.Env, req Request, nextID *uint64) (Response, erro
 		if resp.Status == StatusThrottled {
 			c.Result.Shed++
 			c.Result.Retries++
-			env.Sleep(backoff)
-			if backoff *= 2; backoff > c.cfg.maxBackoff() {
-				backoff = c.cfg.maxBackoff()
-			}
+			env.Sleep(wait)
+			wait = min(2*wait, maxBackoff)
 			continue
 		}
 		return resp, nil
@@ -220,20 +204,10 @@ func (c *Client) Run(env *sim.Env) error {
 	}
 	mkReq := func(s *slot) Request {
 		r := Request{Tenant: cfg.Tenant, Class: cfg.Class}
-		if rng.Float64() < cfg.KVFrac {
-			key := fmt.Sprintf("k%d-%d", cfg.ID, rng.Intn(16))
-			if rng.Float64() < cfg.ReadFrac {
-				r.Op = OpGet
-				r.Path = key
-			} else {
-				r.Op = OpPut
-				r.Path = key
-				val := payload(s, 64)
-				rng.Read(val)
-				r.Data = val
-			}
-			return r
-		}
+		// Every op spends one draw before its offset: each seed's op
+		// sequence, and with it the load fingerprints and figure goldens,
+		// is pinned to that stream position.
+		rng.Float64()
 		slots := cfg.fileBytes() / cfg.ioBytes()
 		if slots < 1 {
 			slots = 1
@@ -288,7 +262,7 @@ func (c *Client) Run(env *sim.Env) error {
 			} else {
 				s = &slot{}
 			}
-			s.req, s.firstAt, s.backoff = mkReq(s), env.Now(), cfg.backoff()
+			s.req, s.firstAt, s.backoff = mkReq(s), env.Now(), backoff
 			if err := send(s); err != nil {
 				return err
 			}
@@ -324,9 +298,7 @@ func (c *Client) Run(env *sim.Env) error {
 			c.Result.Shed++
 			c.Result.Retries++
 			s.retryAt = env.Now() + s.backoff
-			if s.backoff *= 2; s.backoff > cfg.maxBackoff() {
-				s.backoff = cfg.maxBackoff()
-			}
+			s.backoff = min(2*s.backoff, maxBackoff)
 			parked = append(parked, s)
 			continue
 		case StatusOK:
@@ -338,13 +310,11 @@ func (c *Client) Run(env *sim.Env) error {
 				break
 			}
 			c.Result.Ops++
-			// A read's or get's Value is the length of the data it
-			// carried; a write's or put's, the bytes stored.
+			// A read's Value is the length of the data it carried; a
+			// write's, the bytes stored.
 			c.Result.Bytes += uint64(resp.Value)
 			c.Result.Samples = append(c.Result.Samples, env.Now()-s.sentAt)
 		default:
-			// KV misses are expected before the first put on a key;
-			// count and move on.
 			c.Result.Errors++
 			done++
 		}

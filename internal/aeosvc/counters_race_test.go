@@ -13,7 +13,7 @@ import (
 // assertions also catch lost updates without it.
 func TestServerCounterRaceHammer(t *testing.T) {
 	s := &Server{}
-	adm := NewAdmission(false, []TenantConfig{{ID: 1}})
+	adm := NewAdmission(false, false, []TenantConfig{{ID: 1}})
 	ts := adm.byID[1]
 	const (
 		workers = 8

@@ -9,9 +9,8 @@ import (
 )
 
 // LoadSpec drives a fleet of closed-loop clients against a running service
-// and merges their measurements into a workload.Result. (It lives here
-// rather than in internal/workload because the kv benchmark suite already
-// imports workload, and the service imports kv.)
+// and merges their measurements into a workload.Result. It lives beside the
+// Client it drives, so internal/workload knows nothing of the service.
 type LoadSpec struct {
 	Eng     *sim.Engine
 	Clients []*Client

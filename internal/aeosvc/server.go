@@ -8,7 +8,6 @@ import (
 
 	"aeolia/internal/aeokern"
 	"aeolia/internal/iobuf"
-	"aeolia/internal/kv"
 	"aeolia/internal/mpk"
 	"aeolia/internal/netsim"
 	"aeolia/internal/rxport"
@@ -51,10 +50,6 @@ type Config struct {
 	// IO, when set with QoS, lets workers retag their storage I/O to the
 	// admitted request's tenant class (pass the process's aeodriver).
 	IO IOClassSetter
-	// KV serves OpGet/OpPut from an internal/kv store on the shared
-	// file system (directory KVDir, default "/kv").
-	KV    bool
-	KVDir string
 }
 
 func (c Config) endpoint() string {
@@ -62,13 +57,6 @@ func (c Config) endpoint() string {
 		return "svc"
 	}
 	return c.Endpoint
-}
-
-func (c Config) kvDir() string {
-	if c.KVDir == "" {
-		return "/kv"
-	}
-	return c.KVDir
 }
 
 // connState is one connection's server-side state machine: the handles it
@@ -102,9 +90,6 @@ type Server struct {
 	workWQ  sim.WaitQueue
 	stopped bool
 
-	db   *kv.DB
-	kvMu sim.Mutex
-
 	// rx is the dispatcher's user-interrupt receive port (bound by ServeRx).
 	rx rxport.Port
 
@@ -132,7 +117,7 @@ func NewServer(fab *netsim.Fabric, kern *aeokern.Kernel, gate *mpk.Gate, fs vfs.
 		fs:    fs,
 		cfg:   cfg,
 		ep:    fab.Endpoint(cfg.endpoint()),
-		adm:   NewAdmissionQoS(cfg.Admission, cfg.QoS, cfg.Tenants),
+		adm:   NewAdmission(cfg.Admission, cfg.QoS, cfg.Tenants),
 		conns: make(map[int32]*connState),
 	}
 	return s
@@ -328,18 +313,6 @@ func (s *Server) ServeWorker(env *sim.Env) {
 			return
 		}
 	}
-	if s.cfg.KV {
-		s.kvMu.Lock(env)
-		if s.db == nil && s.failure == nil {
-			db, err := kv.Open(env, s.fs, kv.Options{Dir: s.cfg.kvDir()})
-			if err != nil {
-				s.fail(fmt.Errorf("aeosvc: kv open: %w", err))
-			} else {
-				s.db = db
-			}
-		}
-		s.kvMu.Unlock(env)
-	}
 	for {
 		p := s.adm.Next()
 		if p == nil {
@@ -370,7 +343,7 @@ func (s *Server) ServeWorker(env *sim.Env) {
 	}
 }
 
-// execute runs one admitted request against the file system / KV store,
+// execute runs one admitted request against the file system,
 // enforcing the connection's handle capability table. For OpRead it also
 // returns the pre-encoded reply frame (the read landed directly in its
 // payload region); enc is nil for every other outcome and reply falls back
@@ -448,29 +421,6 @@ func (s *Server) execute(env *sim.Env, p *pending) (Response, []byte) {
 		if err := s.fs.Fsync(env, int(req.FD)); err != nil {
 			return fail(err)
 		}
-	case OpGet:
-		if s.db == nil {
-			return fail(errors.New("aeosvc: kv disabled"))
-		}
-		s.kvMu.Lock(env)
-		v, err := s.db.Get(env, []byte(req.Path))
-		s.kvMu.Unlock(env)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Data = v
-		resp.Value = uint32(len(v))
-	case OpPut:
-		if s.db == nil {
-			return fail(errors.New("aeosvc: kv disabled"))
-		}
-		s.kvMu.Lock(env)
-		err := s.db.Put(env, []byte(req.Path), req.Data)
-		s.kvMu.Unlock(env)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Value = uint32(len(req.Data))
 	default:
 		return fail(fmt.Errorf("aeosvc: unhandled op %v", req.Op))
 	}

@@ -2,8 +2,8 @@
 // reproduction: a binary request/response protocol over internal/netsim,
 // per-connection state machines with request pipelining, per-tenant
 // admission control (token buckets + weighted fair dequeue), and a worker
-// pool that executes admitted requests against AeoFS (and internal/kv)
-// through the uintr-driven driver hot path.
+// pool that executes admitted requests against AeoFS through the
+// uintr-driven driver hot path.
 //
 // The service edge reuses the paper's notification machinery end to end:
 // the dispatcher's network arrivals are posted into a UPID and delivered as
@@ -22,8 +22,7 @@ import (
 // Op is a wire opcode.
 type Op uint8
 
-// The request opcodes: POSIX-style file ops plus KV get/put riding
-// internal/kv.
+// The request opcodes: POSIX-style file ops.
 const (
 	OpInvalid Op = iota
 	OpOpen
@@ -31,8 +30,6 @@ const (
 	OpRead
 	OpWrite
 	OpFsync
-	OpGet
-	OpPut
 
 	numOps
 )
@@ -44,8 +41,6 @@ var opNames = [numOps]string{
 	OpRead:    "read",
 	OpWrite:   "write",
 	OpFsync:   "fsync",
-	OpGet:     "get",
-	OpPut:     "put",
 }
 
 func (o Op) String() string {
@@ -87,6 +82,10 @@ const (
 	respMagic = 0xA8
 )
 
+// IsResponse reports whether frame is a service response, for clients whose
+// endpoint also receives other protocols' frames.
+func IsResponse(frame []byte) bool { return len(frame) > 0 && frame[0] == respMagic }
+
 // ErrWire is wrapped by every decode failure.
 var ErrWire = errors.New("aeosvc: malformed frame")
 
@@ -103,8 +102,8 @@ type Request struct {
 	FD     uint32 // file handle (close/read/write/fsync)
 	Off    uint64 // file offset (read/write)
 	Len    uint32 // read length
-	Path   string // open path, or get/put key
-	Data   []byte // write payload, or put value
+	Path   string // open path
+	Data   []byte // write payload
 }
 
 const reqHeader = 1 + 1 + 2 + 8 + 4 + 8 + 4 + 2 + 4 + 1
@@ -165,7 +164,7 @@ type Response struct {
 	Status Status
 	Value  uint32 // open: fd; read/write: byte count
 	Err    string // status == StatusErr
-	Data   []byte // read payload / get value
+	Data   []byte // read payload
 }
 
 const respHeader = 1 + 1 + 2 + 8 + 4 + 4

@@ -13,8 +13,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 3, Tenant: 9, Op: OpRead, FD: 7, Off: 4096, Len: 512},
 		{ID: 4, Op: OpWrite, FD: 7, Off: 8192, Data: []byte("payload")},
 		{ID: 5, Op: OpFsync, FD: 7},
-		{ID: 6, Op: OpGet, Path: "key-1"},
-		{ID: 7, Op: OpPut, Path: "key-1", Data: bytes.Repeat([]byte{0xAB}, 300)},
 	}
 	for _, want := range cases {
 		got, err := DecodeRequest(want.Encode())

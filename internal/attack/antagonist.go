@@ -17,6 +17,7 @@ import (
 	"aeolia/internal/aeosvc"
 	"aeolia/internal/netsim"
 	"aeolia/internal/sim"
+	"aeolia/internal/uintr"
 	"aeolia/internal/vfs"
 )
 
@@ -54,23 +55,19 @@ func SpawnCPUHog(eng *sim.Engine, core *sim.Core) *Antagonist {
 	return a
 }
 
+// thrashPath is the cache thrasher's scratch file, and thrashFileBytes its
+// working set: at or above the page cache budget, so every pass evicts other
+// tenants' pages.
+const (
+	thrashPath      = "/antag-thrash.dat"
+	thrashFileBytes = 1 << 20
+)
+
 // ThrashConfig sizes a cache thrasher.
 type ThrashConfig struct {
-	// Path is the thrasher's scratch file (created if absent).
-	Path string
-	// FileBytes is the scratch working set; size it at or above the page
-	// cache budget so every pass evicts other tenants' pages (default 1 MiB).
-	FileBytes int
 	// IOBytes per read (default 4096).
 	IOBytes int
 	Seed    int64
-}
-
-func (c ThrashConfig) fileBytes() int {
-	if c.FileBytes <= 0 {
-		return 1 << 20
-	}
-	return c.FileBytes
 }
 
 func (c ThrashConfig) ioBytes() int {
@@ -91,11 +88,7 @@ func SpawnCacheThrasher(eng *sim.Engine, core *sim.Core, fs vfs.FileSystem, cfg 
 				return
 			}
 		}
-		path := cfg.Path
-		if path == "" {
-			path = "/antag-thrash.dat"
-		}
-		fd, err := fs.Open(env, path, vfs.O_CREATE|vfs.O_RDWR)
+		fd, err := fs.Open(env, thrashPath, vfs.O_CREATE|vfs.O_RDWR)
 		if err != nil {
 			return
 		}
@@ -103,20 +96,14 @@ func SpawnCacheThrasher(eng *sim.Engine, core *sim.Core, fs vfs.FileSystem, cfg 
 		// Prefill in chunks: a single working-set-sized write would dirty
 		// more pages at once than any bounded cache can hold.
 		chunk := make([]byte, prefillChunk)
-		for off := 0; off < cfg.fileBytes(); off += len(chunk) {
-			if n := cfg.fileBytes() - off; n < len(chunk) {
-				chunk = chunk[:n]
-			}
+		for off := 0; off < thrashFileBytes; off += prefillChunk {
 			if _, err := fs.WriteAt(env, fd, chunk, uint64(off)); err != nil {
 				return
 			}
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		buf := make([]byte, cfg.ioBytes())
-		slots := cfg.fileBytes() / cfg.ioBytes()
-		if slots < 1 {
-			slots = 1
-		}
+		slots := max(thrashFileBytes/cfg.ioBytes(), 1)
 		for !*a.stopped {
 			off := uint64(rng.Intn(slots) * cfg.ioBytes())
 			if _, err := fs.ReadAt(env, fd, buf, off); err != nil {
@@ -128,55 +115,27 @@ func SpawnCacheThrasher(eng *sim.Engine, core *sim.Core, fs vfs.FileSystem, cfg 
 	return a
 }
 
+// The IO flood keeps floodQD reads of floodIOBytes in flight over a private
+// file of floodFileBytes. After a throttled reply it parks floodThrottle:
+// the flood never backs off exponentially — it re-offers at this cadence
+// forever — but the park keeps the shed/retry loop from saturating the
+// dispatcher instead of the workers.
+const (
+	floodQD        = 16
+	floodIOBytes   = 16 << 10
+	floodFileBytes = 1 << 20
+	floodThrottle  = 50 * time.Microsecond
+)
+
 // FloodConfig sizes an IO-flood antagonist.
 type FloodConfig struct {
 	// Tenant is the flood's tenant id — configure it on a low class with a
-	// tight rate so enforcement can contain it.
+	// tight rate so enforcement can contain it. Its requests are stamped
+	// ClassBulk on the wire (advisory; see aeosvc.Request.Class).
 	Tenant uint16
-	// Class stamped on the wire (advisory; see aeosvc.Request.Class).
-	Class uint8
-	// QD is the flood depth (default 16).
-	QD int
-	// IOBytes per read (default 4096); FileBytes the flood's private file
-	// (default 64 KiB).
-	IOBytes   int
-	FileBytes int
-	Seed      int64
-	// Throttle is the fixed park after a throttled reply (default 50us).
-	// The flood never backs off exponentially — it re-offers at this
-	// cadence forever — but the park keeps the shed/retry loop from
-	// saturating the dispatcher instead of the workers.
-	Throttle time.Duration
+	Seed   int64
 	// Link configures the flood's fabric links to the service.
 	Link netsim.Config
-}
-
-func (c FloodConfig) qd() int {
-	if c.QD <= 0 {
-		return 16
-	}
-	return c.QD
-}
-
-func (c FloodConfig) ioBytes() int {
-	if c.IOBytes <= 0 {
-		return 4096
-	}
-	return c.IOBytes
-}
-
-func (c FloodConfig) fileBytes() int {
-	if c.FileBytes <= 0 {
-		return 1 << 16
-	}
-	return c.FileBytes
-}
-
-func (c FloodConfig) throttle() time.Duration {
-	if c.Throttle <= 0 {
-		return 50 * time.Microsecond
-	}
-	return c.Throttle
 }
 
 // SpawnIOFlood drives an open-throttle request storm at the service from a
@@ -222,14 +181,14 @@ func SpawnIOFlood(eng *sim.Engine, fab *netsim.Fabric, svc string, core *sim.Cor
 					return resp, false
 				}
 				if resp.Status == aeosvc.StatusThrottled {
-					env.Sleep(cfg.throttle())
+					env.Sleep(floodThrottle)
 					continue
 				}
 				return resp, true
 			}
 		}
 
-		base := aeosvc.Request{Tenant: cfg.Tenant, Class: cfg.Class}
+		base := aeosvc.Request{Tenant: cfg.Tenant, Class: uint8(uintr.ClassBulk)}
 		open := base
 		open.Op = aeosvc.OpOpen
 		open.Path = fmt.Sprintf("/%s.dat", name)
@@ -240,35 +199,27 @@ func SpawnIOFlood(eng *sim.Engine, fab *netsim.Fabric, svc string, core *sim.Cor
 		fd := resp.Value
 		// Prefill in chunks (see SpawnCacheThrasher): one giant write would
 		// overrun the server-side page cache's budget in a single insert.
-		chunk := prefillChunk
-		for off := 0; off < cfg.fileBytes(); off += chunk {
+		for off := 0; off < floodFileBytes; off += prefillChunk {
 			prefill := base
 			prefill.Op = aeosvc.OpWrite
 			prefill.FD = fd
 			prefill.Off = uint64(off)
-			n := cfg.fileBytes() - off
-			if n > chunk {
-				n = chunk
-			}
-			prefill.Data = make([]byte, n)
+			prefill.Data = make([]byte, prefillChunk)
 			if resp, ok = call(prefill); !ok || resp.Status != aeosvc.StatusOK {
 				return
 			}
 		}
 
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		slots := cfg.fileBytes() / cfg.ioBytes()
-		if slots < 1 {
-			slots = 1
-		}
+		const slots = floodFileBytes / floodIOBytes
 		inflight := 0
 		for {
-			for inflight < cfg.qd() && !*a.stopped {
+			for inflight < floodQD && !*a.stopped {
 				req := base
 				req.Op = aeosvc.OpRead
 				req.FD = fd
-				req.Off = uint64(rng.Intn(slots) * cfg.ioBytes())
-				req.Len = uint32(cfg.ioBytes())
+				req.Off = uint64(rng.Intn(slots) * floodIOBytes)
+				req.Len = uint32(floodIOBytes)
 				if _, ok := send(req); !ok {
 					break
 				}
@@ -283,7 +234,7 @@ func SpawnIOFlood(eng *sim.Engine, fab *netsim.Fabric, svc string, core *sim.Cor
 			}
 			inflight--
 			if resp.Status == aeosvc.StatusThrottled {
-				env.Sleep(cfg.throttle())
+				env.Sleep(floodThrottle)
 				continue
 			}
 			a.Ops++

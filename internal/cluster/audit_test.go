@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aeolia/internal/mix"
 	"aeolia/internal/netsim"
 )
 
@@ -167,10 +168,10 @@ func TestOneHashPerReplicaPerWrite(t *testing.T) {
 func TestPayloadBytesUnchanged(t *testing.T) {
 	byteLoop := func(seed uint64, reqid uint32, n int) []byte {
 		b := make([]byte, n)
-		x := clsplitmix64(seed ^ uint64(reqid)<<13 ^ 0xA3)
+		x := mix.SplitMix64(seed ^ uint64(reqid)<<13 ^ 0xA3)
 		for i := range b {
 			if i%8 == 0 {
-				x = clsplitmix64(x)
+				x = mix.SplitMix64(x)
 			}
 			b[i] = byte(x >> ((i % 8) * 8))
 		}

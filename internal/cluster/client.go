@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"aeolia/internal/mix"
 	"aeolia/internal/netsim"
 	"aeolia/internal/sim"
 	"aeolia/internal/trace"
@@ -62,14 +63,7 @@ func (cl *Client) Done() bool { return cl.done }
 
 func (cl *Client) rand() uint64 {
 	cl.rngCtr++
-	return clsplitmix64(cl.c.cfg.Seed ^ uint64(cl.id+1)*0x9e3779b97f4a7c15 ^ cl.rngCtr)
-}
-
-func clsplitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return mix.SplitMix64(cl.c.cfg.Seed ^ uint64(cl.id+1)*0x9e3779b97f4a7c15 ^ cl.rngCtr)
 }
 
 func (cl *Client) coreID(env *sim.Env) int {
@@ -114,9 +108,9 @@ func (cl *Client) payload(reqid uint32) []byte {
 		cl.buf = make([]byte, n)
 	}
 	b := cl.buf[:n]
-	x := clsplitmix64(cl.c.cfg.Seed ^ uint64(reqid)<<13 ^ 0xA3)
+	x := mix.SplitMix64(cl.c.cfg.Seed ^ uint64(reqid)<<13 ^ 0xA3)
 	for i := 0; i < n; i += 8 {
-		x = clsplitmix64(x)
+		x = mix.SplitMix64(x)
 		if n-i >= 8 {
 			binary.LittleEndian.PutUint64(b[i:], x)
 			continue
@@ -216,12 +210,12 @@ func (cl *Client) doOp(env *sim.Env, req request) {
 			cl.leaders[pg] = -1
 			target = ms[rot%len(ms)]
 			rot++
-			env.Sleep(cl.c.cfg.tickInterval())
+			env.Sleep(tickInterval)
 		default:
 			cl.Retries++
 			target = ms[rot%len(ms)]
 			rot++
-			env.Sleep(cl.c.cfg.tickInterval())
+			env.Sleep(tickInterval)
 		}
 	}
 }

@@ -51,13 +51,8 @@ type Config struct {
 	// Seed drives elections, the workload mix, and composes with netsim
 	// jitter and the fault plan.
 	Seed uint64
-	// TickInterval is the raft logical-clock period (default 100us);
-	// ElectionTicks/HeartbeatTicks follow raft.Config (defaults 10/2).
-	TickInterval                  time.Duration
-	ElectionTicks, HeartbeatTicks int
-	// RestartDelay is how long a crashed node stays down (default 2ms);
-	// PartitionFor how long an injected partition lasts (default 3ms).
-	RestartDelay, PartitionFor time.Duration
+	// RestartDelay is how long a crashed node stays down (default 2ms).
+	RestartDelay time.Duration
 	// ClientTimeout bounds one attempt before the client retries the next
 	// group member (default 2ms).
 	ClientTimeout time.Duration
@@ -79,27 +74,19 @@ type Config struct {
 	ParallelLanes bool
 }
 
-const compactKeepTail = 8
-
-func (c Config) tickInterval() time.Duration {
-	if c.TickInterval <= 0 {
-		return 100 * time.Microsecond
-	}
-	return c.TickInterval
-}
+const (
+	compactKeepTail = 8
+	// tickInterval is the raft logical-clock period.
+	tickInterval = 100 * time.Microsecond
+	// partitionFor is how long an injected partition lasts.
+	partitionFor = 3 * time.Millisecond
+)
 
 func (c Config) restartDelay() time.Duration {
 	if c.RestartDelay <= 0 {
 		return 2 * time.Millisecond
 	}
 	return c.RestartDelay
-}
-
-func (c Config) partitionFor() time.Duration {
-	if c.PartitionFor <= 0 {
-		return 3 * time.Millisecond
-	}
-	return c.PartitionFor
 }
 
 func (c Config) clientTimeout() time.Duration {
@@ -240,7 +227,7 @@ func New(cfg Config) (*Cluster, error) {
 			// kernel state whose assignment order must match the
 			// serial schedule. Everything binds within the first
 			// raft tick.
-			ParallelAfter: cfg.tickInterval(),
+			ParallelAfter: tickInterval,
 		}
 	}
 	return c, nil
@@ -454,7 +441,7 @@ func (c *Cluster) Stats() Stats {
 // period's idle heartbeats. Zero until then.
 func (c *Cluster) StatsAtDone() Stats { return c.atDone }
 
-// partition downs node id's links for cfg.PartitionFor: both directions
+// partition downs node id's links for partitionFor: both directions
 // when symmetric, only outbound otherwise. The heal is scheduled on the
 // engine, so partitions are as deterministic as everything else.
 func (c *Cluster) partition(id int, symmetric bool) {
@@ -472,7 +459,7 @@ func (c *Cluster) partition(id int, symmetric bool) {
 		l.SetDown(true)
 	}
 	c.nodes[id].Partitions++
-	eng.ScheduleAt(eng.Now()+c.cfg.partitionFor(), func() {
+	eng.ScheduleAt(eng.Now()+partitionFor, func() {
 		for _, l := range cut {
 			l.SetDown(false)
 		}

@@ -21,7 +21,7 @@ import (
 // "raft:crash:post-quorum:2". Kinds: "crash" (CrashAndReset: the node drops
 // off the fabric, loses volatile state, and restarts from stable storage
 // after RestartDelay), "part" (symmetric partition: both link directions of
-// the node go down for PartitionFor), and "part1" (asymmetric partition:
+// the node go down for partitionFor), and "part1" (asymmetric partition:
 // only the node's outbound links go down — it hears the cluster but cannot
 // answer).
 const (

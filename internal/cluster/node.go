@@ -121,10 +121,7 @@ func newOSD(c *Cluster, id int, proc *machine.Process) *OSD {
 }
 
 func (n *OSD) raftConfig(peers []int) raft.Config {
-	return raft.Config{ID: n.id, Peers: peers,
-		ElectionTicks:  n.c.cfg.ElectionTicks,
-		HeartbeatTicks: n.c.cfg.HeartbeatTicks,
-		Seed:           n.c.cfg.Seed}
+	return raft.Config{ID: n.id, Peers: peers, Seed: n.c.cfg.Seed}
 }
 
 // installHooks wires the group's raft transitions into the trace stream.
@@ -205,7 +202,7 @@ func (n *OSD) run(env *sim.Env) {
 // tick due and wakes the task — raft work happens in task context where CPU
 // can be charged.
 func (n *OSD) scheduleTick() {
-	n.core.Schedule(n.c.cfg.tickInterval(), n.tickFn)
+	n.core.Schedule(tickInterval, n.tickFn)
 }
 
 func (n *OSD) onTick() {

@@ -14,7 +14,7 @@
 // and the stale-negative regression test pins it.
 package dcache
 
-import "hash/fnv"
+import "aeolia/internal/mix"
 
 const (
 	// InitBuckets is the initial bucket count of a fresh table.
@@ -26,11 +26,7 @@ const (
 
 // Hash is the bucket hash (FNV-64a), shared by aeofs's dentry cache and
 // the MDS shards so their layouts agree.
-func Hash(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
-}
+func Hash(name string) uint64 { return mix.FNV1a64(name) }
 
 // NeedGrow reports whether a table holding count entries across buckets
 // buckets has passed the load threshold.

@@ -5,6 +5,7 @@ import (
 
 	"aeolia/internal/aeofs"
 	"aeolia/internal/machine"
+	"aeolia/internal/mix"
 	"aeolia/internal/nvme"
 	"aeolia/internal/report"
 	"aeolia/internal/sim"
@@ -125,10 +126,10 @@ func figCacheRun(pattern string, cacheBytes uint64, ra bool, tr *trace.Tracer) (
 			// so the measured phase starts cold.
 			chunk := make([]byte, 64<<10)
 			for off := uint64(0); off < fcFileBytes; off += uint64(len(chunk)) {
-				x := splitmix64(fcSeed ^ off)
+				x := mix.SplitMix64(fcSeed ^ off)
 				for i := range chunk {
 					if i%8 == 0 {
-						x = splitmix64(x)
+						x = mix.SplitMix64(x)
 					}
 					chunk[i] = byte(x >> (8 * uint(i%8)))
 				}
@@ -169,7 +170,7 @@ func figCacheRun(pattern string, cacheBytes uint64, ra bool, tr *trace.Tracer) (
 				buf := make([]byte, aeofs.BlockSize)
 				x := uint64(fcSeed)
 				for i := 0; i < fcRandOps; i++ {
-					x = splitmix64(x)
+					x = mix.SplitMix64(x)
 					off := (x % (fcFileBytes / aeofs.BlockSize)) * aeofs.BlockSize
 					opStart := env.Now()
 					if _, err := fs.ReadAt(env, fd, buf, off); err != nil {
@@ -183,9 +184,9 @@ func figCacheRun(pattern string, cacheBytes uint64, ra bool, tr *trace.Tracer) (
 				buf := make([]byte, aeofs.BlockSize)
 				x := uint64(fcSeed)
 				for i := 0; i < fcMixedOps; i++ {
-					x = splitmix64(x)
+					x = mix.SplitMix64(x)
 					off := (x % (fcFileBytes / aeofs.BlockSize)) * aeofs.BlockSize
-					x = splitmix64(x)
+					x = mix.SplitMix64(x)
 					opStart := env.Now()
 					if x%10 < 7 {
 						if _, err := fs.ReadAt(env, fd, buf, off); err != nil {
@@ -342,13 +343,4 @@ func figCacheTrace() (*Traced, error) {
 		Summary: fmt.Sprintf("%d ops, %.1f MB/s, p99 %v",
 			r.Res.Ops, r.Res.MBps(), r.Res.Latency.P99()),
 	}, fcTraceGate(c, s.ResidentHWM)
-}
-
-// splitmix64 is the deterministic content/offset generator shared by the
-// cache cells.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

@@ -166,18 +166,13 @@ func sloRun(antagonist string, enforce bool, tr *trace.Tracer) (*sloCellResult, 
 		ants = append(ants, attack.SpawnCPUHog(m.Eng, m.Eng.Core(1)))
 	case "io_flood":
 		ants = append(ants, attack.SpawnIOFlood(m.Eng, fab, "svc", m.Eng.Core(5), attack.FloodConfig{
-			Tenant:    sloFloodTenant,
-			Class:     uint8(uintr.ClassBulk),
-			QD:        16,
-			IOBytes:   16384,
-			FileBytes: 1 << 20,
-			Seed:      sloSeed * 77,
-			Link:      sloLink,
+			Tenant: sloFloodTenant,
+			Seed:   sloSeed * 77,
+			Link:   sloLink,
 		}))
 	case "cache_thrash":
 		ants = append(ants, attack.SpawnCacheThrasher(m.Eng, m.Eng.Core(5), fi.FS, attack.ThrashConfig{
-			FileBytes: 1 << 20,
-			Seed:      sloSeed * 91,
+			Seed: sloSeed * 91,
 		}))
 	default:
 		return nil, fmt.Errorf("fig_slo: unknown antagonist %q", antagonist)
@@ -296,7 +291,7 @@ func FigSlo() ([]*report.Table, error) {
 	}
 	t.Note("enforcement on = admission + strict-priority dequeue + per-class I/O tags + graded CQ coalescing (urgent bypass) + prioritized uintr delivery")
 	t.Note("antagonists: cpu_hog pinned to a worker core; io_flood QD16 16KiB reads on the bulk tenant, no backoff; cache_thrash 1MiB scratch vs 256KiB cache budget")
-	t.Note("urgent delivery SLO bound %v (checked against the trace in the -slo gate)", sloDeliveryBound)
+	t.Note("urgent delivery SLO bound %v (checked against the trace of the traced cell)", sloDeliveryBound)
 	return []*report.Table{t}, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"aeolia/internal/aeofs"
 	"aeolia/internal/aeokern"
 	"aeolia/internal/machine"
+	"aeolia/internal/mix"
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
 )
@@ -43,34 +44,23 @@ type MatrixOptions struct {
 	// survive whole, partially (torn), or not at all, per seeded draws.
 	// Clean mode drops every unflushed block.
 	Torn bool
-	// Files is the workload's file budget (default 12).
-	Files int
-	// FileSize is each file's size in bytes (default 2.5 blocks, so
-	// files span block boundaries).
-	FileSize int
-	// CheckpointEvery forces a checkpoint after this many committed
-	// files (default 4), so the ckpt:* crash points are reached.
-	CheckpointEvery int
-	// DiskBlocks is the device size (default 16384 blocks).
-	DiskBlocks uint64
 	// Regions is how many journal regions every commit spans: 1 (the
 	// default) or 2, which adds the metadata-only second thread.
 	Regions int
 }
 
+// A cell's workload commits cellFiles files of cellFileSize bytes (2.5
+// blocks, so files span block boundaries) on a cellDiskBlocks-block
+// device, forcing a checkpoint after every cellCheckpointEvery of them so
+// the ckpt:* crash points are reached.
+const (
+	cellFiles           = 12
+	cellFileSize        = 2*aeofs.BlockSize + aeofs.BlockSize/2
+	cellCheckpointEvery = 4
+	cellDiskBlocks      = 1 << 14
+)
+
 func (o MatrixOptions) withDefaults() MatrixOptions {
-	if o.Files <= 0 {
-		o.Files = 12
-	}
-	if o.FileSize <= 0 {
-		o.FileSize = 2*aeofs.BlockSize + aeofs.BlockSize/2
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 4
-	}
-	if o.DiskBlocks == 0 {
-		o.DiskBlocks = 1 << 14
-	}
 	if o.Regions <= 0 {
 		o.Regions = 1
 	}
@@ -145,10 +135,10 @@ func RunMatrix(opts MatrixOptions) []*CellResult {
 // cellContent derives file i's deterministic contents from the seed.
 func cellContent(seed uint64, i, size int) []byte {
 	b := make([]byte, size)
-	x := splitmix64(seed ^ uint64(i)*0x9E3779B97F4A7C15)
+	x := mix.SplitMix64(seed ^ uint64(i)*0x9E3779B97F4A7C15)
 	for j := range b {
 		if j%8 == 0 {
-			x = splitmix64(x)
+			x = mix.SplitMix64(x)
 		}
 		b[j] = byte(x >> (8 * uint(j%8)))
 	}
@@ -193,8 +183,8 @@ func RunCell(opts MatrixOptions) *CellResult {
 		}
 	}()
 
-	m := machine.New(opts.Regions, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: opts.DiskBlocks})
-	part := aeokern.Partition{Start: 0, Blocks: opts.DiskBlocks, Writable: true}
+	m := machine.New(opts.Regions, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: cellDiskBlocks})
+	part := aeokern.Partition{Start: 0, Blocks: cellDiskBlocks, Writable: true}
 	p, err := m.Launch("cell-w", part, aeodriver.Config{Mode: aeodriver.ModeUserInterrupt})
 	if err != nil {
 		res.Err = err
@@ -232,7 +222,7 @@ func RunCell(opts MatrixOptions) *CellResult {
 				fail(e)
 				return
 			}
-			for i := 0; i < opts.Files; i++ {
+			for i := 0; i < cellFiles; i++ {
 				for (fs == nil || synced < i) && !stop {
 					turn.Wait(env)
 				}
@@ -264,7 +254,7 @@ func RunCell(opts MatrixOptions) *CellResult {
 			werr = e
 			return
 		}
-		trust, e := aeofs.MkfsAndMount(env, p.Driver, 0, opts.DiskBlocks,
+		trust, e := aeofs.MkfsAndMount(env, p.Driver, 0, cellDiskBlocks,
 			aeofs.MkfsOptions{NumJournals: 4, JournalBlocks: 256})
 		if e != nil {
 			werr = e
@@ -296,9 +286,9 @@ func RunCell(opts MatrixOptions) *CellResult {
 		turn.Broadcast(env.Engine())
 
 		isCrash := func(e error) bool { return errors.Is(e, aeofs.ErrCrashInjected) }
-		for i := 0; i < opts.Files; i++ {
+		for i := 0; i < cellFiles; i++ {
 			path := fmt.Sprintf("/data/f%03d", i)
-			data := cellContent(opts.Seed, i, opts.FileSize)
+			data := cellContent(opts.Seed, i, cellFileSize)
 			fd, e := fs.Open(env, path, aeofs.O_CREATE|aeofs.O_RDWR|aeofs.O_TRUNC)
 			if e != nil {
 				werr = e
@@ -331,7 +321,7 @@ func RunCell(opts MatrixOptions) *CellResult {
 				werr = e
 				return
 			}
-			if (i+1)%opts.CheckpointEvery == 0 {
+			if (i+1)%cellCheckpointEvery == 0 {
 				if e = trust.Checkpoint(env, p.Driver); e != nil {
 					crashed = isCrash(e)
 					if !crashed {

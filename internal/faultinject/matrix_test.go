@@ -10,6 +10,7 @@ import (
 	"aeolia/internal/aeofs"
 	"aeolia/internal/aeokern"
 	"aeolia/internal/machine"
+	"aeolia/internal/mix"
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
 )
@@ -99,7 +100,7 @@ func TestRandomSeedsNeverSilentCorruption(t *testing.T) {
 		nseeds = 3
 	}
 	for i := 0; i < nseeds; i++ {
-		seed := splitmix64(base + uint64(i))
+		seed := mix.SplitMix64(base + uint64(i))
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runNoisySeed(t, seed)
 		})

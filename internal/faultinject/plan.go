@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"aeolia/internal/mix"
 )
 
 // ErrFault marks any injected fault surfaced as an error (crash points).
@@ -94,28 +96,9 @@ func (p *Plan) On(site string, r Rule) *Plan {
 	return p
 }
 
-// fnv1a64 hashes a site name.
-func fnv1a64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix64 is the finalizer used to turn (seed, site, occurrence) into an
-// independent uniform draw.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // draw returns the deterministic uniform draw for (seed, site, n).
 func (p *Plan) draw(site string, n uint64) uint64 {
-	return splitmix64(p.seed ^ fnv1a64(site) ^ (n * 0x9E3779B97F4A7C15))
+	return mix.SplitMix64(p.seed ^ mix.FNV1a64(site) ^ (n * 0x9E3779B97F4A7C15))
 }
 
 // Fire counts one occurrence of site and reports whether the installed rule

@@ -11,7 +11,6 @@ import (
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
 	"aeolia/internal/ufsserver"
-	"aeolia/internal/uintr"
 	"aeolia/internal/vfs"
 )
 
@@ -103,7 +102,6 @@ func (m *Machine) BuildFS(kind FSKind, opt FSOptions) (*FSInstance, error) {
 		Mode:     mode,
 		Coalesce: opt.Coalesce,
 		QoS:      opt.QoS,
-		IOClass:  uintr.ClassNormal,
 	})
 	if err != nil {
 		return nil, err

@@ -1,0 +1,48 @@
+package mix
+
+import (
+	"hash/fnv"
+	"testing"
+
+	"aeolia/internal/alloctest"
+)
+
+// TestKnownAnswers pins both functions to the values every seeded stream
+// in the repository was built on.
+func TestKnownAnswers(t *testing.T) {
+	for _, c := range []struct{ in, want uint64 }{
+		{0, 0xe220a8397b1dcdaf},
+		{1, 0x910a2dec89025cc1},
+		{0x9e3779b97f4a7c15, 0x6e789e6aa1b965f4},
+		{0xdeadbeefcafef00d, 0x901d4f652fb472cb},
+		{^uint64(0), 0xe4d971771b652c20},
+	} {
+		if got := SplitMix64(c.in); got != c.want {
+			t.Errorf("SplitMix64(%#x) = %#x, want %#x", c.in, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xcbf29ce484222325},
+		{"a", 0xaf63dc4c8601ec8c},
+		{"foobar", 0x85944171f73967e8},
+		{"net:drop:c0->svc", 0x81b159a1c386d6bb},
+	} {
+		if got := FNV1a64(c.in); got != c.want {
+			t.Errorf("FNV1a64(%q) = %#x, want %#x", c.in, got, c.want)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(c.in))
+		if h.Sum64() != c.want {
+			t.Errorf("hash/fnv disagrees on %q", c.in)
+		}
+	}
+}
+
+// TestAllocsFNV1a64: a dentry lookup hashes its name without allocating.
+func TestAllocsFNV1a64(t *testing.T) {
+	s := "some/dentry-name"
+	alloctest.AtMost(t, 0, 1, func() { FNV1a64(s) })
+}

@@ -33,6 +33,7 @@ import (
 
 	"aeolia/internal/faultinject"
 	"aeolia/internal/fifo"
+	"aeolia/internal/mix"
 	"aeolia/internal/sim"
 	"aeolia/internal/trace"
 )
@@ -132,7 +133,7 @@ func (f *Fabric) Connect(src, dst string, cfg Config) *Link {
 	s, d := f.Endpoint(src), f.Endpoint(dst)
 	site := src + "->" + dst
 	l := &Link{fab: f, id: len(f.links), src: s, dst: d, cfg: cfg, site: site,
-		siteHash: fnv1a64(site), dropSite: "net:drop:" + site, dupSite: "net:dup:" + site}
+		siteHash: mix.FNV1a64(site), dropSite: "net:drop:" + site, dupSite: "net:dup:" + site}
 	l.departFn = l.depart
 	f.links = append(f.links, l)
 	s.out[dst] = l
@@ -356,7 +357,7 @@ type Link struct {
 	dst      *Endpoint
 	cfg      Config
 	site     string // "<src>-><dst>", names the fault-injection sites
-	siteHash uint64 // fnv1a64(site), the jitter stream's per-link key
+	siteHash uint64 // mix.FNV1a64(site), the jitter stream's per-link key
 
 	dropSite, dupSite string // the fault plan's site names for this link
 
@@ -427,7 +428,7 @@ func (l *Link) jitter() time.Duration {
 	if l.cfg.Jitter <= 0 {
 		return 0
 	}
-	h := splitmix64(l.fab.seed ^ l.siteHash ^ l.seq*0x9e3779b97f4a7c15)
+	h := mix.SplitMix64(l.fab.seed ^ l.siteHash ^ l.seq*0x9e3779b97f4a7c15)
 	return time.Duration(h % uint64(l.cfg.Jitter+1))
 }
 
@@ -557,23 +558,4 @@ func (l *Link) deliverMsg(payload []byte, sentAt time.Duration, dup bool) {
 		return
 	}
 	d.SignalArrival()
-}
-
-// fnv1a64/splitmix64 mirror internal/faultinject's deterministic draw
-// machinery (kept local: the plan's are unexported and the jitter stream
-// must not perturb the plan's site counters).
-func fnv1a64(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -16,9 +16,10 @@ type Config struct {
 	BlockSize int    // logical block size in bytes (512 or 4096)
 	NumBlocks uint64 // device capacity in blocks
 	Model     LatencyModel
-	// MaxQueuePairs bounds CreateQueuePair (default 128).
-	MaxQueuePairs int
 }
+
+// QueuePairLimit bounds the queue pairs a device holds at once.
+const QueuePairLimit = 128
 
 // Injector intercepts commands for fault injection. Implementations return
 // the fault (if any) to apply to the command; the zero CommandFault means
@@ -103,9 +104,6 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	}
 	if cfg.Model.Channels <= 0 {
 		cfg.Model = P5800X()
-	}
-	if cfg.MaxQueuePairs <= 0 {
-		cfg.MaxQueuePairs = 128
 	}
 	return &Device{
 		eng:         eng,
@@ -494,8 +492,8 @@ func flattenSGL(sgl [][]byte) []byte {
 // CreateQueuePair allocates a queue pair of the given depth. The interrupt
 // vector and notification callback are configured on the returned pair.
 func (d *Device) CreateQueuePair(depth int) (*QueuePair, error) {
-	if len(d.qps) >= d.cfg.MaxQueuePairs {
-		return nil, fmt.Errorf("nvme: queue pair limit (%d) reached", d.cfg.MaxQueuePairs)
+	if len(d.qps) >= QueuePairLimit {
+		return nil, fmt.Errorf("nvme: queue pair limit (%d) reached", QueuePairLimit)
 	}
 	if depth <= 0 {
 		depth = 128

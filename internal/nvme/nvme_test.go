@@ -171,15 +171,14 @@ func TestSubmissionQueueFull(t *testing.T) {
 }
 
 func TestQueuePairLimit(t *testing.T) {
-	_, d := newDev(nvme.Config{BlockSize: 512, NumBlocks: 64, MaxQueuePairs: 2})
-	if _, err := d.CreateQueuePair(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.CreateQueuePair(4); err != nil {
-		t.Fatal(err)
+	_, d := newDev(nvme.Config{BlockSize: 512, NumBlocks: 64})
+	for i := 0; i < nvme.QueuePairLimit; i++ {
+		if _, err := d.CreateQueuePair(4); err != nil {
+			t.Fatalf("queue pair %d: %v", i, err)
+		}
 	}
 	if _, err := d.CreateQueuePair(4); err == nil {
-		t.Fatal("third queue pair should exceed the limit")
+		t.Fatal("a queue pair past the limit was created")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // checkProgress asserts the leader-side invariants of every progress record:
-// next stays above match, and no more than MaxBatch entries are in flight.
+// next stays above match, and no more than maxBatch entries are in flight.
 func checkProgress(t *testing.T, lead *Node) {
 	t.Helper()
 	for _, pr := range lead.prs {
@@ -17,8 +17,8 @@ func checkProgress(t *testing.T, lead *Node) {
 			t.Fatalf("peer %d: next %d fell below match+1 = %d", pr.id, pr.next, pr.match+1)
 		}
 		base := max(pr.match, pr.probe)
-		if pr.next-1 > base+uint64(lead.cfg.maxBatch()) {
-			t.Fatalf("peer %d: %d entries in flight, window is %d", pr.id, pr.next-1-base, lead.cfg.maxBatch())
+		if pr.next-1 > base+uint64(maxBatch) {
+			t.Fatalf("peer %d: %d entries in flight, window is %d", pr.id, pr.next-1-base, maxBatch)
 		}
 	}
 }
@@ -135,7 +135,7 @@ func TestRewindAfterLoss(t *testing.T) {
 	settle := func(t *testing.T, h *harness, lead *Node) {
 		t.Helper()
 		h.filter = nil
-		for i := 0; i < 2*lead.cfg.heartbeatTicks(); i++ {
+		for i := 0; i < 2*heartbeatTicks; i++ {
 			h.tickAll()
 			checkProgress(t, lead)
 		}
@@ -252,7 +252,7 @@ func TestWindowBoundsInflight(t *testing.T) {
 	lead := h.electLeader()
 	h.heartbeat()
 	victim := (lead.ID() + 1) % 3
-	window := lead.cfg.maxBatch()
+	window := maxBatch
 	acked := lead.progress(victim).match
 
 	h.down[victim] = true
@@ -287,7 +287,7 @@ func TestWindowBoundsInflight(t *testing.T) {
 	// Back on the fabric: the next heartbeat is rejected, the leader rewinds
 	// to the follower's log and streams the backlog one window at a time.
 	h.down[victim] = false
-	for i := 0; i < 4*lead.cfg.heartbeatTicks() && h.converged(lead) != nil; i++ {
+	for i := 0; i < 4*heartbeatTicks && h.converged(lead) != nil; i++ {
 		h.nodes[lead.ID()].Tick()
 		h.pump()
 		checkProgress(t, lead)

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"testing"
 	"testing/quick"
+
+	"aeolia/internal/mix"
 )
 
 // The property harness drives a 3-node cluster through a seeded schedule of
@@ -25,7 +27,7 @@ type propRng struct{ s uint64 }
 
 func (r *propRng) next() uint64 {
 	r.s++
-	return splitmix64(r.s)
+	return mix.SplitMix64(r.s)
 }
 func (r *propRng) intn(n int) int { return int(r.next() % uint64(n)) }
 

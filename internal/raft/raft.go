@@ -19,7 +19,11 @@
 // heartbeat at that tick. Replicating one entry costs 2*(replicas-1) messages.
 package raft
 
-import "fmt"
+import (
+	"fmt"
+
+	"aeolia/internal/mix"
+)
 
 // State is a node's role.
 type State uint8
@@ -60,40 +64,21 @@ type Config struct {
 	// ID is this node's id; Peers lists every member id including ID.
 	ID    int
 	Peers []int
-	// ElectionTicks is the base election timeout in ticks (default 10);
-	// each term draws a deterministic extra in [0, ElectionTicks) from
-	// (Seed, ID, Term). HeartbeatTicks is the leader's heartbeat interval
-	// (default 2).
-	ElectionTicks  int
-	HeartbeatTicks int
-	// MaxBatch bounds entries per AppendEntries (default 64), and with it
-	// the entries in flight to one follower: past it the leader sends only
-	// as acknowledgements arrive.
-	MaxBatch int
 	// Seed drives the randomized election timeouts.
 	Seed uint64
 }
 
-func (c Config) electionTicks() int {
-	if c.ElectionTicks <= 0 {
-		return 10
-	}
-	return c.ElectionTicks
-}
-
-func (c Config) heartbeatTicks() int {
-	if c.HeartbeatTicks <= 0 {
-		return 2
-	}
-	return c.HeartbeatTicks
-}
-
-func (c Config) maxBatch() int {
-	if c.MaxBatch <= 0 {
-		return 64
-	}
-	return c.MaxBatch
-}
+const (
+	// electionTicks is the base election timeout in ticks; each term draws
+	// a deterministic extra in [0, electionTicks) from (Seed, ID, Term).
+	electionTicks = 10
+	// heartbeatTicks is the leader's heartbeat interval.
+	heartbeatTicks = 2
+	// maxBatch bounds entries per AppendEntries, and with it the entries in
+	// flight to one follower: past it the leader sends only as
+	// acknowledgements arrive.
+	maxBatch = 64
+)
 
 // IndexedEntry is a committed entry ready to apply, paired with its index.
 type IndexedEntry struct {
@@ -262,13 +247,12 @@ func (n *Node) send(m Message) {
 	n.msgs = append(n.msgs, m)
 }
 
-// resetTimeout draws this term's election timeout: base + uniform in
-// [0, base), deterministic in (seed, id, term) so identically seeded runs
-// elect identically.
+// resetTimeout draws this term's election timeout: electionTicks + uniform
+// in [0, electionTicks), deterministic in (seed, id, term) so identically
+// seeded runs elect identically.
 func (n *Node) resetTimeout() {
-	base := n.cfg.electionTicks()
-	h := splitmix64(n.cfg.Seed ^ uint64(n.cfg.ID)*0x9e3779b97f4a7c15 ^ n.term<<17)
-	n.timeout = base + int(h%uint64(base))
+	h := mix.SplitMix64(n.cfg.Seed ^ uint64(n.cfg.ID)*0x9e3779b97f4a7c15 ^ n.term<<17)
+	n.timeout = electionTicks + int(h%electionTicks)
 	n.elapsed = 0
 }
 
@@ -321,7 +305,7 @@ func (n *Node) becomeLeader() {
 func (n *Node) Tick() {
 	n.elapsed++
 	if n.state == Leader {
-		if n.elapsed >= n.cfg.heartbeatTicks() {
+		if n.elapsed >= heartbeatTicks {
 			n.elapsed = 0
 			n.Heartbeats++
 			for i := range n.prs {
@@ -609,7 +593,7 @@ func (n *Node) sendAppend(pr *progress, empty bool) {
 		// the follower already stores it.
 		pr.next = first
 	}
-	es := n.log.Entries(pr.next, max(pr.match, pr.probe)+uint64(n.cfg.maxBatch()))
+	es := n.log.Entries(pr.next, max(pr.match, pr.probe)+maxBatch)
 	if len(es) == 0 && !empty {
 		return
 	}
@@ -625,11 +609,4 @@ func (n *Node) sendAppend(pr *progress, empty bool) {
 		Type: MsgApp, To: pr.id, Index: prev, LogTerm: prevTerm,
 		Commit: n.commit, Compact: n.log.FirstIndex() - 1, Entries: es,
 	})
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

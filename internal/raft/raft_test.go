@@ -100,7 +100,7 @@ func (h *harness) tickAll() {
 // it rides on the next heartbeat, and the heartbeat tick that follows an
 // append skips the peer, so that is two heartbeat intervals at most.
 func (h *harness) heartbeat() {
-	for i := 0; i < 2*(Config{}).heartbeatTicks(); i++ {
+	for i := 0; i < 2*heartbeatTicks; i++ {
 		h.tickAll()
 	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"time"
+
+	"aeolia/internal/timing"
 )
 
 // Trace, when set, receives engine execution-path notes (debugging). Every
@@ -478,10 +480,10 @@ func (c *Core) goIdle() {
 }
 
 func (c *Core) armTick() {
-	if c.eng.TickPeriod <= 0 || c.tickEv.Armed() {
+	if c.tickEv.Armed() {
 		return
 	}
-	c.tickEv = c.Schedule(c.eng.TickPeriod, c.tickFn)
+	c.tickEv = c.Schedule(timing.SchedTick, c.tickFn)
 }
 
 // tick is the scheduler tick: it re-arms itself while the core runs a task.
@@ -491,7 +493,7 @@ func (c *Core) tick() {
 	if c.current == nil {
 		return
 	}
-	c.tickEv = c.Schedule(e.TickPeriod, c.tickFn)
+	c.tickEv = c.Schedule(timing.SchedTick, c.tickFn)
 	if e.sched != nil {
 		e.sched.Tick(c)
 	}
@@ -553,9 +555,9 @@ func (e *Engine) reschedule(c *Core, charge bool) {
 		if !c.idle {
 			// Switching to the idle task costs a context switch,
 			// overlapped with whatever the core was waiting for.
-			if charge && e.CtxSwitchCost > 0 {
+			if charge {
 				c.inTransition = true
-				c.Schedule(e.CtxSwitchCost, c.idledFn)
+				c.Schedule(timing.ContextSwitch, c.idledFn)
 				return
 			}
 			c.goIdle()
@@ -566,11 +568,11 @@ func (e *Engine) reschedule(c *Core, charge bool) {
 
 	cost := time.Duration(0)
 	if charge {
-		cost = e.CtxSwitchCost
+		cost = timing.ContextSwitch
 		if c.idle {
 			// Leaving idle pays the statistics-update toll of
 			// Figure 4 step 2 in addition to the switch.
-			cost += e.IdleExitCost
+			cost += timing.IdleExit
 		}
 	}
 	c.leaveIdleAccounting()

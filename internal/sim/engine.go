@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aeolia/internal/timing"
 	"aeolia/internal/trace"
 )
 
@@ -94,14 +93,6 @@ type Engine struct {
 	// Config selects serial vs parallel-lane execution; see Config.
 	Config Config
 
-	// CtxSwitchCost and IdleExitCost parameterize the kernel scheduler
-	// model; they default to the paper's measured constants.
-	CtxSwitchCost time.Duration
-	IdleExitCost  time.Duration
-
-	// TickPeriod is the scheduler tick. Zero disables ticking.
-	TickPeriod time.Duration
-
 	// TaskRunHook, if set, runs whenever a task is switched in on a core
 	// (the kernel's context-switch-in path; AeoKern uses it to install
 	// the incoming thread's UINV/UPIDADDR).
@@ -152,11 +143,8 @@ type Scheduler interface {
 // cores to their own lanes via NewLane/SetLane to enable windows.
 func NewEngine(n int, sched Scheduler) *Engine {
 	e := &Engine{
-		cal:           newCalendar(),
-		CtxSwitchCost: timing.ContextSwitch,
-		IdleExitCost:  timing.IdleExit,
-		TickPeriod:    timing.SchedTick,
-		sched:         sched,
+		cal:   newCalendar(),
+		sched: sched,
 	}
 	for i := 0; i < n; i++ {
 		e.cores = append(e.cores, newCore(e, i))
