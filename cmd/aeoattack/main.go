@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"aeolia/internal/aeodriver"
@@ -18,19 +19,33 @@ import (
 )
 
 func main() {
-	verbose := flag.Bool("v", false, "print every attack outcome")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main over explicit streams; it returns the exit code: 0 when every
+// attack is blocked, 1 when one lands or the setup fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aeoattack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	verbose := fs.Bool("v", false, "print every attack outcome")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "aeoattack:", err)
+		return 1
+	}
 
 	const blocks = 1 << 16
 	m := machine.New(2, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: blocks})
 	part := aeokern.Partition{Start: 0, Blocks: blocks, Writable: true}
 	victim, err := m.Launch("victim", part, aeodriver.Config{Mode: aeodriver.ModeUserInterrupt})
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	attacker, err := m.Launch("attacker", part, aeodriver.Config{Mode: aeodriver.ModeUserInterrupt})
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	ctx := &attack.Context{M: m, Proc: attacker, Victim: victim, VictimFile: "/victim/secret.dat"}
 
@@ -65,7 +80,7 @@ func main() {
 	})
 	m.Eng.Run(0)
 	if serr != nil {
-		fatal(serr)
+		return fatal(serr)
 	}
 	ctx.FS = aeofs.NewFS(ctx.Trust, attacker.Driver, 2)
 
@@ -84,7 +99,7 @@ func main() {
 	})
 	m.Eng.Run(0)
 	if serr != nil {
-		fatal(serr)
+		return fatal(serr)
 	}
 
 	blocked, byCat := 0, map[string]int{}
@@ -93,19 +108,15 @@ func main() {
 			blocked++
 			byCat[r.Attack.Category]++
 			if *verbose {
-				fmt.Printf("  BLOCKED [%s] %-45s %s\n", r.Attack.Category, r.Attack.Name, r.Detail)
+				fmt.Fprintf(stdout, "  BLOCKED [%s] %-45s %s\n", r.Attack.Category, r.Attack.Name, r.Detail)
 			}
 		} else {
-			fmt.Printf("  !!! SUCCEEDED [%s] %s\n", r.Attack.Category, r.Attack.Name)
+			fmt.Fprintf(stdout, "  !!! SUCCEEDED [%s] %s\n", r.Attack.Category, r.Attack.Name)
 		}
 	}
-	fmt.Printf("aeoattack: blocked %d/%d attacks (%v)\n", blocked, len(results), byCat)
+	fmt.Fprintf(stdout, "aeoattack: blocked %d/%d attacks (%v)\n", blocked, len(results), byCat)
 	if blocked != len(results) {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "aeoattack:", err)
-	os.Exit(1)
+	return 0
 }

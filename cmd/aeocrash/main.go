@@ -15,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"aeolia/internal/aeofs"
@@ -23,16 +25,49 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "fault-plan seed")
-	point := flag.String("point", "", "run only this crash point (default: full matrix)")
-	torn := flag.Bool("torn", false, "with -point: torn power loss instead of clean")
-	regions := flag.Int("regions", 1, "with -point: journal regions in every commit (1 or 2)")
-	list := flag.Bool("list", false, "list registered crash points and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main over explicit streams; it returns the exit code: 0, 1 when a
+// cell fails, 2 on a usage error (a flag the chosen mode would ignore, or a
+// crash point or region count no cell can run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aeocrash", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "fault-plan seed")
+	point := fs.String("point", "", "run only this crash point (default: full matrix)")
+	torn := fs.Bool("torn", false, "with -point: torn power loss instead of clean")
+	regions := fs.Int("regions", 1, "with -point: journal regions in every commit (1 or 2)")
+	list := fs.Bool("list", false, "list registered crash points and exit")
+	usage := func(msg string) int {
+		if msg != "" {
+			fmt.Fprintf(stderr, "aeocrash: %s\n", msg)
+		}
+		fmt.Fprintf(stderr, "usage: aeocrash [-seed N] [-list] [-point P [-torn] [-regions 1|2]]\n"+
+			"crash points: %s\n", strings.Join(aeofs.CrashPoints(), " "))
+		return 2
+	}
+	fs.Usage = func() { usage("") }
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage(fmt.Sprintf("unexpected argument %q", fs.Arg(0)))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case *point == "" && (set["torn"] || set["regions"]):
+		return usage("-torn and -regions need -point")
+	case *point != "" && !slices.Contains(aeofs.CrashPoints(), *point):
+		return usage(fmt.Sprintf("unknown crash point %q", *point))
+	case *regions != 1 && *regions != 2:
+		return usage(fmt.Sprintf("-regions %d: a cell spans 1 or 2 journal regions", *regions))
+	}
 
 	if *list {
-		fmt.Println(strings.Join(aeofs.CrashPoints(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(aeofs.CrashPoints(), "\n"))
+		return 0
 	}
 
 	var results []*faultinject.CellResult
@@ -45,10 +80,11 @@ func main() {
 	}
 
 	table, failures := faultinject.Summarize(results)
-	fmt.Print(table)
+	fmt.Fprint(stdout, table)
 	if failures > 0 {
-		fmt.Printf("aeocrash: %d/%d cells FAILED (seed %d)\n", failures, len(results), *seed)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "aeocrash: %d/%d cells FAILED (seed %d)\n", failures, len(results), *seed)
+		return 1
 	}
-	fmt.Printf("aeocrash: all %d cells passed (seed %d)\n", len(results), *seed)
+	fmt.Fprintf(stdout, "aeocrash: all %d cells passed (seed %d)\n", len(results), *seed)
+	return 0
 }

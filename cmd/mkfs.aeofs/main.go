@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"aeolia/internal/aeodriver"
@@ -18,18 +19,28 @@ import (
 )
 
 func main() {
-	blocks := flag.Uint64("blocks", 1<<18, "partition size in 4KB blocks")
-	journals := flag.Uint64("journals", 64, "number of per-thread journal regions")
-	journalBlocks := flag.Uint64("journal-blocks", 1024, "blocks per journal region")
-	inodes := flag.Uint64("inodes", 0, "number of inodes (0 = blocks/8)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main over explicit streams; it returns the exit code: 0, 1 when
+// formatting fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mkfs.aeofs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	blocks := fs.Uint64("blocks", 1<<18, "partition size in 4KB blocks")
+	journals := fs.Uint64("journals", 64, "number of per-thread journal regions")
+	journalBlocks := fs.Uint64("journal-blocks", 1024, "blocks per journal region (at least 64)")
+	inodes := fs.Uint64("inodes", 0, "number of inodes (0 = blocks/8)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	m := machine.New(1, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: *blocks})
 	p, err := m.Launch("mkfs", aeokern.Partition{Start: 0, Blocks: *blocks, Writable: true},
 		aeodriver.Config{Mode: aeodriver.ModeUserInterrupt})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mkfs.aeofs:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mkfs.aeofs:", err)
+		return 1
 	}
 
 	var sb aeofs.Superblock
@@ -49,17 +60,18 @@ func main() {
 	})
 	m.Eng.Run(0)
 	if mkErr != nil {
-		fmt.Fprintln(os.Stderr, "mkfs.aeofs:", mkErr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mkfs.aeofs:", mkErr)
+		return 1
 	}
 
-	fmt.Printf("AeoFS volume formatted (%d blocks, %.1f MiB)\n",
+	fmt.Fprintf(stdout, "AeoFS volume formatted (%d blocks, %.1f MiB)\n",
 		sb.TotalBlocks, float64(sb.TotalBlocks)*aeofs.BlockSize/(1<<20))
-	fmt.Printf("  superblock:     block %d\n", sb.Start)
-	fmt.Printf("  inode bitmap:   blocks %d..%d (%d inodes)\n", sb.InodeBmStart, sb.InodeBmStart+sb.InodeBmBlocks-1, sb.NumInodes)
-	fmt.Printf("  block bitmap:   blocks %d..%d\n", sb.BlockBmStart, sb.BlockBmStart+sb.BlockBmBlocks-1)
-	fmt.Printf("  inode table:    blocks %d..%d\n", sb.ITableStart, sb.ITableStart+sb.ITableBlocks-1)
-	fmt.Printf("  journal area:   blocks %d..%d (%d regions x %d blocks)\n",
+	fmt.Fprintf(stdout, "  superblock:     block %d\n", sb.Start)
+	fmt.Fprintf(stdout, "  inode bitmap:   blocks %d..%d (%d inodes)\n", sb.InodeBmStart, sb.InodeBmStart+sb.InodeBmBlocks-1, sb.NumInodes)
+	fmt.Fprintf(stdout, "  block bitmap:   blocks %d..%d\n", sb.BlockBmStart, sb.BlockBmStart+sb.BlockBmBlocks-1)
+	fmt.Fprintf(stdout, "  inode table:    blocks %d..%d\n", sb.ITableStart, sb.ITableStart+sb.ITableBlocks-1)
+	fmt.Fprintf(stdout, "  journal area:   blocks %d..%d (%d regions x %d blocks)\n",
 		sb.JournalStart, sb.DataStart-1, sb.NumJournals, sb.JournalArea)
-	fmt.Printf("  data area:      blocks %d..%d\n", sb.DataStart, sb.Start+sb.TotalBlocks-1)
+	fmt.Fprintf(stdout, "  data area:      blocks %d..%d\n", sb.DataStart, sb.Start+sb.TotalBlocks-1)
+	return 0
 }

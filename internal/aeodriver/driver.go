@@ -705,15 +705,8 @@ func (d *Driver) WriteVBatch(env *sim.Env, iov []IOVec) error {
 	return d.syncVBatch(env, nvme.OpWrite, iov, false)
 }
 
-// ReadVPriv and WriteVPriv are the privileged vectored variants (trusted
-// entities only), used by AeoFS for multi-extent fills and flushes.
-func (d *Driver) ReadVPriv(env *sim.Env, iov []IOVec) error {
-	if !d.proc.Thread.InTrustedGate() {
-		return ErrPrivileged
-	}
-	return d.syncVBatch(env, nvme.OpRead, iov, true)
-}
-
+// WriteVPriv is the privileged vectored write (trusted entities only), used
+// by AeoFS for its journal and checkpoint phases.
 func (d *Driver) WriteVPriv(env *sim.Env, iov []IOVec) error {
 	if !d.proc.Thread.InTrustedGate() {
 		return ErrPrivileged
@@ -748,15 +741,6 @@ func (d *Driver) SetIOClass(env *sim.Env, class uintr.Class) error {
 		th.upid.Classes.Set(0, class)
 	}
 	return nil
-}
-
-// IOClass returns the calling thread's current I/O class.
-func (d *Driver) IOClass(env *sim.Env) (uintr.Class, error) {
-	th, err := d.thread(env.Task())
-	if err != nil {
-		return 0, err
-	}
-	return th.class, nil
 }
 
 // stageRing pushes a batch through the thread's lock-free SPSC staging ring
@@ -1050,8 +1034,3 @@ func (th *Thread) kernelNativeDeliver(ctx *sim.IRQCtx, vec int) {
 	ctx.Charge(timing.KernelInterrupt + timing.KernelBottomHalf)
 	th.deliverViaKernel(ctx)
 }
-
-// Perm exposes the permission table for verification in tests and attacks.
-// Mutation must go through SetPerm; this accessor is read-only by
-// convention (the region check guards real accesses).
-func (d *Driver) PermSnapshot(blk uint64) Perm { return d.perm.Get(blk) }

@@ -26,6 +26,24 @@ type fixture struct {
 
 func newFixture(t *testing.T, cores int) *fixture {
 	t.Helper()
+	fx := newUnformatted(t, cores)
+	fx.run(t, "mkfs", func(env *sim.Env) error {
+		trust, err := aeofs.MkfsAndMount(env, fx.p.Driver, 0, testDiskBlocks,
+			aeofs.MkfsOptions{NumJournals: 8, JournalBlocks: 256})
+		if err != nil {
+			return err
+		}
+		fx.trust = trust
+		fx.fs = aeofs.NewFS(trust, fx.p.Driver, cores)
+		return nil
+	})
+	return fx
+}
+
+// newUnformatted is a fixture whose machine and process are up but whose
+// disk is not formatted.
+func newUnformatted(t *testing.T, cores int) *fixture {
+	t.Helper()
 	m := machine.New(cores, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: testDiskBlocks})
 	t.Cleanup(m.Eng.Shutdown)
 	p, err := m.Launch("app", aeokern.Partition{Start: 0, Blocks: testDiskBlocks, Writable: true},
@@ -33,18 +51,7 @@ func newFixture(t *testing.T, cores int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &fixture{m: m, p: p}
-	fx.run(t, "mkfs", func(env *sim.Env) error {
-		trust, err := aeofs.MkfsAndMount(env, p.Driver, 0, testDiskBlocks,
-			aeofs.MkfsOptions{NumJournals: 8, JournalBlocks: 256})
-		if err != nil {
-			return err
-		}
-		fx.trust = trust
-		fx.fs = aeofs.NewFS(trust, p.Driver, cores)
-		return nil
-	})
-	return fx
+	return &fixture{m: m, p: p}
 }
 
 // run executes body as a task on core 0 and fails the test on error.
@@ -101,6 +108,47 @@ func pattern(n int, seed byte) []byte {
 		b[i] = byte(i)*7 + seed
 	}
 	return b
+}
+
+// TestMkfsJournalFloor: a journal region too small to hold one forced
+// commit is refused at format time. 1-block regions used to format, and the
+// first create then panicked its task with "journal region 0 full".
+func TestMkfsJournalFloor(t *testing.T) {
+	for _, jb := range []uint64{1, 2, 3, 64} {
+		t.Run(fmt.Sprint(jb), func(t *testing.T) {
+			fx := newUnformatted(t, 1)
+			fx.run(t, "mkfs", func(env *sim.Env) error {
+				trust, err := aeofs.MkfsAndMount(env, fx.p.Driver, 0, testDiskBlocks,
+					aeofs.MkfsOptions{NumJournals: 4, JournalBlocks: jb})
+				if jb < 64 {
+					if !errors.Is(err, aeofs.ErrInvalid) {
+						return fmt.Errorf("%d-block regions: err %v, want ErrInvalid", jb, err)
+					}
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				fs := aeofs.NewFS(trust, fx.p.Driver, 1)
+				for i := 0; i < 40; i++ {
+					fd, err := fs.Open(env, fmt.Sprintf("/f%02d", i), aeofs.O_CREATE|aeofs.O_RDWR)
+					if err != nil {
+						return err
+					}
+					if _, err := fs.Write(env, fd, pattern(8192, byte(i))); err != nil {
+						return err
+					}
+					if err := fs.Fsync(env, fd); err != nil {
+						return err
+					}
+					if err := fs.Close(env, fd); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {

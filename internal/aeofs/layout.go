@@ -180,6 +180,10 @@ func decodeSuperblock(b []byte) (Superblock, error) {
 	if sb.BlockSize != BlockSize {
 		return sb, fmt.Errorf("aeofs: unsupported block size %d", sb.BlockSize)
 	}
+	if sb.JournalArea < minJournalBlocks {
+		return sb, fmt.Errorf("%w: journal region of %d blocks (minimum %d)",
+			ErrCorrupt, sb.JournalArea, minJournalBlocks)
+	}
 	return sb, nil
 }
 

@@ -13,9 +13,14 @@ type MkfsOptions struct {
 	NumInodes uint64
 	// NumJournals is the number of per-thread journal regions (default 64).
 	NumJournals uint64
-	// JournalBlocks is each region's size in blocks (default 1024).
+	// JournalBlocks is each region's size in blocks (default: ~1/8 of the
+	// partition over NumJournals, within [minJournalBlocks, 1024]).
 	JournalBlocks uint64
 }
+
+// minJournalBlocks is the smallest journal region Mkfs formats and Mount
+// accepts: a forced commit of one Table 5 operation has to fit in it.
+const minJournalBlocks = 64
 
 // Mkfs formats the partition [start, start+blocks) through a privileged
 // driver context and returns the superblock. It must be called from within
@@ -27,16 +32,12 @@ func Mkfs(env *sim.Env, drv *aeodriver.Driver, start, blocks uint64, opt MkfsOpt
 	if opt.NumJournals == 0 {
 		opt.NumJournals = 64
 	}
-	if opt.JournalBlocks == 0 {
-		// Default the journal area to ~1/8 of the partition, with a
-		// per-region size in [64, 1024] blocks.
-		opt.JournalBlocks = blocks / 8 / opt.NumJournals
-		if opt.JournalBlocks < 64 {
-			opt.JournalBlocks = 64
-		}
-		if opt.JournalBlocks > 1024 {
-			opt.JournalBlocks = 1024
-		}
+	switch {
+	case opt.JournalBlocks == 0:
+		opt.JournalBlocks = min(max(blocks/8/opt.NumJournals, minJournalBlocks), 1024)
+	case opt.JournalBlocks < minJournalBlocks:
+		return Superblock{}, fmt.Errorf("%w: journal region of %d blocks (minimum %d)",
+			ErrInvalid, opt.JournalBlocks, minJournalBlocks)
 	}
 	if opt.NumInodes == 0 {
 		opt.NumInodes = blocks / 8

@@ -2,6 +2,7 @@ package aeofs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -182,6 +183,11 @@ func TestSuperblockRoundTrip(t *testing.T) {
 	buf[0] ^= 0xff
 	if _, err := decodeSuperblock(buf); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	sb.JournalArea = minJournalBlocks - 1
+	sb.encode(buf)
+	if _, err := decodeSuperblock(buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%d-block journal regions: err %v, want ErrCorrupt", sb.JournalArea, err)
 	}
 }
 

@@ -206,9 +206,6 @@ func (t *TrustLayer) Superblock() Superblock { return t.sb }
 // FreeBlocks returns the number of unallocated blocks.
 func (t *TrustLayer) FreeBlocks() uint64 { return t.blockBm.Free() }
 
-// FreeInodes returns the number of unallocated inodes.
-func (t *TrustLayer) FreeInodes() uint64 { return t.inodeBm.Free() }
-
 // ---- metadata block cache ----
 
 const metaShards = 64

@@ -393,14 +393,6 @@ func (t *TrustLayer) UnregisterOpen(env *sim.Env, drv *aeodriver.Driver, ino uin
 	return err == nil, err
 }
 
-// IsShared reports whether ino is open by more than one process.
-func (t *TrustLayer) IsShared(env *sim.Env, ino uint64) bool {
-	t.openersLock.Lock(env)
-	shared := len(t.openers[ino]) > 1
-	t.openersLock.Unlock(env)
-	return shared
-}
-
 // noteWriter records that pid mutated ino; two distinct writers mark the
 // inode shared (sticky), triggering the §9.4 sharing penalty in FS
 // instances.

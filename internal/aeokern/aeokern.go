@@ -26,7 +26,6 @@ import (
 var (
 	ErrQPLimit      = errors.New("aeokern: process queue-pair limit reached")
 	ErrNoVectors    = errors.New("aeokern: out of interrupt vectors")
-	ErrNotOwner     = errors.New("aeokern: resource not owned by process")
 	ErrBadPartition = errors.New("aeokern: partition out of device range")
 )
 

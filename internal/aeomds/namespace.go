@@ -430,9 +430,6 @@ func (s *Shard) RenameLocal(dirPath, srcName, dstName string) (displaced *FileMe
 	return displaced, nil
 }
 
-// HasDir reports whether the shard owns directory state for path.
-func (s *Shard) HasDir(path string) bool { return s.dirs[path] != nil }
-
 // Namespace is the synchronous façade over a shard set: it routes each
 // operation to the owning shard with direct calls. The CSP Service routes
 // the same primitives over the fabric; the differential and invariance

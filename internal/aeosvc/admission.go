@@ -163,9 +163,6 @@ func (a *Admission) addTenant(c TenantConfig) *tenantState {
 	return ts
 }
 
-// Enabled reports whether rate limits and backlog bounds are enforced.
-func (a *Admission) Enabled() bool { return a.enabled }
-
 // QoS reports whether dequeue is strict-priority across classes.
 func (a *Admission) QoS() bool { return a.qos }
 

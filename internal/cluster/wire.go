@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"aeolia/internal/mix"
 	"aeolia/internal/raft"
 	"aeolia/internal/wire"
 )
@@ -65,12 +66,7 @@ func fnv32(b []byte) uint32 {
 	if onHash != nil {
 		onHash(b)
 	}
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
+	return mix.FNV1a32(b)
 }
 
 // onHash, when a test sets it, sees every buffer fnv32 hashes.

@@ -124,9 +124,6 @@ func (t *Table) Remove(name string) bool {
 // Len returns the number of cached entries, negatives included.
 func (t *Table) Len() int { return t.count }
 
-// Buckets returns the current bucket count (rehash cost scales with it).
-func (t *Table) Buckets() int { return len(t.buckets) }
-
 // Range calls fn for every entry until it returns false. Iteration order
 // is bucket order — deterministic for a given insert history, but not
 // sorted; callers that need stable output sort the results.

@@ -17,8 +17,8 @@ import (
 // AblTrust quantifies the cost of eager integrity checking (§7.3): the
 // paper argues the trusted-entity domain switch costs only ~85 cycles per
 // operation, so eager checking is essentially free. We measure AeoFS with
-// the gate toll as calibrated, and with the gate toll zeroed (the
-// TrustNone ablation), on a cached-read and a create workload.
+// the gate toll as calibrated, and with the process gate's EntryCost
+// zeroed, on a cached-read and a create workload.
 func AblTrust() ([]*report.Table, error) {
 	t := &report.Table{
 		ID: "abl1", Title: "eager integrity checking cost (gate toll on/off)",

@@ -22,7 +22,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"aeolia/internal/mix"
@@ -142,9 +141,6 @@ func (p *Plan) Draw(site string) uint64 {
 // Occurrences returns how many times site has been consulted.
 func (p *Plan) Occurrences(site string) uint64 { return p.count[site] }
 
-// Fired returns how many times site has fired.
-func (p *Plan) Fired(site string) uint64 { return p.fired[site] }
-
 // Log returns the firing log in order.
 func (p *Plan) Log() []Event { return append([]Event(nil), p.log...) }
 
@@ -162,16 +158,6 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, " fired=[%s]", strings.Join(evs, " "))
 	}
 	return b.String()
-}
-
-// Sites returns the sites with installed rules, sorted (for reporting).
-func (p *Plan) Sites() []string {
-	out := make([]string, 0, len(p.rules))
-	for s := range p.rules {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CrashFunc adapts the plan to the aeofs crash-point hook: consulting a

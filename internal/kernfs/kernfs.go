@@ -162,9 +162,6 @@ func (k *KernFS) InitThread(env *sim.Env) error {
 	return err
 }
 
-// Inner exposes the substrate (tests only).
-func (k *KernFS) Inner() *aeofs.FS { return k.inner }
-
 func (k *KernFS) syscall(env *sim.Env) {
 	env.Exec(k.prof.Syscall)
 }
@@ -353,10 +350,4 @@ func (k *KernFS) ReadDir(env *sim.Env, path string) ([]vfs.Dirent, error) {
 // Truncate implements vfs.FileSystem.
 func (k *KernFS) Truncate(env *sim.Env, path string, size uint64) error {
 	return k.metaOp(env, path, func() error { return k.inner.Truncate(env, path, size) })
-}
-
-// DcacheStats exposes the global dcache lock's acquisition/contention
-// counters (diagnostics).
-func (k *KernFS) DcacheStats() (acquired, contended uint64) {
-	return k.dcache.mu.Acquired, k.dcache.mu.Contended
 }

@@ -1,8 +1,4 @@
-// Quickstart: bring up a simulated Aeolia machine, mount AeoFS, and do
-// ordinary file I/O through the userspace-interrupt storage stack.
-//
-//	go run ./examples/quickstart
-package main
+package machine_test
 
 import (
 	"fmt"
@@ -14,7 +10,9 @@ import (
 	"aeolia/internal/sim"
 )
 
-func main() {
+// Example brings up a simulated Aeolia machine, mounts AeoFS, and does
+// ordinary file I/O through the userspace-interrupt storage stack.
+func Example() {
 	// A 2-core machine with a P5800X-modeled NVMe SSD.
 	m := machine.New(2, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: 1 << 16})
 
@@ -33,7 +31,6 @@ func main() {
 		if _, err := fi.Proc.Driver.CreateQP(env); err != nil {
 			log.Fatal(err)
 		}
-
 		if err := fs.Mkdir(env, "/hello"); err != nil {
 			log.Fatal(err)
 		}
@@ -59,11 +56,16 @@ func main() {
 		fmt.Printf("stat: ino=%d size=%dB type=%v\n", st.Ino, st.Size, st.Type)
 		fs.Close(env, fd)
 
-		// Show the interrupt path actually ran.
+		// Virtual time, not wall time: the run is deterministic.
 		fmt.Printf("virtual time elapsed: %v\n", env.Now())
 	})
 	m.Eng.Run(0)
 
 	fmt.Printf("device: %d reads, %d writes, %d flushes\n",
 		m.Dev.ReadOps, m.Dev.WriteOps, m.Dev.FlushOps)
+	// Output:
+	// read back: "written through user interrupts, not polling!"
+	// stat: ino=3 size=45B type=regular
+	// virtual time elapsed: 2.341801ms
+	// device: 133 reads, 327 writes, 2 flushes
 }

@@ -1,8 +1,9 @@
-// Package mix holds the two deterministic mixing functions every seeded
-// stream in the repository is built from: the splitmix64 finalizer, which
-// turns a (seed, key, counter) word into an independent uniform draw, and
-// FNV-1a-64, which keys a draw or a bucket by name. Goldens and load
-// fingerprints pin their outputs, so neither may change.
+// Package mix holds the deterministic mixing functions every seeded stream
+// and content hash in the repository is built from: the splitmix64
+// finalizer, which turns a (seed, key, counter) word into an independent
+// uniform draw; FNV-1a-64, which keys a draw or a bucket by name; and
+// FNV-1a-32, which fingerprints a replica's payload bytes. Goldens and load
+// fingerprints pin their outputs, so none may change.
 package mix
 
 // SplitMix64 is the splitmix64 output function applied to the state x
@@ -20,6 +21,16 @@ func FNV1a64(s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 0x100000001b3
+	}
+	return h
+}
+
+// FNV1a32 is the 32-bit FNV-1a hash of b. It allocates nothing.
+func FNV1a32(b []byte) uint32 {
+	h := uint32(0x811c9dc5)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= 0x01000193
 	}
 	return h
 }

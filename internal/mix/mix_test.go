@@ -41,6 +41,40 @@ func TestKnownAnswers(t *testing.T) {
 	}
 }
 
+// TestKnownAnswersFNV1a32 pins FNV1a32 to the values the cluster's replica
+// hashes, ClusterAck/RaftApply aux values and goldens were built on.
+func TestKnownAnswersFNV1a32(t *testing.T) {
+	block := make([]byte, 4096)
+	for i := range block {
+		block[i] = byte(i * 7)
+	}
+	for _, c := range []struct {
+		in   []byte
+		want uint32
+	}{
+		{nil, 0x811c9dc5},
+		{[]byte("a"), 0xe40c292c},
+		{[]byte("foobar"), 0xbf9cf968},
+		{[]byte("raft:apply"), 0x6e6fe070},
+		{block, 0xc0944dc5},
+	} {
+		if got := FNV1a32(c.in); got != c.want {
+			t.Errorf("FNV1a32(%.16q) = %#x, want %#x", c.in, got, c.want)
+		}
+		h := fnv.New32a()
+		h.Write(c.in)
+		if h.Sum32() != c.want {
+			t.Errorf("hash/fnv disagrees on %.16q", c.in)
+		}
+	}
+}
+
+// TestAllocsFNV1a32: a replica hashes an applied block without allocating.
+func TestAllocsFNV1a32(t *testing.T) {
+	b := make([]byte, 4096)
+	alloctest.AtMost(t, 0, 1, func() { FNV1a32(b) })
+}
+
 // TestAllocsFNV1a64: a dentry lookup hashes its name without allocating.
 func TestAllocsFNV1a64(t *testing.T) {
 	s := "some/dentry-name"

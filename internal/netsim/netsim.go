@@ -220,9 +220,6 @@ func (ep *Endpoint) Close() {
 // same address). Messages dropped while closed stay dropped.
 func (ep *Endpoint) Reopen() { ep.closed = false }
 
-// Closed reports whether the endpoint is closed.
-func (ep *Endpoint) Closed() bool { return ep.closed }
-
 // SetOnDeliver installs a hook invoked in event context whenever a message
 // is appended to the inbox. When a hook is installed the fabric does NOT
 // fire the arrival completion itself: the hook's owner is responsible for

@@ -221,9 +221,6 @@ func (d *Device) uncache(blk uint64, img []byte) {
 	d.freeImgs = append(d.freeImgs, img)
 }
 
-// CachedBlocks returns the number of completed-but-unflushed blocks.
-func (d *Device) CachedBlocks() int { return len(d.cache) }
-
 // CrashAndReset simulates power loss: the volatile write cache is lost and
 // the device restarts with only durable (flushed) state. For each cached
 // block, resolve decides what the medium holds afterwards: it receives the

@@ -190,17 +190,10 @@ func (qp *QueuePair) SetCoalescing(c Coalescing) {
 	qp.coalesce = c
 }
 
-// CoalescingConfig returns the active coalescing configuration.
-func (qp *QueuePair) CoalescingConfig() Coalescing { return qp.coalesce }
-
 // NotifyPending reports whether completions are sitting in the CQ waiting
 // for the coalescing aggregation to raise their interrupt. Watchdogs use it
 // to distinguish an intentionally-held notification from a lost one.
 func (qp *QueuePair) NotifyPending() bool { return qp.unNotified > 0 }
-
-// CoalesceDeadline returns the armed aggregation timer's expiry (only
-// meaningful while NotifyPending).
-func (qp *QueuePair) CoalesceDeadline() time.Duration { return qp.coalesceDeadline }
 
 // Inflight returns the number of commands submitted whose CQE has not yet
 // been posted.

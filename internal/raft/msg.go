@@ -59,9 +59,6 @@ type Message struct {
 	Entries  []Entry
 }
 
-// Heartbeat reports whether m is an empty AppendEntries.
-func (m Message) Heartbeat() bool { return m.Type == MsgApp && len(m.Entries) == 0 }
-
 func (m Message) String() string {
 	return fmt.Sprintf("%v %d->%d term=%d idx=%d logterm=%d commit=%d rej=%v n=%d",
 		m.Type, m.From, m.To, m.Term, m.Index, m.LogTerm, m.Commit, m.Reject, len(m.Entries))

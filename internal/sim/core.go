@@ -148,9 +148,6 @@ func (c *Core) Current() *Task { return c.current }
 // Idle reports whether the core is idle.
 func (c *Core) Idle() bool { return c.idle }
 
-// Lane returns the event lane this core belongs to.
-func (c *Core) Lane() int { return int(c.lane) }
-
 // SetLane assigns the core to an event lane created with Engine.NewLane.
 // Must be called during setup, before the simulation runs.
 func (c *Core) SetLane(lane int) {
@@ -227,9 +224,6 @@ func (c *Core) maxNest() int {
 // SetNeedResched marks the core for rescheduling at the next scheduling
 // decision point (interrupt return or tick).
 func (c *Core) SetNeedResched() { c.needResched = true }
-
-// NeedResched reports whether a reschedule is pending.
-func (c *Core) NeedResched() bool { return c.needResched }
 
 // RaiseIRQ raises vector on the core. If the core is servicing another
 // interrupt or mid context-switch, delivery is deferred until it finishes —

@@ -196,9 +196,6 @@ func (e *Engine) NewLane() int {
 	return e.cal.addShard()
 }
 
-// Lanes returns the number of lanes, including the engine lane 0.
-func (e *Engine) Lanes() int { return len(e.cal.shards) }
-
 // Schedule enqueues fn to run after delay (>= 0) of virtual time. The
 // event is unattributed (engine lane); simulation code running on a core
 // should use Core/Env scheduling so the event lands in that core's lane.

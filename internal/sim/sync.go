@@ -41,16 +41,6 @@ func (m *Mutex) Lock(env *Env) {
 	}
 }
 
-// TryLock acquires m if it is free.
-func (m *Mutex) TryLock(env *Env) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.Acquired++
-	m.owner = env.Task()
-	return true
-}
-
 // Unlock releases m, handing it to the longest-waiting task if any.
 func (m *Mutex) Unlock(env *Env) {
 	if m.owner != env.Task() {

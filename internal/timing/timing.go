@@ -97,9 +97,6 @@ const (
 	// hits ~2x AeoDriver latency at 512B (Figure 10).
 	POSIXSyscall = 2600 * time.Nanosecond
 
-	// IOUringSubmitSyscall is the amortizable io_uring_enter cost.
-	IOUringSubmitSyscall = 900 * time.Nanosecond
-
 	// EventfdForward is the cost of forwarding a kernel interrupt to a
 	// userspace waiter via eventfd, used by the +k_intr ablation in
 	// Figure 17 (cf. LibPreemptible's report cited in §9.4).

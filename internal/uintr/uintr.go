@@ -232,10 +232,6 @@ func (cs *CoreState) Recognize(vector int) bool {
 	return true
 }
 
-// HandlerDepth returns the number of user-interrupt handlers currently
-// executing on the core (>1 during a preemptive nested delivery).
-func (cs *CoreState) HandlerDepth() int { return len(cs.active) }
-
 // DeliverPending implements steps 3-4: if the core is in user mode, invoke
 // the user handler once per pending UIRR bit. Without a priority ClassMap
 // on the UPID the drain order is highest vector first, as the hardware
