@@ -45,9 +45,6 @@ func NewPermTable(n uint64) *PermTable {
 	}
 }
 
-// Blocks returns the number of blocks covered.
-func (pt *PermTable) Blocks() uint64 { return pt.nblocks }
-
 // Get returns block blk's permission.
 func (pt *PermTable) Get(blk uint64) Perm {
 	if blk >= pt.nblocks {

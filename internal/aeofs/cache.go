@@ -179,7 +179,7 @@ func (cm *cacheManager) unregister(env *sim.Env, pc *pageCache) {
 	}
 	cm.retiredHits.Add(pc.Hits.Load())
 	cm.retiredMisses.Add(pc.Misses.Load())
-	pc.dropAll(env)
+	pc.dropFrom(env, 0)
 }
 
 // emit traces a cache event when tracing is on.
@@ -306,16 +306,16 @@ func (cm *cacheManager) evictOne(env *sim.Env) bool {
 // first (never silently lost), then the page is dropped if nothing
 // changed while the write-back parked.
 func (cm *cacheManager) reclaimPage(env *sim.Env, f *pageCache, idx uint64, cp *cachePage) bool {
-	wasDirty := cp.dirty
+	wasDirty := cp.state == dirty
 	if wasDirty {
 		if err := cm.fs.writebackPages(env, f.owner, []uint64{idx}, false); err != nil {
 			return false
 		}
 	}
 	f.treeLock.Lock(env)
-	if f.tree.Get(idx) != cp || cp.dirty || !cp.filled() || cp.doomed {
-		// The page vanished, was redirtied, or went back in flight while
-		// the write-back parked: not a safe victim any more.
+	if f.tree.Get(idx) != cp || (cp.state != clean && cp.state != failed) {
+		// The page vanished or was redirtied while the write-back
+		// parked: not a safe victim any more.
 		f.treeLock.Unlock(env)
 		return false
 	}
@@ -347,7 +347,8 @@ func (cm *cacheManager) reclaimPage(env *sim.Env, f *pageCache, idx uint64, cp *
 	return true
 }
 
-// addDirty accounts freshly dirtied bytes and kicks the flusher.
+// addDirty accounts freshly dirtied bytes and kicks the flusher. Only
+// cachePage.to calls it.
 func (cm *cacheManager) addDirty(bytes uint64) {
 	cm.dirty.Add(bytes)
 	if cm.cfg.writebackEnabled() && !cm.wbDead {
@@ -357,7 +358,7 @@ func (cm *cacheManager) addDirty(bytes uint64) {
 }
 
 // subDirty accounts bytes cleaned (or discarded) from the dirty set,
-// clamped at zero via CAS.
+// clamped at zero via CAS. Only cachePage.to calls it.
 func (cm *cacheManager) subDirty(bytes uint64) {
 	for {
 		cur := cm.dirty.Load()

@@ -61,3 +61,33 @@ func (fs *FS) FlushAcrossEviction(env *sim.Env, fd int, idx uint64) error {
 	}
 	return fs.writebackPages(env, f.ui, dirty, true)
 }
+
+// PageCounts counts the pages in the trees of every file open on the mount,
+// and those of them that are dirty: quiescent, CacheStats.ResidentBytes and
+// DirtyBytes are these counts in bytes.
+func (fs *FS) PageCounts() (resident, dirtyPages uint64) {
+	for _, pc := range fs.cache.files {
+		pc.tree.Walk(func(_ uint64, v any) bool {
+			resident++
+			if v.(*cachePage).state == dirty {
+				dirtyPages++
+			}
+			return true
+		})
+	}
+	return resident, dirtyPages
+}
+
+// Reclaim runs the CLOCK hand's reclaim of page idx of the file, as an
+// eviction that picked it would: write-back if dirty, then the drop. It
+// reports whether the page was evicted.
+func (fs *FS) Reclaim(env *sim.Env, fd int, idx uint64) (bool, error) {
+	f, err := fs.fdt.Get(env, fd)
+	if err != nil {
+		return false, err
+	}
+	pc, cm := f.ui.pc, fs.cache
+	cm.budgetMu.Lock(env)
+	defer cm.budgetMu.Unlock(env)
+	return cm.reclaimPage(env, pc, idx, pc.peek(idx)), nil
+}

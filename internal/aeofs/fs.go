@@ -66,6 +66,10 @@ type uInode struct {
 	pc *pageCache // regular files
 	dc *dentCache // directories
 
+	// wbErr is the first background write-back failure since the last
+	// fsync; the next fsync returns it and clears it.
+	wbErr error
+
 	// closeMu serializes last-close flush+revoke sequences, so one
 	// closer's in-flight flush cannot be invalidated by another
 	// closer's revoke.
@@ -119,7 +123,7 @@ func (fs *FS) DropCaches(env *sim.Env) error {
 		if err := fs.flushFile(env, pc.owner); err != nil {
 			return err
 		}
-		pc.dropAll(env)
+		pc.dropFrom(env, 0)
 		pc.rl.Lock(env, 0, ^uint64(0), true)
 		pc.clockPos, pc.raNext, pc.raIssued, pc.raRun, pc.raWindow = 0, 0, 0, 0, 0
 		pc.rl.Unlock(env, 0, ^uint64(0), true)
@@ -221,7 +225,7 @@ func (fs *FS) invalidate(env *sim.Env, u *uInode) {
 	u.blocksOK = false
 	u.blocks = nil
 	if u.pc != nil {
-		u.pc.dropAll(env)
+		u.pc.dropFrom(env, 0)
 	}
 	if u.dc != nil {
 		u.dc = newDentCache()

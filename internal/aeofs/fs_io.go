@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aeolia/internal/aeodriver"
-	"aeolia/internal/iobuf"
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
 	"aeolia/internal/trace"
@@ -171,11 +170,11 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 			err := fs.readPagesFromDisk(env, u, idxs, pages)
 			now := env.Now()
 			for i, cp := range pages {
-				if err != nil {
-					cp.doomed = true
-					pc.drop(env, idxs[i])
+				if err != nil && cp.state == filling {
+					cp.to(cm, doomed)
+					pc.drop(env, idxs[i], cp)
 				}
-				if cp.doomed {
+				if cp.state == doomed {
 					// Failed, or truncated/invalidated while the
 					// read was in flight: the page does not stay
 					// resident on our charge.
@@ -183,7 +182,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 				}
 				// Wake any reader that blocked on the fill; doomed
 				// waiters re-look-up.
-				cp.fill.FireAt(now)
+				cp.land(cm, clean, now)
 			}
 			return err
 		}
@@ -193,7 +192,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 				if cp == nil {
 					// No per-page buffer: the fill rebinds data into the
 					// run buffer the DMA lands in (readPagesFromDisk).
-					cp = &cachePage{fill: sim.NewCompletion()}
+					cp = &cachePage{state: filling, fill: sim.NewCompletion()}
 					env.Exec(costPageAlloc)
 					pc.insert(env, p, cp)
 					kept++
@@ -202,7 +201,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 					got[p-p0] = cp
 					break
 				}
-				if !cp.filled() {
+				if cp.inFlight() {
 					// About to park: submit our own batch first so it
 					// overlaps with the fill we wait on.
 					if err := flush(); err != nil {
@@ -210,16 +209,18 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 					}
 					cp.awaitFill(env)
 				}
-				if cp.doomed {
+				switch cp.state {
+				case doomed:
 					continue // dropped while in flight; re-look-up
-				}
-				if cp.ioErr != nil {
-					// Its asynchronous fill failed; retry synchronously
-					// into the same (already charged) page.
+				case failed:
+					// Its read-ahead failed; retry synchronously into
+					// the same (already charged) page.
 					if err := fs.readPagesFromDisk(env, u, []uint64{p}, []*cachePage{cp}); err != nil {
 						return 0, err
 					}
-					cp.ioErr = nil
+					if cp.state == failed { // another reader's retry may have won
+						cp.to(cm, clean)
+					}
 				}
 				if cp.ra {
 					cp.ra = false
@@ -289,7 +290,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 // the range lock, or the tree lock. Validation requires the epoch to be
 // even and unchanged across the whole walk and no writer mid-operation
 // (pc.writers covers data mutations the structural epoch cannot see). Any
-// anomaly — missing page, in-flight fill, doomed/failed page, an unconsumed
+// anomaly — a missing page, one not clean or dirty, an unconsumed
 // read-ahead page (whose bookkeeping needs the slow path) — aborts, and the
 // caller re-reads from scratch under locks. Virtual time (the radix
 // descents and the copy-out, identical to the slow path's charges) is
@@ -309,7 +310,7 @@ func (fs *FS) fastReadAt(env *sim.Env, pc *pageCache, buf []byte, off, p0, p1 ui
 	n := 0
 	for p := p0; p <= p1; p++ {
 		cp := pc.peek(p)
-		if cp == nil || !cp.filled() || cp.doomed || cp.ra || cp.ioErr != nil {
+		if cp == nil || (cp.state != clean && cp.state != dirty) || cp.ra {
 			return 0, false
 		}
 		pageOff := 0
@@ -379,7 +380,7 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 		if pc.tree.Get(p) != nil {
 			continue
 		}
-		cp := &cachePage{fill: sim.NewCompletion(), ra: true}
+		cp := &cachePage{state: filling, fill: sim.NewCompletion(), ra: true}
 		pc.tree.Set(p, cp)
 		idxs = append(idxs, p)
 		cps = append(cps, cp)
@@ -393,25 +394,10 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 	}
 	env.Exec(time.Duration(len(idxs)) * costPageAlloc)
 
-	// Contiguous page- and LBA-runs become one command each, chunked; DMA
-	// lands directly in the pages' buffers (no copy at completion).
-	var iov []aeodriver.IOVec
-	var runPages [][]*cachePage
-	i := 0
-	for i < len(idxs) {
-		j := i + 1
-		for j < len(idxs) && j-i < readaheadChunk &&
-			idxs[j] == idxs[j-1]+1 && blocks[idxs[j]] == blocks[idxs[j-1]]+1 {
-			j++
-		}
-		run := make([]byte, (j-i)*BlockSize)
-		for k := i; k < j; k++ {
-			cps[k].data = run[(k-i)*BlockSize : (k-i+1)*BlockSize : (k-i+1)*BlockSize]
-		}
-		iov = append(iov, aeodriver.IOVec{LBA: blocks[idxs[i]], Cnt: uint32(j - i), Buf: run})
-		runPages = append(runPages, cps[i:j])
-		i = j
-	}
+	// Chunked runs, bound before submission: the pages are filling, so no
+	// reader looks at their data until the DMA has landed in it.
+	iov := pageRuns(blocks, idxs, readaheadChunk)
+	bindRuns(iov, cps)
 	reqs, err := fs.drv.SubmitBatch(env, nvme.OpRead, iov, false)
 	if err != nil {
 		// Admission refused (queue full) or the grant went away: undo
@@ -424,7 +410,9 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 			if pc.tree.Get(p) == cps[k] {
 				pc.tree.Delete(p)
 			}
-			cps[k].doomed = true
+			if cps[k].state == filling { // a truncate may have doomed it
+				cps[k].to(cm, doomed)
+			}
 		}
 		pc.seq.Add(1)
 		pc.treeLock.Unlock(env)
@@ -436,21 +424,23 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 	}
 	cm.raIssued.Add(uint64(len(idxs)))
 	cm.emit(trace.ReadaheadIssue, trace.NoCID, iov[0].LBA, uint64(len(idxs)))
-	for r := range reqs {
-		req, pages := reqs[r], runPages[r]
+	for r, req := range reqs {
+		pages := cps[:iov[r].Cnt]
+		cps = cps[iov[r].Cnt:]
 		req.OnComplete(func(rq *aeodriver.Request) {
 			// Engine context: flip page state and wake waiters only.
 			now := cm.eng.Now()
-			ferr := rq.Err()
+			next := clean
+			if rq.Err() != nil {
+				next = failed
+			}
 			for _, cp := range pages {
-				if cp.doomed {
+				if cp.state == doomed {
 					// Truncated/invalidated while in flight: the
 					// drop left the charge to us.
 					cm.uncharge(BlockSize)
-				} else if ferr != nil {
-					cp.ioErr = ferr
 				}
-				cp.fill.FireAt(now)
+				cp.land(cm, next, now)
 			}
 		})
 	}
@@ -465,39 +455,16 @@ func (fs *FS) readPagesFromDisk(env *sim.Env, u *uInode, idxs []uint64, pages []
 	u.lock.RLock(env)
 	blocks := u.blocks
 	u.lock.RUnlock(env)
-	type run struct {
-		first int // index into pages
-		n     int
+	iov := pageRuns(blocks, idxs, len(idxs))
+	read := 0
+	for _, v := range iov {
+		read += int(v.Cnt)
 	}
-	var iov []aeodriver.IOVec
-	var runs []run
-	i := 0
-	for i < len(pages) {
-		p := idxs[i]
-		if p >= uint64(len(blocks)) {
-			// Beyond allocation (hole at tail): stays a zero page.
-			if pages[i].data == nil {
-				pages[i].data = make([]byte, BlockSize)
-			}
-			i++
-			continue
+	for _, cp := range pages[read:] {
+		// Beyond allocation (hole at tail): stays a zero page.
+		if cp.data == nil {
+			cp.data = make([]byte, BlockSize)
 		}
-		// Extend the run while pages and LBAs are contiguous.
-		j := i + 1
-		for j < len(pages) {
-			q := idxs[j]
-			if q != idxs[j-1]+1 || q >= uint64(len(blocks)) || blocks[q] != blocks[q-1]+1 {
-				break
-			}
-			j++
-		}
-		iov = append(iov, aeodriver.IOVec{
-			LBA: blocks[p],
-			Cnt: uint32(j - i),
-			Buf: make([]byte, (j-i)*BlockSize),
-		})
-		runs = append(runs, run{first: i, n: j - i})
-		i = j
 	}
 	if len(iov) == 0 {
 		return nil
@@ -505,21 +472,49 @@ func (fs *FS) readPagesFromDisk(env *sim.Env, u *uInode, idxs []uint64, pages []
 	if err := fs.drv.ReadVBatch(env, iov); err != nil {
 		return err
 	}
-	// Zero-copy handoff (device → cache): rebind each page's data to its
-	// slice of the run buffer the DMA landed in instead of copying out.
-	// Full-capacity slicing keeps a page from ever growing into its
-	// neighbor's bytes. The pages are not yet visible to readers (fill
-	// pending) or are pinned by the caller's range lock, so the rebinding
-	// cannot race a concurrent copy-out.
-	for r, v := range iov {
-		first := runs[r].first
-		for k := 0; k < runs[r].n; k++ {
-			pages[first+k].data = v.Buf[k*BlockSize : (k+1)*BlockSize : (k+1)*BlockSize]
+	// Bound only now the read has landed: the pages are either filling
+	// (not yet visible to readers) or pinned by the caller's range lock,
+	// and a failed page another reader re-reads at the same time keeps
+	// whichever buffer landed last, never one still in flight.
+	bindRuns(iov, pages)
+	fs.emitPath(trace.BufHandoff, trace.PathFSRead, trace.NoCID,
+		trace.HandoffAux(trace.StageDev, trace.StageCache))
+	return nil
+}
+
+// pageRuns builds the read commands for the file's pages idxs (ascending):
+// each run of consecutive pages on contiguous LBAs, at most max pages long,
+// becomes one command reading into a fresh buffer. Pages past the last
+// allocated block are not read; being ascending, they form a suffix.
+func pageRuns(blocks, idxs []uint64, max int) []aeodriver.IOVec {
+	var iov []aeodriver.IOVec
+	for i := 0; i < len(idxs) && idxs[i] < uint64(len(blocks)); {
+		j := i + 1
+		for j < len(idxs) && j-i < max && idxs[j] == idxs[j-1]+1 &&
+			idxs[j] < uint64(len(blocks)) && blocks[idxs[j]] == blocks[idxs[j-1]]+1 {
+			j++
+		}
+		iov = append(iov, aeodriver.IOVec{
+			LBA: blocks[idxs[i]],
+			Cnt: uint32(j - i),
+			Buf: make([]byte, (j-i)*BlockSize),
+		})
+		i = j
+	}
+	return iov
+}
+
+// bindRuns is the zero-copy handoff device → cache: it points each page at
+// its slice of the buffer its run's DMA lands in, pages taken in iov order.
+// Full-capacity slicing keeps a page from ever growing into its neighbor's
+// bytes.
+func bindRuns(iov []aeodriver.IOVec, pages []*cachePage) {
+	for _, v := range iov {
+		for k := range int(v.Cnt) {
+			pages[0].data = v.Buf[k*BlockSize : (k+1)*BlockSize : (k+1)*BlockSize]
+			pages = pages[1:]
 		}
 	}
-	fs.emitPath(trace.BufHandoff, trace.PathFSRead, trace.NoCID,
-		iobuf.HandoffAux(iobuf.StageDev, iobuf.StageCache))
-	return nil
 }
 
 func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, error) {
@@ -589,15 +584,25 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 	cm.charge(env, reserve*BlockSize)
 	kept := uint64(0) // pages created on our reservation
 
-	// markDirty flips a page dirty exactly once per transition, keeping
-	// the mount-wide dirty accounting (and flusher wake-ups) balanced. It
-	// runs before any parking operation on the page, so eviction always
-	// sees it dirty and routes it through write-back.
+	// markDirty moves a page to dirty unless it is already. It runs
+	// before any parking operation on the page, so eviction always sees
+	// it dirty and routes it through write-back.
 	markDirty := func(cp *cachePage) {
-		if !cp.dirty {
-			cp.dirty = true
-			cm.addDirty(BlockSize)
+		if cp.state != dirty {
+			cp.to(cm, dirty)
 		}
+	}
+	// refill re-reads page p if a failed read-ahead left it invalid: a
+	// write that keeps any of its bytes must keep the device's.
+	refill := func(p uint64, cp *cachePage) error {
+		if cp.state != failed {
+			return nil
+		}
+		if err := fs.readPagesFromDisk(env, u, []uint64{p}, []*cachePage{cp}); err != nil {
+			return err
+		}
+		cp.to(cm, clean)
+		return nil
 	}
 
 	// A write that jumps past the old EOF leaves hole pages between the
@@ -606,40 +611,52 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 	if off > oldSize {
 		holeStart := oldSize / BlockSize
 		pc.rl.Lock(env, holeStart, p0+1, true)
-		for p := holeStart; p < p0; p++ {
-			cp := pc.acquireForWrite(env, p)
-			if cp == nil {
-				cp = &cachePage{data: make([]byte, BlockSize)}
-				env.Exec(costPageAlloc)
-				pc.insert(env, p, cp)
-				kept++
-			} else {
-				// The page may hold stale device bytes (read-ahead
-				// racing the extension) or the old EOF tail: its
-				// logical content beyond the old size is zeros.
-				valid := uint64(0)
-				if s := p * BlockSize; oldSize > s {
-					valid = oldSize - s
-				}
-				for i := valid; i < BlockSize; i++ {
-					cp.data[i] = 0
-				}
-				cp.ioErr = nil
-				cp.ra = false
-			}
-			markDirty(cp)
-		}
-		// The old tail page must be zero-extended even when it is
-		// also the first written page (partial write into it).
-		if holeStart == p0 && oldSize%BlockSize != 0 {
-			if cp := pc.acquireForWrite(env, p0); cp != nil {
-				for i := oldSize % BlockSize; i < BlockSize; i++ {
-					cp.data[i] = 0
+		err := func() error {
+			for p := holeStart; p < p0; p++ {
+				cp := pc.acquireForWrite(env, p)
+				if cp == nil {
+					cp = &cachePage{state: clean, data: make([]byte, BlockSize)}
+					env.Exec(costPageAlloc)
+					pc.insert(env, p, cp)
+					kept++
+				} else {
+					// The page may hold stale device bytes (read-ahead
+					// racing the extension) or the old EOF tail: its
+					// logical content beyond the old size is zeros.
+					valid := uint64(0)
+					if s := p * BlockSize; oldSize > s {
+						valid = oldSize - s
+						if err := refill(p, cp); err != nil {
+							return err
+						}
+					}
+					for i := valid; i < BlockSize; i++ {
+						cp.data[i] = 0
+					}
+					cp.ra = false
 				}
 				markDirty(cp)
 			}
-		}
+			// The old tail page must be zero-extended even when it is
+			// also the first written page (partial write into it).
+			if holeStart == p0 && oldSize%BlockSize != 0 {
+				if cp := pc.acquireForWrite(env, p0); cp != nil {
+					if err := refill(p0, cp); err != nil {
+						return err
+					}
+					for i := oldSize % BlockSize; i < BlockSize; i++ {
+						cp.data[i] = 0
+					}
+					markDirty(cp)
+				}
+			}
+			return nil
+		}()
 		pc.rl.Unlock(env, holeStart, p0+1, true)
+		if err != nil {
+			cm.uncharge((reserve - kept) * BlockSize)
+			return 0, err
+		}
 	}
 
 	pc.rl.Lock(env, p0, p1+1, true)
@@ -655,7 +672,7 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 		}
 		cp := pc.acquireForWrite(env, p)
 		if cp == nil {
-			cp = &cachePage{data: make([]byte, BlockSize)}
+			cp = &cachePage{state: clean, data: make([]byte, BlockSize)}
 			env.Exec(costPageAlloc)
 			pc.insert(env, p, cp)
 			kept++
@@ -666,9 +683,10 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 			// write-back, which blocks on our write range lock.
 			if (pageOff != 0 || pageEnd != BlockSize) && p < oldPages {
 				if err := fs.readPagesFromDisk(env, u, []uint64{p}, []*cachePage{cp}); err != nil {
-					cp.dirty = false
-					cm.subDirty(BlockSize)
-					pc.drop(env, p)
+					if cp.state == dirty { // a truncate may have discarded it
+						cp.to(cm, clean)
+					}
+					pc.drop(env, p, cp)
 					kept--
 					pc.rl.Unlock(env, p0, p1+1, true)
 					cm.uncharge((reserve - kept) * BlockSize)
@@ -684,17 +702,12 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 				}
 			}
 		} else {
-			if cp.ioErr != nil {
-				// A failed read-ahead left the page invalid; a full
-				// overwrite fixes it, a partial one must read first.
-				if pageOff == 0 && pageEnd == BlockSize {
-					cp.ioErr = nil
-				} else if err := fs.readPagesFromDisk(env, u, []uint64{p}, []*cachePage{cp}); err != nil {
+			// A whole-page write replaces a failed page unread.
+			if pageOff != 0 || pageEnd != BlockSize {
+				if err := refill(p, cp); err != nil {
 					pc.rl.Unlock(env, p0, p1+1, true)
 					cm.uncharge((reserve - kept) * BlockSize)
 					return n, err
-				} else {
-					cp.ioErr = nil
 				}
 			}
 			cp.ra = false
@@ -736,7 +749,14 @@ func (fs *FS) fsyncInode(env *sim.Env, u *uInode) error {
 		return err
 	}
 	fs.Fsyncs.Add(1)
-	return fs.Trust.Sync(env, fs.drv)
+	if err := fs.Trust.Sync(env, fs.drv); err != nil {
+		return err
+	}
+	if err := u.wbErr; err != nil {
+		u.wbErr = nil
+		return fmt.Errorf("fsync ino %d: background write-back lost data: %w", u.inoNum, err)
+	}
+	return nil
 }
 
 // flushFile writes the file's dirty pages to their data blocks, batching
@@ -758,7 +778,7 @@ func (fs *FS) flushFile(env *sim.Env, u *uInode) error {
 // journal commit that a subsequent Sync would perform — they consult the
 // wb:mid-run crash point, modeling power loss between data write-back and
 // commit.
-func (fs *FS) writebackPages(env *sim.Env, u *uInode, dirty []uint64, background bool) error {
+func (fs *FS) writebackPages(env *sim.Env, u *uInode, idxs []uint64, background bool) error {
 	if err := fs.ensureBlocks(env, u); err != nil {
 		return err
 	}
@@ -768,7 +788,7 @@ func (fs *FS) writebackPages(env *sim.Env, u *uInode, dirty []uint64, background
 
 	// Write under a read range lock over the whole span so concurrent
 	// writers to these pages wait (they would redirty anyway).
-	lo, hi := dirty[0], dirty[len(dirty)-1]+1
+	lo, hi := idxs[0], idxs[len(idxs)-1]+1
 	u.pc.rl.Lock(env, lo, hi, false)
 	defer u.pc.rl.Unlock(env, lo, hi, false)
 
@@ -798,12 +818,12 @@ func (fs *FS) writebackPages(env *sim.Env, u *uInode, dirty []uint64, background
 			sg, cps = nil, nil
 		}
 	}
-	for _, p := range dirty {
+	for _, p := range idxs {
 		if p >= uint64(len(blocks)) {
 			continue
 		}
 		cp := u.pc.lookup(env, p)
-		if cp == nil || !cp.dirty {
+		if cp == nil || cp.state != dirty {
 			closeRun()
 			continue
 		}
@@ -829,11 +849,11 @@ func (fs *FS) writebackPages(env *sim.Env, u *uInode, dirty []uint64, background
 		cm.emit(trace.WritebackRun, trace.NoCID, v.LBA, uint64(v.Cnt))
 		if cid := fs.beginChain(trace.PathWriteback, 0); cid != trace.NoCID {
 			fs.emitPath(trace.BufHandoff, trace.PathWriteback, cid,
-				iobuf.HandoffAux(iobuf.StageCache, iobuf.StageDev))
+				trace.HandoffAux(trace.StageCache, trace.StageDev))
 		}
 	}
 	if eng := fs.drv.Kernel().Engine(); eng.Tracer != nil {
-		eng.Tracer.Emit(eng.Now(), trace.PagecacheFlush, -1, -1, trace.NoCID, iov[0].LBA, uint64(len(dirty)))
+		eng.Tracer.Emit(eng.Now(), trace.PagecacheFlush, -1, -1, trace.NoCID, iov[0].LBA, uint64(len(idxs)))
 	}
 	if background {
 		// The data blocks are durable but nothing has committed the
@@ -847,9 +867,8 @@ func (fs *FS) writebackPages(env *sim.Env, u *uInode, dirty []uint64, background
 			// Check-and-clear: a concurrent flusher (fsync vs
 			// background, compatible read range locks) may have
 			// cleaned the page already.
-			if cp.dirty {
-				cp.dirty = false
-				cm.subDirty(BlockSize)
+			if cp.state == dirty {
+				cp.to(cm, clean)
 			}
 		}
 	}

@@ -120,8 +120,9 @@ func stressThread(env *sim.Env, fs *aeofs.FS, m *stressModel, rng *rand.Rand, id
 // a bounded cache with default read-ahead, every read of every thread is
 // diffed against the model while it runs, and after a final fsync the files
 // are read back through a fresh mount. It fails on a read that returns an
-// unfilled page, on a write-back that persists bytes nobody wrote, and on a
-// thread left parked on a page whose fill was orphaned.
+// unfilled page, on a write-back that persists bytes nobody wrote, on a
+// thread left parked on a page whose fill was orphaned, and on dirty bytes
+// that do not match the dirty pages once the threads are done.
 func TestCacheModelDiffStress(t *testing.T) {
 	for seed := int64(1); seed <= stressSeeds; seed++ {
 		seed := seed
@@ -164,6 +165,9 @@ func TestCacheModelDiffStress(t *testing.T) {
 			}
 			if finished != threads {
 				t.Fatalf("%d of %d threads finished: the rest are parked for ever", finished, threads)
+			}
+			if _, dirty := fx.fs.PageCounts(); fx.fs.CacheStats().DirtyBytes != dirty*aeofs.BlockSize {
+				t.Errorf("quiescent with %d dirty bytes for %d dirty pages", fx.fs.CacheStats().DirtyBytes, dirty)
 			}
 			if t.Failed() {
 				return

@@ -1,7 +1,9 @@
 package aeofs
 
 import (
+	"fmt"
 	"sync/atomic"
+	"time"
 
 	"aeolia/internal/sim"
 )
@@ -58,37 +60,102 @@ type pageCache struct {
 	Hits, Misses atomic.Uint64
 }
 
+// pageState is where a cached page is in its lifecycle (DESIGN.md §11).
+// A page changes state only through to, which holds the legal edges.
+//
+// There is no write-back state: write-back holds the read range lock over
+// its pages and writers take the write range lock, so nothing can re-dirty
+// a page while its write-back is in flight, and the page simply stays
+// dirty until the write lands.
+type pageState uint8
+
+const (
+	// filling: the page's read is in flight and its data is not valid
+	// yet; fill is pending. Every read-instantiated page is born here.
+	filling pageState = iota
+	// clean: the data matches the device. Write-instantiated pages are
+	// born here and dirtied before anything can see them.
+	clean
+	// dirty: the data is newer than the device and counted in the
+	// mount's dirty bytes.
+	dirty
+	// failed: the page's read-ahead errored and its data is not valid. A
+	// demand read re-reads it; a write re-reads it unless the write
+	// covers the whole page.
+	failed
+	// doomed: removed from the tree while its read was in flight
+	// (truncate, invalidate), or its read failed or was refused. Final:
+	// fill fires when the read lands, and waiters look the page up again.
+	doomed
+	numPageStates
+)
+
+var pageStateNames = [numPageStates]string{"filling", "clean", "dirty", "failed", "doomed"}
+
+func (s pageState) String() string { return pageStateNames[s] }
+
+// pageEdges[from] has bit 1<<to set for every legal edge from → to.
+var pageEdges = [numPageStates]uint8{
+	filling: 1<<clean | 1<<failed | 1<<doomed, // read landed, read failed, removed in flight
+	clean:   1 << dirty,                       // written
+	dirty:   1 << clean,                       // written back, abandoned, or discarded
+	failed:  1<<clean | 1<<dirty,              // re-read, or overwritten whole
+}
+
 // cachePage is one resident (or arriving) page.
 type cachePage struct {
 	data  []byte
-	dirty bool
-	// fill is non-nil while the page's contents are being read in; readers
-	// that find an unfilled page block on it instead of issuing duplicate
-	// I/O. Write-instantiated pages are born filled (fill == nil).
+	state pageState
+	// fill is the wait handle of a read-instantiated page (nil for
+	// write-instantiated ones): it fires when the page leaves filling or,
+	// for a doomed page, when its read lands. Readers and writers that
+	// find the read in flight wait on it instead of issuing their own.
 	fill *sim.Completion
-	// doomed marks a page removed from the tree while its fill was still
-	// in flight (truncate, invalidate, failed I/O); waiters re-look-up.
-	doomed bool
 	// ra marks a read-ahead page not yet consumed by a demand read; its
 	// eviction counts as read-ahead waste.
 	ra bool
-	// ref is the CLOCK reference bit, set on every lookup hit.
+	// ref is the CLOCK reference bit, set on every lookup hit (the epoch
+	// read path sets it without locks).
 	ref bool
-	// ioErr records a failed asynchronous fill; the first waiter clears
-	// it by re-reading the page synchronously.
-	ioErr error
 }
 
-// filled reports whether the page's contents are valid.
-func (p *cachePage) filled() bool { return p.fill == nil || p.fill.Done() }
+// to moves the page to next, panicking on an edge pageEdges lacks. It is
+// the only place a page enters or leaves dirty, so it alone moves the
+// mount's dirty-byte count (and wakes the flusher on new dirt).
+func (p *cachePage) to(cm *cacheManager, next pageState) {
+	prev := p.state
+	if pageEdges[prev]&(1<<next) == 0 {
+		panic(fmt.Sprintf("aeofs: page state %v → %v is not an edge of the page lifecycle", prev, next))
+	}
+	p.state = next
+	switch {
+	case next == dirty:
+		cm.addDirty(BlockSize)
+	case prev == dirty:
+		cm.subDirty(BlockSize)
+	}
+}
 
-// awaitFill parks until the page's in-flight fill has landed. The sleep is
+// land ends the page's read: a filling page becomes next (clean, or failed
+// on an I/O error), a doomed one stays doomed, and the fill's waiters wake.
+func (p *cachePage) land(cm *cacheManager, next pageState, now time.Duration) {
+	if p.state != doomed {
+		p.to(cm, next)
+	}
+	p.fill.FireAt(now)
+}
+
+// inFlight reports whether the page's read has not landed yet: it is
+// filling, or doomed with its read still out.
+func (p *cachePage) inFlight() bool { return p.fill != nil && !p.fill.Done() }
+
+// awaitFill parks until the page's in-flight read has landed. The sleep is
 // interruptible — the kernel-path delivery of any other completion on the
 // task's queue pair resumes it — so it re-blocks until the fill itself has
 // fired: returning early hands the caller a buffer the DMA has not written
 // yet (a reader copies zeros, a writer's bytes are overwritten).
 func (p *cachePage) awaitFill(env *sim.Env) {
-	for !p.filled() {
+	for p.inFlight() {
 		env.BlockOn(p.fill)
 	}
 }
@@ -153,7 +220,7 @@ func (pc *pageCache) acquireForWrite(env *sim.Env, idx uint64) *cachePage {
 			return nil
 		}
 		cp.awaitFill(env)
-		if cp.doomed {
+		if cp.state == doomed {
 			continue
 		}
 		return cp
@@ -171,76 +238,56 @@ func (pc *pageCache) insert(env *sim.Env, idx uint64, p *cachePage) {
 	pc.treeLock.Unlock(env)
 }
 
-// drop removes a page from the tree without touching residency accounting
-// (the caller owns the page's charge).
-func (pc *pageCache) drop(env *sim.Env, idx uint64) {
+// drop removes page cp from the tree at idx, unless a truncate already
+// removed it, without touching residency accounting (the caller owns the
+// page's charge).
+func (pc *pageCache) drop(env *sim.Env, idx uint64, cp *cachePage) {
 	pc.treeLock.Lock(env)
 	pc.seq.Add(1)
-	pc.tree.Delete(idx)
+	if pc.tree.Get(idx) == cp {
+		pc.tree.Delete(idx)
+	}
 	pc.seq.Add(1)
 	pc.treeLock.Unlock(env)
 }
 
 // forget releases one removed page's accounting: dirty bytes, then the
-// residency charge. Unfilled pages stay charged — their in-flight fill
-// callback (read-ahead) or issuing reader (demand miss) settles the charge
-// when the I/O lands — so the caller must mark them doomed instead.
+// residency charge.
 func (pc *pageCache) forget(cp *cachePage) {
-	if cp.dirty {
-		cp.dirty = false
-		pc.cm.subDirty(BlockSize)
+	if cp.state == dirty {
+		cp.to(pc.cm, clean)
 	}
 	pc.cm.uncharge(BlockSize)
 }
 
-// dropAll empties the cache (auxiliary-state rebuild). Dirty pages are
-// discarded — callers invalidate only when the on-disk state is already
-// authoritative.
-func (pc *pageCache) dropAll(env *sim.Env) {
-	pc.treeLock.Lock(env)
-	var pages []*cachePage
-	pc.tree.Walk(func(i uint64, v any) bool {
-		pages = append(pages, v.(*cachePage))
-		return true
-	})
-	pc.seq.Add(1)
-	pc.tree = radixTree{}
-	pc.seq.Add(1)
-	pc.treeLock.Unlock(env)
-	for _, cp := range pages {
-		if !cp.filled() {
-			cp.doomed = true
-			continue
-		}
-		pc.forget(cp)
-	}
-}
-
-// dropFrom removes all pages at or beyond idx (truncate).
+// dropFrom removes all pages at or beyond idx: truncate, and with idx 0
+// every emptying of the cache (auxiliary-state rebuild, DropCaches, inode
+// drop). Dirty pages are discarded — callers drop only what the device
+// already has or what no longer exists. A page whose read is in flight is
+// doomed instead and stays charged: its reader (demand miss) or completion
+// (read-ahead) settles the charge when the read lands.
 func (pc *pageCache) dropFrom(env *sim.Env, idx uint64) {
 	pc.treeLock.Lock(env)
-	var doomed []uint64
-	var pages []*cachePage
+	var gone []uint64
 	pc.tree.Walk(func(i uint64, v any) bool {
 		if i >= idx {
-			doomed = append(doomed, i)
-			pages = append(pages, v.(*cachePage))
+			gone = append(gone, i)
 		}
 		return true
 	})
 	pc.seq.Add(1)
-	for _, i := range doomed {
-		pc.tree.Delete(i)
+	for _, i := range gone {
+		// A doomed page here is one its own failed read doomed; that
+		// reader settles it.
+		switch cp := pc.tree.Delete(i).(*cachePage); cp.state {
+		case filling:
+			cp.to(pc.cm, doomed)
+		case clean, dirty, failed:
+			pc.forget(cp)
+		}
 	}
 	pc.seq.Add(1)
 	pc.treeLock.Unlock(env)
-	for _, cp := range pages {
-		if !cp.filled() {
-			cp.doomed = true
-			continue
-		}
-		pc.forget(cp)
-	}
 }
 
 // dirtyPages returns the sorted indices of dirty pages.
@@ -248,7 +295,7 @@ func (pc *pageCache) dirtyPages(env *sim.Env) []uint64 {
 	pc.treeLock.Lock(env)
 	var out []uint64
 	pc.tree.Walk(func(i uint64, v any) bool {
-		if v.(*cachePage).dirty {
+		if v.(*cachePage).state == dirty {
 			out = append(out, i)
 		}
 		return true
@@ -257,19 +304,12 @@ func (pc *pageCache) dirtyPages(env *sim.Env) []uint64 {
 	return out
 }
 
-// pages returns the number of cached pages.
-func (pc *pageCache) pages(env *sim.Env) int {
-	pc.treeLock.Lock(env)
-	n := pc.tree.Len()
-	pc.treeLock.Unlock(env)
-	return n
-}
-
 // clockScan advances this file's CLOCK hand: referenced pages get their
-// bit cleared (second chance); the first unreferenced, filled, undoomed
-// page is returned. Returns (0, nil) when the sweep reaches the end of the
-// tree — the caller resets clockPos and moves to the next file. Runs in
-// engine context without parking, so the tree cannot change mid-scan.
+// bit cleared (second chance); the first unreferenced page that is not
+// filling or doomed is returned. Returns (0, nil) when the sweep reaches
+// the end of the tree — the caller resets clockPos and moves to the next
+// file. Runs in engine context without parking, so the tree cannot change
+// mid-scan.
 func (pc *pageCache) clockScan() (uint64, *cachePage) {
 	var idx uint64
 	var found *cachePage
@@ -278,7 +318,7 @@ func (pc *pageCache) clockScan() (uint64, *cachePage) {
 			return true
 		}
 		cp := v.(*cachePage)
-		if !cp.filled() || cp.doomed {
+		if cp.state == filling || cp.state == doomed {
 			return true
 		}
 		if cp.ref {

@@ -59,9 +59,10 @@ func (cm *cacheManager) flusherLoop(env *sim.Env) {
 
 // flushPass writes back every file's dirty pages, one vectored batch per
 // file, broadcasting to throttled writers as dirt drains. Only an
-// injected crash stops the pass (and kills the flusher); per-file I/O
-// errors abandon that file's attempted pages (accounted in
-// WritebackErrors) so the dirty set cannot wedge the mount.
+// injected crash stops the pass (and kills the flusher). A file whose
+// write-back fails gives up the attempted pages, so the dirty set cannot
+// wedge the mount, and keeps the error for its next fsync, as Linux's
+// errseq does: the data is lost, but loudly.
 func (cm *cacheManager) flushPass(env *sim.Env) error {
 	files := append([]*pageCache(nil), cm.files...)
 	for _, f := range files {
@@ -77,27 +78,26 @@ func (cm *cacheManager) flushPass(env *sim.Env) error {
 			if errors.Is(err, ErrCrashInjected) {
 				return err
 			}
-			// The grant is gone (or the device persistently fails):
-			// drop the pages from the dirty accounting — their data
-			// stays resident — and record the loss loudly.
 			cm.wbErrors.Add(1)
-			cm.dropDirtyAccounting(env, f, dirty)
+			if f.owner.wbErr == nil {
+				f.owner.wbErr = err
+			}
+			cm.abandon(env, f, dirty)
 		}
 		cm.throttle.Broadcast(cm.eng)
 	}
 	return nil
 }
 
-// dropDirtyAccounting clears the dirty bits of pages a failed background
-// write-back attempted, so the flusher does not spin on a file it can
-// never write again (e.g. revoked grant after close).
-func (cm *cacheManager) dropDirtyAccounting(env *sim.Env, f *pageCache, idxs []uint64) {
+// abandon cleans the pages a failed background write-back attempted, so
+// the flusher does not spin on a file it can never write again (e.g. a
+// revoked grant after close). Their data stays resident until evicted.
+func (cm *cacheManager) abandon(env *sim.Env, f *pageCache, idxs []uint64) {
 	f.treeLock.Lock(env)
 	for _, idx := range idxs {
 		if v := f.tree.Get(idx); v != nil {
-			if cp := v.(*cachePage); cp.dirty {
-				cp.dirty = false
-				cm.subDirty(BlockSize)
+			if cp := v.(*cachePage); cp.state == dirty {
+				cp.to(cm, clean)
 			}
 		}
 	}

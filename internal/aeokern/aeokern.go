@@ -44,11 +44,6 @@ type Partition struct {
 	Writable bool
 }
 
-// Contains reports whether [lba, lba+n) lies inside the partition.
-func (p Partition) Contains(lba, n uint64) bool {
-	return lba >= p.Start && lba+n <= p.Start+p.Blocks
-}
-
 // Process is a kernel-visible process: an MPK thread state (one per process
 // is enough for the permission model), its disk partition, and resource
 // accounting.

@@ -106,9 +106,6 @@ func NewService(fab *netsim.Fabric, cfg Config) *Service {
 	return svc
 }
 
-// Namespace exposes the underlying namespace (tests, invariance checks).
-func (svc *Service) Namespace() *Namespace { return svc.ns }
-
 // Endpoint returns shard i's endpoint.
 func (svc *Service) Endpoint(i int) *netsim.Endpoint { return svc.rt[i].ep }
 

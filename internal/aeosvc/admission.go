@@ -163,9 +163,6 @@ func (a *Admission) addTenant(c TenantConfig) *tenantState {
 	return ts
 }
 
-// QoS reports whether dequeue is strict-priority across classes.
-func (a *Admission) QoS() bool { return a.qos }
-
 // ClassOf returns the class the controller will serve a tenant's requests
 // under (ClassNormal for tenants it has not seen).
 func (a *Admission) ClassOf(tenant uint16) uintr.Class {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aeolia/internal/aeokern"
-	"aeolia/internal/iobuf"
 	"aeolia/internal/mpk"
 	"aeolia/internal/netsim"
 	"aeolia/internal/rxport"
@@ -125,9 +124,6 @@ func NewServer(fab *netsim.Fabric, kern *aeokern.Kernel, gate *mpk.Gate, fs vfs.
 
 // Endpoint returns the fabric endpoint the service listens on.
 func (s *Server) Endpoint() *netsim.Endpoint { return s.ep }
-
-// Admission returns the admission controller (stats inspection).
-func (s *Server) Admission() *Admission { return s.adm }
 
 // UPID returns the dispatcher's posting descriptor (nil before ServeRx
 // binds); tests inspect its notification counters.
@@ -403,7 +399,7 @@ func (s *Server) execute(env *sim.Env, p *pending) (Response, []byte) {
 			// moves to the network by reference.
 			s.emitPath(trace.BufCopy, trace.PathSvcRead, cid, uint64(n))
 			s.emitPath(trace.BufHandoff, trace.PathSvcRead, cid,
-				iobuf.HandoffAux(iobuf.StageSvc, iobuf.StageNet))
+				trace.HandoffAux(trace.StageSvc, trace.StageNet))
 		}
 	case OpWrite:
 		if err := needFD(); err != nil {

@@ -58,9 +58,6 @@ func newClient(c *Cluster, id int) *Client {
 // Acks returns the client's observed write acknowledgements.
 func (cl *Client) Acks() []Ack { return cl.acks }
 
-// Done reports whether the client finished its workload.
-func (cl *Client) Done() bool { return cl.done }
-
 func (cl *Client) rand() uint64 {
 	cl.rngCtr++
 	return mix.SplitMix64(cl.c.cfg.Seed ^ uint64(cl.id+1)*0x9e3779b97f4a7c15 ^ cl.rngCtr)

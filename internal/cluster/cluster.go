@@ -242,9 +242,6 @@ func (c *Cluster) Node(i int) *OSD { return c.nodes[i] }
 // Clients returns the workload clients.
 func (c *Cluster) Clients() []*Client { return c.clients }
 
-// Monitor returns the map service.
-func (c *Cluster) Monitor() *Monitor { return c.mon }
-
 // Members returns pg's member node ids.
 func (c *Cluster) Members(pg int) []int { return c.members[pg] }
 

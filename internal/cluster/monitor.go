@@ -35,9 +35,6 @@ func newMonitor(c *Cluster) *Monitor {
 	return m
 }
 
-// Leader returns the last reported leader of pg (-1 if none yet).
-func (m *Monitor) Leader(pg int) int { return m.leaders[pg] }
-
 func (m *Monitor) run(env *sim.Env) {
 	for {
 		msg := m.ep.TryRecv()

@@ -85,9 +85,6 @@ func NewPlan(seed uint64) *Plan {
 	}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // On installs (replacing) the rule for a site and returns the plan for
 // chaining.
 func (p *Plan) On(site string, r Rule) *Plan {

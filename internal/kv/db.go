@@ -334,6 +334,3 @@ func (db *DB) compact(env *sim.Env) error {
 
 // Tables returns the current table count (tests).
 func (db *DB) Tables() int { return len(db.tables) }
-
-// MemEntries returns the memtable entry count (tests).
-func (db *DB) MemEntries() int { return db.mem.Len() }

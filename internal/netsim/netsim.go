@@ -387,23 +387,14 @@ type flight struct {
 	land func() // f.arrive
 }
 
-// ID returns the link id (creation order; the QID of its trace events).
-func (l *Link) ID() int { return l.id }
-
 // Name returns "<src>-><dst>".
 func (l *Link) Name() string { return l.site }
-
-// Queued returns the number of messages accepted but not yet serialized.
-func (l *Link) Queued() int { return l.queued }
 
 // SetDown partitions (true) or heals (false) the link. While down, every
 // arrival — including messages already in flight — is dropped and accounted;
 // senders still pay transmit costs, exactly like a cable cut. Downing only
 // one direction of a pair models an asymmetric partition.
 func (l *Link) SetDown(down bool) { l.down = down }
-
-// Down reports whether the link is partitioned.
-func (l *Link) Down() bool { return l.down }
 
 func (l *Link) depth() int {
 	if l.cfg.QueueDepth > 0 {

@@ -133,12 +133,6 @@ func (d *Device) jitter(dur time.Duration) time.Duration {
 	return time.Duration(float64(dur) * frac)
 }
 
-// Engine returns the engine the device is bound to.
-func (d *Device) Engine() *sim.Engine { return d.eng }
-
-// BlockSize returns the logical block size in bytes.
-func (d *Device) BlockSize() int { return d.cfg.BlockSize }
-
 // NumBlocks returns the device capacity in blocks.
 func (d *Device) NumBlocks() uint64 { return d.cfg.NumBlocks }
 

@@ -174,9 +174,6 @@ func newQueuePair(d *Device, id, depth int) *QueuePair {
 	return qp
 }
 
-// Depth returns the queue depth.
-func (qp *QueuePair) Depth() int { return qp.depth }
-
 // SetCoalescing configures CQ interrupt coalescing. Reconfiguring an active
 // queue flushes any armed aggregation immediately so no completion is
 // stranded under the old thresholds.

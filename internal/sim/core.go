@@ -142,9 +142,6 @@ func newCore(e *Engine, id int) *Core {
 	return c
 }
 
-// Current returns the task running on the core, or nil if idle.
-func (c *Core) Current() *Task { return c.current }
-
 // Idle reports whether the core is idle.
 func (c *Core) Idle() bool { return c.idle }
 

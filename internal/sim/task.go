@@ -95,9 +95,6 @@ type Task struct {
 	// Sched is scheduler-private per-task state (e.g. the EEVDF entity).
 	Sched any
 
-	// UserData is model-private state (e.g. the uintr per-thread vector).
-	UserData any
-
 	// Stats.
 	StartedAt  time.Duration
 	FinishedAt time.Duration
@@ -110,9 +107,6 @@ func (t *Task) State() TaskState { return t.state }
 
 // Core returns the core the task is currently running on, or nil.
 func (t *Task) Core() *Core { return t.core }
-
-// Engine returns the owning engine.
-func (t *Task) Engine() *Engine { return t.eng }
 
 // PushResumeHook queues fn to run (on the task's virtual CPU) immediately
 // before the task body next continues. Hooks run in FIFO order and their

@@ -111,9 +111,6 @@ type Request struct {
 // Err returns the completion status as an error.
 func (r *Request) Err() error { return r.status.Err() }
 
-// Latency returns submission-to-handled latency (valid after Wait).
-func (r *Request) Latency(now time.Duration) time.Duration { return now - r.start }
-
 // Stack is an instantiated stack model over a machine's device and kernel.
 type Stack struct {
 	prof Profile
@@ -146,12 +143,6 @@ func New(kern *aeokern.Kernel, prof Profile) *Stack {
 		threads: make(map[*sim.Task]*thread),
 	}
 }
-
-// Name returns the profile name.
-func (s *Stack) Name() string { return s.prof.Name }
-
-// Profile returns the stack's profile.
-func (s *Stack) Profile() Profile { return s.prof }
 
 // Prepare allocates the calling task's queue pair (all modeled stacks use
 // per-thread/per-core NVMe queues, as modern Linux and SPDK do).

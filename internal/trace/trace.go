@@ -241,9 +241,8 @@ const (
 	// buffers (the thing the zero-copy datapath is eliminating). QID =
 	// path id, CID = chain id (one per read/write operation), Aux = bytes.
 	BufCopy
-	// BufHandoff: buffer ownership moved between datapath stages without a
-	// copy — the single-owner handoff. QID = path id, CID = chain id,
-	// Aux = from-stage<<8 | to-stage (the iobuf.Stage codes).
+	// BufHandoff: a buffer moved between datapath stages without a copy.
+	// QID = path id, CID = chain id, Aux = HandoffAux(from, to).
 	BufHandoff
 
 	numTypes
@@ -265,6 +264,21 @@ const (
 	// adds zero copies of its own (budget covers the whole chain).
 	PathSvcRead = 4
 )
+
+// Stage names a datapath stage in a BufHandoff's Aux.
+type Stage uint8
+
+// The datapath stages a buffer moves between. The values are fixed: they
+// are the Aux codes recorded traces and the analyzer's tests carry.
+const (
+	StageNet   Stage = 1 // a wire frame at the network edge
+	StageSvc   Stage = 2 // the storage service (dispatcher or worker)
+	StageCache Stage = 4 // the page cache (a resident page's data)
+	StageDev   Stage = 5 // the nvme block store (DMA in progress)
+)
+
+// HandoffAux encodes a move from one stage to another as a BufHandoff Aux.
+func HandoffAux(from, to Stage) uint64 { return uint64(from)<<8 | uint64(to) }
 
 // NoCID marks an event that does not concern a specific command.
 const NoCID = ^uint32(0)

@@ -78,12 +78,11 @@ func (r *LatencyRecorder) Mean() time.Duration {
 
 // Result summarizes one benchmark run.
 type Result struct {
-	Name     string
-	Ops      uint64
-	Bytes    uint64
-	Elapsed  time.Duration
-	Latency  LatencyRecorder
-	ExtraOps map[string]float64 // auxiliary series (e.g. compute iterations)
+	Name    string
+	Ops     uint64
+	Bytes   uint64
+	Elapsed time.Duration
+	Latency LatencyRecorder
 }
 
 // OpsPerSec returns throughput in operations/second of virtual time.
