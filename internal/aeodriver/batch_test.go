@@ -154,7 +154,7 @@ func TestWatchdogQuietUnderCoalescing(t *testing.T) {
 		if th.NotifyRecovered != 0 {
 			t.Errorf("NotifyRecovered = %d: watchdog fired on an intentionally-held completion", th.NotifyRecovered)
 		}
-		if th.HandlerRuns == 0 {
+		if th.HandlerRuns.Load() == 0 {
 			t.Error("user-interrupt handler never ran; completion was stolen from the delivery path")
 		}
 		if irqs := th.QueuePairs()[0].IRQRaised.Load(); irqs != 1 {
@@ -199,7 +199,7 @@ func TestWatchdogQuietUnderUrgentBypass(t *testing.T) {
 		if th.NotifyRecovered != 0 {
 			t.Errorf("NotifyRecovered = %d: watchdog reaped a bypassed completion whose notification was in flight", th.NotifyRecovered)
 		}
-		if th.HandlerRuns == 0 {
+		if th.HandlerRuns.Load() == 0 {
 			t.Error("user-interrupt handler never ran; completion was stolen from the delivery path")
 		}
 		if byp := th.QueuePairs()[0].IRQBypassed.Load(); byp != 1 {

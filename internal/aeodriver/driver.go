@@ -15,10 +15,9 @@ import (
 	"aeolia/internal/aeokern"
 	"aeolia/internal/mpk"
 	"aeolia/internal/nvme"
-	"aeolia/internal/sched"
+	"aeolia/internal/rxport"
 	"aeolia/internal/sim"
 	"aeolia/internal/timing"
-	"aeolia/internal/trace"
 	"aeolia/internal/uintr"
 )
 
@@ -181,14 +180,17 @@ func (r *Request) OnComplete(fn func(*Request)) {
 
 // Thread is the per-thread driver state: one dedicated queue pair (Table 4's
 // create_qp), a distinct hardware vector (§6.1: per-thread vectors make
-// out-of-schedule interrupts miss UINV), and the thread's UPID, into which
-// the queue pair posts user vector 0.
+// out-of-schedule interrupts miss UINV), and the thread's receiver, whose
+// UPID the queue pair posts user vector 0 into and whose drain is the CQ's.
+// Every mode but ModePoll attaches the receiver; only ModeUserInterrupt
+// registers it.
 type Thread struct {
+	rxport.Receiver
+
 	drv    *Driver
 	task   *sim.Task
 	qp     *nvme.QueuePair
 	vector int
-	upid   *uintr.UPID
 	// ring is the lock-free SPSC staging ring of the zero-copy variant (nil
 	// unless Config.ZeroCopyRing): the submitting task is the only producer
 	// and the in-gate drain the only consumer, so command staging takes no
@@ -208,17 +210,8 @@ type Thread struct {
 	entries []nvme.SubmissionEntry
 	cids    []uint16
 
-	// handlerFrame is th.runHandlerFrame, bound once: the resume hook every
-	// kernel-path delivery pushes.
-	handlerFrame func() time.Duration
-
-	// Stats.
-	Submitted        uint64
-	HandlerRuns      uint64
-	OutOfSchedDeliv  uint64
-	YieldsFromIRQ    uint64
-	BlockedWaits     uint64
-	ActiveCheckWaits uint64
+	// Stats (the delivery counters are the receiver's).
+	Submitted uint64
 	// Retries counts transient-error re-submissions; NotifyRecovered
 	// counts completions the watchdog reaped after a lost notification.
 	Retries         uint64
@@ -240,7 +233,8 @@ func (th *Thread) PendingRequests() int { return len(th.pending) }
 // fault-dropped notification deliberately leaves ON clear, keeping real
 // recovery intact.
 func (th *Thread) notifyInFlight() bool {
-	return th.upid != nil && th.upid.ON
+	u := th.UPID()
+	return u != nil && u.ON
 }
 
 // Driver is an AeoDriver instance: one per process.
@@ -252,8 +246,6 @@ type Driver struct {
 	gate       *mpk.Gate
 	permRegion *mpk.Region
 	perm       *PermTable
-
-	ext *sched.ExtMap
 
 	threads map[*sim.Task]*Thread
 	open    bool
@@ -276,7 +268,6 @@ func Open(kern *aeokern.Kernel, proc *aeokern.Process, gate *mpk.Gate, cfg Confi
 		gate:       gate,
 		permRegion: kern.Sys.NewRegion(fmt.Sprintf("permtable-%s", proc.Name), gate.Key()),
 		perm:       NewPermTable(kern.Device().NumBlocks()),
-		ext:        kern.ExtMap(),
 		threads:    make(map[*sim.Task]*Thread),
 		open:       true,
 	}
@@ -347,36 +338,32 @@ func (d *Driver) CreateQP(env *sim.Env) (*Thread, error) {
 		pending: make(map[uint16]*Request),
 		class:   uintr.ClassNormal,
 	}
-	th.handlerFrame = th.runHandlerFrame
 	if d.cfg.ZeroCopyRing {
 		th.ring = nvme.NewSPSC[nvme.SubmissionEntry](d.cfg.QueueDepth)
 	}
 	// ModePoll wires no interrupt: the thread discovers CQEs by polling.
 	// Every other mode gets one vector; nothing after its allocation can
 	// fail, so the queue pair is all there is to unwind.
-	var deliver aeokern.KernelDeliver
-	switch d.cfg.Mode {
-	case ModeUserInterrupt:
-		deliver = th.kernelDeliver
-	case ModeKernelInterrupt:
-		deliver = th.kernelIntrDeliver
-	case ModeKernelNative:
-		deliver = th.kernelNativeDeliver
-	}
-	if deliver != nil {
-		if th.vector, err = d.kern.AllocVector(deliver); err != nil {
+	if d.cfg.Mode != ModePoll {
+		th.Attach(d.kern, t, d.cfg.Policy == PolicyCoordinated, th.drainCQ)
+		switch d.cfg.Mode {
+		case ModeUserInterrupt:
+			// The queue pair posts user vector 0 into the thread's UPID.
+			var classes *uintr.ClassMap
+			if d.cfg.QoS {
+				classes = uintr.NewClassMap(th.class)
+			}
+			th.vector, err = th.Register(d.gate, classes, th.kernelDeliver)
+		case ModeKernelInterrupt:
+			th.vector, err = d.kern.AllocVector(th.kernelIntrDeliver)
+		case ModeKernelNative:
+			th.vector, err = d.kern.AllocVector(th.kernelNativeDeliver)
+		}
+		if err != nil {
 			d.kern.FreeQueuePair(d.proc, qp)
 			return nil, err
 		}
-		if d.cfg.Mode == ModeUserInterrupt {
-			// The queue pair posts user vector 0 into the thread's UPID.
-			th.upid, _ = d.kern.MapUPID(t.Affinity(), th.vector, d.gate)
-			if d.cfg.QoS {
-				th.upid.Classes = uintr.NewClassMap(th.class)
-			}
-			d.kern.RegisterThreadUintr(t, th.vector, th.upid, th.userHandler)
-		}
-		d.kern.ProgramMSIX(qp, th.upid, 0, t.Affinity(), th.vector)
+		d.kern.ProgramMSIX(qp, th.UPID(), 0, t.Affinity(), th.vector)
 	}
 	d.threads[t] = th
 	return th, nil
@@ -737,8 +724,8 @@ func (d *Driver) SetIOClass(env *sim.Env, class uintr.Class) error {
 		return nil
 	}
 	th.class = class
-	if th.upid != nil && th.upid.Classes != nil {
-		th.upid.Classes.Set(0, class)
+	if u := th.UPID(); u != nil && u.Classes != nil {
+		u.Classes.Set(0, class)
 	}
 	return nil
 }
@@ -859,28 +846,19 @@ func (d *Driver) Wait(env *sim.Env, req *Request) error {
 	return req.Err()
 }
 
-// waitDone runs the mode/policy wait loop until req's completion fires.
+// waitDone runs the mode/policy wait loop until req's completion fires: a
+// busy poll of the CQ in ModePoll, otherwise the receiver's wait — the
+// scheduling decision point after issuing the I/O (§3.3), where the thread
+// yields the core if another task wants it and actively checks (§2.1)
+// otherwise.
 func (d *Driver) waitDone(env *sim.Env, th *Thread, req *Request) {
 	for !req.done.Done() {
-		switch {
-		case d.cfg.Mode == ModePoll:
-			// Busy-poll the completion queue.
+		if d.cfg.Mode == ModePoll {
 			env.SpinWait(&req.cqe)
 			th.drainCQ(env.Now())
-		case d.cfg.Policy == PolicyAlwaysBlock || d.othersRunnable(env):
-			// Scheduling decision point after issuing the I/O
-			// (§3.3): yield the core while the I/O is in flight.
-			// The out-of-schedule user interrupt takes the kernel
-			// path, wakes us, and inserts the handler frame.
-			th.BlockedWaits++
-			env.BlockOn(&req.done)
-		default:
-			// Active checking (§2.1): no other runnable task, so
-			// stay on the CPU; the in-schedule user interrupt
-			// resumes us directly.
-			th.ActiveCheckWaits++
-			env.SpinWait(&req.done)
+			continue
 		}
+		th.Await(env, &req.done)
 	}
 }
 
@@ -892,31 +870,17 @@ func (d *Driver) SetNotifyHook(env *sim.Env, h uintr.NotifyHook) error {
 	if err != nil {
 		return err
 	}
-	if th.upid == nil {
+	u := th.UPID()
+	if u == nil {
 		return fmt.Errorf("aeodriver: no UPID to hook (mode %v)", d.cfg.Mode)
 	}
-	th.upid.Hook = h
+	u.Hook = h
 	return nil
 }
 
-// UPID exposes the thread's user-interrupt posting descriptor (nil outside
-// ModeUserInterrupt); tests use it to inspect notification stats.
-func (th *Thread) UPID() *uintr.UPID { return th.upid }
-
-// othersRunnable consults the sched_ext map: is any other task runnable on
-// this core?
-func (d *Driver) othersRunnable(env *sim.Env) bool {
-	c := env.Task().Core()
-	if c == nil {
-		return false
-	}
-	return d.ext.Snapshot(c).NrRunning > 1
-}
-
 // drainCQ consumes all visible CQEs on the thread's queue pair and fires
-// their requests.
-func (th *Thread) drainCQ(now time.Duration) int {
-	n := 0
+// their requests: the receiver's drain.
+func (th *Thread) drainCQ(now time.Duration) {
 	// The scratch is on this call's stack, not the thread's: firing a request
 	// can run its task, which may drain the same queue again before the loop
 	// moves on.
@@ -930,107 +894,27 @@ func (th *Thread) drainCQ(now time.Duration) int {
 		req.status = ce.Status
 		req.DoneAt = now
 		req.done.FireAt(now)
-		n++
-	}
-	return n
-}
-
-// emitHandler emits a HandlerEnter/HandlerExit bracket on the thread's
-// engine; a no-op when tracing is off. The analyzer uses these brackets to
-// distinguish delivery-path CQ consumption from recovery reaps.
-func (th *Thread) emitHandler(typ trace.Type, core int, aux uint64) {
-	eng := th.drv.kern.Engine()
-	if tr := eng.Tracer; tr != nil {
-		tr.Emit(eng.Now(), typ, core, -1, trace.NoCID, 0, aux)
-	}
-}
-
-// userHandler is the userspace user-interrupt handler (§4.2): it identifies
-// the interrupt source by checking the hardware completion queue, handles
-// completions, rewrites the UPID PIR (implicit: recognition cleared it),
-// and evaluates user_try_yield before returning (§6.1 decision point).
-func (th *Thread) userHandler(ctx *sim.IRQCtx, uv uint8) {
-	th.HandlerRuns++
-	th.emitHandler(trace.HandlerEnter, ctx.Core().ID, uint64(uv))
-	defer th.emitHandler(trace.HandlerExit, ctx.Core().ID, uint64(uv))
-	th.drainCQ(ctx.Now())
-	// Figure 8: yield only when the policy demands it.
-	snap := th.drv.ext.Snapshot(ctx.Core())
-	if sched.UserTryYield(snap, ctx.Now()) {
-		th.YieldsFromIRQ++
-		ctx.Core().SetNeedResched()
 	}
 }
 
 // kernelDeliver is the out-of-schedule user-interrupt path (§6.1): the
-// vector missed UINV, so it arrives as a regular kernel interrupt. The
-// kernel wakes the target thread (setting the reschedule flag via wakeup
-// preemption) and rewrites its saved context to insert a stack frame that
-// runs the userspace handler before the thread resumes.
-func (th *Thread) kernelDeliver(ctx *sim.IRQCtx, vec int) {
-	th.OutOfSchedDeliv++
-	ctx.Charge(timing.KernelInterrupt)
-	// The kernel observes the posted bits and consumes the PIR on the
-	// thread's behalf (clearing ON so future posts notify again).
-	pir := th.upid.TakePIR()
-	if tr := ctx.Engine().Tracer; tr != nil && th.upid.Classes != nil {
-		tr.Emit(ctx.Now(), trace.UPIDClear, th.upid.DestCPU, -1, trace.NoCID, 0, pir)
-	}
-	th.deliverViaKernel(ctx)
-}
-
-// deliverViaKernel finishes a kernel-path delivery: if the target thread is
-// actively checking on a CPU, handle the completion in interrupt context;
-// otherwise insert the userspace handler frame and wake/resched the thread.
-// A thread that has exited gets no frame — it would never run — so the
-// kernel reaps its queue in interrupt context too: what the thread left in
-// flight (fire-and-forget read-ahead) still completes, and whoever waits on
-// it is woken.
-func (th *Thread) deliverViaKernel(ctx *sim.IRQCtx) {
-	t := th.task
-	if s := t.State(); s == sim.TaskRunning || s == sim.TaskDone {
-		th.HandlerRuns++
-		th.emitHandler(trace.HandlerEnter, ctx.Core().ID, trace.KernelPathAux)
-		th.drainCQ(ctx.Now())
-		th.emitHandler(trace.HandlerExit, ctx.Core().ID, trace.KernelPathAux)
-		return
-	}
-	t.PushResumeHook(th.handlerFrame)
-	switch t.State() {
-	case sim.TaskBlocked:
-		ctx.Charge(timing.WakeupTTWU)
-		ctx.Engine().Wake(t)
-	case sim.TaskRunnable:
-		if th.drv.kern.Sched().ShouldPreempt(t, ctx.Core()) {
-			ctx.Core().SetNeedResched()
-		}
-	}
-}
-
-// runHandlerFrame is the userspace handler frame the kernel path inserts: it
-// runs on the thread's own CPU time when the thread is switched back in.
-func (th *Thread) runHandlerFrame() time.Duration {
-	th.HandlerRuns++
-	core := -1
-	if c := th.task.Core(); c != nil {
-		core = c.ID
-	}
-	th.emitHandler(trace.HandlerEnter, core, trace.KernelPathAux)
-	th.drainCQ(th.drv.kern.Engine().Now())
-	th.emitHandler(trace.HandlerExit, core, trace.KernelPathAux)
-	return timing.HandlerExec
-}
+// receiver's kernel path, which wakes the thread and rewrites its saved
+// context to insert a frame that runs the userspace handler before the thread
+// resumes. A thread that has exited is drained in interrupt context: what it
+// left in flight (fire-and-forget read-ahead) still completes, and whoever
+// waits on it is woken.
+func (th *Thread) kernelDeliver(ctx *sim.IRQCtx, _ int) { th.Interrupt(ctx) }
 
 // kernelIntrDeliver is the ModeKernelInterrupt (+k_intr) completion path:
 // a conventional kernel ISR plus eventfd-style forwarding to userspace.
-func (th *Thread) kernelIntrDeliver(ctx *sim.IRQCtx, vec int) {
+func (th *Thread) kernelIntrDeliver(ctx *sim.IRQCtx, _ int) {
 	ctx.Charge(timing.KernelInterrupt + timing.KernelBottomHalf + timing.EventfdForward)
-	th.deliverViaKernel(ctx)
+	th.Deliver(ctx)
 }
 
 // kernelNativeDeliver is the in-kernel completion path (ModeKernelNative):
 // interrupt + bottom half, then waking the in-kernel waiter.
-func (th *Thread) kernelNativeDeliver(ctx *sim.IRQCtx, vec int) {
+func (th *Thread) kernelNativeDeliver(ctx *sim.IRQCtx, _ int) {
 	ctx.Charge(timing.KernelInterrupt + timing.KernelBottomHalf)
-	th.deliverViaKernel(ctx)
+	th.Deliver(ctx)
 }

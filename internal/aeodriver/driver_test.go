@@ -253,14 +253,14 @@ func TestUserInterruptDeliveredInSchedule(t *testing.T) {
 		}
 	})
 	m.Run(0)
-	if th.HandlerRuns != 5 {
-		t.Fatalf("HandlerRuns = %d, want 5", th.HandlerRuns)
+	if th.HandlerRuns.Load() != 5 {
+		t.Fatalf("HandlerRuns = %d, want 5", th.HandlerRuns.Load())
 	}
-	if th.OutOfSchedDeliv != 0 {
-		t.Fatalf("OutOfSchedDeliv = %d, want 0 (task alone on core)", th.OutOfSchedDeliv)
+	if th.KernelDeliveries.Load() != 0 {
+		t.Fatalf("KernelDeliveries = %d, want 0 (task alone on core)", th.KernelDeliveries.Load())
 	}
-	if th.ActiveCheckWaits != 5 {
-		t.Fatalf("ActiveCheckWaits = %d, want 5", th.ActiveCheckWaits)
+	if th.ActiveChecks.Load() != 5 {
+		t.Fatalf("ActiveChecks = %d, want 5", th.ActiveChecks.Load())
 	}
 }
 
@@ -291,10 +291,10 @@ func TestOutOfScheduleDeliveryWhenSharing(t *testing.T) {
 	if ioDone != 3 {
 		t.Fatalf("completed %d I/Os, want 3", ioDone)
 	}
-	if th.BlockedWaits == 0 {
+	if th.BlockedWaits.Load() == 0 {
 		t.Fatal("I/O task never yielded the core despite a runnable hog")
 	}
-	if th.OutOfSchedDeliv == 0 {
+	if th.KernelDeliveries.Load() == 0 {
 		t.Fatal("no out-of-schedule deliveries despite blocking waits")
 	}
 }

@@ -305,51 +305,7 @@ func (t *TrustLayer) UpdateInode(env *sim.Env, drv *aeodriver.Driver, ino uint64
 // and granting the calling process write access to them. It returns the
 // newly allocated block LBAs.
 func (t *TrustLayer) AppendFile(env *sim.Env, drv *aeodriver.Driver, ino uint64, newSize uint64) ([]uint64, error) {
-	var added []uint64
-	err := t.enter(env, drv, func() error {
-		ti, err := t.inode(env, drv, ino)
-		if err != nil {
-			return err
-		}
-		ti.lock.Lock(env)
-		defer ti.lock.Unlock(env)
-		if ti.ino.Type != TypeRegular {
-			if ti.ino.Type == TypeDir {
-				return ErrIsDir
-			}
-			return ErrNotExist
-		}
-		if !canWrite(&ti.ino, t.uid(drv)) {
-			return t.failCheck(ErrAccess)
-		}
-		if newSize < ti.ino.Size {
-			return t.failCheck(fmt.Errorf("%w: append_file cannot shrink (use truncate_file)", ErrIntegrity))
-		}
-		need := (newSize + BlockSize - 1) / BlockSize
-		b := t.begin(env, drv)
-		if need > ti.ino.Blocks {
-			added, err = t.growBlocks(env, drv, ti, need-ti.ino.Blocks, b)
-			if err != nil {
-				return err
-			}
-		}
-		ti.ino.Size = newSize
-		ti.ino.MTimeNS = env.Now().Nanoseconds()
-		if err := t.storeInode(env, drv, ti, b); err != nil {
-			return err
-		}
-		b.commit()
-		t.Appends++
-		t.noteWriter(env, ino, drv.Process().ID)
-		// Grant the process access to its new data blocks.
-		for _, blk := range added {
-			if err := drv.GrantPerm(env, blk, aeodriver.PermRW); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return added, err
+	return t.grow(env, drv, ino, newSize, "append_file cannot shrink (use truncate_file)", false)
 }
 
 // TruncateGrow extends a file to newSize with zeroes (the POSIX
@@ -357,6 +313,16 @@ func (t *TrustLayer) AppendFile(env *sim.Env, drv *aeodriver.Driver, ino uint64,
 // fills the grown byte range on the device with privileged writes, so
 // stale contents of recycled blocks never leak to readers.
 func (t *TrustLayer) TruncateGrow(env *sim.Env, drv *aeodriver.Driver, ino uint64, newSize uint64) ([]uint64, error) {
+	return t.grow(env, drv, ino, newSize, "truncate_grow cannot shrink", true)
+}
+
+// grow is the checked-grow transaction behind AppendFile and TruncateGrow:
+// under the inode lock, the type and write checks, then blocks to cover
+// newSize, the inode stored and the transaction committed. With zero, the
+// grown byte range is zero-filled on the device before the caller is
+// granted the new blocks. shrink is the refusal's text when newSize is
+// below the file's size.
+func (t *TrustLayer) grow(env *sim.Env, drv *aeodriver.Driver, ino, newSize uint64, shrink string, zero bool) ([]uint64, error) {
 	var added []uint64
 	err := t.enter(env, drv, func() error {
 		ti, err := t.inode(env, drv, ino)
@@ -375,7 +341,7 @@ func (t *TrustLayer) TruncateGrow(env *sim.Env, drv *aeodriver.Driver, ino uint6
 			return t.failCheck(ErrAccess)
 		}
 		if newSize < ti.ino.Size {
-			return t.failCheck(fmt.Errorf("%w: truncate_grow cannot shrink", ErrIntegrity))
+			return t.failCheck(fmt.Errorf("%w: %s", ErrIntegrity, shrink))
 		}
 		oldSize := ti.ino.Size
 		need := (newSize + BlockSize - 1) / BlockSize
@@ -394,36 +360,12 @@ func (t *TrustLayer) TruncateGrow(env *sim.Env, drv *aeodriver.Driver, ino uint6
 		b.commit()
 		t.Appends++
 		t.noteWriter(env, ino, drv.Process().ID)
-
-		// Zero the tail of the previously-last partial block.
-		if tail := oldSize % BlockSize; tail != 0 && oldSize/BlockSize < uint64(len(ti.blocks)) {
-			blk := ti.blocks[oldSize/BlockSize]
-			buf := make([]byte, BlockSize)
-			if err := drv.ReadPriv(env, blk, 1, buf); err != nil {
-				return err
-			}
-			for i := tail; i < BlockSize; i++ {
-				buf[i] = 0
-			}
-			if err := drv.WritePriv(env, blk, 1, buf); err != nil {
+		if zero {
+			if err := zeroGrown(env, drv, ti, oldSize, added); err != nil {
 				return err
 			}
 		}
-		// Zero the new blocks, batching contiguous runs.
-		zero := make([]byte, BlockSize)
-		i := 0
-		for i < len(added) {
-			j := i + 1
-			for j < len(added) && added[j] == added[j-1]+1 && j-i < 64 {
-				j++
-			}
-			run := make([]byte, (j-i)*BlockSize)
-			_ = zero
-			if err := drv.WritePriv(env, added[i], uint32(j-i), run); err != nil {
-				return err
-			}
-			i = j
-		}
+		// Grant the process access to its new data blocks.
 		for _, blk := range added {
 			if err := drv.GrantPerm(env, blk, aeodriver.PermRW); err != nil {
 				return err
@@ -432,6 +374,36 @@ func (t *TrustLayer) TruncateGrow(env *sim.Env, drv *aeodriver.Driver, ino uint6
 		return nil
 	})
 	return added, err
+}
+
+// zeroGrown zero-fills what a grow from oldSize exposed: the tail of the
+// previously-last partial block and the added blocks, batching contiguous
+// runs of up to 64 blocks.
+func zeroGrown(env *sim.Env, drv *aeodriver.Driver, ti *tInode, oldSize uint64, added []uint64) error {
+	if tail := oldSize % BlockSize; tail != 0 && oldSize/BlockSize < uint64(len(ti.blocks)) {
+		blk := ti.blocks[oldSize/BlockSize]
+		buf := make([]byte, BlockSize)
+		if err := drv.ReadPriv(env, blk, 1, buf); err != nil {
+			return err
+		}
+		for i := tail; i < BlockSize; i++ {
+			buf[i] = 0
+		}
+		if err := drv.WritePriv(env, blk, 1, buf); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < len(added); {
+		j := i + 1
+		for j < len(added) && added[j] == added[j-1]+1 && j-i < 64 {
+			j++
+		}
+		if err := drv.WritePriv(env, added[i], uint32(j-i), make([]byte, (j-i)*BlockSize)); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
 }
 
 // TruncateFile shrinks a file to newSize (Table 5 ⑥), freeing blocks and
@@ -458,8 +430,7 @@ func (t *TrustLayer) TruncateFile(env *sim.Env, drv *aeodriver.Driver, ino uint6
 		}
 		keep := (newSize + BlockSize - 1) / BlockSize
 		b := t.begin(env, drv)
-		freed, err := t.shrinkBlocks(env, drv, ti, keep, b)
-		if err != nil {
+		if _, err := t.shrinkBlocks(env, drv, ti, keep, b); err != nil {
 			return err
 		}
 		ti.ino.Size = newSize
@@ -467,7 +438,6 @@ func (t *TrustLayer) TruncateFile(env *sim.Env, drv *aeodriver.Driver, ino uint6
 		if err := t.storeInode(env, drv, ti, b); err != nil {
 			return err
 		}
-		_ = freed
 		b.commit()
 		t.Truncates++
 		return nil

@@ -115,7 +115,7 @@ func mdScaleRun(shards, dataNodes int, tr *trace.Tracer) (*mdScaleResult, error)
 		}
 	}
 
-	profile := workload.MetaProfiles()["mdmix"]
+	profile := workload.MDMix()
 	res := &mdScaleResult{Svc: svc}
 	var firstErr error
 	remaining := mdsClients

@@ -32,37 +32,53 @@ const (
 // qdSweepMaxUnit.
 func qdSweepUnit(qd int) int { return min(max(qd/2, 1), qdSweepMaxUnit) }
 
-// qdSweepRun measures sustained random-read IOPS at the given queue depth on
-// a one-core machine, keeping qd commands outstanding with a sliding window.
-// In batched mode, commands are issued qdSweepUnit(qd) at a time through
-// SubmitBatch (one doorbell per batch) with CQ interrupt coalescing matched
-// to the unit; otherwise one command per doorbell with per-CQE interrupts.
-// A non-nil tracer is installed on the machine's engine; tracing consumes no
-// virtual time, so the measured KIOPS are identical with or without one.
-// Returns KIOPS.
-func qdSweepRun(qd int, batched bool, tr *trace.Tracer) (float64, error) {
+// blockPath is a block cell's submission datapath.
+type blockPath int
+
+const (
+	// pathOne issues one command per doorbell with per-CQE interrupts.
+	pathOne blockPath = iota
+	// pathBatched issues qdSweepUnit(qd) commands per SubmitBatch (one
+	// doorbell per batch) with CQ interrupt coalescing matched to the unit.
+	pathBatched
+	// pathRing is pathBatched through the zero-copy staging ring
+	// (aeodriver.Config.ZeroCopyRing).
+	pathRing
+)
+
+// qdSweepRun measures sustained 512B random-read KIOPS at queue depth qd on
+// a one-core machine whose device has latency model dev (zero: the stock
+// P5800X), keeping qd commands outstanding with a sliding window through
+// path. It also returns the ring-staged command count (zero unless path is
+// pathRing). A non-nil tracer is installed on the machine's engine; tracing
+// consumes no virtual time, so the measured KIOPS are identical with or
+// without one. qdsweep and fig_zerocopy's block half are both this cell.
+func qdSweepRun(dev nvme.LatencyModel, qd int, path blockPath, tr *trace.Tracer) (float64, uint64, error) {
 	cfg := aeodriver.Config{
 		Mode: aeodriver.ModeUserInterrupt,
 		// Room for the full window plus the next batch, so admission
 		// never stalls the pipeline.
-		QueueDepth: 2*qd + 2,
+		QueueDepth:   2*qd + 2,
+		ZeroCopyRing: path == pathRing,
 	}
 	unit := 1
-	if batched {
+	if path != pathOne {
 		unit = qdSweepUnit(qd)
 		cfg.Coalesce = nvme.Coalescing{MaxEvents: unit, MaxDelay: 20 * time.Microsecond}
 	}
-	m := machine.New(1, nvme.Config{BlockSize: qdSweepBlockSize, NumBlocks: qdSweepBlocks})
+	m := machine.New(1, nvme.Config{BlockSize: qdSweepBlockSize, NumBlocks: qdSweepBlocks, Model: dev})
 	defer m.Eng.Shutdown()
 	m.Eng.Tracer = tr
 	p, err := m.Launch("qdsweep", aeokern.Partition{Start: 0, Blocks: qdSweepBlocks, Writable: true}, cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var kiops float64
+	var staged uint64
 	var rerr error
 	m.Eng.Spawn("sweep", m.Eng.Core(0), func(env *sim.Env) {
-		if _, err := p.Driver.CreateQP(env); err != nil {
+		th, err := p.Driver.CreateQP(env)
+		if err != nil {
 			rerr = err
 			return
 		}
@@ -84,7 +100,7 @@ func qdSweepRun(qd int, batched bool, tr *trace.Tracer) (float64, error) {
 			if n <= 0 {
 				return
 			}
-			if batched && n > 1 {
+			if n > 1 {
 				iov := make([]aeodriver.IOVec, n)
 				for i := range iov {
 					iov[i] = aeodriver.IOVec{LBA: advance(), Cnt: 1, Buf: make([]byte, qdSweepBlockSize)}
@@ -96,14 +112,12 @@ func qdSweepRun(qd int, batched bool, tr *trace.Tracer) (float64, error) {
 				}
 				fifo = append(fifo, reqs)
 			} else {
-				for i := 0; i < n; i++ {
-					req, err := p.Driver.Submit(env, nvme.OpRead, advance(), 1, make([]byte, qdSweepBlockSize), false)
-					if err != nil {
-						rerr = err
-						return
-					}
-					fifo = append(fifo, []*aeodriver.Request{req})
+				req, err := p.Driver.Submit(env, nvme.OpRead, advance(), 1, make([]byte, qdSweepBlockSize), false)
+				if err != nil {
+					rerr = err
+					return
 				}
+				fifo = append(fifo, []*aeodriver.Request{req})
 			}
 			outstanding += n
 		}
@@ -138,12 +152,13 @@ func qdSweepRun(qd int, batched bool, tr *trace.Tracer) (float64, error) {
 		if span := env.Now() - start; span > 0 {
 			kiops = float64(ops) / span.Seconds() / 1e3
 		}
+		staged = th.RingStaged
 	})
 	m.Eng.Run(0)
 	if rerr != nil {
-		return 0, rerr
+		return 0, 0, rerr
 	}
-	return kiops, nil
+	return kiops, staged, nil
 }
 
 // qdGateDepth and qdGateSpeedup are the sweep's acceptance criterion: at
@@ -174,11 +189,11 @@ func QDSweep() ([]*report.Table, error) {
 		Columns: []string{"qd", "one/doorbell (KIOPS)", "batched+coalesced (KIOPS)", "speedup"},
 	}
 	for _, qd := range []int{1, 2, 4, 8, 16, 32} {
-		base, err := qdSweepRun(qd, false, nil)
+		base, _, err := qdSweepRun(nvme.LatencyModel{}, qd, pathOne, nil)
 		if err != nil {
 			return nil, err
 		}
-		fast, err := qdSweepRun(qd, true, nil)
+		fast, _, err := qdSweepRun(nvme.LatencyModel{}, qd, pathBatched, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +244,7 @@ func qdTraceGate(c *tracedCell, kiops float64) error {
 // reconstructed from the stream.
 func qdSweepTrace() (*Traced, error) {
 	tr := trace.New(1, 1<<17)
-	kiops, err := qdSweepRun(qdGateDepth, true, tr)
+	kiops, _, err := qdSweepRun(nvme.LatencyModel{}, qdGateDepth, pathBatched, tr)
 	if err != nil {
 		return nil, err
 	}

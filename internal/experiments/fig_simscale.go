@@ -9,6 +9,7 @@ import (
 
 	"aeolia/internal/cluster"
 	"aeolia/internal/netsim"
+	"aeolia/internal/nvme"
 	"aeolia/internal/report"
 	"aeolia/internal/sim"
 )
@@ -202,7 +203,7 @@ func FigSimScale() ([]*report.Table, error) {
 	// Serial-engine rate on the existing scenarios: a calendar/pooling
 	// regression in the core engine shows up here even with lanes off.
 	qdStart := time.Now()
-	if _, err := qdSweepRun(16, true, nil); err != nil {
+	if _, _, err := qdSweepRun(nvme.LatencyModel{}, 16, pathBatched, nil); err != nil {
 		return nil, fmt.Errorf("fig_simscale qdsweep probe: %w", err)
 	}
 	tt.AddRowf("qdsweep_qd16", "serial", fmt.Sprintf("%d", gmp),

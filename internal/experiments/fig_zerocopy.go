@@ -5,9 +5,7 @@ import (
 	"slices"
 	"time"
 
-	"aeolia/internal/aeodriver"
 	"aeolia/internal/aeofs"
-	"aeolia/internal/aeokern"
 	"aeolia/internal/machine"
 	"aeolia/internal/nvme"
 	"aeolia/internal/report"
@@ -28,10 +26,7 @@ import (
 //     locked-hit strawman it replaced is a row of history in DESIGN.md
 //     "Forks and verdicts").
 const (
-	zcBlockSize = 512
-	zcBlocks    = 1 << 16
-	zcWindow    = 2 * time.Millisecond
-	zcQD        = 32
+	zcQD = 32
 
 	zcFilePages    = 64
 	zcReadsPerCore = 2000
@@ -50,117 +45,6 @@ func zcDevModel() nvme.LatencyModel {
 	m := nvme.P5800X()
 	m.Channels = 24
 	return m
-}
-
-// zcRingRun measures sustained 512B random-read KIOPS at queue depth qd on
-// a one-core machine with the wide device model. mode selects the
-// datapath: "one" (one command per doorbell, per-CQE interrupts),
-// "batched" (SubmitBatch units with matched coalescing — the prior
-// baseline), or "ring" (batched plus the zero-copy staging ring). Also
-// returns the ring-staged command count (zero unless mode == "ring").
-func zcRingRun(mode string, qd int, tr *trace.Tracer) (float64, uint64, error) {
-	cfg := aeodriver.Config{
-		Mode:       aeodriver.ModeUserInterrupt,
-		QueueDepth: 2*qd + 2,
-	}
-	unit := 1
-	if mode == "batched" || mode == "ring" {
-		unit = qdSweepUnit(qd)
-		cfg.Coalesce = nvme.Coalescing{MaxEvents: unit, MaxDelay: 20 * time.Microsecond}
-	}
-	if mode == "ring" {
-		cfg.ZeroCopyRing = true
-	}
-	m := machine.New(1, nvme.Config{BlockSize: zcBlockSize, NumBlocks: zcBlocks, Model: zcDevModel()})
-	defer m.Eng.Shutdown()
-	m.Eng.Tracer = tr
-	p, err := m.Launch("zerocopy", aeokern.Partition{Start: 0, Blocks: zcBlocks, Writable: true}, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	var kiops float64
-	var staged uint64
-	var rerr error
-	m.Eng.Spawn("sweep", m.Eng.Core(0), func(env *sim.Env) {
-		th, err := p.Driver.CreateQP(env)
-		if err != nil {
-			rerr = err
-			return
-		}
-		var (
-			fifo        [][]*aeodriver.Request
-			next        uint64
-			outstanding int
-			ops         uint64
-		)
-		advance := func() uint64 {
-			lba := next
-			next = (next + 17) % zcBlocks
-			return lba
-		}
-		submitUnit := func() {
-			n := min(unit, qd-outstanding)
-			if n <= 0 {
-				return
-			}
-			if unit > 1 && n > 1 {
-				iov := make([]aeodriver.IOVec, n)
-				for i := range iov {
-					iov[i] = aeodriver.IOVec{LBA: advance(), Cnt: 1, Buf: make([]byte, zcBlockSize)}
-				}
-				reqs, err := p.Driver.SubmitBatch(env, nvme.OpRead, iov, false)
-				if err != nil {
-					rerr = err
-					return
-				}
-				fifo = append(fifo, reqs)
-			} else {
-				for i := 0; i < n; i++ {
-					req, err := p.Driver.Submit(env, nvme.OpRead, advance(), 1, make([]byte, zcBlockSize), false)
-					if err != nil {
-						rerr = err
-						return
-					}
-					fifo = append(fifo, []*aeodriver.Request{req})
-				}
-			}
-			outstanding += n
-		}
-		start := env.Now()
-		deadline := start + zcWindow
-		for env.Now() < deadline && rerr == nil {
-			for outstanding < qd && rerr == nil {
-				submitUnit()
-			}
-			if rerr != nil || len(fifo) == 0 {
-				break
-			}
-			b := fifo[0]
-			fifo = fifo[1:]
-			if err := p.Driver.WaitAll(env, b); err != nil {
-				rerr = err
-				return
-			}
-			outstanding -= len(b)
-			ops += uint64(len(b))
-		}
-		for _, b := range fifo {
-			if err := p.Driver.WaitAll(env, b); err != nil {
-				rerr = err
-				return
-			}
-			ops += uint64(len(b))
-		}
-		if span := env.Now() - start; span > 0 {
-			kiops = float64(ops) / span.Seconds() / 1e3
-		}
-		staged = th.RingStaged
-	})
-	m.Eng.Run(0)
-	if rerr != nil {
-		return 0, 0, rerr
-	}
-	return kiops, staged, nil
 }
 
 // zcCacheResult is one cell of the cache-hit scaling half.
@@ -301,15 +185,15 @@ func FigZerocopy() ([]*report.Table, error) {
 			"zerocopy ring (KIOPS)", "ring/batched"},
 	}
 	for _, qd := range []int{8, zcQD} {
-		one, _, err := zcRingRun("one", qd, nil)
+		one, _, err := qdSweepRun(zcDevModel(), qd, pathOne, nil)
 		if err != nil {
 			return nil, err
 		}
-		batched, _, err := zcRingRun("batched", qd, nil)
+		batched, _, err := qdSweepRun(zcDevModel(), qd, pathBatched, nil)
 		if err != nil {
 			return nil, err
 		}
-		ring, staged, err := zcRingRun("ring", qd, nil)
+		ring, staged, err := qdSweepRun(zcDevModel(), qd, pathRing, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -375,7 +259,7 @@ func zcTraceGate(ring, cache *tracedCell, staged, epochReads uint64) error {
 // replay. Events is the ring cell's stream followed by the cache cell's.
 func figZerocopyTrace() (*Traced, error) {
 	ringTr := trace.New(16, 1<<18)
-	kiops, staged, err := zcRingRun("ring", zcQD, ringTr)
+	kiops, staged, err := qdSweepRun(zcDevModel(), zcQD, pathRing, ringTr)
 	if err != nil {
 		return nil, err
 	}

@@ -299,17 +299,7 @@ func (k *KernFS) Fsync(env *sim.Env, fd int) error {
 func (k *KernFS) Stat(env *sim.Env, path string) (vfs.FileInfo, error) {
 	k.syscall(env)
 	k.resolve(env, path)
-	in, err := k.inner.Stat(env, path)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return vfs.FileInfo{
-		Ino:   in.Ino,
-		Dir:   in.Type == aeofs.TypeDir,
-		Size:  in.Size,
-		Nlink: in.Nlink,
-		MTime: time.Duration(in.MTimeNS),
-	}, nil
+	return vfs.InodeInfo(k.inner.Stat(env, path))
 }
 
 // Mkdir implements vfs.FileSystem.

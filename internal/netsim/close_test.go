@@ -4,64 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"aeolia/internal/faultinject"
 	"aeolia/internal/sim"
 )
-
-// Regression for the PR-7 fix: a seeded duplicate delivery must not re-wake
-// a receiver after connection close. Before the fix, a dup still in flight
-// when the receiver closed would land in the inbox and fire the delivery
-// hook / arrival completion, waking a task that had already shut down.
-func TestDupAfterCloseDroppedAndAccounted(t *testing.T) {
-	eng := newEngine(2)
-	defer eng.Shutdown()
-	f := New(eng, 3)
-	f.Connect("a", "b", Config{Latency: 10 * time.Microsecond})
-	// Duplicate every transmission on a->b.
-	plan := faultinject.NewPlan(1)
-	plan.On("net:dup:a->b", faultinject.Always())
-	f.UsePlan(plan)
-
-	b := f.Endpoint("b")
-	var woken int
-	b.SetOnDeliver(func(*Msg) { woken++ })
-
-	eng.Spawn("tx", eng.Core(0), func(env *sim.Env) {
-		if err := f.Endpoint("a").Send(env, "b", []byte("payload")); err != nil {
-			t.Errorf("send: %v", err)
-		}
-	})
-	// Consume the first delivery, then close — while the dup is still in
-	// flight (both copies arrive at the same latency horizon, so close at
-	// the first hook invocation).
-	b.SetOnDeliver(func(*Msg) {
-		woken++
-		if m := b.TryRecv(); m == nil {
-			t.Error("hook fired with empty inbox")
-		}
-		b.Close()
-	})
-	eng.Run(0)
-
-	if woken != 1 {
-		t.Fatalf("receiver woken %d times; the duplicate must not re-wake a closed endpoint", woken)
-	}
-	if b.DroppedClosed != 1 {
-		t.Fatalf("DroppedClosed = %d, want 1 (the dup)", b.DroppedClosed)
-	}
-	if b.Pending() != 0 {
-		t.Fatalf("closed endpoint holds %d pending message(s)", b.Pending())
-	}
-	l := f.Links()[0]
-	if l.Duped != 1 || l.Dropped != 1 {
-		t.Fatalf("link accounting Duped=%d Dropped=%d, want 1/1", l.Duped, l.Dropped)
-	}
-	// Sent == Delivered + Dropped must balance so trace accounting holds.
-	if l.Sent != l.Delivered+l.Dropped {
-		t.Fatalf("link books don't balance: sent=%d delivered=%d dropped=%d",
-			l.Sent, l.Delivered, l.Dropped)
-	}
-}
 
 // A closed endpoint that reopens (crash-restart on the same address) receives
 // new traffic again, but messages dropped while closed stay dropped.

@@ -7,9 +7,10 @@
 // completion into a UPID exactly like an NVMe completion), so the paper's
 // interrupt-vs-poll story extends to the service edge.
 //
-// Loss and duplication are driven by an optional internal/faultinject plan
-// via the sites "net:drop:<src>-><dst>" and "net:dup:<src>-><dst>", making
-// network faults as reproducible as device faults.
+// Loss and duplication are driven by an optional fault plan (an
+// internal/faultinject Plan) via the sites "net:drop:<src>-><dst>" and
+// "net:dup:<src>-><dst>", making network faults as reproducible as device
+// faults.
 //
 // Everything is engine-single-threaded and seeded: two fabrics built the
 // same way over engines fed the same events produce byte-identical message
@@ -31,7 +32,6 @@ import (
 	"math/bits"
 	"time"
 
-	"aeolia/internal/faultinject"
 	"aeolia/internal/fifo"
 	"aeolia/internal/mix"
 	"aeolia/internal/sim"
@@ -96,7 +96,7 @@ var recycled = Msg{Src: "netsim: recycled Msg", Dst: "netsim: recycled Msg",
 type Fabric struct {
 	eng   *sim.Engine
 	seed  uint64
-	plan  *faultinject.Plan
+	plan  FaultPlan
 	eps   map[string]*Endpoint
 	order []*Endpoint
 	links []*Link
@@ -111,9 +111,17 @@ func New(eng *sim.Engine, seed uint64) *Fabric {
 // Engine returns the owning engine.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
-// UsePlan installs a fault-injection plan consulted per message on the
-// sites "net:drop:<link>" and "net:dup:<link>".
-func (f *Fabric) UsePlan(p *faultinject.Plan) { f.plan = p }
+// FaultPlan decides, per firing of a named site, whether the fault there
+// happens; *faultinject.Plan is the one implementation. netsim takes it as an
+// interface so the fabric does not import the fault-injection package, whose
+// crash matrix builds whole machines on top of it.
+type FaultPlan interface {
+	Fire(site string) bool
+}
+
+// UsePlan installs a non-nil fault-injection plan consulted per message on
+// the sites "net:drop:<link>" and "net:dup:<link>".
+func (f *Fabric) UsePlan(p FaultPlan) { f.plan = p }
 
 // Endpoint returns (creating if needed) the named endpoint. IDs are
 // assigned in creation order, so identically built fabrics agree on them.

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"aeolia/internal/faultinject"
 	"aeolia/internal/sched"
 	"aeolia/internal/sim"
-	"aeolia/internal/trace"
 )
 
 func newEngine(cores int) *sim.Engine {
@@ -169,69 +167,6 @@ func TestDeterministicTimeline(t *testing.T) {
 	}
 }
 
-func TestFaultInjectedLoss(t *testing.T) {
-	eng := newEngine(2)
-	defer eng.Shutdown()
-	f := New(eng, 1)
-	f.UsePlan(faultinject.NewPlan(9).On("net:drop:a->b", faultinject.Once()))
-	f.Connect("a", "b", Config{Latency: time.Microsecond})
-
-	var got []Msg
-	eng.Spawn("rx", eng.Core(1), func(env *sim.Env) {
-		got = append(got, *f.Endpoint("b").Recv(env))
-	})
-	eng.Spawn("tx", eng.Core(0), func(env *sim.Env) {
-		f.Endpoint("a").Send(env, "b", []byte("one"))
-		f.Endpoint("a").Send(env, "b", []byte("two"))
-	})
-	eng.Run(0)
-	if len(got) != 1 || string(got[0].Payload) != "two" {
-		t.Fatalf("got %d message(s), want only \"two\" to survive", len(got))
-	}
-	l := f.Links()[0]
-	if l.Dropped != 1 || l.Sent != 2 || l.Delivered != 1 {
-		t.Fatalf("stats sent=%d delivered=%d dropped=%d, want 2/1/1",
-			l.Sent, l.Delivered, l.Dropped)
-	}
-}
-
-func TestFaultInjectedDuplication(t *testing.T) {
-	eng := newEngine(2)
-	defer eng.Shutdown()
-	tr := trace.New(2, 0)
-	eng.Tracer = tr
-	f := New(eng, 1)
-	f.UsePlan(faultinject.NewPlan(9).On("net:dup:a->b", faultinject.Once()))
-	f.Connect("a", "b", Config{Latency: time.Microsecond})
-
-	var got []Msg
-	eng.Spawn("rx", eng.Core(1), func(env *sim.Env) {
-		for i := 0; i < 2; i++ {
-			got = append(got, *f.Endpoint("b").Recv(env))
-		}
-	})
-	eng.Spawn("tx", eng.Core(0), func(env *sim.Env) {
-		f.Endpoint("a").Send(env, "b", []byte("once"))
-	})
-	eng.Run(0)
-	if len(got) != 2 {
-		t.Fatalf("received %d message(s), want the duplicate too", len(got))
-	}
-	if !got[1].Dup && !got[0].Dup {
-		t.Fatal("no delivered message carries the Dup mark")
-	}
-	l := f.Links()[0]
-	if l.Duped != 1 || l.Sent != 2 {
-		t.Fatalf("stats sent=%d duped=%d, want 2/1", l.Sent, l.Duped)
-	}
-	// The duplicate emitted its own NetSend, so the analyzer's link
-	// accounting stays clean.
-	an := trace.Analyze(tr.Events())
-	if len(an.Violations) != 0 {
-		t.Fatalf("dup trace produced violations: %v", an.Violations)
-	}
-}
-
 func TestOnDeliverHookOwnsWakeup(t *testing.T) {
 	eng := newEngine(2)
 	defer eng.Shutdown()
@@ -255,47 +190,6 @@ func TestOnDeliverHookOwnsWakeup(t *testing.T) {
 	eng.Run(0)
 	if hooks != 1 || got == nil {
 		t.Fatalf("hooks=%d got=%v, want 1 and a delivered message", hooks, got)
-	}
-}
-
-func TestTraceAccounting(t *testing.T) {
-	eng := newEngine(2)
-	defer eng.Shutdown()
-	tr := trace.New(2, 0)
-	eng.Tracer = tr
-	f := New(eng, 3)
-	f.UsePlan(faultinject.NewPlan(5).On("net:drop:a->b", faultinject.At(3)))
-	f.Connect("a", "b", Config{Latency: 2 * time.Microsecond, BytesPerSec: 1e9})
-
-	const n = 10
-	eng.Spawn("rx", eng.Core(1), func(env *sim.Env) {
-		for i := 0; i < n-1; i++ {
-			f.Endpoint("b").Recv(env)
-		}
-	})
-	eng.Spawn("tx", eng.Core(0), func(env *sim.Env) {
-		for i := 0; i < n; i++ {
-			f.Endpoint("a").Send(env, "b", make([]byte, 128))
-		}
-	})
-	eng.Run(0)
-	var sends, delivers, drops int
-	for _, e := range tr.Events() {
-		switch e.Type {
-		case trace.NetSend:
-			sends++
-		case trace.NetDeliver:
-			delivers++
-		case trace.NetDrop:
-			drops++
-		}
-	}
-	if sends != n || delivers != n-1 || drops != 1 {
-		t.Fatalf("trace counts send=%d deliver=%d drop=%d, want %d/%d/1",
-			sends, delivers, drops, n, n-1)
-	}
-	if an := trace.Analyze(tr.Events()); len(an.Violations) != 0 {
-		t.Fatalf("violations: %v", an.Violations)
 	}
 }
 

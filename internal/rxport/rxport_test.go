@@ -1,4 +1,4 @@
-package rxport
+package rxport_test
 
 import (
 	"fmt"
@@ -12,6 +12,7 @@ import (
 	"aeolia/internal/machine"
 	"aeolia/internal/netsim"
 	"aeolia/internal/nvme"
+	"aeolia/internal/rxport"
 	"aeolia/internal/sim"
 	"aeolia/internal/uintr"
 )
@@ -31,7 +32,7 @@ const (
 type portRig struct {
 	m    *machine.Machine
 	fab  *netsim.Fabric
-	port Port
+	port rxport.Port
 
 	stop   bool
 	frames []string // payloads in the order Recv handed them out
@@ -49,7 +50,7 @@ func newPortRig(t *testing.T, activeCheck bool, work time.Duration, body func(*p
 	}
 	r := &portRig{m: m, fab: netsim.New(m.Eng, 1)}
 	r.fab.Connect("tx", "rx", netsim.Config{Latency: 2 * time.Microsecond})
-	cfg := Config{
+	cfg := rxport.Config{
 		Classes: uintr.NewClassMap(uintr.ClassNormal).Set(hiVec, uintr.ClassUrgent),
 		Vector: func(m *netsim.Msg) uint8 {
 			if strings.HasPrefix(string(m.Payload), "hi") {
@@ -199,13 +200,13 @@ func TestWaitAssertion(t *testing.T) {
 	r := newPortRig(t, false, 0, func(r *portRig, env *sim.Env) {
 		try := func() (rec any) {
 			defer func() { rec = recover() }()
-			r.port.wait(env, r.port.ep.Arrival())
+			r.port.WaitOnArrival(env)
 			return nil
 		}
-		r.port.upid.SN = true
+		r.port.UPID().SN = true
 		masked = try()
 		env.Sleep(20 * time.Microsecond) // the frame below lands masked; nobody drains it
-		r.port.upid.SN = false
+		r.port.UPID().SN = false
 		queued = try()
 	})
 	r.send(5*time.Microsecond, time.Microsecond, "lo")
@@ -242,11 +243,11 @@ func TestAllocsMaskedReceive(t *testing.T) {
 	if left := frames - got; left < 400 {
 		t.Fatalf("only %d frames left in the inbox: the receiver is not the slow side", left)
 	}
-	sent := r.port.upid.NotifySent.Load()
+	sent := r.port.UPID().NotifySent.Load()
 	alloctest.AtMost(t, 0, 10, func() { r.m.Eng.Run(r.m.Eng.Now() + 10*work) })
-	if r.port.upid.NotifySent.Load() != sent || !r.port.upid.SN {
+	if r.port.UPID().NotifySent.Load() != sent || !r.port.UPID().SN {
 		t.Fatalf("%d notifications during the drain, SN=%v: the drain was not masked",
-			r.port.upid.NotifySent.Load()-sent, r.port.upid.SN)
+			r.port.UPID().NotifySent.Load()-sent, r.port.UPID().SN)
 	}
 }
 
@@ -260,7 +261,7 @@ func TestAllocsKernelPathDelivery(t *testing.T) {
 	eng := r.m.Eng
 	var post func()
 	post = func() {
-		uintr.PostAndNotify(eng, r.port.upid, loVec)
+		uintr.PostAndNotify(eng, r.port.UPID(), loVec)
 		eng.Schedule(20*time.Microsecond, post)
 	}
 	eng.Run(40 * time.Microsecond) // bound, and blocked in its first wait

@@ -45,6 +45,17 @@ func hasViolation(a *Analyzer, rule string) bool {
 	return false
 }
 
+// hasViolationMsg is hasViolation for one branch of a rule: the violation's
+// message must also contain msg.
+func hasViolationMsg(a *Analyzer, rule, msg string) bool {
+	for _, v := range a.Violations {
+		if v.Rule == rule && strings.Contains(v.Msg, msg) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestAnalyzerCleanChain(t *testing.T) {
 	var b evb
 	b.fullChain(0, 1, 1).fullChain(10000, 1, 2)
@@ -265,5 +276,15 @@ func TestStageHistogramsAndLatencyTable(t *testing.T) {
 	tbl := a.LatencyTable()
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("latency table rows = %d, want 5 stages", len(tbl.Rows))
+	}
+}
+
+func TestAnalyzerCIDReuse(t *testing.T) {
+	var b evb
+	b.add(0, SQEPrep, -1, 1, 1, 7, 1).
+		add(100, SQEPrep, -1, 1, 1, 8, 1) // same cid, never consumed
+	a := Analyze(b.evs)
+	if !hasViolation(a, "cid-reuse") {
+		t.Fatalf("cid prepped twice without a consume not flagged: %v", a.Violations)
 	}
 }

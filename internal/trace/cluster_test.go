@@ -139,3 +139,13 @@ func TestAnalyzerApplyBeyondCommit(t *testing.T) {
 		t.Fatalf("apply above commit not flagged: %v", a.Violations)
 	}
 }
+
+func TestAnalyzerReadWithoutStart(t *testing.T) {
+	var b evb
+	b.add(0, ClusterPG, -1, 1, NoCID, 0, 3).
+		add(1, ClusterRead, -1, 1, 8, 100, 5<<32|0x111)
+	a := Analyze(b.evs)
+	if !hasViolation(a, "read-chain") {
+		t.Fatalf("read served without a ClusterReadStart not flagged: %v", a.Violations)
+	}
+}

@@ -103,3 +103,30 @@ func TestMDSRenameIncomplete(t *testing.T) {
 		t.Fatal("done without unlink not flagged")
 	}
 }
+
+func TestMDSRevokeUnknownLease(t *testing.T) {
+	var b evb
+	b.add(0, MDSLeaseRevoke, -1, 0, 400, 5, 0)
+	if a := Analyze(b.evs); !hasViolationMsg(a, "lease-lifecycle", "revoke sent for unknown lease") {
+		t.Fatalf("revoke of an unknown lease not flagged: %v", a.Violations)
+	}
+}
+
+func TestMDSRenameTwice(t *testing.T) {
+	var l evb
+	l.add(0, MDSRenameLink, -1, 1, 7, 5, 0).
+		add(500, MDSRenameLink, -1, 1, 7, 5, 0).
+		add(1000, MDSRenameUnlink, -1, 0, 7, 5, 0).
+		add(2000, MDSRenameDone, -1, 0, 7, 5, 0)
+	if a := Analyze(l.evs); !hasViolationMsg(a, "rename-visibility", "destination linked twice") {
+		t.Fatalf("double link not flagged: %v", a.Violations)
+	}
+	var d evb
+	d.add(0, MDSRenameLink, -1, 1, 7, 5, 0).
+		add(1000, MDSRenameUnlink, -1, 0, 7, 5, 0).
+		add(2000, MDSRenameDone, -1, 0, 7, 5, 0).
+		add(3000, MDSRenameDone, -1, 0, 7, 5, 0)
+	if a := Analyze(d.evs); !hasViolationMsg(a, "rename-visibility", "completed twice") {
+		t.Fatalf("double done not flagged: %v", a.Violations)
+	}
+}

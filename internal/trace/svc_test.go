@@ -148,3 +148,12 @@ func TestSvcLatencyTable(t *testing.T) {
 		t.Fatalf("latency table has %d rows, want 4", len(tbl.Rows))
 	}
 }
+
+func TestSvcAnalyzerShedBeforeRecv(t *testing.T) {
+	var b evb
+	b.add(0, SvcShed, 0, 7, 1, 0, 1)
+	a := Analyze(b.evs)
+	if !hasViolationMsg(a, "svc-causal-order", "shed before being received") {
+		t.Fatalf("shed before recv undetected: %v", a.Violations)
+	}
+}

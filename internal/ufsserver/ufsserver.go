@@ -239,16 +239,7 @@ func (c *Client) Stat(env *sim.Env, path string) (vfs.FileInfo, error) {
 	c.srv.submit(env, master, func(wenv *sim.Env) {
 		in, err = c.srv.inner.Stat(wenv, path)
 	})
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return vfs.FileInfo{
-		Ino:   in.Ino,
-		Dir:   in.Type == aeofs.TypeDir,
-		Size:  in.Size,
-		Nlink: in.Nlink,
-		MTime: time.Duration(in.MTimeNS),
-	}, nil
+	return vfs.InodeInfo(in, err)
 }
 
 // Mkdir implements vfs.FileSystem (metadata: master).

@@ -37,6 +37,21 @@ type Dirent struct {
 	Name string
 }
 
+// InodeInfo converts an AeoFS stat result into a FileInfo, passing err
+// through.
+func InodeInfo(in aeofs.Inode, err error) (FileInfo, error) {
+	if err != nil {
+		return FileInfo{}, err
+	}
+	return FileInfo{
+		Ino:   in.Ino,
+		Dir:   in.Type == aeofs.TypeDir,
+		Size:  in.Size,
+		Nlink: in.Nlink,
+		MTime: time.Duration(in.MTimeNS),
+	}, nil
+}
+
 // FileSystem is the POSIX-like surface the benchmarks exercise.
 type FileSystem interface {
 	Name() string
@@ -119,17 +134,7 @@ func (a *AeoFSAdapter) Fsync(env *sim.Env, fd int) error { return a.FS.Fsync(env
 
 // Stat implements FileSystem.
 func (a *AeoFSAdapter) Stat(env *sim.Env, path string) (FileInfo, error) {
-	in, err := a.FS.Stat(env, path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{
-		Ino:   in.Ino,
-		Dir:   in.Type == aeofs.TypeDir,
-		Size:  in.Size,
-		Nlink: in.Nlink,
-		MTime: time.Duration(in.MTimeNS),
-	}, nil
+	return InodeInfo(a.FS.Stat(env, path))
 }
 
 // Mkdir implements FileSystem.

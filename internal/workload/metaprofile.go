@@ -47,17 +47,12 @@ type MetaOp struct {
 	Bytes int    // payload bytes for create/openread data touches
 }
 
-// MetaProfile is one FXMARK-style metadata-heavy workload: a sharing level
-// (private per-client directories vs one shared directory), a pre-created
-// population, and an operation mix. Streams are generated deterministically
-// from (profile, client, seed) — byte-identical across runs and across
-// backend shard counts.
+// MetaProfile is one FXMARK-style metadata-heavy workload: a pre-created
+// population and an operation mix. Client i works under "/p<i>" and owns
+// every name in it. Streams are generated deterministically from (profile,
+// client, seed) — byte-identical across runs and across backend shard
+// counts.
 type MetaProfile struct {
-	Name string
-	// Shared: all clients work in one directory ("/shared"), and the mix
-	// must be read-only so any interleaving stays valid. Private: client i
-	// works under "/p<i>" and owns every name in it.
-	Shared bool
 	// SetupFiles is the pre-created population per directory.
 	SetupFiles int
 	// Bytes is the data touched per create/openread (first-byte reads).
@@ -66,61 +61,27 @@ type MetaProfile struct {
 	Mix map[MetaOpKind]int
 }
 
-// MetaProfiles returns the profile suite, keyed by name:
-//
-//   - mdstat: shared-directory, read-only — stat-dominated with open-read
-//     and readdir; the MRP*-style contention case, safe under any
-//     interleaving;
-//   - mdcreate: private-directory create/unlink churn — the MWC*-style
-//     allocation case;
-//   - mdmix: private-directory mixed create/stat/rename/unlink/readdir —
-//     the general namespace workload driving every MDS code path.
-func MetaProfiles() map[string]*MetaProfile {
-	return map[string]*MetaProfile{
-		"mdstat": {
-			Name: "mdstat", Shared: true, SetupFiles: 64, Bytes: 4096,
-			Mix: map[MetaOpKind]int{MetaStat: 70, MetaOpenRead: 20, MetaReaddir: 10},
-		},
-		"mdcreate": {
-			Name: "mdcreate", Shared: false, SetupFiles: 0, Bytes: 4096,
-			Mix: map[MetaOpKind]int{MetaCreate: 60, MetaUnlink: 25, MetaStat: 10, MetaReaddir: 5},
-		},
-		"mdmix": {
-			Name: "mdmix", Shared: false, SetupFiles: 8, Bytes: 4096,
-			Mix: map[MetaOpKind]int{
-				MetaCreate: 30, MetaStat: 25, MetaRename: 15,
-				MetaUnlink: 15, MetaOpenRead: 10, MetaReaddir: 5,
-			},
+// MDMix is the private-directory mixed create/stat/rename/unlink/readdir
+// profile: the general namespace workload driving every MDS code path.
+func MDMix() *MetaProfile {
+	return &MetaProfile{
+		SetupFiles: 8, Bytes: 4096,
+		Mix: map[MetaOpKind]int{
+			MetaCreate: 30, MetaStat: 25, MetaRename: 15,
+			MetaUnlink: 15, MetaOpenRead: 10, MetaReaddir: 5,
 		},
 	}
 }
 
 // ClientDir returns the directory client id works in.
-func (p *MetaProfile) ClientDir(id int) string {
-	if p.Shared {
-		return "/shared"
-	}
-	return fmt.Sprintf("/p%d", id)
-}
-
-// SetupDirs returns the directories to create before the run.
-func (p *MetaProfile) SetupDirs(clients int) []string {
-	if p.Shared {
-		return []string{"/shared"}
-	}
-	dirs := make([]string, clients)
-	for i := range dirs {
-		dirs[i] = p.ClientDir(i)
-	}
-	return dirs
-}
+func (p *MetaProfile) ClientDir(id int) string { return fmt.Sprintf("/p%d", id) }
 
 // SetupFilePaths returns the files to pre-create before the run.
 func (p *MetaProfile) SetupFilePaths(clients int) []string {
 	var out []string
-	for _, d := range p.SetupDirs(clients) {
+	for c := 0; c < clients; c++ {
 		for i := 0; i < p.SetupFiles; i++ {
-			out = append(out, fmt.Sprintf("%s/s%d", d, i))
+			out = append(out, fmt.Sprintf("%s/s%d", p.ClientDir(c), i))
 		}
 	}
 	return out
@@ -140,26 +101,19 @@ func (p *MetaProfile) kinds() []MetaOpKind {
 
 // Ops generates client id's operation stream: n ops drawn from the mix
 // with a per-(seed, client) generator. The generator tracks the names it
-// has created so mutating ops always target live files (private profiles
-// own their directory, so the stream stays valid under any cross-client
-// interleaving). Read-only ops in shared profiles draw from the
-// pre-created population.
+// has created so every op targets a live file (each client owns its
+// directory, so the stream stays valid under any cross-client
+// interleaving).
 func (p *MetaProfile) Ops(id, n int, seed int64) []MetaOp {
 	rng := rand.New(rand.NewSource(seed*1315423911 + int64(id)*2654435761 + 12345))
 	dir := p.ClientDir(id)
 	kinds := p.kinds()
 
-	// live is the client-owned name set; setup files seed it for private
-	// profiles so stats and renames have targets immediately.
+	// live is the client-owned name set; setup files seed it so stats and
+	// renames have targets immediately.
 	var live []string
-	if !p.Shared {
-		for i := 0; i < p.SetupFiles; i++ {
-			live = append(live, fmt.Sprintf("%s/s%d", dir, i))
-		}
-	}
-	shared := make([]string, p.SetupFiles)
-	for i := range shared {
-		shared[i] = fmt.Sprintf("%s/s%d", dir, i)
+	for i := 0; i < p.SetupFiles; i++ {
+		live = append(live, fmt.Sprintf("%s/s%d", dir, i))
 	}
 	fresh := 0
 	nextName := func() string {
@@ -183,15 +137,9 @@ func (p *MetaProfile) Ops(id, n int, seed int64) []MetaOp {
 			live = append(live, name)
 			out = append(out, MetaOp{Kind: MetaCreate, Path: name, Bytes: p.Bytes})
 		case MetaOpenRead, MetaStat:
-			var path string
-			if p.Shared {
-				path = shared[rng.Intn(len(shared))]
-			} else {
-				var i int
-				path, i = pickLive()
-				if i < 0 {
-					continue // nothing to read yet; redraw
-				}
+			path, i := pickLive()
+			if i < 0 {
+				continue // nothing to read yet; redraw
 			}
 			out = append(out, MetaOp{Kind: k, Path: path, Bytes: p.Bytes})
 		case MetaUnlink:
