@@ -6,8 +6,8 @@ import (
 )
 
 // TestCacheCounterRaceHammer pounds the cacheManager's atomic counters from
-// real OS goroutines. The sim engine serializes machine workloads onto one
-// lane, so this hammer is what actually gives the race detector parallel
+// real OS goroutines. The sim engine runs machine workloads one event at a
+// time, so this hammer is what actually gives the race detector parallel
 // accesses to the hot-path accounting (resident/hwm with its CAS-max, the
 // CAS-clamped uncharge/subDirty, and the stat counters the epoch fast path
 // bumps outside any lock). Run with -race; the balance assertions also catch

@@ -51,11 +51,7 @@ func Fsck(env *sim.Env, drv *aeodriver.Driver, start uint64) (*FsckReport, error
 }
 
 func fsckRun(env *sim.Env, drv *aeodriver.Driver, start uint64, r *FsckReport) error {
-	buf := make([]byte, BlockSize)
-	if err := drv.ReadPriv(env, start, 1, buf); err != nil {
-		return err
-	}
-	sb, err := decodeSuperblock(buf)
+	sb, err := readSuperblock(env, drv, start)
 	if err != nil {
 		return err
 	}

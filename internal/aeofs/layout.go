@@ -187,6 +187,57 @@ func decodeSuperblock(b []byte) (Superblock, error) {
 	return sb, nil
 }
 
+// validate checks the layout against the partitionBlocks blocks the file
+// system may occupy from Start: at least one journal region, TotalBlocks
+// within the partition, Figure 9's regions in order, disjoint and inside
+// [Start, Start+TotalBlocks), and bitmaps and inode table that hold their
+// counts. Every violation is ErrCorrupt naming the field. It runs before
+// anything is sized from a field.
+func (sb *Superblock) validate(partitionBlocks uint64) error {
+	bad := func(field string, v uint64) error {
+		return fmt.Errorf("%w: superblock %s = %d", ErrCorrupt, field, v)
+	}
+	if sb.NumJournals == 0 {
+		return bad("NumJournals", 0)
+	}
+	if sb.TotalBlocks > partitionBlocks {
+		return fmt.Errorf("%w: superblock TotalBlocks = %d, partition holds %d",
+			ErrCorrupt, sb.TotalBlocks, partitionBlocks)
+	}
+	// Each region starts at or past the previous one's end, and spans
+	// count*unit blocks that end by end.
+	end := sb.Start + sb.TotalBlocks
+	next := sb.Start + 1 // past the superblock
+	for _, r := range []struct {
+		startField, countField string
+		start, count, unit     uint64
+	}{
+		{"InodeBmStart", "InodeBmBlocks", sb.InodeBmStart, sb.InodeBmBlocks, 1},
+		{"BlockBmStart", "BlockBmBlocks", sb.BlockBmStart, sb.BlockBmBlocks, 1},
+		{"ITableStart", "ITableBlocks", sb.ITableStart, sb.ITableBlocks, 1},
+		{"JournalStart", "NumJournals", sb.JournalStart, sb.NumJournals, sb.JournalArea},
+	} {
+		if r.start < next || r.start > end {
+			return bad(r.startField, r.start)
+		}
+		if r.count > (end-r.start)/r.unit {
+			return bad(r.countField, r.count)
+		}
+		next = r.start + r.count*r.unit
+	}
+	if sb.DataStart < next || sb.DataStart >= end {
+		return bad("DataStart", sb.DataStart)
+	}
+	const bitsPerBlock = BlockSize * 8
+	if sb.InodeBmBlocks*bitsPerBlock < sb.NumInodes || sb.ITableBlocks*InodesPerBlock < sb.NumInodes {
+		return bad("NumInodes", sb.NumInodes)
+	}
+	if sb.BlockBmBlocks*bitsPerBlock < sb.TotalBlocks {
+		return bad("BlockBmBlocks", sb.BlockBmBlocks)
+	}
+	return nil
+}
+
 // Dirent is a decoded directory entry: inode number, name, and the on-disk
 // record size (§7.2: "each entry contains the file's inode number, the file
 // name, name length, and the entry size").

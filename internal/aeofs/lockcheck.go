@@ -45,8 +45,8 @@ func (l lockLevel) String() string {
 var lockCheckOn atomic.Bool
 
 // lockCheckMu guards the held-lock registry. A real sync.Mutex (not a sim
-// one): registry sections never park, and the checker must also be sound if
-// tasks ever execute on parallel lanes.
+// one): registry sections never park, and the registry is shared by every
+// engine in the process.
 var lockCheckMu sync.Mutex
 var lockHeld = map[*sim.Task][]lockLevel{}
 

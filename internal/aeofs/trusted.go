@@ -128,14 +128,31 @@ type dentSlot struct {
 	size   int
 }
 
+// readSuperblock reads the superblock at start and validates it against the
+// part of drv's partition that lies at or past start.
+func readSuperblock(env *sim.Env, drv *aeodriver.Driver, start uint64) (Superblock, error) {
+	buf := make([]byte, BlockSize)
+	if err := drv.ReadPriv(env, start, 1, buf); err != nil {
+		return Superblock{}, err
+	}
+	sb, err := decodeSuperblock(buf)
+	if err != nil {
+		return sb, err
+	}
+	if sb.Start != start {
+		return sb, fmt.Errorf("%w: superblock Start = %d, read at %d", ErrCorrupt, sb.Start, start)
+	}
+	var avail uint64
+	if part := drv.Process().Partition; start >= part.Start && start-part.Start < part.Blocks {
+		avail = part.Blocks - (start - part.Start)
+	}
+	return sb, sb.validate(avail)
+}
+
 // Mount opens the trust layer over a formatted partition, running journal
 // recovery first. Must be called inside the gate (privileged reads).
 func Mount(env *sim.Env, drv *aeodriver.Driver, start uint64) (*TrustLayer, error) {
-	buf := make([]byte, BlockSize)
-	if err := drv.ReadPriv(env, start, 1, buf); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(buf)
+	sb, err := readSuperblock(env, drv, start)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"aeolia/internal/mpk"
 	"aeolia/internal/nvme"
@@ -86,14 +85,7 @@ type Kernel struct {
 	nextVector  int
 	freeVectors []int
 
-	// threadsMu guards threads and vecUPIDs: registration runs in task
-	// bodies (possibly inside a parallel window, on a lane goroutine)
-	// while every core's context switches and IRQ ranking read the maps.
-	// Distinct lanes always touch distinct task keys and vectors, so the
-	// lock only rules out the physical data race — it never changes an
-	// outcome.
-	threadsMu sync.RWMutex
-	threads   map[*sim.Task]*threadUintr
+	threads map[*sim.Task]*threadUintr
 	// vecUPIDs maps a notification vector to the UPID it notifies for, so
 	// the per-core IRQ ranking can rate a raised vector by the most urgent
 	// class pending in that UPID.
@@ -214,10 +206,8 @@ func (k *Kernel) FreeVector(v int) {
 // initialization and maintain it across thread context switches").
 func (k *Kernel) RegisterThreadUintr(t *sim.Task, vector int, upid *uintr.UPID, h uintr.Handler) {
 	tu := &threadUintr{vector: vector, upid: upid, handler: h}
-	k.threadsMu.Lock()
 	k.threads[t] = tu
 	k.vecUPIDs[vector] = upid
-	k.threadsMu.Unlock()
 	// If the thread is already on a core, install immediately.
 	if c := t.Core(); c != nil {
 		k.installUintr(c, tu)
@@ -226,13 +216,11 @@ func (k *Kernel) RegisterThreadUintr(t *sim.Task, vector int, upid *uintr.UPID, 
 
 // UnregisterThreadUintr removes a thread's user-interrupt state.
 func (k *Kernel) UnregisterThreadUintr(t *sim.Task) {
-	k.threadsMu.Lock()
 	tu, ok := k.threads[t]
 	if ok {
 		delete(k.vecUPIDs, tu.vector)
 	}
 	delete(k.threads, t)
-	k.threadsMu.Unlock()
 	// If the thread is on a core, uninstall immediately: a notification
 	// still in flight must not be recognized into the dead handler.
 	if c := t.Core(); ok && c != nil {
@@ -246,10 +234,7 @@ func (k *Kernel) UnregisterThreadUintr(t *sim.Task) {
 // UPIDs and plain kernel vectors. Legacy class-less configurations thus
 // keep strict FIFO delivery.
 func (k *Kernel) irqRank(vec int) int {
-	k.threadsMu.RLock()
-	u := k.vecUPIDs[vec]
-	k.threadsMu.RUnlock()
-	if u != nil && u.Classes != nil {
+	if u := k.vecUPIDs[vec]; u != nil && u.Classes != nil {
 		if cl, ok := u.Classes.MinClass(u.PIR); ok {
 			return int(cl)
 		}
@@ -288,10 +273,7 @@ func (k *Kernel) CheckMapProt(p mpk.Prot) error { return mpk.CheckMapProt(p) }
 
 // onSwitchIn installs the incoming thread's UINTR state on the core.
 func (k *Kernel) onSwitchIn(c *sim.Core, t *sim.Task) {
-	k.threadsMu.RLock()
-	tu, ok := k.threads[t]
-	k.threadsMu.RUnlock()
-	if ok {
+	if tu, ok := k.threads[t]; ok {
 		k.installUintr(c, tu)
 		return
 	}

@@ -83,7 +83,7 @@ type Server struct {
 	adm   *Admission
 	conns map[int32]*connState
 	// free holds retired pending records. The dispatcher takes them and
-	// workers return them, all on the server's one engine lane.
+	// workers return them, all on the server's one engine.
 	free []*pending
 
 	workWQ  sim.WaitQueue

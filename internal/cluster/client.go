@@ -51,7 +51,6 @@ func newClient(c *Cluster, id int) *Client {
 		core: c.M.Eng.Core(c.cfg.Nodes + 1 + id)}
 	cl.reply = []byte(cl.ep.Name())
 	cl.wake = cl.ep.SignalArrival
-	cl.ep.BindCore(cl.core)
 	return cl
 }
 

@@ -22,7 +22,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"aeolia/internal/aeodriver"
@@ -31,7 +30,6 @@ import (
 	"aeolia/internal/machine"
 	"aeolia/internal/netsim"
 	"aeolia/internal/nvme"
-	"aeolia/internal/sim"
 	"aeolia/internal/trace"
 )
 
@@ -65,13 +63,6 @@ type Config struct {
 	// Plan injects faults (net:drop/net:dup plus the raft:crash/raft:part
 	// sites of this package).
 	Plan *faultinject.Plan
-
-	// ParallelLanes runs the cluster with conservative parallel lanes: one
-	// event lane per core, lookahead bounded by the link latency. Results
-	// are byte-identical to serial mode. It takes effect only when no
-	// fault plan is installed (a plan's seeded draw sequence is defined by
-	// the serial event order) and Link.Latency > 0 (the lookahead bound).
-	ParallelLanes bool
 }
 
 const (
@@ -138,9 +129,6 @@ type Cluster struct {
 	stopped bool
 	atDone  Stats // Stats() when Run first found every client finished
 
-	// failMu guards failure: tasks on different lanes may fail
-	// concurrently inside a parallel window.
-	failMu  sync.Mutex
 	failure error
 
 	// CrashTimes records when each injected crash fired (recovery-time
@@ -211,25 +199,6 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Clients; i++ {
 		c.clients = append(c.clients, newClient(c, i))
 	}
-	// Parallel lanes: one lane per core. Every cross-core interaction in
-	// this cluster crosses the fabric, so the minimum link latency bounds
-	// the lookahead. A fault plan forces serial execution — its seeded
-	// draw sequence is defined by the global serial event order.
-	if cfg.ParallelLanes && cfg.Plan == nil && cfg.Link.Latency > 0 {
-		for i := 0; i < cores; i++ {
-			m.Eng.Core(i).SetLane(m.Eng.NewLane())
-		}
-		m.Eng.Config = sim.Config{
-			ParallelLanes: true,
-			Lookahead:     cfg.Link.Latency,
-			// Boot runs serially: node startup allocates interrupt
-			// vectors and registers uintr threads through shared
-			// kernel state whose assignment order must match the
-			// serial schedule. Everything binds within the first
-			// raft tick.
-			ParallelAfter: tickInterval,
-		}
-	}
 	return c, nil
 }
 
@@ -249,11 +218,9 @@ func (c *Cluster) Members(pg int) []int { return c.members[pg] }
 func (c *Cluster) Err() error { return c.failure }
 
 func (c *Cluster) fail(err error) {
-	c.failMu.Lock()
 	if c.failure == nil {
 		c.failure = err
 	}
-	c.failMu.Unlock()
 }
 
 // Start spawns the monitor, every OSD, and every client. The monitor

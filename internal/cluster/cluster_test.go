@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"aeolia/internal/faultinject"
+	"aeolia/internal/netsim"
 	"aeolia/internal/trace"
 )
 
@@ -28,6 +30,22 @@ func runCluster(t *testing.T, cfg Config) (*Cluster, *trace.Analyzer) {
 	}
 	rep := trace.Analyze(tr.Events())
 	return c, rep
+}
+
+// runUntraced drives one cluster to completion, without a tracer, and
+// returns it with its acks and stats.
+func runUntraced(t *testing.T, cfg Config) (*Cluster, []Ack, Stats) {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	c.Start()
+	c.Run(2 * time.Second)
+	if err := c.Err(); err != nil {
+		t.Fatalf("cluster failed: %v", err)
+	}
+	return c, c.Acks(), c.Stats()
 }
 
 func checkClean(t *testing.T, c *Cluster, rep *trace.Analyzer) {
@@ -142,5 +160,29 @@ func TestDeterministicReplay(t *testing.T) {
 		if a1[i] != a2[i] {
 			t.Fatalf("ack %d diverges: %+v vs %+v", i, a1[i], a2[i])
 		}
+	}
+}
+
+// TestMeshHasNoClientLinks checks the fabric wiring: clients never talk to
+// each other, so no client↔client link exists, every other ordered endpoint
+// pair has one, and a run over that mesh completes with every ack audited.
+func TestMeshHasNoClientLinks(t *testing.T) {
+	cfg := Config{Nodes: 3, PGs: 2, RF: 3, Clients: 3, OpsPerClient: 15, Seed: 21,
+		Link: netsim.Config{Latency: 5 * time.Microsecond}}
+	c, acks, _ := runUntraced(t, cfg)
+	for _, l := range c.Fab.Links() {
+		if strings.Count(l.Name(), "client") == 2 {
+			t.Errorf("client↔client link %s wired", l.Name())
+		}
+	}
+	endpoints := 1 + cfg.Nodes + cfg.Clients
+	if want := endpoints*(endpoints-1) - cfg.Clients*(cfg.Clients-1); len(c.Fab.Links()) != want {
+		t.Errorf("%d links wired, want %d", len(c.Fab.Links()), want)
+	}
+	if len(acks) == 0 {
+		t.Error("no write was acknowledged over the mesh")
+	}
+	for _, e := range c.VerifyAcks() {
+		t.Errorf("lost-write audit: %v", e)
 	}
 }

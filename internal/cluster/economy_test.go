@@ -16,7 +16,7 @@ func TestBandwidthLimitedRF3(t *testing.T) {
 	cfg := Config{Nodes: 5, PGs: 8, RF: 3, Clients: 8, OpsPerClient: 1500,
 		WritePct: 70, PayloadBytes: 4096, Seed: 1,
 		Link: netsim.Config{Latency: 5 * time.Microsecond, BytesPerSec: 1.25e9}}
-	c, _, s := laneRun(t, cfg)
+	c, _, s := runUntraced(t, cfg)
 	if s.TxOverflows != 0 {
 		t.Errorf("%d link overflows, want 0", s.TxOverflows)
 	}
@@ -40,7 +40,7 @@ func TestBandwidthLimitedRF3(t *testing.T) {
 func TestClientDeadlineCancelled(t *testing.T) {
 	cfg := Config{Nodes: 3, PGs: 2, RF: 3, Clients: 3, OpsPerClient: 200, Seed: 4,
 		Link: netsim.Config{Latency: 5 * time.Microsecond}}
-	c, _, s := laneRun(t, cfg)
+	c, _, s := runUntraced(t, cfg)
 	if s.Timeouts != 0 {
 		t.Fatalf("%d timeouts in a clean run; the test needs none", s.Timeouts)
 	}
@@ -63,7 +63,7 @@ func TestPayloadBytesLimit(t *testing.T) {
 
 	ok := base
 	ok.PayloadBytes = 65000
-	c, acks, _ := laneRun(t, ok)
+	c, acks, _ := runUntraced(t, ok)
 	if len(acks) != ok.OpsPerClient {
 		t.Fatalf("%d writes acknowledged, want %d", len(acks), ok.OpsPerClient)
 	}

@@ -26,7 +26,6 @@ type Monitor struct {
 
 func newMonitor(c *Cluster) *Monitor {
 	m := &Monitor{c: c, ep: c.Fab.Endpoint("mon")}
-	m.ep.BindCore(c.M.Eng.Core(c.cfg.Nodes))
 	m.leaders = make([]int, c.cfg.PGs)
 	m.terms = make([]uint64, c.cfg.PGs)
 	for i := range m.leaders {

@@ -96,7 +96,6 @@ func newOSD(c *Cluster, id int, proc *machine.Process) *OSD {
 		groups:         make(map[int]*group),
 		ticksToCompact: c.cfg.CompactEvery}
 	n.tickFn = n.onTick
-	n.ep.BindCore(n.core)
 	for pg, ms := range c.members {
 		hosted := false
 		for _, m := range ms {

@@ -12,8 +12,8 @@ import (
 )
 
 // Interrupt mitigation on the OSD's receive port (internal/rxport). The
-// failover matrix, the repeated-leader-crash test and the lanes identity test
-// are the safety net; these pin what the port changed for a node.
+// failover matrix and the repeated-leader-crash test are the safety net;
+// these pin what the port changed for a node.
 
 var maskLink = netsim.Config{Latency: 5 * time.Microsecond}
 

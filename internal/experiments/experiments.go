@@ -68,7 +68,7 @@ func All() []*Experiment {
 		{"fig_cache", "Page-cache budget/read-ahead sweep (throughput, tails, hit rate)", FigCache, figCacheTrace},
 		{"fig_slo", "Per-tenant tail latency under antagonists, SLO enforcement off/on", FigSlo, figSloTrace},
 		{"fig_replication", "Replicated multi-raft block cluster: goodput/latency vs replication factor under faults", FigReplication, figReplicationTrace},
-		{"fig_simscale", "Simulator scale: 64-node/1024-client cluster, serial vs parallel lanes", FigSimScale, nil},
+		{"fig_simscale", "Simulator scale: 64-node/1024-client cluster", FigSimScale, nil},
 		{"fig_mdscale", "MGM/FST metadata/data split: namespace throughput vs MDS shard count", MDScale, mdScaleTrace},
 		{"fig_zerocopy", "Zero-copy datapath: ring vs batched block IOPS; epoch cache-hit read scaling", FigZerocopy, figZerocopyTrace},
 	}

@@ -29,7 +29,7 @@ func deterministicTables(tables []*report.Table) []*report.Table {
 // once per test process: Run twice in this one process (the second run meets
 // warmed pools, a grown heap and GC pressure, so equal output means the
 // result depends on nothing but the inputs — not allocation addresses, map
-// order, pool recycling or parallel-lane interleaving), then Trace once.
+// order or pool recycling), then Trace once.
 type figureCheck struct {
 	id       string
 	runErr   error     // a cell failed, or Run's acceptance predicate did

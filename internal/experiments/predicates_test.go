@@ -89,7 +89,9 @@ func TestPredicatesBite(t *testing.T) {
 		return &fcResult{Res: mbps(mb), Stats: aeofs.CacheStats{ReadaheadIssued: issued, ReadaheadHits: hits, ReadaheadWaste: waste}}
 	}
 	raOff := &fcResult{Res: mbps(100)}
-	serial := &simScaleResult{AckHash: 0xfeed, Stats: cluster.Stats{AckedWrites: 2048}}
+	scale := func(writes, reads uint64, lost int) *simScaleResult {
+		return &simScaleResult{Stats: cluster.Stats{AckedWrites: writes, Reads: reads}, Lost: lost}
+	}
 	okChain := func() *tracedCell { return new(stream).ioChain(0, 1, true).cell() }
 	okSvc := func() *stream { return new(stream).add(0, trace.SLOBound, -1, -1, 1, 0, 200000).svcChain(100, 1) }
 	okLease := func() *stream {
@@ -130,9 +132,9 @@ func TestPredicatesBite(t *testing.T) {
 		{"replGate overflow", replGate(3, "crash", 2, 4.5), "2 link overflow"},
 		{"replGate frames", replGate(3, "clean", 0, 5.5), "5.50 raft frames per op"},
 
-		{"simScaleGate pass", simScaleGate(serial, &simScaleResult{AckHash: 0xfeed, Stats: serial.Stats}), ""},
-		{"simScaleGate hash", simScaleGate(serial, &simScaleResult{AckHash: 0xbeef, Stats: serial.Stats}), "diverged"},
-		{"simScaleGate stats", simScaleGate(serial, &simScaleResult{AckHash: 0xfeed}), "diverged"},
+		{"simScaleGate pass", simScaleGate(scale(1456, 592, 0)), ""},
+		{"simScaleGate unfinished", simScaleGate(scale(1456, 591, 0)), "2047 of 2048 ops finished"},
+		{"simScaleGate lost", simScaleGate(scale(1456, 592, 3)), "3 acknowledged write(s) lost"},
 
 		{"mdsJournalGate pass", mdsJournalGate(0, &aeofs.TrustLayer{JournalBlocksWritten: 10, JournalBlocksDistinct: 10}), ""},
 		{"mdsJournalGate every image", mdsJournalGate(1, &aeofs.TrustLayer{JournalBlocksWritten: 48, JournalBlocksDistinct: 10}), "fst 1"},

@@ -20,10 +20,8 @@
 // in-flight records, whose departure and arrival callbacks are bound once;
 // each inbox is a ring of Msg values; and each endpoint keeps a free list of
 // frame buffers that its receivers hand back once they are done decoding
-// (Frame, Release). A record or buffer that crosses lanes — taken by the
-// sender, returned at or after the arrival — is recycled only in engine
-// context (sim.Engine.InWindow false); inside a parallel window a frame
-// allocates, as its event node does, so the lists need no lock.
+// (Frame, Release). Every fabric event runs on the engine's one serial
+// loop, so the lists need no lock.
 package netsim
 
 import (
@@ -158,12 +156,6 @@ type Endpoint struct {
 	name string
 	id   int
 
-	// home, when bound, is the core whose event lane owns this endpoint's
-	// fabric events: departures book on the sender's home lane, arrivals
-	// on the receiver's. Required for parallel-lane execution; unbound
-	// endpoints fall back to unattributed (engine-lane) scheduling.
-	home *sim.Core
-
 	inbox fifo.Queue[Msg]
 	// recv holds what the last two receives handed out: a receive copies
 	// the oldest inbox message into one slot and poisons the other, which
@@ -193,19 +185,6 @@ type Endpoint struct {
 
 // Name returns the endpoint's name.
 func (ep *Endpoint) Name() string { return ep.name }
-
-// BindCore declares c the endpoint's home core: the fabric attributes this
-// endpoint's events (and clock reads) to c's lane. Bind during setup,
-// before traffic flows.
-func (ep *Endpoint) BindCore(c *sim.Core) { ep.home = c }
-
-// now reads virtual time in the endpoint's execution context.
-func (ep *Endpoint) now() time.Duration {
-	if ep.home != nil {
-		return ep.home.Now()
-	}
-	return ep.fab.eng.Now()
-}
 
 // ID returns the endpoint's fabric-wide id (creation order).
 func (ep *Endpoint) ID() int { return ep.id }
@@ -250,7 +229,7 @@ func (ep *Endpoint) Arrival() *sim.Completion {
 // SignalArrival fires the armed arrival completion (if any): the receiver's
 // interrupt handler calls this to hand the inbox to the waiting task.
 func (ep *Endpoint) SignalArrival() {
-	ep.arrival.FireAt(ep.now())
+	ep.arrival.FireAt(ep.fab.eng.Now())
 }
 
 // Send transmits payload to the named destination over the connecting
@@ -317,7 +296,7 @@ func (ep *Endpoint) Frame(n int) []byte {
 	if c > maxFrameClass {
 		return make([]byte, 0, n)
 	}
-	if !ep.fab.eng.InWindow() && c < len(ep.frames) {
+	if c < len(ep.frames) {
 		if free := ep.frames[c]; len(free) > 0 {
 			b := free[len(free)-1]
 			free[len(free)-1] = nil
@@ -333,12 +312,11 @@ func (ep *Endpoint) Frame(n int) []byte {
 // last reader: it has decoded the frame and keeps nothing that aliases it.
 // m's payload reads nil afterwards, so releasing twice is harmless. The
 // buffer is left to the collector instead when its sender never takes
-// frames, and inside a parallel window, where the sender's free list belongs
-// to the sender's lane.
+// frames.
 func (ep *Endpoint) Release(m *Msg) {
 	b := m.Payload
 	m.Payload = nil
-	if b == nil || m.SrcID < 0 || m.SrcID >= len(ep.fab.order) || ep.fab.eng.InWindow() {
+	if b == nil || m.SrcID < 0 || m.SrcID >= len(ep.fab.order) {
 		return
 	}
 	src := ep.fab.order[m.SrcID]
@@ -373,7 +351,7 @@ type Link struct {
 	down       bool          // partitioned: everything arriving is lost
 
 	departFn func()    // l.depart, bound once
-	free     []*flight // records not in flight (engine context only)
+	free     []*flight // records not in flight
 
 	// Stats.
 	Sent, Delivered, Dropped, Duped, Overflows uint64
@@ -448,14 +426,11 @@ func (l *Link) transmit(payload []byte) error {
 }
 
 // schedule books one transmission: serialization on the wire, propagation,
-// jitter (clamped to preserve per-link FIFO), and the delivery event. The
-// departure event (releasing the sender-side queue slot) belongs to the
-// sender's lane; the arrival event belongs to the receiver's lane and, in
-// parallel-lane runs, is the cross-lane interaction the lookahead bound is
-// derived from (arrive >= now + Latency).
+// jitter (clamped to preserve per-link FIFO), the departure event (releasing
+// the sender-side queue slot) and the delivery event.
 func (l *Link) schedule(payload []byte, dup bool) {
 	eng := l.fab.eng
-	now := l.src.now()
+	now := eng.Now()
 	l.queued++
 	l.seq++
 	l.Sent++
@@ -476,11 +451,6 @@ func (l *Link) schedule(payload []byte, dup bool) {
 	f := l.newFlight()
 	f.payload, f.sentAt, f.dup, f.live = payload, now, dup, true
 	f.drop = l.fab.plan != nil && l.fab.plan.Fire(l.dropSite)
-	if src := l.src.home; src != nil {
-		src.ScheduleAt(depart, l.departFn)
-		src.ScheduleOn(l.dst.home, arrive, f.land)
-		return
-	}
 	eng.ScheduleAt(depart, l.departFn)
 	eng.ScheduleAt(arrive, f.land)
 }
@@ -491,7 +461,7 @@ func (l *Link) depart() { l.queued-- }
 
 // newFlight takes a record from the free list, or allocates one.
 func (l *Link) newFlight() *flight {
-	if n := len(l.free); n > 0 && !l.fab.eng.InWindow() {
+	if n := len(l.free); n > 0 {
 		f := l.free[n-1]
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
@@ -502,34 +472,30 @@ func (l *Link) newFlight() *flight {
 	return f
 }
 
-// arrive is a record's arrival event (event context, on the destination's
-// lane). The record is recycled before the message is delivered, because
-// delivery can run the receiver, and what it sends next should find the
-// record free.
+// arrive is a record's arrival event (event context). The record is
+// recycled before the message is delivered, because delivery can run the
+// receiver, and what it sends next should find the record free.
 func (f *flight) arrive() {
 	if !f.live {
 		panic("netsim: in-flight record landed after it was recycled")
 	}
 	l, payload, sentAt, dup, drop := f.l, f.payload, f.sentAt, f.dup, f.drop
 	f.payload, f.live = nil, false
-	if !l.fab.eng.InWindow() {
-		l.free = append(l.free, f)
-	}
+	l.free = append(l.free, f)
 	if drop || l.down {
 		l.Dropped++
 		if tr := l.fab.eng.Tracer; tr != nil {
-			tr.Emit(l.dst.now(), trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(payload)))
+			tr.Emit(l.fab.eng.Now(), trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(payload)))
 		}
 		return
 	}
 	l.deliverMsg(payload, sentAt, dup)
 }
 
-// deliverMsg lands one message at the destination endpoint (event context,
-// on the destination's lane).
+// deliverMsg lands one message at the destination endpoint (event context).
 func (l *Link) deliverMsg(payload []byte, sentAt time.Duration, dup bool) {
 	eng := l.fab.eng
-	now := l.dst.now()
+	now := eng.Now()
 	if l.dst.closed {
 		// The receiver is gone: account the message as dropped on the link
 		// (it was sent but never delivered) and on the endpoint, and do not

@@ -334,9 +334,9 @@ func max(a, b time.Duration) time.Duration {
 // it over to the posting of its CQE: the entry, the queue pair it came from,
 // the status it will complete with and, for a torn write, the prefix that
 // still reaches the write cache. Records are recycled through the device's
-// free list — the device's events run on one lane, so the list needs no lock
-// — and fire is bound once per record: scheduling a completion allocates
-// nothing.
+// free list — the engine runs one event at a time, so the list needs no
+// lock — and fire is bound once per record: scheduling a completion
+// allocates nothing.
 type command struct {
 	dev  *Device
 	qp   *QueuePair

@@ -2,158 +2,67 @@ package sim
 
 import "container/heap"
 
-// A shard is one lane's calendar: a binary heap of that lane's pending
-// events. The global order is recovered through the top-level index, which
-// tracks the minimum head across all non-empty shards.
-type shard struct {
-	id    int
-	h     eventHeap
-	pos   int  // index in calendar.top, -1 when empty/absent
-	dirty bool // head may have changed while the top index was frozen
-}
-
-// calendar is the sharded event queue: per-lane heaps plus a heap-of-shards
-// ("top") keyed by each shard's head event. Schedule, cancel, and pop cost
-// O(log k) in the owning shard's population plus O(log s) in the shard
-// count, instead of O(log n) in the global event count — and, more
-// importantly, the per-lane heaps are what parallel windows detach from.
+// calendar is the event queue: one binary min-heap of pending events
+// ordered by (at, seq). Sequence numbers are global and unique, so the pop
+// order is total and a run is deterministic.
 type calendar struct {
-	shards []*shard
-	top    topHeap
+	h eventHeap
 }
 
-func newCalendar() *calendar {
-	c := &calendar{}
-	c.addShard() // shard 0: the engine lane
-	return c
-}
+func (c *calendar) len() int { return len(c.h) }
 
-// addShard appends a new empty shard and returns its id.
-func (c *calendar) addShard() int {
-	s := &shard{id: len(c.shards), pos: -1}
-	c.shards = append(c.shards, s)
-	return s.id
-}
+// push inserts ev.
+func (c *calendar) push(ev *Event) { heap.Push(&c.h, ev) }
 
-func (c *calendar) len() int {
-	n := 0
-	for _, s := range c.shards {
-		n += len(s.h)
-	}
-	return n
-}
-
-// push inserts ev into its lane's shard.
-func (c *calendar) push(ev *Event) {
-	s := c.shards[ev.lane]
-	heap.Push(&s.h, ev)
-	if ev.index == 0 { // new head: the shard's key changed
-		c.fixTop(s)
-	}
-}
-
-// peek returns the globally-minimum pending event without removing it.
+// peek returns the minimum pending event without removing it.
 func (c *calendar) peek() *Event {
-	if len(c.top) == 0 {
+	if len(c.h) == 0 {
 		return nil
 	}
-	return c.top[0].h[0]
+	return c.h[0]
 }
 
-// pop removes and returns the globally-minimum pending event.
+// pop removes and returns the minimum pending event.
 func (c *calendar) pop() *Event {
-	if len(c.top) == 0 {
+	if len(c.h) == 0 {
 		return nil
 	}
-	s := c.top[0]
-	ev := heap.Pop(&s.h).(*Event)
-	c.fixTop(s)
-	return ev
+	return heap.Pop(&c.h).(*Event)
 }
 
-// remove deletes ev from its shard (it must be pending there).
-func (c *calendar) remove(ev *Event) {
-	s := c.shards[ev.lane]
-	wasHead := ev.index == 0
-	heap.Remove(&s.h, ev.index)
-	// An interior removal cannot change the shard's head: the root of the
-	// heap is untouched by Remove unless the root itself was removed.
-	if wasHead || len(s.h) == 0 {
-		c.fixTop(s)
+// remove deletes ev (it must be pending).
+func (c *calendar) remove(ev *Event) { heap.Remove(&c.h, ev.index) }
+
+// eventHeap is a binary min-heap of events ordered by (at, seq).
+type eventHeap []*Event
+
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
+	return h[i].seq < h[j].seq
 }
 
-// removeDeferred deletes ev from its shard without repairing the top index
-// — used from lane goroutines during a parallel window, when the top index
-// is frozen (detached heads make it stale anyway). The shard is marked
-// dirty; the merge rebuilds the top index wholesale.
-func (c *calendar) removeDeferred(ev *Event) {
-	s := c.shards[ev.lane]
-	heap.Remove(&s.h, ev.index)
-	s.dirty = true
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
 }
 
-// fixTop repairs the top index after s's head changed (single violation).
-func (c *calendar) fixTop(s *shard) {
-	switch {
-	case len(s.h) == 0 && s.pos >= 0:
-		heap.Remove(&c.top, s.pos)
-	case len(s.h) > 0 && s.pos < 0:
-		heap.Push(&c.top, s)
-	case len(s.h) > 0:
-		heap.Fix(&c.top, s.pos)
-	}
-	s.dirty = false
+func (h *eventHeap) Push(x any) {
+	ev := x.(*Event)
+	ev.index = len(*h)
+	*h = append(*h, ev)
 }
 
-// rebuildTop reconstructs the top index from scratch. Required after a
-// parallel window: multiple shards may have changed heads, and heap.Fix is
-// only sound for one violation at a time.
-func (c *calendar) rebuildTop() {
-	c.top = c.top[:0]
-	for _, s := range c.shards {
-		s.dirty = false
-		if len(s.h) > 0 {
-			s.pos = len(c.top)
-			c.top = append(c.top, s)
-		} else {
-			s.pos = -1
-		}
-	}
-	heap.Init(&c.top)
-}
-
-// topHeap orders non-empty shards by their head event's (at, seq).
-type topHeap []*shard
-
-func (t topHeap) Len() int { return len(t) }
-
-func (t topHeap) Less(i, j int) bool {
-	a, b := t[i].h[0], t[j].h[0]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (t topHeap) Swap(i, j int) {
-	t[i], t[j] = t[j], t[i]
-	t[i].pos = i
-	t[j].pos = j
-}
-
-func (t *topHeap) Push(x any) {
-	s := x.(*shard)
-	s.pos = len(*t)
-	*t = append(*t, s)
-}
-
-func (t *topHeap) Pop() any {
-	old := *t
+func (h *eventHeap) Pop() any {
+	old := *h
 	n := len(old)
-	s := old[n-1]
+	ev := old[n-1]
 	old[n-1] = nil
-	s.pos = -1
-	*t = old[:n-1]
-	return s
+	ev.index = -1
+	*h = old[:n-1]
+	return ev
 }

@@ -6,24 +6,14 @@ import (
 	"time"
 )
 
-// calModel drives one randomized schedule/cancel/pop workload against a
-// sharded calendar and a reference flat list, checking that every pop agrees
-// with the reference's (at, seq) minimum. Used by both the quick property
-// test and the shard-count invariance test.
+// calModel drives one randomized schedule/cancel/pop workload against the
+// calendar and a reference flat list, checking that every pop agrees with
+// the reference's (at, seq) minimum.
 type calModel struct {
-	t    *testing.T
-	cal  *calendar
-	ref  []*Event // mirror of everything pending in cal
-	seq  uint64
-	pops []*Event
-}
-
-func newCalModel(t *testing.T, shards int) *calModel {
-	m := &calModel{t: t, cal: newCalendar()}
-	for i := 1; i < shards; i++ {
-		m.cal.addShard()
-	}
-	return m
+	t   *testing.T
+	cal calendar
+	ref []*Event // mirror of everything pending in cal
+	seq uint64
 }
 
 // refMin returns the index of the reference's (at, seq) minimum.
@@ -43,17 +33,16 @@ func (m *calModel) refDelete(i int) {
 	m.ref = m.ref[:len(m.ref)-1]
 }
 
-// step applies one encoded operation. The word picks the op, the lane, and
-// the timestamp; timestamps are drawn from a small space so equal-(at) ties
-// are common.
+// step applies one encoded operation. The word picks the op and the
+// timestamp; timestamps are drawn from a small space so equal-(at) ties are
+// common.
 func (m *calModel) step(w uint32) bool {
 	op := w & 3
-	lane := int32((w >> 2) % uint32(len(m.cal.shards)))
 	at := time.Duration((w>>8)%64) * time.Microsecond
 	switch op {
 	case 0, 1: // schedule
 		m.seq++
-		ev := &Event{at: at, seq: m.seq, lane: lane, state: evPending}
+		ev := &Event{at: at, seq: m.seq, state: evPending}
 		m.cal.push(ev)
 		m.ref = append(m.ref, ev)
 	case 2: // cancel a random pending event
@@ -61,15 +50,7 @@ func (m *calModel) step(w uint32) bool {
 			return true
 		}
 		i := int((w >> 8) % uint32(len(m.ref)))
-		ev := m.ref[i]
-		if w>>31 == 1 {
-			// The parallel-window path: deferred removal with a frozen
-			// top index, then the wholesale rebuild the merge performs.
-			m.cal.removeDeferred(ev)
-			m.cal.rebuildTop()
-		} else {
-			m.cal.remove(ev)
-		}
+		m.cal.remove(m.ref[i])
 		m.refDelete(i)
 	case 3: // pop the global minimum
 		want := m.refMin()
@@ -87,7 +68,6 @@ func (m *calModel) step(w uint32) bool {
 			return false
 		}
 		m.refDelete(want)
-		m.pops = append(m.pops, got)
 	}
 	return true
 }
@@ -107,13 +87,11 @@ func (m *calModel) drain() bool {
 }
 
 // TestCalendarDifferentialQuick is the differential property test of the
-// sharded calendar: any randomized schedule/cancel/pop workload, spread over
-// any shard count, must pop in exactly the reference single-list (at, seq)
-// order — including through the deferred-removal + rebuild path that
-// parallel windows use.
+// calendar: any randomized schedule/cancel/pop workload must pop in exactly
+// the reference single-list (at, seq) order.
 func TestCalendarDifferentialQuick(t *testing.T) {
-	prop := func(ops []uint32, shardBits uint8) bool {
-		m := newCalModel(t, 1+int(shardBits%8))
+	prop := func(ops []uint32) bool {
+		m := &calModel{t: t}
 		for _, w := range ops {
 			if !m.step(w) {
 				return false
@@ -123,50 +101,6 @@ func TestCalendarDifferentialQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCalendarShardCountInvariance replays one fixed workload under every
-// shard count and requires the identical pop sequence: sharding is a data
-// structure choice, never an ordering choice.
-func TestCalendarShardCountInvariance(t *testing.T) {
-	// A seeded splitmix64 stream keeps the workload identical across runs.
-	words := make([]uint32, 4096)
-	x := uint64(0xae011a)
-	for i := range words {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		words[i] = uint32(z ^ (z >> 31))
-	}
-	var base []uint64 // (at, seq) of every pop under shards=1
-	for _, shards := range []int{1, 2, 3, 4, 8} {
-		m := newCalModel(t, shards)
-		for _, w := range words {
-			if !m.step(w) {
-				t.Fatalf("shards=%d: differential failure", shards)
-			}
-		}
-		if !m.drain() {
-			t.Fatalf("shards=%d: drain failure", shards)
-		}
-		order := make([]uint64, len(m.pops))
-		for i, ev := range m.pops {
-			order[i] = uint64(ev.at)<<16 | ev.seq
-		}
-		if base == nil {
-			base = order
-			continue
-		}
-		if len(order) != len(base) {
-			t.Fatalf("shards=%d popped %d events, shards=1 popped %d", shards, len(order), len(base))
-		}
-		for i := range order {
-			if order[i] != base[i] {
-				t.Fatalf("shards=%d pop %d = %#x, shards=1 = %#x", shards, i, order[i], base[i])
-			}
-		}
 	}
 }
 

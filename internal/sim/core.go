@@ -80,11 +80,6 @@ type Core struct {
 	ID  int
 	eng *Engine
 
-	// lane is the event lane this core belongs to (0 = the serial engine
-	// lane). Cores on distinct non-zero lanes may execute concurrently
-	// inside parallel windows.
-	lane int32
-
 	current *Task
 	idle    bool
 
@@ -145,52 +140,20 @@ func newCore(e *Engine, id int) *Core {
 // Idle reports whether the core is idle.
 func (c *Core) Idle() bool { return c.idle }
 
-// SetLane assigns the core to an event lane created with Engine.NewLane.
-// Must be called during setup, before the simulation runs.
-func (c *Core) SetLane(lane int) {
-	if lane < 0 || lane >= len(c.eng.cal.shards) {
-		panic("sim: SetLane: no such lane")
-	}
-	c.lane = int32(lane)
-}
-
-// now returns the core's current virtual time: the lane-local clock inside
-// a parallel window, the global clock otherwise.
-func (c *Core) now() time.Duration {
-	if w := c.eng.win; w != nil {
-		lc := w.lcs[c.lane]
-		if lc == nil {
-			panic("sim: clock read on a lane not participating in the window")
-		}
-		return lc.now
-	}
-	return c.eng.now
-}
+// now returns the engine's virtual time.
+func (c *Core) now() time.Duration { return c.eng.now }
 
 // Now returns the current virtual time as observed on this core.
 func (c *Core) Now() time.Duration { return c.now() }
 
-// Schedule enqueues fn on this core's lane after delay of core-local
-// virtual time.
+// Schedule enqueues fn after delay of virtual time.
 func (c *Core) Schedule(delay time.Duration, fn func()) Timer {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	return c.eng.schedule(c, c, c.now()+delay, fn)
+	return c.eng.Schedule(delay, fn)
 }
 
-// ScheduleAt enqueues fn on this core's lane at absolute virtual time at.
+// ScheduleAt enqueues fn at absolute virtual time at.
 func (c *Core) ScheduleAt(at time.Duration, fn func()) Timer {
-	return c.eng.schedule(c, c, at, fn)
-}
-
-// ScheduleOn enqueues fn on target's lane at absolute virtual time at,
-// attributed to this core's execution context. This is the cross-lane
-// scheduling primitive (netsim frame arrivals); inside a parallel window,
-// at must fall at or beyond the window end — i.e. at least the lookahead
-// bound away — or the engine panics.
-func (c *Core) ScheduleOn(target *Core, at time.Duration, fn func()) Timer {
-	return c.eng.schedule(c, target, at, fn)
+	return c.eng.schedule(at, fn)
 }
 
 // SetIRQHandler installs the core's interrupt handler.

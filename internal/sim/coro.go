@@ -7,12 +7,11 @@ import (
 	"runtime/debug"
 )
 
-// A task body is a coroutine of whoever dispatches it (the engine goroutine,
-// or a lane goroutine inside a parallel window): iter.Pull gives it a stack
-// of its own and makes every handoff a direct switch on the calling thread,
-// with no channel, no scheduler wake-up and no second runnable goroutine. The
-// coroutine ends when the body returns, so there is nothing to pool and
-// nothing to retire. iter is Go 1.23's; go.mod stays at 1.22 because the
+// A task body is a coroutine of the engine goroutine that dispatches it:
+// iter.Pull gives it a stack of its own and makes every handoff a direct
+// switch on the calling thread, with no channel, no scheduler wake-up and no
+// second runnable goroutine. The coroutine ends when the body returns, so
+// there is nothing to pool and nothing to retire. iter is Go 1.23's; go.mod stays at 1.22 because the
 // benchmark module requires this one at that version, hence the build tag
 // and no fallback file.
 

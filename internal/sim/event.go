@@ -6,38 +6,21 @@ import "time"
 // generation counter in Timer makes stale handles to recycled nodes inert.
 const (
 	evFree    uint8 = iota // in the free pool, awaiting reuse
-	evPending              // queued in its lane's calendar shard
-	evWindow               // detached into a lane's in-window heap
-	evEmitted              // created during a parallel window, awaiting merge
-	evDone                 // fired (or executed inside a window, pre-merge)
+	evPending              // queued in the calendar
 )
-
-// tentBit marks a tentative (in-window, pre-merge) sequence number. Real
-// sequence numbers stay far below it, so at equal timestamps every
-// pre-window event orders before every window-born one — exactly the order
-// a serial run produces, since window-born events would have been assigned
-// larger sequence numbers there too.
-const tentBit = uint64(1) << 63
 
 // Event is a scheduled callback in virtual time. Events are ordered by time
 // and, for equal times, by insertion sequence, which makes runs fully
 // deterministic. Event nodes are pooled and recycled after firing; callers
 // hold Timer handles, never *Event.
 type Event struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	eng       *Engine
-	gen       uint64 // bumped on every recycle; Timer handles check it
-	lane      int32  // the lane whose shard/window owns the event
-	state     uint8
-	cancelled bool // evEmitted only: cancelled before the merge
-	index     int  // heap index in whichever heap holds the node
-
-	// emits collects the events scheduled while this event executed inside
-	// a parallel window, in program order; the merge replays them to assign
-	// real sequence numbers.
-	emits []*Event
+	at    time.Duration
+	seq   uint64
+	fn    func()
+	eng   *Engine
+	gen   uint64 // bumped on every recycle; Timer handles check it
+	state uint8
+	index int // heap index in the calendar
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -52,16 +35,7 @@ type Timer struct {
 // Armed reports whether the event is still scheduled to fire.
 func (tm Timer) Armed() bool {
 	ev := tm.ev
-	if ev == nil || ev.gen != tm.gen {
-		return false
-	}
-	switch ev.state {
-	case evPending, evWindow:
-		return true
-	case evEmitted:
-		return !ev.cancelled
-	}
-	return false
+	return ev != nil && ev.gen == tm.gen && ev.state == evPending
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired (or
@@ -83,40 +57,4 @@ func (tm Timer) At() time.Duration {
 		return 0
 	}
 	return tm.ev.at
-}
-
-// eventHeap is a binary min-heap of events ordered by (at, seq). It backs
-// every per-lane calendar shard, the in-window lane heaps, and the merge's
-// replay heap.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
 }
