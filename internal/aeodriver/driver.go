@@ -34,14 +34,18 @@ type CompletionMode int
 
 // Completion modes. ModeUserInterrupt is Aeolia's design; ModePoll and
 // ModeKernelInterrupt are the Figure 17 ablations (+poll, +k_intr);
-// ModeKernelNative is the substrate the kernel-file-system baselines run on.
+// ModeKernelNative is the kernel's own completion. With Config.KernelCrossing
+// and a wait policy, ModePoll and ModeKernelNative are also the §2 baseline
+// stacks (SPDK, iou_poll; POSIX, iou_dfl, iou_opt).
 const (
 	ModeUserInterrupt CompletionMode = iota
 	ModePoll
 	ModeKernelInterrupt
-	// ModeKernelNative models a conventional in-kernel consumer of the
-	// interrupt (no userspace forwarding): ISR + bottom half + wakeup.
-	// The kernel-file-system baselines use it as their I/O substrate.
+	// ModeKernelNative is a conventional in-kernel consumer of the
+	// interrupt, with no userspace forwarding: the ISR and bottom half
+	// drain the CQ, then wake the waiter if it slept. No user-interrupt
+	// handler frame runs. The interrupt-driven baselines and the kernel
+	// file systems (ext4, f2fs) complete their I/O this way.
 	ModeKernelNative
 )
 
@@ -84,6 +88,12 @@ type Config struct {
 	Mode       CompletionMode
 	Policy     WaitPolicy
 	QueueDepth int
+
+	// KernelCrossing is the kernel path each submission pays on top of SQE
+	// prep and the doorbell: a baseline stack's syscall, io_uring and block
+	// layer (timing.POSIXSyscall, timing.KernelSubmit). 0 for a userspace
+	// driver.
+	KernelCrossing time.Duration
 
 	// MaxRetries bounds how many times Wait re-submits a command that
 	// completed with a transient NVMe status (nvme.Status.Transient)
@@ -460,19 +470,6 @@ func (d *Driver) GetPerm(env *sim.Env, blk uint64) (Perm, error) {
 	return d.perm.Get(blk), nil
 }
 
-// PermTrace, when set, observes every permission change to WatchBlk
-// (debugging).
-var PermTrace func(op string, blk uint64, p Perm)
-
-// WatchBlk is the block PermTrace observes.
-var WatchBlk uint64
-
-func tracePerm(op string, blk uint64, p Perm) {
-	if PermTrace != nil && blk == WatchBlk {
-		PermTrace(op, blk, p)
-	}
-}
-
 // SetPerm changes a block's permission (Table 4 ⑫); trusted entities only.
 func (d *Driver) SetPerm(env *sim.Env, blk uint64, p Perm) error {
 	if !d.proc.Thread.InTrustedGate() {
@@ -481,7 +478,6 @@ func (d *Driver) SetPerm(env *sim.Env, blk uint64, p Perm) error {
 	if err := d.kern.Sys.Check(d.proc.Thread, d.permRegion, true); err != nil {
 		return err
 	}
-	tracePerm("set", blk, p)
 	d.perm.Set(blk, p)
 	return nil
 }
@@ -496,7 +492,6 @@ func (d *Driver) GrantPerm(env *sim.Env, blk uint64, p Perm) error {
 	if err := d.kern.Sys.Check(d.proc.Thread, d.permRegion, true); err != nil {
 		return err
 	}
-	tracePerm("grant", blk, d.perm.Get(blk)|p)
 	d.perm.Set(blk, d.perm.Get(blk)|p)
 	return nil
 }
@@ -508,9 +503,6 @@ func (d *Driver) SetPermRange(env *sim.Env, blk, n uint64, p Perm) error {
 	}
 	if err := d.kern.Sys.Check(d.proc.Thread, d.permRegion, true); err != nil {
 		return err
-	}
-	if PermTrace != nil && WatchBlk >= blk && WatchBlk < blk+n {
-		PermTrace("setrange", WatchBlk, p)
 	}
 	d.perm.SetRange(blk, n, p)
 	return nil
@@ -614,7 +606,9 @@ func (th *Thread) enqueue(env *sim.Env, op nvme.Opcode, iov []IOVec, priv bool, 
 			perCmd = timing.RingPrep
 			entries = th.stageRing(entries)
 		}
-		env.Exec(time.Duration(len(iov))*perCmd + timing.DoorbellWrite)
+		// One Exec: the kernel crossing is not a preemption point of its
+		// own.
+		env.Exec(time.Duration(len(iov))*perCmd + timing.DoorbellWrite + d.cfg.KernelCrossing)
 		cids, serr := th.qp.SubmitBatch(th.cids[:0], entries)
 		th.entries, th.cids = entries, cids
 		if serr != nil {
@@ -913,8 +907,14 @@ func (th *Thread) kernelIntrDeliver(ctx *sim.IRQCtx, _ int) {
 }
 
 // kernelNativeDeliver is the in-kernel completion path (ModeKernelNative):
-// interrupt + bottom half, then waking the in-kernel waiter.
+// interrupt + bottom half, which drains the CQ in interrupt context. Firing
+// the request a blocked waiter sleeps on makes it runnable, and the interrupt
+// pays that ttwu.
 func (th *Thread) kernelNativeDeliver(ctx *sim.IRQCtx, _ int) {
 	ctx.Charge(timing.KernelInterrupt + timing.KernelBottomHalf)
-	th.Deliver(ctx)
+	wasBlocked := th.task.State() == sim.TaskBlocked
+	th.drainCQ(ctx.Now())
+	if wasBlocked && th.task.State() != sim.TaskBlocked {
+		ctx.Charge(timing.WakeupTTWU)
+	}
 }

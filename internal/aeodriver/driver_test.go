@@ -336,6 +336,36 @@ func TestAlwaysBlockPolicySlower(t *testing.T) {
 	}
 }
 
+// TestKernelNativeCompletesInBottomHalf pins what a kernel completion is: the
+// ISR's bottom half drains the CQ and wakes the blocked reader, so no
+// user-interrupt handler frame runs on the task. That frame is Aeolia's alone.
+func TestKernelNativeCompletesInBottomHalf(t *testing.T) {
+	m := newMachine(t, 1)
+	p := launch(t, m, "ext4", aeokern.Partition{Start: 0, Blocks: 1 << 16, Writable: true},
+		aeodriver.Config{Mode: aeodriver.ModeKernelNative, Policy: aeodriver.PolicyAlwaysBlock})
+	var th *aeodriver.Thread
+	m.Eng.Spawn("reader", m.Eng.Core(0), func(env *sim.Env) {
+		var err error
+		if th, err = p.Driver.CreateQP(env); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := p.Driver.ReadBlk(env, 3, 1, make([]byte, 4096)); err != nil {
+			t.Error(err)
+		}
+	})
+	m.Run(0)
+	if th == nil {
+		t.Fatal("no thread")
+	}
+	if got := th.BlockedWaits.Load(); got != 1 {
+		t.Fatalf("BlockedWaits = %d, want 1 (the read must block)", got)
+	}
+	if got := th.HandlerRuns.Load(); got != 0 {
+		t.Fatalf("HandlerRuns = %d, want 0: a kernel completion pushed a user-interrupt handler frame", got)
+	}
+}
+
 func TestAsyncSubmitQueueDepth(t *testing.T) {
 	m := newMachine(t, 1)
 	p := launch(t, m, "tp", aeokern.Partition{Start: 0, Blocks: 1 << 16, Writable: true},

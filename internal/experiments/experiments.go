@@ -16,7 +16,7 @@ import (
 	"aeolia/internal/nvme"
 	"aeolia/internal/report"
 	"aeolia/internal/sim"
-	"aeolia/internal/stackmodel"
+	"aeolia/internal/timing"
 	"aeolia/internal/trace"
 	"aeolia/internal/workload"
 )
@@ -94,29 +94,41 @@ func blockDev(blockSize int) nvme.Config {
 	return nvme.Config{BlockSize: blockSize, NumBlocks: 1 << 20}
 }
 
-// newBlockIO builds the named stack on machine m.
+// baselines are the stacks Aeolia is evaluated against (§2, §9), each one
+// AeoDriver configuration over the same device: how a completion reaches
+// the waiter, what the waiter does meanwhile, and the kernel path each
+// submission crosses. POSIX is pread/pwrite with O_DIRECT; iou_dfl is
+// io_uring's default (interrupts, eager sleep); iou_opt is io_uring with the
+// active-checking policy; iou_poll is IORING_SETUP_IOPOLL; spdk is a polling
+// userspace driver. All run at queue depth 64.
+var baselines = map[string]aeodriver.Config{
+	"posix":    {Mode: aeodriver.ModeKernelNative, Policy: aeodriver.PolicyAlwaysBlock, KernelCrossing: timing.POSIXSyscall},
+	"iou_dfl":  {Mode: aeodriver.ModeKernelNative, Policy: aeodriver.PolicyAlwaysBlock, KernelCrossing: timing.KernelSubmit},
+	"iou_opt":  {Mode: aeodriver.ModeKernelNative, Policy: aeodriver.PolicyCoordinated, KernelCrossing: timing.KernelSubmit},
+	"iou_poll": {Mode: aeodriver.ModePoll, KernelCrossing: timing.KernelSubmit},
+	"spdk":     {Mode: aeodriver.ModePoll},
+}
+
+// newBlockIO builds the named stack on machine m: Aeolia, or a baseline
+// launched the same way with its own configuration and no trusted-entry toll.
 func newBlockIO(m *machine.Machine, name string) (workload.BlockIO, error) {
-	switch name {
-	case "aeolia":
-		p, err := m.Launch("fio-aeolia", aeokern.Partition{Start: 0, Blocks: m.Dev.NumBlocks(), Writable: true},
-			aeodriver.Config{Mode: aeodriver.ModeUserInterrupt})
-		if err != nil {
-			return nil, err
-		}
-		return &workload.DriverIO{Driver: p.Driver}, nil
-	case "posix":
-		return &workload.StackIO{Stack: stackmodel.New(m.Kern, stackmodel.POSIX)}, nil
-	case "iou_dfl":
-		return &workload.StackIO{Stack: stackmodel.New(m.Kern, stackmodel.IOUDfl)}, nil
-	case "iou_opt":
-		return &workload.StackIO{Stack: stackmodel.New(m.Kern, stackmodel.IOUOpt)}, nil
-	case "iou_poll":
-		return &workload.StackIO{Stack: stackmodel.New(m.Kern, stackmodel.IOUPoll)}, nil
-	case "spdk":
-		return &workload.StackIO{Stack: stackmodel.New(m.Kern, stackmodel.SPDK)}, nil
+	cfg, baseline := baselines[name]
+	switch {
+	case baseline:
+		cfg.QueueDepth = 64
+	case name == "aeolia":
+		cfg = aeodriver.Config{Mode: aeodriver.ModeUserInterrupt}
 	default:
 		return nil, fmt.Errorf("experiments: unknown stack %q", name)
 	}
+	p, err := m.Launch("fio-"+name, aeokern.Partition{Start: 0, Blocks: m.Dev.NumBlocks(), Writable: true}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if baseline {
+		p.Gate.EntryCost = 0
+	}
+	return &workload.DriverIO{Driver: p.Driver}, nil
 }
 
 // usec renders a duration in microseconds.

@@ -140,8 +140,10 @@ type KernFS struct {
 
 var _ vfs.FileSystem = (*KernFS)(nil)
 
-// New wraps an AeoFS instance (whose driver should use ModeKernelNative) as
-// a kernel file system of the given flavor.
+// New wraps an AeoFS instance as a kernel file system of the given flavor.
+// Its driver should use ModeKernelNative, the kernel's own completion path
+// that the interrupt-driven block baselines share: the bottom half drains the
+// CQ and wakes the waiter.
 func New(flavor Flavor, inner *aeofs.FS) *KernFS {
 	prof := Ext4Profile()
 	if flavor == F2FS {

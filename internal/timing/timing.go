@@ -61,14 +61,18 @@ const (
 	TrustedEntry = 40 * time.Nanosecond
 )
 
-// TrustedSwitch is the per-operation toll of the eager integrity check's
-// domain switch ("each operation pays an extra 85 cycles to switch to the
-// trusted entity", §1/§7.3).
-var TrustedSwitch = Cycles(85)
+// Costs the paper reports in cycles, converted at CPUGHz as Cycles does
+// (TestCycles pins each to its Cycles value).
+const (
+	// TrustedSwitch is the per-operation toll of the eager integrity
+	// check's domain switch ("each operation pays an extra 85 cycles to
+	// switch to the trusted entity", §1/§7.3).
+	TrustedSwitch = 85 * time.Nanosecond / CPUGHz
 
-// WRPKRU is the cost of one protection-key register write ("around 48
-// cycles on our machine", §5).
-var WRPKRU = Cycles(48)
+	// WRPKRU is the cost of one protection-key register write ("around 48
+	// cycles on our machine", §5).
+	WRPKRU = 48 * time.Nanosecond / CPUGHz
+)
 
 // Derived software-path costs. These are fixed by the single-task 4KB read
 // latencies of Figure 2 (iou_dfl 8.2µs, iou_opt 6.3µs, iou_poll 5.4µs,

@@ -39,7 +39,8 @@ type worker struct {
 }
 
 // Server is a uFS instance: dedicated workers over a private AeoFS
-// substrate (whose driver should use ModePoll — SPDK).
+// substrate. Its driver should use ModePoll, the completion of the SPDK
+// block baseline.
 type Server struct {
 	inner   *aeofs.FS
 	workers []*worker

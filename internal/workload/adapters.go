@@ -4,56 +4,10 @@ import (
 	"aeolia/internal/aeodriver"
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
-	"aeolia/internal/stackmodel"
 )
 
-// StackIO adapts a stackmodel.Stack (POSIX, io_uring variants, SPDK) to
-// BlockIO.
-type StackIO struct {
-	Stack *stackmodel.Stack
-	Depth int
-}
-
-var _ BlockIO = (*StackIO)(nil)
-
-// Init implements BlockIO.
-func (s *StackIO) Init(env *sim.Env) error {
-	d := s.Depth
-	if d == 0 {
-		d = 64
-	}
-	return s.Stack.Prepare(env, d)
-}
-
-// Read implements BlockIO.
-func (s *StackIO) Read(env *sim.Env, lba uint64, cnt uint32, buf []byte) error {
-	return s.Stack.Read(env, lba, cnt, buf)
-}
-
-// Write implements BlockIO.
-func (s *StackIO) Write(env *sim.Env, lba uint64, cnt uint32, buf []byte) error {
-	return s.Stack.Write(env, lba, cnt, buf)
-}
-
-// SubmitRead implements BlockIO.
-func (s *StackIO) SubmitRead(env *sim.Env, lba uint64, cnt uint32, buf []byte) (func(*sim.Env) error, error) {
-	req, err := s.Stack.Submit(env, nvme.OpRead, lba, cnt, buf)
-	if err != nil {
-		return nil, err
-	}
-	return func(env *sim.Env) error { return s.Stack.Wait(env, req) }, nil
-}
-
-// SubmitWrite implements BlockIO.
-func (s *StackIO) SubmitWrite(env *sim.Env, lba uint64, cnt uint32, buf []byte) (func(*sim.Env) error, error) {
-	req, err := s.Stack.Submit(env, nvme.OpWrite, lba, cnt, buf)
-	if err != nil {
-		return nil, err
-	}
-	return func(env *sim.Env) error { return s.Stack.Wait(env, req) }, nil
-}
-
-// DriverIO adapts AeoDriver to BlockIO.
+// DriverIO adapts AeoDriver to BlockIO: Aeolia, or any baseline stack
+// configured as a driver.
 type DriverIO struct {
 	Driver *aeodriver.Driver
 }

@@ -4,11 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"aeolia/internal/aeodriver"
 	"aeolia/internal/aeofs"
+	"aeolia/internal/aeokern"
 	"aeolia/internal/machine"
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
-	"aeolia/internal/stackmodel"
 	"aeolia/internal/vfs"
 	"aeolia/internal/workload"
 )
@@ -55,15 +56,28 @@ func TestResultRates(t *testing.T) {
 	}
 }
 
+// spdkIO is the SPDK baseline on m: a polling driver with a queue depth of
+// 64 and no kernel crossing or trusted-entry toll.
+func spdkIO(t *testing.T, m *machine.Machine) *workload.DriverIO {
+	t.Helper()
+	p, err := m.Launch("fio-spdk", aeokern.Partition{Start: 0, Blocks: m.Dev.NumBlocks(), Writable: true},
+		aeodriver.Config{Mode: aeodriver.ModePoll, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Gate.EntryCost = 0
+	return &workload.DriverIO{Driver: p.Driver}
+}
+
 func TestFioJobSequentialAndRandom(t *testing.T) {
 	for _, pattern := range []workload.FioPattern{workload.PatternSeq, workload.PatternRand} {
 		m := machine.New(1, nvme.Config{BlockSize: 4096, NumBlocks: 1 << 14})
-		st := stackmodel.New(m.Kern, stackmodel.SPDK)
+		io := spdkIO(t, m)
 		var res *workload.Result
 		var rerr error
 		m.Eng.Spawn("fio", m.Eng.Core(0), func(env *sim.Env) {
 			job := &workload.FioJob{
-				Name: "t", IO: &workload.StackIO{Stack: st}, Pattern: pattern,
+				Name: "t", IO: io, Pattern: pattern,
 				BlockSizeBytes: 4096, BlockBytes: 4096, Span: 1 << 13, Ops: 50,
 			}
 			res, rerr = job.Run(env)
@@ -86,11 +100,11 @@ func TestFioJobQueueDepthFasterThanSync(t *testing.T) {
 	run := func(qd int) time.Duration {
 		m := machine.New(1, nvme.Config{BlockSize: 4096, NumBlocks: 1 << 14})
 		defer m.Eng.Shutdown()
-		st := stackmodel.New(m.Kern, stackmodel.SPDK)
+		io := spdkIO(t, m)
 		var elapsed time.Duration
 		m.Eng.Spawn("fio", m.Eng.Core(0), func(env *sim.Env) {
 			job := &workload.FioJob{
-				Name: "t", IO: &workload.StackIO{Stack: st}, Pattern: workload.PatternRand,
+				Name: "t", IO: io, Pattern: workload.PatternRand,
 				BlockSizeBytes: 4096, BlockBytes: 4096, Span: 1 << 13, Ops: 120, QD: qd,
 			}
 			res, err := job.Run(env)
