@@ -1,6 +1,8 @@
 package aeofs
 
 import (
+	"encoding/binary"
+
 	"aeolia/internal/sim"
 )
 
@@ -176,18 +178,17 @@ func (bm *bitmap) loadFrom(blocks [][]byte) {
 }
 
 // encodeBlock serializes bitmap block bi (covering bits
-// [bi*BlockSize*8, ...)) into a BlockSize buffer.
+// [bi*BlockSize*8, ...)) into a BlockSize buffer, a little-endian word at a
+// time. Every byte of out is written: words past the bitmap's end encode as
+// zero.
 func (bm *bitmap) encodeBlock(bi uint64, out []byte) {
-	wordStart := bi * (BlockSize / 8)
-	for w := uint64(0); w < BlockSize/8; w++ {
-		var v uint64
-		if wordStart+w < uint64(len(bm.words)) {
-			v = bm.words[wordStart+w]
-		}
-		for k := 0; k < 8; k++ {
-			out[w*8+uint64(k)] = byte(v >> (8 * k))
-		}
+	out = out[:BlockSize]
+	lo := min(bi*(BlockSize/8), uint64(len(bm.words)))
+	hi := min(lo+BlockSize/8, uint64(len(bm.words)))
+	for w, v := range bm.words[lo:hi] {
+		binary.LittleEndian.PutUint64(out[w*8:], v)
 	}
+	clear(out[(hi-lo)*8:])
 }
 
 // blockOf returns which bitmap block covers bit i.

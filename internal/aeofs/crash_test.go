@@ -2,6 +2,7 @@ package aeofs_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -610,5 +611,91 @@ func TestPartialRetireStillRetires(t *testing.T) {
 	fx.m.Run(0)
 	if rerr != nil {
 		t.Fatal(rerr)
+	}
+}
+
+// TestCrashAfterIndexCrossingAppend: one append grows a one-block file by
+// PtrsPerIndex+1 blocks, so it fills the first index block, chains a second,
+// and records the block bitmap's block and both index blocks hundreds of
+// times in one transaction — each capture after the first overwrites the
+// transaction's image of its block. Power fails right after the commit, with
+// the write cache dropped clean or torn: the remount must recover, fsck
+// clean, and read back every block where the model put it.
+func TestCrashAfterIndexCrossingAppend(t *testing.T) {
+	const blocks = 1 + aeofs.PtrsPerIndex + 1
+	model := pattern(blocks*aeofs.BlockSize, 5)
+	for i := 0; i < blocks; i++ {
+		binary.LittleEndian.PutUint64(model[i*aeofs.BlockSize:], uint64(i)+1) // no two blocks alike
+	}
+	for _, torn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
+			fx := newFixture(t, 1)
+			plan := faultinject.NewPlan(1).On(aeofs.CrashSyncAfterCommit, faultinject.Once())
+			if torn {
+				plan.On(faultinject.SiteCrashTorn, faultinject.WithProb(0.75, 0))
+			}
+			fx.run(t, "append", func(env *sim.Env) error {
+				fd, err := fx.fs.Open(env, "/big", aeofs.O_CREATE|aeofs.O_RDWR)
+				if err != nil {
+					return err
+				}
+				if _, err := fx.fs.Write(env, fd, model[:aeofs.BlockSize]); err != nil {
+					return err
+				}
+				if err := fx.fs.Fsync(env, fd); err != nil {
+					return err
+				}
+				fx.trust.Crash = plan.CrashFunc()
+				queued := fx.trust.JournalImagesQueued
+				if _, err := fx.fs.Write(env, fd, model[aeofs.BlockSize:]); err != nil {
+					return err
+				}
+				// Bitmap, two index blocks, inode table: one image each.
+				if n := fx.trust.JournalImagesQueued - queued; n != 4 {
+					return fmt.Errorf("the append queued %d images, want 4", n)
+				}
+				if err := fx.fs.Fsync(env, fd); !errors.Is(err, aeofs.ErrCrashInjected) {
+					return fmt.Errorf("fsync = %v, want injected crash", err)
+				}
+				return nil
+			})
+			if torn {
+				fx.m.Dev.CrashAndReset(faultinject.TornResolver(plan))
+			} else {
+				fx.m.Dev.CrashAndReset(nil)
+			}
+
+			pr, trust2, fs2 := fx.remount(t)
+			if trust2.RecoveredTxns == 0 {
+				t.Fatal("recovery replayed no transactions")
+			}
+			var rerr error
+			fx.m.Eng.Spawn("verify", fx.m.Eng.Core(0), func(env *sim.Env) {
+				if _, rerr = pr.Driver.CreateQP(env); rerr != nil {
+					return
+				}
+				rep, err := aeofs.Fsck(env, pr.Driver, 0)
+				if err != nil {
+					rerr = err
+					return
+				}
+				if !rep.Clean() {
+					rerr = fmt.Errorf("fsck: %v", rep.Problems)
+					return
+				}
+				got, err := readFile(env, fs2, "/big")
+				if err != nil {
+					rerr = err
+					return
+				}
+				if !bytes.Equal(got, model) {
+					rerr = fmt.Errorf("recovered %d bytes differ from the model's %d", len(got), len(model))
+				}
+			})
+			fx.m.Run(0)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+		})
 	}
 }

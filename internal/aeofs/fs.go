@@ -233,11 +233,18 @@ func (fs *FS) invalidate(env *sim.Env, u *uInode) {
 	u.lock.Unlock(env)
 }
 
-// splitPath returns the cleaned components of an absolute or relative path
-// (both resolve from the root).
-func splitPath(path string) ([]string, error) {
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
+// splitPath appends the cleaned components of an absolute or relative path
+// (both resolve from the root) to comps[:0]. A caller passes a small array
+// of its own, so resolving a path allocates nothing.
+func splitPath(path string, comps []string) ([]string, error) {
+	comps = comps[:0]
+	for len(path) > 0 {
+		c := path
+		if i := strings.IndexByte(path, '/'); i >= 0 {
+			c, path = path[:i], path[i+1:]
+		} else {
+			path = ""
+		}
 		switch c {
 		case "", ".":
 		case "..":
@@ -287,7 +294,8 @@ func (fs *FS) dcacheOf(env *sim.Env, dirIno uint64) *dentCache {
 
 // namei resolves a path to an inode number.
 func (fs *FS) namei(env *sim.Env, path string) (uint64, error) {
-	comps, err := splitPath(path)
+	var buf [8]string
+	comps, err := splitPath(path, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -303,7 +311,8 @@ func (fs *FS) namei(env *sim.Env, path string) (uint64, error) {
 
 // nameiParent resolves a path to its parent directory and final component.
 func (fs *FS) nameiParent(env *sim.Env, path string) (uint64, string, error) {
-	comps, err := splitPath(path)
+	var buf [8]string
+	comps, err := splitPath(path, buf[:])
 	if err != nil {
 		return 0, "", err
 	}

@@ -255,8 +255,7 @@ type metaShard struct {
 }
 
 type metaBlock struct {
-	data  []byte
-	dirty bool
+	data []byte
 }
 
 func newMetaCache() *metaCache {
@@ -296,31 +295,34 @@ func (mc *metaCache) get(env *sim.Env, drv *aeodriver.Driver, blk uint64) (*meta
 }
 
 // install caches a block image without a disk read (for freshly allocated,
-// zeroed metadata blocks).
-func (mc *metaCache) install(env *sim.Env, blk uint64, data []byte) *metaBlock {
+// zeroed metadata blocks, and for encoded bitmap blocks). A block already
+// cached keeps its metaBlock and takes data as its contents.
+func (mc *metaCache) install(env *sim.Env, blk uint64, data []byte) {
 	sh := mc.shard(blk)
 	sh.lock.Lock(env)
-	mb := &metaBlock{data: data}
-	sh.m[blk] = mb
+	if mb := sh.m[blk]; mb != nil {
+		mb.data = data
+	} else {
+		sh.m[blk] = &metaBlock{data: data}
+	}
 	sh.lock.Unlock(env)
-	return mb
 }
 
-// update applies fn to the block under the shard lock and returns a
-// stamped snapshot image for journaling.
-func (mc *metaCache) update(env *sim.Env, drv *aeodriver.Driver, blk uint64, fn func(data []byte)) (snapshot, error) {
+// update applies fn to the block under the shard lock and records a stamped
+// image of the result in b.
+func (mc *metaCache) update(env *sim.Env, drv *aeodriver.Driver, blk uint64, b *txnBuilder, fn func(data []byte)) error {
 	mb, err := mc.get(env, drv, blk)
 	if err != nil {
-		return snapshot{}, err
+		return err
 	}
 	sh := mc.shard(blk)
 	sh.lock.Lock(env)
 	fn(mb.data)
-	mb.dirty = true
-	img := snapshot{image: make([]byte, BlockSize), stamp: mc.stamp()}
+	img := snapshot{image: b.image(blk), stamp: mc.stamp()}
 	copy(img.image, mb.data)
 	sh.lock.Unlock(env)
-	return img, nil
+	b.record(blk, img)
+	return nil
 }
 
 // drop removes blocks from the cache (after freeing them).
@@ -337,28 +339,49 @@ func (mc *metaCache) drop(env *sim.Env, blks []uint64) {
 
 // txnBuilder accumulates block images for one Table 5 operation. Repeated
 // writes to the same block within the operation keep only the latest image
-// (physical redo journaling: the final state is what replays).
+// (physical redo journaling: the final state is what replays), and the
+// latest is captured into the buffer of the one before it: until commit,
+// nothing but the builder (and, for a bitmap block, the meta cache, which
+// is handed the same image) reads a builder's buffers.
 type txnBuilder struct {
 	t   *TrustLayer
 	tx  txn
-	idx map[uint64]int
 	env *sim.Env
 	drv *aeodriver.Driver
 }
 
 func (t *TrustLayer) begin(env *sim.Env, drv *aeodriver.Driver) *txnBuilder {
-	return &txnBuilder{t: t, env: env, drv: drv, idx: make(map[uint64]int)}
+	return &txnBuilder{t: t, env: env, drv: drv}
 }
 
-// record adds a block image produced by metaCache.update.
+// find returns the index of blk's image in the transaction, or -1. A
+// transaction writes a few blocks, so a scan beats a map.
+func (b *txnBuilder) find(blk uint64) int {
+	for i := range b.tx.writes {
+		if b.tx.writes[i].blk == blk {
+			return i
+		}
+	}
+	return -1
+}
+
+// image returns the buffer a new capture of blk is copied into: the image
+// the transaction already holds for blk, or a new one.
+func (b *txnBuilder) image(blk uint64) []byte {
+	if i := b.find(blk); i >= 0 {
+		return b.tx.writes[i].image
+	}
+	return make([]byte, BlockSize)
+}
+
+// record adds a captured block image, replacing an earlier one of blk.
 func (b *txnBuilder) record(blk uint64, img snapshot) {
 	b.env.Exec(costJournalEntry)
 	w := txnWrite{blk: blk, stamp: img.stamp, image: img.image}
-	if i, ok := b.idx[blk]; ok {
+	if i := b.find(blk); i >= 0 {
 		b.tx.writes[i] = w
 		return
 	}
-	b.idx[blk] = len(b.tx.writes)
 	b.tx.writes = append(b.tx.writes, w)
 }
 
@@ -437,14 +460,9 @@ func (t *TrustLayer) inode(env *sim.Env, drv *aeodriver.Driver, ino uint64) (*tI
 func (t *TrustLayer) storeInode(env *sim.Env, drv *aeodriver.Driver, ti *tInode, b *txnBuilder) error {
 	ino := ti.ino.Ino
 	blk := t.sb.ITableStart + ino/InodesPerBlock
-	img, err := t.meta.update(env, drv, blk, func(data []byte) {
+	return t.meta.update(env, drv, blk, b, func(data []byte) {
 		ti.ino.encode(data[(ino%InodesPerBlock)*InodeSize:])
 	})
-	if err != nil {
-		return err
-	}
-	b.record(blk, img)
-	return nil
 }
 
 // dropInode evicts an inode from the trusted cache (after free).
@@ -458,7 +476,7 @@ func (t *TrustLayer) dropInode(env *sim.Env, ino uint64) {
 // recordBitmapBlock journals the bitmap block covering bit i of bm.
 func (t *TrustLayer) recordBitmapBlock(env *sim.Env, bm *bitmap, diskStart uint64, bit uint64, b *txnBuilder) {
 	bi := bm.blockOf(bit)
-	img := snapshot{image: make([]byte, BlockSize), stamp: t.meta.stamp()}
+	img := snapshot{image: b.image(diskStart + bi), stamp: t.meta.stamp()}
 	bm.encodeBlock(bi, img.image)
 	b.record(diskStart+bi, img)
 	// Keep the meta cache coherent so checkpoints see bitmap state.
@@ -556,7 +574,7 @@ func (t *TrustLayer) growBlocks(env *sim.Env, drv *aeodriver.Driver, ti *tInode,
 	if err := t.loadBlocks(env, drv, ti); err != nil {
 		return nil, err
 	}
-	var added []uint64
+	added := make([]uint64, 0, n)
 	near := uint64(0)
 	if len(ti.blocks) > 0 {
 		near = ti.blocks[len(ti.blocks)-1] - t.sb.Start
@@ -590,24 +608,20 @@ func (t *TrustLayer) growBlocks(env *sim.Env, drv *aeodriver.Driver, ti *tInode,
 				ti.ino.FirstIndex = idxBlk
 			} else {
 				prev := ti.indexChain[len(ti.indexChain)-1]
-				img, err := t.meta.update(env, drv, prev, func(data []byte) {
+				if err := t.meta.update(env, drv, prev, b, func(data []byte) {
 					putLE64(data[PtrsPerIndex*8:], idxBlk)
-				})
-				if err != nil {
+				}); err != nil {
 					return nil, err
 				}
-				b.record(prev, img)
 			}
 			ti.indexChain = append(ti.indexChain, idxBlk)
 		}
 		idxBlk := ti.indexChain[len(ti.indexChain)-1]
-		img, err := t.meta.update(env, drv, idxBlk, func(data []byte) {
+		if err := t.meta.update(env, drv, idxBlk, b, func(data []byte) {
 			putLE64(data[slot*8:], blk)
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		b.record(idxBlk, img)
 		ti.blocks = append(ti.blocks, blk)
 		cnt++
 	}
@@ -649,13 +663,11 @@ func (t *TrustLayer) shrinkBlocks(env *sim.Env, drv *aeodriver.Driver, ti *tInod
 	} else if len(freedIdx) > 0 {
 		// Clear the next pointer of the new last index block.
 		last := ti.indexChain[len(ti.indexChain)-1]
-		img, err := t.meta.update(env, drv, last, func(data []byte) {
+		if err := t.meta.update(env, drv, last, b, func(data []byte) {
 			putLE64(data[PtrsPerIndex*8:], 0)
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		b.record(last, img)
 	}
 	ti.ino.Blocks = keep
 	t.meta.drop(env, freedIdx)

@@ -21,13 +21,11 @@ func (t *TrustLayer) addDirentLocked(env *sim.Env, drv *aeodriver.Driver, dir *t
 	for i, slot := range dir.dentFree {
 		if slot.size >= need {
 			blk := dir.blocks[slot.blkIdx]
-			img, err := t.meta.update(env, drv, blk, func(data []byte) {
+			if err := t.meta.update(env, drv, blk, b, func(data []byte) {
 				encodeDirentSized(data[slot.off:], ino, name, slot.size)
-			})
-			if err != nil {
+			}); err != nil {
 				return err
 			}
-			b.record(blk, img)
 			dir.dentFree = append(dir.dentFree[:i], dir.dentFree[i+1:]...)
 			dir.dents[name] = ino
 			dir.dentLoc[name] = dentPos{slot.blkIdx, slot.off}
@@ -39,13 +37,11 @@ func (t *TrustLayer) addDirentLocked(env *sim.Env, drv *aeodriver.Driver, dir *t
 		if dir.dentUsed[bi]+need <= BlockSize {
 			off := dir.dentUsed[bi]
 			blk := dir.blocks[bi]
-			img, err := t.meta.update(env, drv, blk, func(data []byte) {
+			if err := t.meta.update(env, drv, blk, b, func(data []byte) {
 				encodeDirent(data[off:], ino, name)
-			})
-			if err != nil {
+			}); err != nil {
 				return err
 			}
-			b.record(blk, img)
 			dir.dentUsed[bi] += need
 			dir.dents[name] = ino
 			dir.dentLoc[name] = dentPos{bi, off}
@@ -63,13 +59,11 @@ func (t *TrustLayer) addDirentLocked(env *sim.Env, drv *aeodriver.Driver, dir *t
 	blk := added[0]
 	zero := make([]byte, BlockSize)
 	t.meta.install(env, blk, zero)
-	img, err := t.meta.update(env, drv, blk, func(data []byte) {
+	if err := t.meta.update(env, drv, blk, b, func(data []byte) {
 		encodeDirent(data, ino, name)
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	b.record(blk, img)
 	dir.dentUsed = append(dir.dentUsed, need)
 	bi := len(dir.blocks) - 1
 	dir.dents[name] = ino
@@ -99,17 +93,15 @@ func (t *TrustLayer) removeDirentLocked(env *sim.Env, drv *aeodriver.Driver, dir
 	}
 	blk := dir.blocks[pos.blkIdx]
 	var slotSize int
-	img, err := t.meta.update(env, drv, blk, func(data []byte) {
+	if err := t.meta.update(env, drv, blk, b, func(data []byte) {
 		// Zero the ino field: tombstone. Keep entSize for the chain.
 		slotSize = int(data[pos.off+10]) | int(data[pos.off+11])<<8
 		for i := 0; i < 8; i++ {
 			data[pos.off+i] = 0
 		}
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	b.record(blk, img)
 	delete(dir.dents, name)
 	delete(dir.dentLoc, name)
 	dir.dentFree = append(dir.dentFree, dentSlot{pos.blkIdx, pos.off, slotSize})
@@ -184,14 +176,12 @@ func (t *TrustLayer) CreateInDir(env *sim.Env, drv *aeodriver.Driver, dirIno uin
 			}
 			zero := make([]byte, BlockSize)
 			t.meta.install(env, added[0], zero)
-			img, err := t.meta.update(env, drv, added[0], func(data []byte) {
+			if err := t.meta.update(env, drv, added[0], b, func(data []byte) {
 				n := encodeDirent(data, ino, ".")
 				encodeDirent(data[n:], dirIno, "..")
-			})
-			if err != nil {
+			}); err != nil {
 				return err
 			}
-			b.record(added[0], img)
 			child.dentUsed = []int{direntSize(".") + direntSize("..")}
 			child.ino.Size = uint64(direntSize(".") + direntSize(".."))
 			dir.ino.Nlink++ // the child's ".."
@@ -527,7 +517,7 @@ func (t *TrustLayer) rewriteDotDotLocked(env *sim.Env, drv *aeodriver.Driver, di
 		return fmt.Errorf("%w: directory %d has no data block", ErrCorrupt, dir.ino.Ino)
 	}
 	blk := dir.blocks[0]
-	img, err := t.meta.update(env, drv, blk, func(data []byte) {
+	return t.meta.update(env, drv, blk, b, func(data []byte) {
 		walkDirentsRaw(data, func(off int, ino uint64, entSize int, name string) bool {
 			if name == ".." {
 				putLE64(data[off:], newParent)
@@ -536,9 +526,4 @@ func (t *TrustLayer) rewriteDotDotLocked(env *sim.Env, drv *aeodriver.Driver, di
 			return true
 		})
 	})
-	if err != nil {
-		return err
-	}
-	b.record(blk, img)
-	return nil
 }

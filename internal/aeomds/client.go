@@ -3,6 +3,7 @@ package aeomds
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"aeolia/internal/aeosvc"
 	"aeolia/internal/netsim"
@@ -37,6 +38,7 @@ type layout struct {
 	size       uint64 // local size view, flushed on release
 	stripeUnit uint32
 	nodes      []uint16
+	obj        string            // the file's object path on its data nodes, named at first use
 	fds        map[uint16]uint32 // stripe-node index → object fd
 	refs       int
 	revoked    bool
@@ -49,8 +51,12 @@ type Client struct {
 	fab     *netsim.Fabric
 	cfg     ClientConfig
 	ep      *netsim.Endpoint
+	shards  []string // shard endpoint names, built once
 	nextID  uint64
 	layouts map[string]*layout
+	// free holds layouts of closed files, their fds maps cleared, for the
+	// next Open.
+	free []*layout
 
 	// MetaOps / DataOps count completed round trips; Revokes counts
 	// lease revocations honored; BadFrames counts empty frames dropped.
@@ -64,8 +70,19 @@ func NewClient(fab *netsim.Fabric, cfg ClientConfig) *Client {
 		fab:     fab,
 		cfg:     cfg,
 		ep:      fab.Endpoint(ClientEndpoint(cfg.ID)),
+		shards:  shardNames(cfg.Shards),
 		layouts: make(map[string]*layout),
 	}
+}
+
+// shardEndpoint names shard i's endpoint from the table; a shard id off
+// the table (a hostile revoke frame's) gets the name it would have, which
+// no link reaches.
+func (c *Client) shardEndpoint(i int) string {
+	if i < len(c.shards) {
+		return c.shards[i]
+	}
+	return ShardEndpoint(i)
 }
 
 // ClientEndpoint returns client id's fabric endpoint name.
@@ -87,8 +104,9 @@ func (c *Client) emit(env *sim.Env, typ trace.Type, qid int, cid uint32, ino, au
 // handleRevoke honors a lease revocation: invalidate any matching layout
 // and ack the issuing shard. Runs inline inside any receive loop, so a
 // client parked on an unrelated call still revokes promptly.
-func (c *Client) handleRevoke(env *sim.Env, payload []byte) error {
-	rv, err := decodeRevoke(payload)
+func (c *Client) handleRevoke(env *sim.Env, m *netsim.Msg) error {
+	rv, err := decodeRevoke(m.Payload)
+	c.ep.Release(m)
 	if err != nil {
 		return err
 	}
@@ -99,7 +117,7 @@ func (c *Client) handleRevoke(env *sim.Env, payload []byte) error {
 	}
 	c.Revokes++
 	ack := revokeAck{Lease: rv.Lease}
-	return c.ep.Send(env, ShardEndpoint(int(rv.Shard)), ack.encode())
+	return c.ep.Send(env, c.shardEndpoint(int(rv.Shard)), ack.encode(c.ep.Frame(ack.size())))
 }
 
 // recv blocks for the next non-empty frame, honoring interleaved revokes.
@@ -121,7 +139,7 @@ func (c *Client) recv(env *sim.Env) (*netsim.Msg, error) {
 			continue
 		}
 		if m.Payload[0] == magicRevoke {
-			if err := c.handleRevoke(env, m.Payload); err != nil {
+			if err := c.handleRevoke(env, m); err != nil {
 				return nil, err
 			}
 			continue
@@ -134,7 +152,7 @@ func (c *Client) recv(env *sim.Env) (*netsim.Msg, error) {
 func (c *Client) call(env *sim.Env, shard int, req Request) (Response, error) {
 	c.nextID++
 	req.ID = c.nextID
-	if err := c.ep.Send(env, ShardEndpoint(shard), req.Encode()); err != nil {
+	if err := c.ep.Send(env, c.shards[shard], req.encode(c.ep.Frame(req.size()))); err != nil {
 		return Response{}, err
 	}
 	for {
@@ -146,6 +164,7 @@ func (c *Client) call(env *sim.Env, shard int, req Request) (Response, error) {
 			return Response{}, fmt.Errorf("%w: unexpected magic %#x awaiting mds reply", ErrWire, m.Payload[0])
 		}
 		resp, err := DecodeResponse(m.Payload)
+		c.ep.Release(m)
 		if err != nil {
 			return Response{}, err
 		}
@@ -166,7 +185,7 @@ func (c *Client) call(env *sim.Env, shard int, req Request) (Response, error) {
 func (c *Client) svcCall(env *sim.Env, node uint16, req aeosvc.Request, dst []byte) (aeosvc.Response, int, error) {
 	c.nextID++
 	req.ID = c.nextID
-	if err := c.ep.Send(env, c.cfg.DataEndpoints[node], req.Encode()); err != nil {
+	if err := c.ep.Send(env, c.cfg.DataEndpoints[node], req.EncodeInto(c.ep.Frame(req.Size()))); err != nil {
 		return aeosvc.Response{}, 0, err
 	}
 	for {
@@ -206,7 +225,10 @@ func (c *Client) Open(env *sim.Env, path string, create, write bool) error {
 		lay.refs++
 		return nil
 	}
-	delete(c.layouts, path) // drop a revoked husk, if any
+	if husk := c.layouts[path]; husk != nil { // revoked: drop it
+		delete(c.layouts, path)
+		c.recycle(husk)
+	}
 	dir, name := SplitPath(path)
 	var flags uint8
 	if create {
@@ -220,13 +242,27 @@ func (c *Client) Open(env *sim.Env, path string, create, write bool) error {
 	if err != nil {
 		return err
 	}
-	c.layouts[path] = &layout{
-		dir: dir, name: name, shard: shard,
-		lease: resp.Lease, ino: resp.Ino, size: resp.Size,
-		stripeUnit: resp.StripeUnit, nodes: resp.Nodes,
-		fds: make(map[uint16]uint32), refs: 1,
+	var lay *layout
+	if n := len(c.free); n > 0 {
+		lay = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		lay = &layout{fds: make(map[uint16]uint32)}
 	}
+	lay.dir, lay.name, lay.shard = dir, name, shard
+	lay.lease, lay.ino, lay.size = resp.Lease, resp.Ino, resp.Size
+	lay.stripeUnit, lay.nodes, lay.refs = resp.StripeUnit, resp.Nodes, 1
+	c.layouts[path] = lay
 	return nil
+}
+
+// recycle returns a layout that no path maps to any more to the free list.
+func (c *Client) recycle(lay *layout) {
+	fds := lay.fds
+	clear(fds)
+	*lay = layout{fds: fds}
+	c.free = append(c.free, lay)
 }
 
 // Close drops one open reference; the last close releases the lease and
@@ -241,24 +277,32 @@ func (c *Client) Close(env *sim.Env, path string) error {
 		return nil
 	}
 	delete(c.layouts, path)
-	if lay.revoked {
+	shard, revoked := lay.shard, lay.revoked
+	req := Request{Op: OpRelease, Dir: lay.dir, Name: lay.name, Lease: lay.lease, Size: lay.size}
+	c.recycle(lay)
+	if revoked {
 		return nil // the lease is already dead; nothing to return
 	}
-	_, err := c.call(env, lay.shard, Request{
-		Op: OpRelease, Dir: lay.dir, Name: lay.name, Lease: lay.lease, Size: lay.size,
-	})
+	_, err := c.call(env, shard, req)
 	return err
 }
 
-// objPath names the per-file object on each data node.
-func objPath(ino uint64) string { return fmt.Sprintf("/o%x", ino) }
+// objPath names the per-file object on each data node: "/o" and the inode
+// number in hex.
+func objPath(ino uint64) string {
+	var b [2 + 16]byte
+	return string(strconv.AppendUint(append(b[:0], "/o"...), ino, 16))
+}
 
 // ensureFD lazily opens the striped object on a data node.
 func (c *Client) ensureFD(env *sim.Env, lay *layout, node uint16) (uint32, error) {
 	if fd, ok := lay.fds[node]; ok {
 		return fd, nil
 	}
-	resp, _, err := c.svcCall(env, node, aeosvc.Request{Op: aeosvc.OpOpen, Path: objPath(lay.ino)}, nil)
+	if lay.obj == "" {
+		lay.obj = objPath(lay.ino)
+	}
+	resp, _, err := c.svcCall(env, node, aeosvc.Request{Op: aeosvc.OpOpen, Path: lay.obj}, nil)
 	if err != nil {
 		return 0, err
 	}

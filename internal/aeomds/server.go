@@ -39,6 +39,16 @@ func (c Config) opCPU() time.Duration {
 // ShardEndpoint returns shard i's fabric endpoint name.
 func ShardEndpoint(i int) string { return fmt.Sprintf("mds%d", i) }
 
+// shardNames returns the endpoint names of shards 0..n-1: frames are sent by
+// name, and naming a shard per frame would format a string per frame.
+func shardNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = ShardEndpoint(i)
+	}
+	return names
+}
+
 // lease is one live layout lease on the granting (or adopting) shard.
 type lease struct {
 	id       uint32
@@ -62,6 +72,7 @@ type pendTxn struct {
 type shardRT struct {
 	ep       *netsim.Endpoint
 	leases   map[uint32]*lease
+	free     []*lease // records of ended leases, for the next grant or adoption
 	leaseSeq uint32
 	pend     map[uint64]*pendTxn
 	txnSeq   uint64
@@ -76,6 +87,8 @@ type Service struct {
 	cfg Config
 	ns  *Namespace
 	rt  []*shardRT
+	// names[i] is shard i's endpoint name.
+	names []string
 
 	stopped bool
 	failure error
@@ -91,14 +104,15 @@ type Service struct {
 // NewService builds the service and its shard endpoints on the fabric.
 func NewService(fab *netsim.Fabric, cfg Config) *Service {
 	svc := &Service{
-		eng: fab.Engine(),
-		fab: fab,
-		cfg: cfg,
-		ns:  NewNamespace(cfg.shards(), cfg.DataNodes, Layout{}),
+		eng:   fab.Engine(),
+		fab:   fab,
+		cfg:   cfg,
+		ns:    NewNamespace(cfg.shards(), cfg.DataNodes, Layout{}),
+		names: shardNames(cfg.shards()),
 	}
 	for i := 0; i < cfg.shards(); i++ {
 		svc.rt = append(svc.rt, &shardRT{
-			ep:     fab.Endpoint(ShardEndpoint(i)),
+			ep:     fab.Endpoint(svc.names[i]),
 			leases: make(map[uint32]*lease),
 			pend:   make(map[uint64]*pendTxn),
 		})
@@ -205,7 +219,8 @@ func (svc *Service) serveShard(env *sim.Env, i int) {
 // reply answers a client request.
 func (svc *Service) reply(env *sim.Env, i int, dst string, resp Response) {
 	svc.Ops++
-	svc.send(env, svc.rt[i].ep, dst, resp.Encode())
+	ep := svc.rt[i].ep
+	svc.send(env, ep, dst, resp.encode(ep.Frame(resp.size())))
 }
 
 func errResp(id uint64, err error) Response {
@@ -217,10 +232,34 @@ func (svc *Service) grantLease(env *sim.Env, i int, ino uint64, holder string) u
 	rt := svc.rt[i]
 	rt.leaseSeq++
 	id := uint32(i+1)<<24 | rt.leaseSeq
-	rt.leases[id] = &lease{id: id, ino: ino, holder: holder}
+	rt.leases[id] = rt.newLease(id, ino, holder)
 	svc.Granted++
 	svc.emit(env, trace.MDSLeaseGrant, i, id, ino, 0)
 	return id
+}
+
+// newLease takes a lease record from the free list, or allocates one.
+func (rt *shardRT) newLease(id uint32, ino uint64, holder string) *lease {
+	var l *lease
+	if n := len(rt.free); n > 0 {
+		l = rt.free[n-1]
+		rt.free[n-1] = nil
+		rt.free = rt.free[:n-1]
+	} else {
+		l = new(lease)
+	}
+	*l = lease{id: id, ino: ino, holder: holder}
+	return l
+}
+
+// endLease removes lease id from the shard's books and keeps its record
+// for a later grant.
+func (rt *shardRT) endLease(id uint32) {
+	if l := rt.leases[id]; l != nil {
+		delete(rt.leases, id)
+		*l = lease{}
+		rt.free = append(rt.free, l)
+	}
 }
 
 // revokeLeases revokes every live lease on ino held at shard i (skipping
@@ -236,27 +275,28 @@ func (svc *Service) revokeLeases(env *sim.Env, i int, ino uint64) {
 		svc.RevokesSent++
 		svc.emit(env, trace.MDSLeaseRevoke, i, l.id, ino, 0)
 		f := revokeFrame{Shard: uint16(i), Lease: l.id, Ino: ino}
-		svc.send(env, rt.ep, l.holder, f.encode())
+		svc.send(env, rt.ep, l.holder, f.encode(rt.ep.Frame(f.size())))
 	}
 }
 
 // handleRevokeAck completes a revocation: the holder has dropped its
 // layout.
 func (svc *Service) handleRevokeAck(env *sim.Env, i int, m *netsim.Msg) {
+	rt := svc.rt[i]
 	ack, err := decodeRevokeAck(m.Payload)
+	rt.ep.Release(m)
 	if err != nil {
 		svc.BadFrames++
 		return
 	}
-	rt := svc.rt[i]
 	l := rt.leases[ack.Lease]
 	if l == nil || !l.revoking {
 		svc.BadFrames++
 		return
 	}
-	delete(rt.leases, ack.Lease)
 	svc.Revoked++
 	svc.emit(env, trace.MDSLeaseRevoked, i, l.id, l.ino, 0)
+	rt.endLease(ack.Lease)
 }
 
 // nextTxn allocates a peer-coordination transaction id on shard i.
@@ -268,6 +308,7 @@ func (svc *Service) nextTxn(i int) uint64 {
 // handleClient executes one client metadata request on shard i.
 func (svc *Service) handleClient(env *sim.Env, i int, m *netsim.Msg) {
 	req, err := DecodeRequest(m.Payload)
+	svc.rt[i].ep.Release(m)
 	if err != nil {
 		svc.BadFrames++
 		return
@@ -299,19 +340,21 @@ func (svc *Service) handleClient(env *sim.Env, i int, m *netsim.Msg) {
 			return
 		}
 		id := svc.grantLease(env, i, meta.Ino, m.Src)
+		// The reply is encoded before anything can change meta.Nodes.
 		done(Response{ID: req.ID, Ino: meta.Ino, Size: meta.Size, Mode: meta.Mode,
-			StripeUnit: meta.StripeUnit, Lease: id, Nodes: append([]uint16(nil), meta.Nodes...)}, meta.Ino)
+			StripeUnit: meta.StripeUnit, Lease: id, Nodes: meta.Nodes}, meta.Ino)
 
 	case OpRelease:
 		rt := svc.rt[i]
 		if l := rt.leases[req.Lease]; l != nil && !l.revoking {
-			delete(rt.leases, req.Lease)
+			ino := l.ino
 			svc.Released++
-			svc.emit(env, trace.MDSLeaseRelease, i, l.id, l.ino, 0)
+			svc.emit(env, trace.MDSLeaseRelease, i, l.id, ino, 0)
+			rt.endLease(req.Lease)
 			// Flush the holder's size view; the file may since have been
 			// unlinked or renamed away, which is not the releaser's problem.
 			if _, err := sh.SetSize(req.Dir, req.Name, req.Size); err == nil {
-				done(Response{ID: req.ID}, l.ino)
+				done(Response{ID: req.ID}, ino)
 				return
 			}
 		}
@@ -335,7 +378,8 @@ func (svc *Service) handleClient(env *sim.Env, i int, m *netsim.Msg) {
 		txn := svc.nextTxn(i)
 		svc.rt[i].pend[txn] = &pendTxn{req: req, replyTo: m.Src}
 		p := peerReq{Txn: txn, Kind: peerAttachDir, Dir: child, Ino: ino}
-		svc.send(env, svc.rt[i].ep, ShardEndpoint(j), p.encode())
+		ep := svc.rt[i].ep
+		svc.send(env, ep, svc.names[j], p.encode(ep.Frame(p.size())))
 
 	case OpUnlink:
 		meta, err := sh.Unlink(req.Dir, req.Name)
@@ -455,12 +499,15 @@ func (svc *Service) handleRename(env *sim.Env, i int, m *netsim.Msg, req Request
 		}
 	}
 	svc.rt[i].pend[txn] = &pendTxn{req: req, replyTo: m.Src, traceTxn: ttxn, meta: meta, moved: moved}
-	svc.send(env, svc.rt[i].ep, ShardEndpoint(j), p.encode())
+	ep := svc.rt[i].ep
+	svc.send(env, ep, svc.names[j], p.encode(ep.Frame(p.size())))
 }
 
 // handlePeer executes the destination half of a cross-shard operation.
 func (svc *Service) handlePeer(env *sim.Env, i int, m *netsim.Msg) {
+	rt := svc.rt[i]
 	p, err := decodePeerReq(m.Payload)
+	rt.ep.Release(m)
 	if err != nil {
 		svc.fail(err)
 		return
@@ -482,24 +529,25 @@ func (svc *Service) handlePeer(env *sim.Env, i int, m *netsim.Msg) {
 		}
 		// Adopt the moving file's leases: this shard owns its parent now.
 		for _, l := range p.Leases {
-			svc.rt[i].leases[l.ID] = &lease{id: l.ID, ino: l.Ino, holder: l.Holder}
+			rt.leases[l.ID] = rt.newLease(l.ID, l.Ino, l.Holder)
 		}
 		svc.emit(env, trace.MDSRenameLink, i, renameTxnID(p.Txn), p.Meta.Ino, 0)
 	default:
 		resp.Status = StatusErr
 		resp.Err = ErrUnsupported.Error()
 	}
-	svc.send(env, svc.rt[i].ep, m.Src, resp.encode())
+	svc.send(env, rt.ep, m.Src, resp.encode(rt.ep.Frame(resp.size())))
 }
 
 // handlePeerResp resumes the continuation parked on a peer reply.
 func (svc *Service) handlePeerResp(env *sim.Env, i int, m *netsim.Msg) {
+	rt := svc.rt[i]
 	pr, err := decodePeerResp(m.Payload)
+	rt.ep.Release(m)
 	if err != nil {
 		svc.fail(err)
 		return
 	}
-	rt := svc.rt[i]
 	pt := rt.pend[pr.Txn]
 	if pt == nil {
 		svc.fail(fmt.Errorf("aeomds: shard %d: peer reply for unknown txn %d", i, pr.Txn))
@@ -532,7 +580,7 @@ func (svc *Service) handlePeerResp(env *sim.Env, i int, m *netsim.Msg) {
 			return
 		}
 		for _, id := range pt.moved {
-			delete(rt.leases, id)
+			rt.endLease(id)
 		}
 		svc.emit(env, trace.MDSRenameUnlink, i, pt.traceTxn, pt.meta.Ino, 0)
 		svc.emit(env, trace.MDSRenameDone, i, pt.traceTxn, pt.meta.Ino, 0)

@@ -390,7 +390,7 @@ func TestHostileFramesDropped(t *testing.T) {
 		}
 		send(ShardEndpoint(0), []byte{magicReq, byte(OpLookup)})
 		send(ShardEndpoint(0), []byte{0x77, 1, 2, 3})
-		send(ShardEndpoint(0), (&revokeAck{Lease: 12345}).encode())
+		send(ShardEndpoint(0), (&revokeAck{Lease: 12345}).encode(nil))
 		env.Sleep(100 * time.Microsecond)
 		if _, err := c.Stat(env, "/d"); err != nil {
 			failure = fmt.Errorf("stat after hostile frames: %w", err)

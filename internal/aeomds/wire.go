@@ -71,9 +71,18 @@ type Request struct {
 	Lease uint32 // release: the lease being returned
 }
 
-// Encode serializes the request.
-func (r *Request) Encode() []byte {
-	return wire.NewWriter(64 + len(r.Dir) + len(r.Name) + len(r.Dir2) + len(r.Name2)).
+// Encode serializes the request into a frame of its own.
+func (r *Request) Encode() []byte { return r.encode(make([]byte, 0, r.size())) }
+
+// size is the frame's length, field by field in encode's order.
+func (r *Request) size() int {
+	return 1 + 1 + 1 + 8 + 8 + 4 + 4 + 4*2 + len(r.Dir) + len(r.Name) + len(r.Dir2) + len(r.Name2)
+}
+
+// encode writes the frame over b[:0]: the client passes a buffer from its
+// endpoint's free list, which the shard releases once decoded.
+func (r *Request) encode(b []byte) []byte {
+	return wire.Into(b).
 		U8(magicReq).U8(uint8(r.Op)).U8(r.Flags).
 		U64(r.ID).U64(r.Size).U32(r.Mode).U32(r.Lease).
 		U16(uint16(len(r.Dir))).U16(uint16(len(r.Name))).
@@ -128,9 +137,22 @@ type Response struct {
 	Entries    []Dirent // readdir rows
 }
 
-// Encode serializes the response.
-func (r *Response) Encode() []byte {
-	w := wire.NewWriter(64 + len(r.Err) + 16*len(r.Entries)).
+// Encode serializes the response into a frame of its own.
+func (r *Response) Encode() []byte { return r.encode(make([]byte, 0, r.size())) }
+
+// size is the frame's length, field by field in encode's order.
+func (r *Response) size() int {
+	n := 1 + 1 + 1 + 3*8 + 3*4 + 2 + len(r.Err) + 2 + 2*len(r.Nodes) + 4
+	for _, e := range r.Entries {
+		n += 2 + len(e.Name) + 8 + 1
+	}
+	return n
+}
+
+// encode writes the frame over b[:0]: the shard passes a buffer from its
+// endpoint's free list, which the client releases once decoded.
+func (r *Response) encode(b []byte) []byte {
+	w := wire.Into(b).
 		U8(magicResp).U8(r.Status).Bool(r.IsDir).
 		U64(r.ID).U64(r.Ino).U64(r.Size).
 		U32(r.Mode).U32(r.StripeUnit).U32(r.Lease).
@@ -192,8 +214,10 @@ type revokeFrame struct {
 	Ino   uint64
 }
 
-func (r *revokeFrame) encode() []byte {
-	return wire.NewWriter(16).U8(magicRevoke).U16(r.Shard).U32(r.Lease).U64(r.Ino).Frame()
+func (r *revokeFrame) size() int { return 1 + 2 + 4 + 8 }
+
+func (r *revokeFrame) encode(b []byte) []byte {
+	return wire.Into(b).U8(magicRevoke).U16(r.Shard).U32(r.Lease).U64(r.Ino).Frame()
 }
 
 func decodeRevoke(b []byte) (revokeFrame, error) {
@@ -217,8 +241,10 @@ type revokeAck struct {
 	Lease uint32
 }
 
-func (r *revokeAck) encode() []byte {
-	return wire.NewWriter(8).U8(magicRevokeAck).U32(r.Lease).Frame()
+func (r *revokeAck) size() int { return 1 + 4 }
+
+func (r *revokeAck) encode(b []byte) []byte {
+	return wire.Into(b).U8(magicRevokeAck).U32(r.Lease).Frame()
 }
 
 func decodeRevokeAck(b []byte) (revokeAck, error) {
@@ -259,8 +285,17 @@ type peerReq struct {
 	Leases []leaseRec
 }
 
-func (p *peerReq) encode() []byte {
-	w := wire.NewWriter(64 + len(p.Dir) + len(p.Name)).
+func (p *peerReq) size() int {
+	n := 1 + 1 + 8 + 2 + 2 + len(p.Dir) + len(p.Name) + 8 +
+		8 + 8 + 4 + 4 + 2 + 2*len(p.Meta.Nodes) + 2
+	for _, l := range p.Leases {
+		n += 4 + 8 + 2 + len(l.Holder)
+	}
+	return n
+}
+
+func (p *peerReq) encode(b []byte) []byte {
+	w := wire.Into(b).
 		U8(magicPeerReq).U8(p.Kind).U64(p.Txn).
 		U16(uint16(len(p.Dir))).U16(uint16(len(p.Name))).
 		Str(p.Dir).Str(p.Name).U64(p.Ino).
@@ -321,8 +356,10 @@ type peerResp struct {
 	Err    string
 }
 
-func (p *peerResp) encode() []byte {
-	return wire.NewWriter(24 + len(p.Err)).
+func (p *peerResp) size() int { return 1 + 1 + 8 + 2 + len(p.Err) }
+
+func (p *peerResp) encode(b []byte) []byte {
+	return wire.Into(b).
 		U8(magicPeerResp).U8(p.Status).U64(p.Txn).
 		U16(uint16(len(p.Err))).Str(p.Err).
 		Frame()

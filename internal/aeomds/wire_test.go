@@ -53,12 +53,12 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestControlFrameRoundTrips(t *testing.T) {
 	rv := revokeFrame{Shard: 3, Lease: 0x04000002, Ino: 1<<34 | 7}
-	gotRv, err := decodeRevoke(rv.encode())
+	gotRv, err := decodeRevoke(rv.encode(nil))
 	if err != nil || gotRv != rv {
 		t.Fatalf("revoke round trip: %+v, %v", gotRv, err)
 	}
 	ack := revokeAck{Lease: 0x04000002}
-	gotAck, err := decodeRevokeAck(ack.encode())
+	gotAck, err := decodeRevokeAck(ack.encode(nil))
 	if err != nil || gotAck != ack {
 		t.Fatalf("revoke-ack round trip: %+v, %v", gotAck, err)
 	}
@@ -67,7 +67,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 		Meta:   FileMeta{Ino: 1<<32 | 2, Size: 100, Mode: 0644, StripeUnit: 16384, Nodes: []uint16{1, 2}},
 		Leases: []leaseRec{{ID: 0x01000001, Ino: 1<<32 | 2, Holder: "mdc0"}},
 	}
-	gotP, err := decodePeerReq(p.encode())
+	gotP, err := decodePeerReq(p.encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 		t.Fatalf("peer request round trip: %+v != %+v", gotP, p)
 	}
 	pr := peerResp{Txn: 1<<40 | 3, Status: StatusErr, Err: ErrExists.Error()}
-	gotPr, err := decodePeerResp(pr.encode())
+	gotPr, err := decodePeerResp(pr.encode(nil))
 	if err != nil || gotPr != pr {
 		t.Fatalf("peer response round trip: %+v, %v", gotPr, err)
 	}

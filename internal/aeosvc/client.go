@@ -143,7 +143,7 @@ func (c *Client) call(env *sim.Env, req Request, nextID *uint64) (Response, erro
 // send transmits req in a frame from the client's free list; the server
 // releases it to that list once the reply is out.
 func (c *Client) send(env *sim.Env, req *Request) error {
-	return c.ep.Send(env, c.svc, req.encode(c.ep.Frame(req.size())))
+	return c.ep.Send(env, c.svc, req.EncodeInto(c.ep.Frame(req.Size())))
 }
 
 // recv takes the next reply and hands its frame straight back to the

@@ -109,13 +109,14 @@ type Request struct {
 const reqHeader = 1 + 1 + 2 + 8 + 4 + 8 + 4 + 2 + 4 + 1
 
 // Encode serializes the request into a frame of its own.
-func (r *Request) Encode() []byte { return r.encode(make([]byte, 0, r.size())) }
+func (r *Request) Encode() []byte { return r.EncodeInto(make([]byte, 0, r.Size())) }
 
-func (r *Request) size() int { return reqHeader + len(r.Path) + len(r.Data) }
+// Size returns the length of the request's frame.
+func (r *Request) Size() int { return reqHeader + len(r.Path) + len(r.Data) }
 
-// encode writes the frame over b[:0]: the client passes a buffer from its
+// EncodeInto writes the frame over b[:0]: a client passes a buffer from its
 // endpoint's free list, which the server releases once the reply is out.
-func (r *Request) encode(b []byte) []byte {
+func (r *Request) EncodeInto(b []byte) []byte {
 	return wire.Into(b).
 		U8(reqMagic).U8(byte(r.Op)).U16(r.Tenant).U64(r.ID).
 		U32(r.FD).U64(r.Off).U32(r.Len).
