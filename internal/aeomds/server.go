@@ -1,8 +1,10 @@
 package aeomds
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aeolia/internal/netsim"
@@ -73,6 +75,7 @@ type shardRT struct {
 	ep       *netsim.Endpoint
 	leases   map[uint32]*lease
 	free     []*lease // records of ended leases, for the next grant or adoption
+	on       []*lease // leasesOn's result, reused
 	leaseSeq uint32
 	pend     map[uint64]*pendTxn
 	txnSeq   uint64
@@ -262,15 +265,26 @@ func (rt *shardRT) endLease(id uint32) {
 	}
 }
 
+// leasesOn returns the shard's live leases on ino that are not being
+// revoked, in lease-id order, so what is done to them does not follow the
+// map's order. The slice is reused by the next call.
+func (rt *shardRT) leasesOn(ino uint64) []*lease {
+	rt.on = rt.on[:0]
+	for _, l := range rt.leases {
+		if l.ino == ino && !l.revoking {
+			rt.on = append(rt.on, l)
+		}
+	}
+	slices.SortFunc(rt.on, func(a, b *lease) int { return cmp.Compare(a.id, b.id) })
+	return rt.on
+}
+
 // revokeLeases revokes every live lease on ino held at shard i (skipping
 // already-revoking ones). Revocation is asynchronous: the frame goes out,
 // the op completes, and the lease dies when the ack arrives.
 func (svc *Service) revokeLeases(env *sim.Env, i int, ino uint64) {
 	rt := svc.rt[i]
-	for _, l := range rt.leases {
-		if l.ino != ino || l.revoking {
-			continue
-		}
+	for _, l := range rt.leasesOn(ino) {
 		l.revoking = true
 		svc.RevokesSent++
 		svc.emit(env, trace.MDSLeaseRevoke, i, l.id, ino, 0)
@@ -492,11 +506,9 @@ func (svc *Service) handleRename(env *sim.Env, i int, m *netsim.Msg, req Request
 	}
 	p := peerReq{Txn: txn, Kind: peerIngest, Dir: req.Dir2, Name: req.Name2, Meta: *meta.Clone()}
 	var moved []uint32
-	for _, l := range svc.rt[i].leases {
-		if l.ino == meta.Ino && !l.revoking {
-			p.Leases = append(p.Leases, leaseRec{ID: l.id, Ino: l.ino, Holder: l.holder})
-			moved = append(moved, l.id)
-		}
+	for _, l := range svc.rt[i].leasesOn(meta.Ino) {
+		p.Leases = append(p.Leases, leaseRec{ID: l.id, Ino: l.ino, Holder: l.holder})
+		moved = append(moved, l.id)
 	}
 	svc.rt[i].pend[txn] = &pendTxn{req: req, replyTo: m.Src, traceTxn: ttxn, meta: meta, moved: moved}
 	ep := svc.rt[i].ep

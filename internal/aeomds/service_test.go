@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"aeolia/internal/machine"
 	"aeolia/internal/netsim"
 	"aeolia/internal/nvme"
+	"aeolia/internal/sched"
 	"aeolia/internal/sim"
 	"aeolia/internal/trace"
 )
@@ -412,4 +414,80 @@ func TestHostileFramesDropped(t *testing.T) {
 	if err := tc.svc.CheckAccounting(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRevokeOrderFixed: an unlink of a file two clients hold open revokes
+// both leases, and identical runs trace the same revoke timeline, whatever
+// order the shard's lease map iterates in.
+func TestRevokeOrderFixed(t *testing.T) {
+	first := revokeTimeline(t)
+	if n := strings.Count(first, trace.MDSLeaseRevoke.String()+" "); n != 2 {
+		t.Fatalf("timeline has %d revokes, want 2:\n%s", n, first)
+	}
+	for run := 1; run < 50; run++ {
+		if got := revokeTimeline(t); got != first {
+			t.Fatalf("run %d: revoke timeline differs.\n--- first ---\n%s--- run %d ---\n%s", run, first, run, got)
+		}
+	}
+}
+
+// revokeTimeline runs one shard and three clients: client 0 creates /d/f,
+// clients 1 and 2 open it, client 0 unlinks it, and each holder's next
+// round trip takes its revoke. It returns the revoke and revoked events.
+func revokeTimeline(t *testing.T) string {
+	t.Helper()
+	eng := sim.NewEngine(2, sched.NewEEVDF())
+	defer eng.Shutdown()
+	tr := trace.New(2, 1<<12)
+	eng.Tracer = tr
+	fab := netsim.New(eng, 1)
+	svc := NewService(fab, Config{Shards: 1, DataNodes: 1})
+	svc.Start([]*sim.Core{eng.Core(0)})
+	var cs []*Client
+	for id := 0; id < 3; id++ {
+		cs = append(cs, NewClient(fab, ClientConfig{ID: id, Shards: 1}))
+		fab.Connect(ClientEndpoint(id), ShardEndpoint(0), testLink)
+		fab.Connect(ShardEndpoint(0), ClientEndpoint(id), testLink)
+	}
+	var failure error
+	eng.Spawn("driver", eng.Core(1), func(env *sim.Env) {
+		defer svc.Stop()
+		stat := func(c *Client) error {
+			_, err := c.Stat(env, "/d")
+			return err
+		}
+		for _, err := range []func() error{
+			func() error { return cs[0].Mkdir(env, "/d") },
+			func() error { return cs[0].Open(env, "/d/f", true, true) },
+			func() error { return cs[0].Close(env, "/d/f") },
+			func() error { return cs[1].Open(env, "/d/f", false, false) },
+			func() error { return cs[2].Open(env, "/d/f", false, false) },
+			func() error { return cs[0].Unlink(env, "/d/f") },
+			func() error { return stat(cs[1]) },
+			func() error { return stat(cs[2]) },
+			func() error { return cs[1].Close(env, "/d/f") },
+			func() error { return cs[2].Close(env, "/d/f") },
+		} {
+			if failure = err(); failure != nil {
+				return
+			}
+		}
+	})
+	eng.Run(time.Second)
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if err := svc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CheckAccounting(); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, ev := range tr.Events() {
+		if ev.Type == trace.MDSLeaseRevoke || ev.Type == trace.MDSLeaseRevoked {
+			fmt.Fprintf(&sb, "%v %v lease=%#x\n", ev.At, ev.Type, ev.CID)
+		}
+	}
+	return sb.String()
 }
