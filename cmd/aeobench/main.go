@@ -12,6 +12,9 @@
 //	aeobench -md all               # emit markdown (for EXPERIMENTS.md)
 //	aeobench -json qdsweep         # emit one JSON document of every table
 //	aeobench -trace t.json qdsweep # also write the traced cell as a Chrome trace
+//
+// Wall-clock tables (IDs ending in "_timing") go to stderr, so the stdout of
+// two runs of one commit is byte-identical.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"aeolia/internal/experiments"
@@ -80,13 +84,19 @@ func run(registry []*experiments.Experiment, args []string, stdout, stderr io.Wr
 	var collected []*report.Table
 	emit := func(tables []*report.Table) {
 		for _, t := range tables {
+			// Wall-clock tables differ between identical runs; on stderr
+			// they leave stdout comparable byte for byte across commits.
+			w := stdout
+			if strings.HasSuffix(t.ID, "_timing") {
+				w = stderr
+			}
 			switch {
-			case *jsonOut:
+			case *jsonOut && w == stdout:
 				collected = append(collected, t)
 			case *md:
-				t.Markdown(stdout)
+				t.Markdown(w)
 			default:
-				t.Print(stdout)
+				t.Print(w)
 			}
 		}
 	}

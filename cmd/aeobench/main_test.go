@@ -27,7 +27,7 @@ func newFake(id string, runErr, traceErr error) *fake {
 	f := &fake{}
 	f.exp = &experiments.Experiment{ID: id, Title: id, Run: func() ([]*report.Table, error) {
 		f.runs++
-		return []*report.Table{{ID: id, Columns: []string{"c"}}}, runErr
+		return []*report.Table{{ID: id, Columns: []string{"c"}}, {ID: id + "_timing", Columns: []string{"c"}}}, runErr
 	}}
 	if traceErr != errNoTrace {
 		f.exp.Trace = func() (*experiments.Traced, error) {
@@ -44,7 +44,8 @@ func newFake(id string, runErr, traceErr error) *fake {
 
 // TestRun pins the command's contract: every named experiment's sweep runs,
 // then its traced cell; a failure of either exits 1; nothing that names no
-// runnable experiment can exit 0. The parent's `-trace t.json -cache` wrote
+// runnable experiment can exit 0; wall-clock ("_timing") tables go to
+// stderr, never stdout. The parent's `-trace t.json -cache` wrote
 // the trace and exited 0 without running the gate.
 func TestRun(t *testing.T) {
 	boom := errors.New("boom")
@@ -61,11 +62,11 @@ func TestRun(t *testing.T) {
 		{name: "sweep then traced cell", args: []string{"ok"}, code: 0,
 			runs: [4]int{1}, traces: [4]int{1}, stdout: []string{"== ok:", "== ok_stages:"}, stderr: "[ok traced cell: 1 events, all well]"},
 		{name: "several ids in order", args: []string{"-md", "plain", "ok"}, code: 0,
-			runs: [4]int{1, 1}, traces: [4]int{1}, stdout: []string{"### plain", "### ok_stages"}},
+			runs: [4]int{1, 1}, traces: [4]int{1}, stdout: []string{"### plain", "### ok_stages"}, stderr: "### plain_timing"},
 		{name: "all", args: []string{"all"}, code: 1, // stops at badrun, after ok and plain
 			runs: [4]int{1, 1, 1}, traces: [4]int{1}, stderr: "badrun failed: boom"},
 		{name: "json is one document", args: []string{"-json", "ok", "plain"}, code: 0,
-			runs: [4]int{1, 1}, traces: [4]int{1}, stdout: []string{`"id": "ok_stages"`, `"id": "plain"`}},
+			runs: [4]int{1, 1}, traces: [4]int{1}, stdout: []string{`"id": "ok_stages"`, `"id": "plain"`}, stderr: "== plain_timing:"},
 		{name: "trace export", args: []string{"-trace", out, "ok"}, code: 0,
 			runs: [4]int{1}, traces: [4]int{1}, wantFile: true},
 		{name: "trace with no id", args: []string{"-trace", out}, code: 2, stderr: "usage:"},
@@ -104,6 +105,9 @@ func TestRun(t *testing.T) {
 				if !strings.Contains(stdout.String(), want) {
 					t.Errorf("stdout lacks %q:\n%s", want, &stdout)
 				}
+			}
+			if strings.Contains(stdout.String(), "_timing") {
+				t.Errorf("a wall-clock table reached stdout:\n%s", &stdout)
 			}
 			if !strings.Contains(stderr.String(), tc.stderr) {
 				t.Errorf("stderr lacks %q:\n%s", tc.stderr, &stderr)
