@@ -17,8 +17,8 @@ import (
 // AblTrust quantifies the cost of eager integrity checking (§7.3): the
 // paper argues the trusted-entity domain switch costs only ~85 cycles per
 // operation, so eager checking is essentially free. We measure AeoFS with
-// the gate toll as calibrated, and with the process gate's EntryCost
-// zeroed, on a cached-read and a create workload.
+// the gate toll as calibrated, and as the stack table's toll-free AeoFS
+// row, on a cached-read and a create workload.
 func AblTrust() ([]*report.Table, error) {
 	t := &report.Table{
 		ID: "abl1", Title: "eager integrity checking cost (gate toll on/off)",
@@ -61,15 +61,12 @@ func AblTrust() ([]*report.Table, error) {
 	}
 
 	for _, p := range points {
-		rates := map[bool]float64{}
-		for _, disableToll := range []bool{false, true} {
+		var rates [2]float64 // with the toll, without it
+		for i, kind := range []machine.FSKind{machine.KindAeoFS, "aeofs-no-toll"} {
 			m := machine.New(1, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: 1 << 17})
-			fi, err := m.BuildFS(machine.KindAeoFS, machine.FSOptions{})
+			fi, err := m.BuildFS(kind, machine.FSOptions{})
 			if err != nil {
 				return nil, err
-			}
-			if disableToll {
-				fi.Proc.Gate.EntryCost = 0
 			}
 			var ops int
 			var dur time.Duration
@@ -88,12 +85,12 @@ func AblTrust() ([]*report.Table, error) {
 			if rerr != nil {
 				return nil, rerr
 			}
-			rates[disableToll] = float64(ops) / dur.Seconds() / 1e3
+			rates[i] = float64(ops) / dur.Seconds() / 1e3
 		}
-		overhead := (rates[true] - rates[false]) / rates[true] * 100
+		overhead := (rates[1] - rates[0]) / rates[1] * 100
 		t.AddRow(p.name,
-			fmt.Sprintf("%.0f", rates[false]),
-			fmt.Sprintf("%.0f", rates[true]),
+			fmt.Sprintf("%.0f", rates[0]),
+			fmt.Sprintf("%.0f", rates[1]),
 			fmt.Sprintf("%.1f%%", overhead))
 	}
 	t.Note("paper: each operation pays ~85 cycles to switch to the trusted entity — eager checking is nearly free")
@@ -119,7 +116,7 @@ func AblJournal() ([]*report.Table, error) {
 		for i := range cores {
 			cores[i] = m.Eng.Core(i)
 		}
-		res, err := workload.RunFXMark(m.Eng, cores, fsForThread(fi), marks["MWCL"], 150, 2*time.Minute)
+		res, err := workload.RunFXMark(m.Eng, cores, fi.ForThread, marks["MWCL"], 150, 2*time.Minute)
 		m.Eng.Shutdown()
 		if err != nil {
 			return nil, err

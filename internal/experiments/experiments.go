@@ -10,13 +10,10 @@ import (
 	"fmt"
 	"time"
 
-	"aeolia/internal/aeodriver"
-	"aeolia/internal/aeokern"
 	"aeolia/internal/machine"
 	"aeolia/internal/nvme"
 	"aeolia/internal/report"
 	"aeolia/internal/sim"
-	"aeolia/internal/timing"
 	"aeolia/internal/trace"
 	"aeolia/internal/workload"
 )
@@ -86,47 +83,16 @@ func Lookup(id string) *Experiment {
 
 // ---- shared plumbing -----------------------------------------------------
 
-// stackNames is the storage-subsystem lineup.
-var stackNames = []string{"posix", "iou_dfl", "iou_opt", "iou_poll", "spdk", "aeolia"}
-
 // blockDev returns the standard device config for block-level figures.
 func blockDev(blockSize int) nvme.Config {
 	return nvme.Config{BlockSize: blockSize, NumBlocks: 1 << 20}
 }
 
-// baselines are the stacks Aeolia is evaluated against (§2, §9), each one
-// AeoDriver configuration over the same device: how a completion reaches
-// the waiter, what the waiter does meanwhile, and the kernel path each
-// submission crosses. POSIX is pread/pwrite with O_DIRECT; iou_dfl is
-// io_uring's default (interrupts, eager sleep); iou_opt is io_uring with the
-// active-checking policy; iou_poll is IORING_SETUP_IOPOLL; spdk is a polling
-// userspace driver. All run at queue depth 64.
-var baselines = map[string]aeodriver.Config{
-	"posix":    {Mode: aeodriver.ModeKernelNative, Policy: aeodriver.PolicyAlwaysBlock, KernelCrossing: timing.POSIXSyscall},
-	"iou_dfl":  {Mode: aeodriver.ModeKernelNative, Policy: aeodriver.PolicyAlwaysBlock, KernelCrossing: timing.KernelSubmit},
-	"iou_opt":  {Mode: aeodriver.ModeKernelNative, Policy: aeodriver.PolicyCoordinated, KernelCrossing: timing.KernelSubmit},
-	"iou_poll": {Mode: aeodriver.ModePoll, KernelCrossing: timing.KernelSubmit},
-	"spdk":     {Mode: aeodriver.ModePoll},
-}
-
-// newBlockIO builds the named stack on machine m: Aeolia, or a baseline
-// launched the same way with its own configuration and no trusted-entry toll.
+// newBlockIO launches the named block stack on machine m.
 func newBlockIO(m *machine.Machine, name string) (workload.BlockIO, error) {
-	cfg, baseline := baselines[name]
-	switch {
-	case baseline:
-		cfg.QueueDepth = 64
-	case name == "aeolia":
-		cfg = aeodriver.Config{Mode: aeodriver.ModeUserInterrupt}
-	default:
-		return nil, fmt.Errorf("experiments: unknown stack %q", name)
-	}
-	p, err := m.Launch("fio-"+name, aeokern.Partition{Start: 0, Blocks: m.Dev.NumBlocks(), Writable: true}, cfg)
+	p, err := m.LaunchStack(name)
 	if err != nil {
 		return nil, err
-	}
-	if baseline {
-		p.Gate.EntryCost = 0
 	}
 	return &workload.DriverIO{Driver: p.Driver}, nil
 }

@@ -59,7 +59,7 @@ func TestFastExperimentsProduceTables(t *testing.T) {
 
 func TestBlockIOLineupComplete(t *testing.T) {
 	m := newTestMachine(t)
-	for _, name := range stackNames {
+	for _, name := range []string{"posix", "iou_dfl", "iou_opt", "iou_poll", "spdk", "aeolia"} {
 		io, err := newBlockIO(m, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

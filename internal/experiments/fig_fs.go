@@ -24,10 +24,8 @@ func buildFSMachine(kind machine.FSKind, appCores int) (*machine.Machine, *machi
 	}
 	m := machine.New(appCores+workers, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: 1 << 20})
 	opt := machine.FSOptions{Journals: 64, JournalBlocks: 2048, Cores: appCores + workers}
-	if workers > 0 {
-		for i := 0; i < workers; i++ {
-			opt.UFSWorkerCores = append(opt.UFSWorkerCores, m.Eng.Core(appCores+i))
-		}
+	for i := 0; i < workers; i++ {
+		opt.UFSWorkerCores = append(opt.UFSWorkerCores, m.Eng.Core(appCores+i))
 	}
 	fi, err := m.BuildFS(kind, opt)
 	if err != nil {
@@ -40,21 +38,9 @@ func buildFSMachine(kind machine.FSKind, appCores int) (*machine.Machine, *machi
 	return m, fi, cores, nil
 }
 
-// fsForThread returns a per-thread FS handle factory.
-func fsForThread(fi *machine.FSInstance) func(int) vfs.FileSystem {
-	return func(tid int) vfs.FileSystem {
-		if fi.Kind == machine.KindUFS {
-			return fi.NewUFSClient()
-		}
-		return fi.FS
-	}
-}
-
 // teardown stops uFS workers (so later engine runs terminate) and unwinds.
 func teardown(m *machine.Machine, fi *machine.FSInstance) {
-	if fi != nil && fi.UFS != nil {
-		fi.UFS.Stop()
-	}
+	fi.Stop()
 	m.Eng.Shutdown()
 }
 
@@ -69,19 +55,18 @@ func Fig14() ([]*report.Table, error) {
 		ID: "fig14", Title: "single-thread metadata operations (kops/s)",
 		Columns: []string{"workload", "ext4", "f2fs", "aeofs", "ufs"},
 	}
-	kinds := []machine.FSKind{machine.KindExt4, machine.KindF2FS, machine.KindAeoFS, machine.KindUFS}
 
 	dataRows := map[string][]string{}
 	metaRows := map[string][]string{}
 	dataOrder := []string{"4KB read (MB/s)", "4KB write (MB/s)", "2MB read (MB/s)", "2MB write (MB/s)"}
 	metaOrder := []string{"open (5-deep)", "stat (5-deep)", "create", "unlink"}
 
-	for _, kind := range kinds {
+	for _, kind := range machine.AllFSKinds {
 		m, fi, cores, err := buildFSMachine(kind, 1)
 		if err != nil {
 			return nil, err
 		}
-		fsFor := fsForThread(fi)
+		fsFor := fi.ForThread
 
 		// --- data ops over a warm 64MB file ---
 		for _, c := range []struct {
@@ -185,7 +170,6 @@ func Fig14() ([]*report.Table, error) {
 // Fig15 regenerates Figure 15: multi-thread data-path scalability.
 func Fig15() ([]*report.Table, error) {
 	threads := []int{1, 4, 16, 32}
-	kinds := []machine.FSKind{machine.KindExt4, machine.KindF2FS, machine.KindAeoFS, machine.KindUFS}
 	var tables []*report.Table
 	for _, c := range []struct {
 		name  string
@@ -202,14 +186,14 @@ func Fig15() ([]*report.Table, error) {
 			ID: "fig15", Title: fmt.Sprintf("%s scalability (aggregate GiB/s)", c.name),
 			Columns: append([]string{"fs"}, intCols(threads)...),
 		}
-		for _, kind := range kinds {
+		for _, kind := range machine.AllFSKinds {
 			row := []string{string(kind)}
 			for _, n := range threads {
 				m, fi, cores, err := buildFSMachine(kind, n)
 				if err != nil {
 					return nil, err
 				}
-				fsFor := fsForThread(fi)
+				fsFor := fi.ForThread
 				c := c
 				barrier := sim.NewBarrier(n)
 				spec := &workload.ParallelSpec{
@@ -252,7 +236,6 @@ func Fig15() ([]*report.Table, error) {
 // Fig16 regenerates Figure 16: FXMARK metadata scalability.
 func Fig16() ([]*report.Table, error) {
 	threads := []int{1, 4, 16, 32}
-	kinds := []machine.FSKind{machine.KindExt4, machine.KindF2FS, machine.KindAeoFS, machine.KindUFS}
 	marks := workload.FXMarks()
 	var tables []*report.Table
 	for _, name := range workload.FXMarkOrder {
@@ -260,14 +243,14 @@ func Fig16() ([]*report.Table, error) {
 			ID: "fig16", Title: fmt.Sprintf("%s (kops/s aggregate)", name),
 			Columns: append([]string{"fs"}, intCols(threads)...),
 		}
-		for _, kind := range kinds {
+		for _, kind := range machine.AllFSKinds {
 			row := []string{string(kind)}
 			for _, n := range threads {
 				m, fi, cores, err := buildFSMachine(kind, n)
 				if err != nil {
 					return nil, err
 				}
-				res, err := workload.RunFXMark(m.Eng, cores, fsForThread(fi), marks[name], 150, 120*time.Second)
+				res, err := workload.RunFXMark(m.Eng, cores, fi.ForThread, marks[name], 150, 120*time.Second)
 				teardown(m, fi)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s %dT: %w", kind, name, n, err)
@@ -291,11 +274,10 @@ func Tab6() ([]*report.Table, error) {
 		ID: "tab6", Title: "two instances updating the same file/directory",
 		Columns: []string{"workload", "ext4", "f2fs", "aeofs", "ufs"},
 	}
-	kinds := []machine.FSKind{machine.KindExt4, machine.KindF2FS, machine.KindAeoFS, machine.KindUFS}
 	rows := map[string][]string{}
 	order := []string{"4KB append (MiB/s)", "create (kop/s)", "remove (kop/s)"}
 
-	for _, kind := range kinds {
+	for _, kind := range machine.AllFSKinds {
 		m, fi, cores, err := buildFSMachine(kind, 2)
 		if err != nil {
 			return nil, err
@@ -303,7 +285,7 @@ func Tab6() ([]*report.Table, error) {
 		// For AeoFS, the second instance is a separate process with its
 		// own auxiliary state over the shared trusted layer — the
 		// configuration that pays the §9.4 sharing cost.
-		fsFor := fsForThread(fi)
+		fsFor := fi.ForThread
 		if kind == machine.KindAeoFS {
 			p2, err := m.Launch("tenantB", fi.Proc.Proc.Partition, fi.Proc.Driver.Config())
 			if err != nil {

@@ -4,58 +4,43 @@ import (
 	"fmt"
 	"time"
 
-	"aeolia/internal/aeodriver"
 	"aeolia/internal/aeofs"
-	"aeolia/internal/aeokern"
 	"aeolia/internal/kv"
 	"aeolia/internal/machine"
 	"aeolia/internal/nvme"
 	"aeolia/internal/report"
 	"aeolia/internal/sim"
-	"aeolia/internal/vfs"
 	"aeolia/internal/workload"
 )
 
 // Fig17 regenerates Figure 17: the Aeolia breakdown on 32KB write + fsync,
-// comparing the full design against +poll, +k_yield, and +k_intr.
+// comparing the full design against +poll, +k_yield, and +k_intr (each a
+// row of the stack table).
 func Fig17() ([]*report.Table, error) {
-	configs := []struct {
-		name string
-		cfg  aeodriver.Config
-	}{
-		{"aeolia", aeodriver.Config{Mode: aeodriver.ModeUserInterrupt, Policy: aeodriver.PolicyCoordinated}},
-		{"+poll", aeodriver.Config{Mode: aeodriver.ModePoll}},
-		{"+k_yield", aeodriver.Config{Mode: aeodriver.ModeUserInterrupt, Policy: aeodriver.PolicyAlwaysBlock}},
-		{"+k_intr", aeodriver.Config{Mode: aeodriver.ModeKernelInterrupt, Policy: aeodriver.PolicyAlwaysBlock}},
-	}
 	t := &report.Table{
 		ID: "fig17", Title: "AeoFS 32KB write + fsync per completion design",
 		Columns: []string{"config", "kops/s", "mean latency (us)", "vs aeolia"},
 	}
 	var base float64
-	for _, c := range configs {
+	for _, kind := range []machine.FSKind{machine.KindAeoFS, "+poll", "+k_yield", "+k_intr"} {
+		name := string(kind)
+		if kind == machine.KindAeoFS {
+			name = "aeolia"
+		}
 		m := machine.New(1, nvme.Config{BlockSize: aeofs.BlockSize, NumBlocks: 1 << 19})
-		p, err := m.Launch("fig17-"+c.name,
-			aeokern.Partition{Start: 0, Blocks: 1 << 19, Writable: true}, c.cfg)
+		fi, err := m.BuildFS(kind, machine.FSOptions{Journals: 8, JournalBlocks: 512})
 		if err != nil {
 			return nil, err
 		}
 		var res *workload.Result
 		var rerr error
 		m.Eng.Spawn("bench", m.Eng.Core(0), func(env *sim.Env) {
-			if _, e := p.Driver.CreateQP(env); e != nil {
+			if _, e := fi.Proc.Driver.CreateQP(env); e != nil {
 				rerr = e
 				return
 			}
-			trust, e := aeofs.MkfsAndMount(env, p.Driver, 0, 1<<19,
-				aeofs.MkfsOptions{NumJournals: 8, JournalBlocks: 512})
-			if e != nil {
-				rerr = e
-				return
-			}
-			fs := &vfs.AeoFSAdapter{FS: aeofs.NewFS(trust, p.Driver, 1)}
 			job := &workload.FileFioJob{
-				Name: c.name, FS: fs, Path: "/fig17",
+				Name: name, FS: fi.FS, Path: "/fig17",
 				Write: true, Pattern: workload.PatternSeq,
 				IOSize: 32 << 10, FileSize: 16 << 20, Ops: 150, Fsync: true,
 			}
@@ -64,19 +49,19 @@ func Fig17() ([]*report.Table, error) {
 				rerr = e
 				return
 			}
-			defer fs.Close(env, fd)
+			defer fi.FS.Close(env, fd)
 			res, rerr = job.Run(env, fd)
 		})
 		m.Eng.Run(0)
 		m.Eng.Shutdown()
 		if rerr != nil {
-			return nil, fmt.Errorf("fig17 %s: %w", c.name, rerr)
+			return nil, fmt.Errorf("fig17 %s: %w", name, rerr)
 		}
 		kops := res.KOpsPerSec()
-		if c.name == "aeolia" {
+		if kind == machine.KindAeoFS {
 			base = kops
 		}
-		t.AddRow(c.name, fmt.Sprintf("%.1f", kops),
+		t.AddRow(name, fmt.Sprintf("%.1f", kops),
 			usec(res.Latency.Mean()),
 			fmt.Sprintf("%.0f%%", 100*kops/base))
 	}
@@ -97,7 +82,7 @@ func runFilebench(id string, kinds []machine.FSKind, profiles map[string]*worklo
 			if err != nil {
 				return nil, err
 			}
-			res, err := workload.RunFilebench(m.Eng, cores, fsForThread(fi), profiles[name], loops, 300*time.Second)
+			res, err := workload.RunFilebench(m.Eng, cores, fi.ForThread, profiles[name], loops, 300*time.Second)
 			teardown(m, fi)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", kind, name, err)
@@ -134,9 +119,8 @@ func Fig18() ([]*report.Table, error) {
 // Fig19 regenerates Figure 19: Filebench under the uFS repository's smaller
 // configurations, including uFS.
 func Fig19() ([]*report.Table, error) {
-	kinds := []machine.FSKind{machine.KindExt4, machine.KindF2FS, machine.KindAeoFS, machine.KindUFS}
 	profiles := workload.FilebenchProfiles(0.003)
-	t, err := runFilebench("fig19", kinds, profiles, []string{"webserver", "varmail"}, 4, 10)
+	t, err := runFilebench("fig19", machine.AllFSKinds, profiles, []string{"webserver", "varmail"}, 4, 10)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +150,7 @@ func Tab8() ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			fs := fsForThread(fi)(0)
+			fs := fi.ForThread(0)
 			var res *workload.Result
 			var rerr error
 			done := false

@@ -108,7 +108,7 @@ func Fig5() ([]*report.Table, error) {
 		var ioErr error
 		m.Eng.Spawn("io", m.Eng.Core(0), func(env *sim.Env) {
 			job := &workload.FioJob{
-				Name: name, IO: io, Pattern: PatternRandAlias,
+				Name: name, IO: io, Pattern: workload.PatternRand,
 				BlockSizeBytes: 128 << 10, BlockBytes: 4096,
 				Span: m.Dev.NumBlocks() / 2, Until: horizon, Ops: 1 << 30, Seed: 3,
 			}
@@ -141,7 +141,7 @@ func Fig5() ([]*report.Table, error) {
 			i := i
 			m.Eng.Spawn(fmt.Sprintf("io%d", i), m.Eng.Core(0), func(env *sim.Env) {
 				job := &workload.FioJob{
-					Name: name, IO: io, Pattern: PatternRandAlias,
+					Name: name, IO: io, Pattern: workload.PatternRand,
 					BlockSizeBytes: 4096, BlockBytes: 4096,
 					Span: m.Dev.NumBlocks() / 2, Until: horizon, Ops: 1 << 30,
 					Seed: int64(i),
@@ -168,9 +168,6 @@ func Fig5() ([]*report.Table, error) {
 	b.Note("polling suffers multi-ms tails: a task preempted after issuing waits out whole time slices")
 	return []*report.Table{a, b}, nil
 }
-
-// PatternRandAlias re-exports the random pattern for local readability.
-const PatternRandAlias = workload.PatternRand
 
 // Fig10 regenerates Figure 10: single-thread sweeps over I/O size.
 func Fig10() ([]*report.Table, error) {

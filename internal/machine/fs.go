@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"aeolia/internal/aeodriver"
 	"aeolia/internal/aeofs"
 	"aeolia/internal/aeokern"
 	"aeolia/internal/kernfs"
@@ -60,21 +59,36 @@ type FSInstance struct {
 	FS    vfs.FileSystem
 	Proc  *Process
 	Trust *aeofs.TrustLayer
-	// UFS is the server handle (KindUFS only); call UFS.Stop() after the
-	// workload so engine runs terminate.
+	// UFS is the server handle (KindUFS only); Stop stops it.
 	UFS *ufsserver.Server
 	// AeoFS is the underlying substrate instance.
 	AeoFS *aeofs.FS
 }
 
-// NewUFSClient returns a fresh per-thread uFS client library handle.
-func (fi *FSInstance) NewUFSClient() vfs.FileSystem {
-	return ufsserver.NewClient(fi.UFS)
+// ForThread returns the handle a workload thread uses: the mounted front
+// end, or for uFS a fresh client library instance per call.
+func (fi *FSInstance) ForThread(int) vfs.FileSystem {
+	if fi.UFS != nil {
+		return ufsserver.NewClient(fi.UFS)
+	}
+	return fi.FS
 }
 
-// BuildFS launches a process, formats the partition, and assembles the
-// requested file system over it. It drives the engine to complete setup.
+// Stop stops the uFS workers, if any, so later engine runs terminate.
+func (fi *FSInstance) Stop() {
+	if fi.UFS != nil {
+		fi.UFS.Stop()
+	}
+}
+
+// BuildFS launches the process of the stack table's row kind, formats the
+// partition, and builds the row's file system over it. It drives the
+// engine to complete setup.
 func (m *Machine) BuildFS(kind FSKind, opt FSOptions) (*FSInstance, error) {
+	s, ok := stacks[string(kind)]
+	if !ok || s.mount == nil {
+		return nil, fmt.Errorf("machine: unknown fs kind %q", kind)
+	}
 	if opt.Partition.Blocks == 0 {
 		opt.Partition = aeokern.Partition{Start: 0, Blocks: m.Dev.NumBlocks(), Writable: true}
 	}
@@ -87,22 +101,9 @@ func (m *Machine) BuildFS(kind FSKind, opt FSOptions) (*FSInstance, error) {
 	// opt.JournalBlocks == 0 lets Mkfs size the journal area to the
 	// partition.
 
-	var mode aeodriver.CompletionMode
-	switch kind {
-	case KindAeoFS:
-		mode = aeodriver.ModeUserInterrupt
-	case KindExt4, KindF2FS:
-		mode = aeodriver.ModeKernelNative
-	case KindUFS:
-		mode = aeodriver.ModePoll
-	default:
-		return nil, fmt.Errorf("machine: unknown fs kind %q", kind)
-	}
-	p, err := m.Launch(string(kind), opt.Partition, aeodriver.Config{
-		Mode:     mode,
-		Coalesce: opt.Coalesce,
-		QoS:      opt.QoS,
-	})
+	cfg := s.driver
+	cfg.Coalesce, cfg.QoS = opt.Coalesce, opt.QoS
+	p, err := m.launch(string(kind), opt.Partition, cfg, s.toll)
 	if err != nil {
 		return nil, err
 	}
@@ -127,22 +128,35 @@ func (m *Machine) BuildFS(kind FSKind, opt FSOptions) (*FSInstance, error) {
 	if serr != nil {
 		return nil, serr
 	}
-
-	switch kind {
-	case KindAeoFS:
-		fi.FS = &vfs.AeoFSAdapter{FS: fi.AeoFS}
-	case KindExt4:
-		fi.FS = kernfs.New(kernfs.Ext4, fi.AeoFS)
-	case KindF2FS:
-		fi.FS = kernfs.New(kernfs.F2FS, fi.AeoFS)
-	case KindUFS:
-		if len(opt.UFSWorkerCores) == 0 {
-			return nil, fmt.Errorf("machine: uFS needs worker cores")
-		}
-		fi.UFS = ufsserver.New(m.Eng, opt.UFSWorkerCores, fi.AeoFS)
-		// Let the workers initialize their queue pairs.
-		m.Eng.Run(m.Eng.Now() + time.Millisecond)
-		fi.FS = ufsserver.NewClient(fi.UFS)
+	if err := s.mount(m, fi, opt); err != nil {
+		return nil, err
 	}
 	return fi, nil
+}
+
+// adapter mounts AeoFS itself.
+func adapter(_ *Machine, fi *FSInstance, _ FSOptions) error {
+	fi.FS = &vfs.AeoFSAdapter{FS: fi.AeoFS}
+	return nil
+}
+
+// kernel mounts a kernel file system of the given flavor over the substrate.
+func kernel(f kernfs.Flavor) func(*Machine, *FSInstance, FSOptions) error {
+	return func(_ *Machine, fi *FSInstance, _ FSOptions) error {
+		fi.FS = kernfs.New(f, fi.AeoFS)
+		return nil
+	}
+}
+
+// ufs starts the uFS server on the worker cores; each thread talks to it
+// through its own client (ForThread).
+func ufs(m *Machine, fi *FSInstance, opt FSOptions) error {
+	if len(opt.UFSWorkerCores) == 0 {
+		return fmt.Errorf("machine: uFS needs worker cores")
+	}
+	fi.UFS = ufsserver.New(m.Eng, opt.UFSWorkerCores, fi.AeoFS)
+	// Let the workers initialize their queue pairs.
+	m.Eng.Run(m.Eng.Now() + time.Millisecond)
+	fi.FS = ufsserver.NewClient(fi.UFS)
+	return nil
 }

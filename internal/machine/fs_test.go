@@ -29,9 +29,7 @@ func TestConformanceAcrossFileSystems(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fi.UFS != nil {
-				defer fi.UFS.Stop()
-			}
+			defer fi.Stop()
 			fs := fi.FS
 
 			var werr error
@@ -153,9 +151,7 @@ func TestRelativeFSPerformance(t *testing.T) {
 			fs.Close(env, fd)
 		})
 		m.Eng.Run(m.Eng.Now() + 10*time.Second)
-		if fi.UFS != nil {
-			fi.UFS.Stop()
-		}
+		fi.Stop()
 		m.Eng.Shutdown()
 		if werr != nil {
 			t.Fatalf("%s: %v", kind, werr)

@@ -123,7 +123,9 @@ func (l *Launcher) allocKey() (Key, error) {
 // Launch verifies and maps the trusted entities, scans the untrusted binary
 // for WRPKRU, runs entity initialization, and returns the application's
 // (untrusted) thread plus the gate into the shared trusted domain. It is
-// the only path that creates gates in a correctly-launched process.
+// the only path that creates gates in a correctly-launched process. Calls
+// through the gate pay TrustedEntryCost when entities are linked; with none
+// linked there is no trusted entity to switch to, and the gate is free.
 func (l *Launcher) Launch(untrustedBinary []byte, entities []TrustedImage) (*Thread, *Gate, error) {
 	// I2 precondition: the untrusted binary must not contain WRPKRU.
 	if hits := ScanForWRPKRU(untrustedBinary); len(hits) > 0 {
@@ -140,6 +142,9 @@ func (l *Launcher) Launch(untrustedBinary []byte, entities []TrustedImage) (*Thr
 		return nil, nil, err
 	}
 	gate := NewGate(l.sys, key)
+	if len(entities) == 0 {
+		gate.entryCost = 0
+	}
 	// Run entity initialization with privilege, then drop it by handing
 	// control to the untrusted thread.
 	for _, ent := range entities {

@@ -198,6 +198,13 @@ func TestLauncherVerifiesSignatures(t *testing.T) {
 	if th == nil || gate == nil {
 		t.Fatal("nil thread or gate")
 	}
+	if gate.EntryCost() != TrustedEntryCost {
+		t.Fatalf("gate into a linked entity charges %v, want %v", gate.EntryCost(), TrustedEntryCost)
+	}
+	// With no entity linked there is nothing to switch to: the gate is free.
+	if _, free, err := l.Launch([]byte{0x90}, nil); err != nil || free.EntryCost() != 0 {
+		t.Fatalf("gate with no linked entity: err %v, charges %v, want 0", err, free.EntryCost())
+	}
 
 	// Tampered image must be refused.
 	bad := append([]byte(nil), image...)

@@ -36,7 +36,7 @@ func buildUFS(t *testing.T, appCores, workers int) (*machine.Machine, *machine.F
 
 func TestUFSBasicIO(t *testing.T) {
 	m, fi, cores := buildUFS(t, 1, 2)
-	fs := fi.NewUFSClient()
+	fs := fi.ForThread(0)
 	var got []byte
 	var rerr error
 	done := false
@@ -91,13 +91,8 @@ func TestIPCCostVisible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fi.UFS != nil {
-			defer fi.UFS.Stop()
-		}
-		fs := fi.FS
-		if kind == machine.KindUFS {
-			fs = fi.NewUFSClient()
-		}
+		defer fi.Stop()
+		fs := fi.ForThread(0)
 		var dur time.Duration
 		done := false
 		m.Eng.Spawn("client", m.Eng.Core(0), func(env *sim.Env) {
@@ -140,7 +135,7 @@ func TestMetadataMasterIsBottleneck(t *testing.T) {
 		m, fi, cores := buildUFS(t, threads, 4)
 		spec := &workload.ParallelSpec{
 			Eng: m.Eng, Cores: cores,
-			FSFor: func(int) vfs.FileSystem { return fi.NewUFSClient() },
+			FSFor: fi.ForThread,
 			Body: func(env *sim.Env, fs vfs.FileSystem, tid int) (*workload.Result, error) {
 				res := &workload.Result{}
 				start := env.Now()
@@ -176,7 +171,7 @@ func TestMetadataMasterIsBottleneck(t *testing.T) {
 // TestWorkerStatsAccumulate sanity-checks server-side accounting.
 func TestWorkerStatsAccumulate(t *testing.T) {
 	m, fi, cores := buildUFS(t, 1, 2)
-	fs := fi.NewUFSClient()
+	fs := fi.ForThread(0)
 	done := false
 	m.Eng.Spawn("client", cores[0], func(env *sim.Env) {
 		defer func() { done = true }()

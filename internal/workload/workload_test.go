@@ -4,9 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"aeolia/internal/aeodriver"
 	"aeolia/internal/aeofs"
-	"aeolia/internal/aeokern"
 	"aeolia/internal/machine"
 	"aeolia/internal/nvme"
 	"aeolia/internal/sim"
@@ -56,16 +54,13 @@ func TestResultRates(t *testing.T) {
 	}
 }
 
-// spdkIO is the SPDK baseline on m: a polling driver with a queue depth of
-// 64 and no kernel crossing or trusted-entry toll.
+// spdkIO is the SPDK baseline on m (the stack table's "spdk" row).
 func spdkIO(t *testing.T, m *machine.Machine) *workload.DriverIO {
 	t.Helper()
-	p, err := m.Launch("fio-spdk", aeokern.Partition{Start: 0, Blocks: m.Dev.NumBlocks(), Writable: true},
-		aeodriver.Config{Mode: aeodriver.ModePoll, QueueDepth: 64})
+	p, err := m.LaunchStack("spdk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Gate.EntryCost = 0
 	return &workload.DriverIO{Driver: p.Driver}
 }
 
