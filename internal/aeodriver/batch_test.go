@@ -154,10 +154,10 @@ func TestWatchdogQuietUnderCoalescing(t *testing.T) {
 		if th.NotifyRecovered != 0 {
 			t.Errorf("NotifyRecovered = %d: watchdog fired on an intentionally-held completion", th.NotifyRecovered)
 		}
-		if th.HandlerRuns.Load() == 0 {
+		if th.HandlerRuns == 0 {
 			t.Error("user-interrupt handler never ran; completion was stolen from the delivery path")
 		}
-		if irqs := th.QueuePairs()[0].IRQRaised.Load(); irqs != 1 {
+		if irqs := th.QueuePairs()[0].IRQRaised; irqs != 1 {
 			t.Errorf("IRQRaised = %d, want exactly 1 aggregated interrupt", irqs)
 		}
 		return nil
@@ -199,10 +199,10 @@ func TestWatchdogQuietUnderUrgentBypass(t *testing.T) {
 		if th.NotifyRecovered != 0 {
 			t.Errorf("NotifyRecovered = %d: watchdog reaped a bypassed completion whose notification was in flight", th.NotifyRecovered)
 		}
-		if th.HandlerRuns.Load() == 0 {
+		if th.HandlerRuns == 0 {
 			t.Error("user-interrupt handler never ran; completion was stolen from the delivery path")
 		}
-		if byp := th.QueuePairs()[0].IRQBypassed.Load(); byp != 1 {
+		if byp := th.QueuePairs()[0].IRQBypassed; byp != 1 {
 			t.Errorf("IRQBypassed = %d, want exactly 1", byp)
 		}
 		return nil

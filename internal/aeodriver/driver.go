@@ -8,8 +8,10 @@
 package aeodriver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aeolia/internal/aeokern"
@@ -291,9 +293,16 @@ func Open(kern *aeokern.Kernel, proc *aeokern.Process, gate *mpk.Gate, cfg Confi
 	return d, nil
 }
 
-// Close releases all driver resources (Table 4 ②).
+// Close releases all driver resources (Table 4 ②), in task-id order: the
+// kernel's free vector list is LIFO, so the order decides which vectors the
+// next driver gets.
 func (d *Driver) Close() {
+	ths := make([]*Thread, 0, len(d.threads))
 	for _, th := range d.threads {
+		ths = append(ths, th)
+	}
+	slices.SortFunc(ths, func(a, b *Thread) int { return cmp.Compare(a.task.ID, b.task.ID) })
+	for _, th := range ths {
 		d.release(th)
 	}
 	d.open = false

@@ -253,14 +253,14 @@ func TestUserInterruptDeliveredInSchedule(t *testing.T) {
 		}
 	})
 	m.Run(0)
-	if th.HandlerRuns.Load() != 5 {
-		t.Fatalf("HandlerRuns = %d, want 5", th.HandlerRuns.Load())
+	if th.HandlerRuns != 5 {
+		t.Fatalf("HandlerRuns = %d, want 5", th.HandlerRuns)
 	}
-	if th.KernelDeliveries.Load() != 0 {
-		t.Fatalf("KernelDeliveries = %d, want 0 (task alone on core)", th.KernelDeliveries.Load())
+	if th.KernelDeliveries != 0 {
+		t.Fatalf("KernelDeliveries = %d, want 0 (task alone on core)", th.KernelDeliveries)
 	}
-	if th.ActiveChecks.Load() != 5 {
-		t.Fatalf("ActiveChecks = %d, want 5", th.ActiveChecks.Load())
+	if th.ActiveChecks != 5 {
+		t.Fatalf("ActiveChecks = %d, want 5", th.ActiveChecks)
 	}
 }
 
@@ -291,10 +291,10 @@ func TestOutOfScheduleDeliveryWhenSharing(t *testing.T) {
 	if ioDone != 3 {
 		t.Fatalf("completed %d I/Os, want 3", ioDone)
 	}
-	if th.BlockedWaits.Load() == 0 {
+	if th.BlockedWaits == 0 {
 		t.Fatal("I/O task never yielded the core despite a runnable hog")
 	}
-	if th.KernelDeliveries.Load() == 0 {
+	if th.KernelDeliveries == 0 {
 		t.Fatal("no out-of-schedule deliveries despite blocking waits")
 	}
 }
@@ -358,10 +358,10 @@ func TestKernelNativeCompletesInBottomHalf(t *testing.T) {
 	if th == nil {
 		t.Fatal("no thread")
 	}
-	if got := th.BlockedWaits.Load(); got != 1 {
+	if got := th.BlockedWaits; got != 1 {
 		t.Fatalf("BlockedWaits = %d, want 1 (the read must block)", got)
 	}
-	if got := th.HandlerRuns.Load(); got != 0 {
+	if got := th.HandlerRuns; got != 0 {
 		t.Fatalf("HandlerRuns = %d, want 0: a kernel completion pushed a user-interrupt handler frame", got)
 	}
 }

@@ -168,12 +168,12 @@ func TestQPCycleRecyclesVectors(t *testing.T) {
 					if cycle == 0 && mode != aeodriver.ModePoll {
 						// Interrupts are raised from engine context, as a device would.
 						core, vec := env.Task().Core(), th.QueuePairs()[0].Vector
-						runs, oos := th.HandlerRuns.Load(), th.KernelDeliveries.Load()
+						runs, oos := th.HandlerRuns, th.KernelDeliveries
 						m.Eng.Schedule(time.Microsecond, func() { core.RaiseIRQ(vec) })
 						env.Exec(10 * time.Microsecond)
-						if th.HandlerRuns.Load() != runs || th.KernelDeliveries.Load() != oos || m.Kern.SpuriousKernelIRQs != 1 {
+						if th.HandlerRuns != runs || th.KernelDeliveries != oos || m.Kern.SpuriousKernelIRQs != 1 {
 							t.Errorf("late interrupt not dropped: handler runs %d→%d, kernel-path deliveries %d→%d, spurious %d",
-								runs, th.HandlerRuns.Load(), oos, th.KernelDeliveries.Load(), m.Kern.SpuriousKernelIRQs)
+								runs, th.HandlerRuns, oos, th.KernelDeliveries, m.Kern.SpuriousKernelIRQs)
 						}
 					}
 					if _, err := drv.CreateQP(env); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"aeolia/internal/aeodriver"
@@ -283,6 +284,45 @@ func TestMkdirReaddirUnlinkRmdir(t *testing.T) {
 		}
 		if _, err := fx.fs.Stat(env, "/d"); !errors.Is(err, aeofs.ErrNotExist) {
 			return fmt.Errorf("stat removed dir: %v, want ErrNotExist", err)
+		}
+		return nil
+	})
+}
+
+// TestReadDirNameOrder: ReadDir lists a directory sorted by name, the same
+// list on every call, whatever order the entries were created in — the
+// directory's in-memory index is a Go map, whose walk order differs from
+// walk to walk.
+func TestReadDirNameOrder(t *testing.T) {
+	const n = 100
+	fx := newFixture(t, 1)
+	fx.run(t, "readdir", func(env *sim.Env) error {
+		if err := fx.fs.Mkdir(env, "/d"); err != nil {
+			return err
+		}
+		want := make([]string, n)
+		for i := range want {
+			want[i] = fmt.Sprintf("f%03d", i)
+			fd, err := fx.fs.Open(env, fmt.Sprintf("/d/f%03d", i*37%n), aeofs.O_CREATE|aeofs.O_RDWR)
+			if err != nil {
+				return err
+			}
+			if err := fx.fs.Close(env, fd); err != nil {
+				return err
+			}
+		}
+		for call := 1; call <= 2; call++ {
+			dents, err := fx.fs.ReadDir(env, "/d")
+			if err != nil {
+				return err
+			}
+			got := make([]string, len(dents))
+			for i, d := range dents {
+				got[i] = d.Name
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("readdir call %d: %v, want %v", call, got, want)
+			}
 		}
 		return nil
 	})

@@ -1,7 +1,6 @@
 package aeofs
 
 import (
-	"sync/atomic"
 	"time"
 
 	"aeolia/internal/aeodriver"
@@ -98,9 +97,7 @@ type CacheStats struct {
 // cacheManager is the mount-wide residency accountant: it owns the byte
 // budget, the CLOCK eviction hand, the dirty counters the flusher and
 // write throttle key off, and the registry of per-file pageCaches the
-// hand sweeps. All counters are atomic.Uint64: the lock-free epoch read
-// path and the race-tier hammer bump them from contexts budgetMu does not
-// serialize.
+// hand sweeps.
 type cacheManager struct {
 	fs  *FS
 	cfg CacheConfig
@@ -121,10 +118,13 @@ type cacheManager struct {
 	// take none of these locks — see DESIGN.md §16.
 	budgetMu ordMutex
 
-	resident atomic.Uint64
-	hwm      atomic.Uint64
-	dirty    atomic.Uint64
+	// stats holds the mount's counters. Its Hits and Misses count only
+	// unregistered files' lookups; snapshot adds the live files'.
+	stats CacheStats
 
+	// files is the sweep's registry and hand its position in it.
+	// register and unregister change files without budgetMu, so a sweep
+	// re-reads its length after every park (DESIGN.md §11).
 	files []*pageCache
 	hand  int
 
@@ -135,15 +135,6 @@ type cacheManager struct {
 	throttle  sim.WaitQueue
 
 	budgetEmitted bool
-
-	// retired counters from unregistered files.
-	retiredHits, retiredMisses atomic.Uint64
-
-	evictions, dirtyEvictions atomic.Uint64
-	fastReads                 atomic.Uint64
-	raIssued, raHits, raWaste atomic.Uint64
-	wbRuns, wbPages, wbErrors atomic.Uint64
-	throttled                 atomic.Uint64
 }
 
 func newCacheManager(fs *FS, cfg CacheConfig) *cacheManager {
@@ -177,8 +168,8 @@ func (cm *cacheManager) unregister(env *sim.Env, pc *pageCache) {
 			break
 		}
 	}
-	cm.retiredHits.Add(pc.Hits.Load())
-	cm.retiredMisses.Add(pc.Misses.Load())
+	cm.stats.Hits += pc.Hits
+	cm.stats.Misses += pc.Misses
 	pc.dropFrom(env, 0)
 }
 
@@ -194,13 +185,9 @@ func (cm *cacheManager) emit(typ trace.Type, cid uint32, lba, aux uint64) {
 // Bounded mounts announce their budget before the first charge so the
 // analyzer can check CacheInsert events against it.
 func (cm *cacheManager) account(bytes uint64) {
-	r := cm.resident.Add(bytes)
-	for {
-		h := cm.hwm.Load()
-		if r <= h || cm.hwm.CompareAndSwap(h, r) {
-			break
-		}
-	}
+	s := &cm.stats
+	s.ResidentBytes += bytes
+	s.ResidentHWM = max(s.ResidentHWM, s.ResidentBytes)
 	if cm.cfg.CacheBytes == 0 {
 		return
 	}
@@ -208,23 +195,14 @@ func (cm *cacheManager) account(bytes uint64) {
 		cm.budgetEmitted = true
 		cm.emit(trace.CacheBudget, trace.NoCID, 0, cm.cfg.CacheBytes)
 	}
-	cm.emit(trace.CacheInsert, trace.NoCID, bytes/BlockSize, r)
+	cm.emit(trace.CacheInsert, trace.NoCID, bytes/BlockSize, s.ResidentBytes)
 }
 
 // uncharge releases a residency reservation (refund of an unused charge,
-// or a page leaving the cache). Clamped at zero via CAS so a racing
-// over-refund cannot wrap the counter.
+// or a page leaving the cache), clamped at zero so an over-refund cannot
+// wrap the counter.
 func (cm *cacheManager) uncharge(bytes uint64) {
-	for {
-		cur := cm.resident.Load()
-		sub := bytes
-		if sub > cur {
-			sub = cur
-		}
-		if cm.resident.CompareAndSwap(cur, cur-sub) {
-			return
-		}
-	}
+	cm.stats.ResidentBytes -= min(bytes, cm.stats.ResidentBytes)
 }
 
 // makeRoom evicts until bytes fit under the budget. Caller holds
@@ -233,7 +211,7 @@ func (cm *cacheManager) uncharge(bytes uint64) {
 // make progress even with a degenerate budget — tests size budgets so
 // this never fires).
 func (cm *cacheManager) makeRoom(env *sim.Env, bytes uint64, force bool) bool {
-	for cm.resident.Load()+bytes > cm.cfg.CacheBytes {
+	for cm.stats.ResidentBytes+bytes > cm.cfg.CacheBytes {
 		if !cm.evictOne(env) {
 			return force
 		}
@@ -278,7 +256,10 @@ func (cm *cacheManager) tryCharge(env *sim.Env, bytes uint64) bool {
 
 // evictOne runs the CLOCK hand until one page is reclaimed. Caller holds
 // budgetMu. The sweep bound covers two full passes (the first clears
-// reference bits) plus slack for candidates lost to races.
+// reference bits) plus slack for candidates lost to races. reclaimPage
+// parks, and files may leave the sweep meanwhile (unregister does not take
+// budgetMu), so the sweep re-reads the list's length after each reclaim
+// that fails (DESIGN.md §11).
 func (cm *cacheManager) evictOne(env *sim.Env) bool {
 	nf := len(cm.files)
 	if nf == 0 {
@@ -297,6 +278,9 @@ func (cm *cacheManager) evictOne(env *sim.Env) bool {
 		}
 		if cm.reclaimPage(env, f, idx, cp) {
 			return true
+		}
+		if nf = len(cm.files); nf == 0 {
+			return false
 		}
 	}
 	return false
@@ -319,12 +303,12 @@ func (cm *cacheManager) reclaimPage(env *sim.Env, f *pageCache, idx uint64, cp *
 		f.treeLock.Unlock(env)
 		return false
 	}
-	f.seq.Add(1)
+	f.seq++
 	f.tree.Delete(idx)
-	f.seq.Add(1)
+	f.seq++
 	f.treeLock.Unlock(env)
 	cm.uncharge(BlockSize)
-	cm.evictions.Add(1)
+	cm.stats.Evictions++
 	lba := ^uint64(0)
 	if blocks := f.owner.blocks; f.owner.blocksOK && idx < uint64(len(blocks)) {
 		lba = blocks[idx]
@@ -332,25 +316,25 @@ func (cm *cacheManager) reclaimPage(env *sim.Env, f *pageCache, idx uint64, cp *
 	cid := uint32(0)
 	if wasDirty {
 		cid = 1
-		cm.dirtyEvictions.Add(1)
+		cm.stats.DirtyEvictions++
 	}
 	if cp.ra {
 		// Evicted before any demand read used it: the read-ahead was
 		// wasted — shrink the owning file's window.
-		cm.raWaste.Add(1)
+		cm.stats.ReadaheadWaste++
 		f.raWindow = max(f.raWindow/2, cm.cfg.startWindow())
 		if cm.cfg.MaxReadahead > 0 {
 			cm.emit(trace.ReadaheadWaste, trace.NoCID, lba, idx)
 		}
 	}
-	cm.emit(trace.CacheEvict, cid, lba, cm.resident.Load())
+	cm.emit(trace.CacheEvict, cid, lba, cm.stats.ResidentBytes)
 	return true
 }
 
 // addDirty accounts freshly dirtied bytes and kicks the flusher. Only
 // cachePage.to calls it.
 func (cm *cacheManager) addDirty(bytes uint64) {
-	cm.dirty.Add(bytes)
+	cm.stats.DirtyBytes += bytes
 	if cm.cfg.writebackEnabled() && !cm.wbDead {
 		cm.ensureFlusher()
 		cm.wake.Signal(cm.eng)
@@ -358,18 +342,9 @@ func (cm *cacheManager) addDirty(bytes uint64) {
 }
 
 // subDirty accounts bytes cleaned (or discarded) from the dirty set,
-// clamped at zero via CAS. Only cachePage.to calls it.
+// clamped at zero. Only cachePage.to calls it.
 func (cm *cacheManager) subDirty(bytes uint64) {
-	for {
-		cur := cm.dirty.Load()
-		sub := bytes
-		if sub > cur {
-			sub = cur
-		}
-		if cm.dirty.CompareAndSwap(cur, cur-sub) {
-			return
-		}
-	}
+	cm.stats.DirtyBytes -= min(bytes, cm.stats.DirtyBytes)
 }
 
 // throttleWriter blocks the calling writer while dirty bytes exceed the
@@ -381,8 +356,8 @@ func (cm *cacheManager) throttleWriter(env *sim.Env) {
 	if lim == 0 {
 		return
 	}
-	for cm.dirty.Load() > lim && !cm.wbDead {
-		cm.throttled.Add(1)
+	for cm.stats.DirtyBytes > lim && !cm.wbDead {
+		cm.stats.Throttled++
 		cm.ensureFlusher()
 		cm.wake.Signal(cm.eng)
 		cm.throttle.Wait(env)
@@ -391,26 +366,10 @@ func (cm *cacheManager) throttleWriter(env *sim.Env) {
 
 // snapshot builds the exported counter view.
 func (cm *cacheManager) snapshot() CacheStats {
-	s := CacheStats{
-		Hits:            cm.retiredHits.Load(),
-		Misses:          cm.retiredMisses.Load(),
-		Evictions:       cm.evictions.Load(),
-		DirtyEvictions:  cm.dirtyEvictions.Load(),
-		ReadaheadIssued: cm.raIssued.Load(),
-		ReadaheadHits:   cm.raHits.Load(),
-		ReadaheadWaste:  cm.raWaste.Load(),
-		WritebackRuns:   cm.wbRuns.Load(),
-		WritebackPages:  cm.wbPages.Load(),
-		WritebackErrors: cm.wbErrors.Load(),
-		Throttled:       cm.throttled.Load(),
-		ResidentBytes:   cm.resident.Load(),
-		ResidentHWM:     cm.hwm.Load(),
-		DirtyBytes:      cm.dirty.Load(),
-	}
-	s.FastReads = cm.fastReads.Load()
+	s := cm.stats
 	for _, f := range cm.files {
-		s.Hits += f.Hits.Load()
-		s.Misses += f.Misses.Load()
+		s.Hits += f.Hits
+		s.Misses += f.Misses
 	}
 	return s
 }

@@ -296,7 +296,7 @@ func TestCrossProcessSharingPenalty(t *testing.T) {
 	if werrA != nil || werrB != nil {
 		t.Fatalf("writers: %v / %v", werrA, werrB)
 	}
-	if fx.fs.SharedPenalties.Load() == 0 && fsB.SharedPenalties.Load() == 0 {
+	if fx.fs.SharedPenalties == 0 && fsB.SharedPenalties == 0 {
 		t.Fatal("no sharing penalty recorded for concurrently-written file")
 	}
 	if fx.trust.Syncs == 0 {

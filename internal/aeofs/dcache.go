@@ -1,8 +1,6 @@
 package aeofs
 
 import (
-	"sync/atomic"
-
 	"aeolia/internal/dcache"
 	"aeolia/internal/sim"
 )
@@ -30,7 +28,7 @@ type dentCache struct {
 	// pageCache.seq): odd while any mutation — entry insert/remove/update
 	// or a grow's bucket-array swap — is in progress, changed if one
 	// completed during a lock-free probe.
-	seq atomic.Uint64
+	seq uint64
 
 	// Rehashes counts completed grow operations (for the ablation).
 	Rehashes uint64
@@ -85,7 +83,7 @@ func (c *dentCache) Lookup(env *sim.Env, name string) (uint64, bool) {
 // negatives — the caller falls through to the trusted layer either way.
 // done=false sends the lookup down the locked path.
 func (c *dentCache) fastLookup(name string) (ino uint64, ok, done bool) {
-	s0 := c.seq.Load()
+	s0 := c.seq
 	if s0&1 != 0 {
 		return 0, false, false
 	}
@@ -97,7 +95,7 @@ func (c *dentCache) fastLookup(name string) (ino uint64, ok, done bool) {
 			break
 		}
 	}
-	if c.seq.Load() != s0 {
+	if c.seq != s0 {
 		return 0, false, false
 	}
 	return ino, ok, true
@@ -109,18 +107,18 @@ func (c *dentCache) Insert(env *sim.Env, name string, ino uint64) {
 	env.Exec(costHashProbe)
 	b := c.bucket(name)
 	b.lock.Lock(env)
-	c.seq.Add(1)
+	c.seq++
 	for i := range b.entries {
 		if b.entries[i].name == name {
 			b.entries[i].ino = ino
-			c.seq.Add(1)
+			c.seq++
 			b.lock.Unlock(env)
 			return
 		}
 	}
 	b.entries = append(b.entries, dentEntry{name, ino})
 	c.count++
-	c.seq.Add(1)
+	c.seq++
 	grow := dcache.NeedGrow(c.count, len(c.buckets))
 	b.lock.Unlock(env)
 	if grow {
@@ -136,10 +134,10 @@ func (c *dentCache) Remove(env *sim.Env, name string) {
 	defer b.lock.Unlock(env)
 	for i := range b.entries {
 		if b.entries[i].name == name {
-			c.seq.Add(1)
+			c.seq++
 			b.entries = append(b.entries[:i], b.entries[i+1:]...)
 			c.count--
-			c.seq.Add(1)
+			c.seq++
 			return
 		}
 	}
@@ -170,9 +168,9 @@ func (c *dentCache) grow(env *sim.Env) {
 			nb.entries = append(nb.entries, e)
 		}
 	}
-	c.seq.Add(1)
+	c.seq++
 	c.buckets = next
-	c.seq.Add(1)
+	c.seq++
 	c.Rehashes++
 	for i := range old {
 		old[i].lock.Unlock(env)

@@ -19,9 +19,18 @@ func (fs *FS) HasUI(ino uint64) bool {
 // the count is pinned above zero, fastReadAt bails and reads take the locked
 // slow path — the reference TestFastReadEquivalence compares the epoch hit
 // path against.
-func (fs *FS) HoldWriters(delta int64) {
+func (fs *FS) HoldWriters(delta int) {
 	for _, pc := range fs.cache.files {
-		pc.writers.Add(delta)
+		pc.writers += delta
+	}
+}
+
+// BumpEpochs adds one to pc.seq of every file open on the mount, as each of
+// a tree mutation's two bracketing increments does: after one call the
+// epochs are odd (a mutation in progress), after the next even again.
+func (fs *FS) BumpEpochs() {
+	for _, pc := range fs.cache.files {
+		pc.seq++
 	}
 }
 

@@ -3,7 +3,6 @@ package aeofs
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"aeolia/internal/aeodriver"
 	"aeolia/internal/sim"
@@ -35,16 +34,15 @@ type FS struct {
 	fdt     *fdTable
 	ishards [16]uShard
 
-	// Stats. Atomic: the epoch fast-read path and the race-tier hammer
-	// tests bump them outside any lock.
-	Opens, Closes, ReadsOps, WritesOps, Fsyncs atomic.Uint64
-	BytesRead, BytesWritten                    atomic.Uint64
-	SharedPenalties                            atomic.Uint64
+	// Stats.
+	Opens, Closes, ReadsOps, WritesOps, Fsyncs uint64
+	BytesRead, BytesWritten                    uint64
+	SharedPenalties                            uint64
 
 	// copyAnnounced latches each traced path's one-time CopyBudget
 	// announcement (indexed by the trace.Path* ids); chain ids come from
 	// the engine tracer so instances sharing it never collide.
-	copyAnnounced [8]atomic.Bool
+	copyAnnounced [8]bool
 }
 
 type uShard struct {
@@ -408,7 +406,7 @@ func (fs *FS) Open(env *sim.Env, path string, flags int) (int, error) {
 		f.pos = u.ino.Size
 		u.lock.RUnlock(env)
 	}
-	fs.Opens.Add(1)
+	fs.Opens++
 	return fs.fdt.Alloc(env, f), nil
 }
 
@@ -461,7 +459,7 @@ func (fs *FS) Close(env *sim.Env, fd int) error {
 		// or a reused ino would inherit stale grants and pages.
 		fs.dropUI(env, u.inoNum)
 	}
-	fs.Closes.Add(1)
+	fs.Closes++
 	return nil
 }
 
@@ -637,7 +635,7 @@ func (fs *FS) afterSharedMeta(env *sim.Env, dirIno uint64) {
 	if !fs.Trust.IsSharedIno(env, dirIno) {
 		return
 	}
-	fs.SharedPenalties.Add(1)
+	fs.SharedPenalties++
 	fs.invalidate(env, fs.uiFor(env, dirIno))
 	fs.Trust.Sync(env, fs.drv)
 }

@@ -18,7 +18,8 @@ func (fs *FS) beginChain(path int, budget uint64) uint32 {
 	if fs.cache.eng == nil || fs.cache.eng.Tracer == nil {
 		return trace.NoCID
 	}
-	if fs.copyAnnounced[path].CompareAndSwap(false, true) {
+	if !fs.copyAnnounced[path] {
+		fs.copyAnnounced[path] = true
 		fs.emitPath(trace.CopyBudget, path, trace.NoCID, budget)
 	}
 	return fs.cache.eng.Tracer.NextChain()
@@ -100,7 +101,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 	u := f.ui
 	if fs.Trust.IsSharedIno(env, u.inoNum) {
 		// §9.4: rebuild auxiliary state when sharing.
-		fs.SharedPenalties.Add(1)
+		fs.SharedPenalties++
 		fs.invalidate(env, u)
 		if err := fs.ensureInode(env, u); err != nil {
 			return 0, err
@@ -135,8 +136,8 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 	// tree-lock traffic. Any anomaly falls through to the locked slow path.
 	if n, ok := fs.fastReadAt(env, pc, buf, off, p0, p1); ok {
 		pc.advanceStream(seq, p0, p1)
-		fs.ReadsOps.Add(1)
-		fs.BytesRead.Add(uint64(n))
+		fs.ReadsOps++
+		fs.BytesRead += uint64(n)
 		return n, nil
 	}
 
@@ -224,7 +225,7 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 				}
 				if cp.ra {
 					cp.ra = false
-					cm.raHits.Add(1)
+					cm.stats.ReadaheadHits++
 					raHit = true
 					if blocks := u.blocks; u.blocksOK && p < uint64(len(blocks)) {
 						cm.emit(trace.ReadaheadHit, trace.NoCID, blocks[p], p)
@@ -278,8 +279,8 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 	if cid := fs.beginChain(trace.PathFSRead, 1); cid != trace.NoCID {
 		fs.emitPath(trace.BufCopy, trace.PathFSRead, cid, uint64(n))
 	}
-	fs.ReadsOps.Add(1)
-	fs.BytesRead.Add(uint64(n))
+	fs.ReadsOps++
+	fs.BytesRead += uint64(n)
 	return n, nil
 }
 
@@ -300,10 +301,10 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 // page already hit, so there is nothing to prefetch that the next miss
 // (slow path) would not request.
 func (fs *FS) fastReadAt(env *sim.Env, pc *pageCache, buf []byte, off, p0, p1 uint64) (int, bool) {
-	if pc.writers.Load() != 0 {
+	if pc.writers != 0 {
 		return 0, false
 	}
-	s0 := pc.seq.Load()
+	s0 := pc.seq
 	if s0&1 != 0 {
 		return 0, false
 	}
@@ -325,11 +326,11 @@ func (fs *FS) fastReadAt(env *sim.Env, pc *pageCache, buf []byte, off, p0, p1 ui
 		cp.ref = true // CLOCK hint; harmless if validation fails
 		n += end - pageOff
 	}
-	if pc.writers.Load() != 0 || pc.seq.Load() != s0 {
+	if pc.writers != 0 || pc.seq != s0 {
 		return 0, false
 	}
-	pc.Hits.Add(p1 - p0 + 1)
-	fs.cache.fastReads.Add(1)
+	pc.Hits += p1 - p0 + 1
+	fs.cache.stats.FastReads++
 	env.Exec(scaled(costRadixLookup, int(p1-p0+1)) + copyCost(n))
 	if cid := fs.beginChain(trace.PathFSRead, 1); cid != trace.NoCID {
 		fs.emitPath(trace.BufCopy, trace.PathFSRead, cid, uint64(n))
@@ -375,7 +376,7 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 	var cps []*cachePage
 	env.Exec(costRadixLookup)
 	pc.treeLock.Lock(env)
-	pc.seq.Add(1)
+	pc.seq++
 	for p := start; p < end; p++ {
 		if pc.tree.Get(p) != nil {
 			continue
@@ -385,7 +386,7 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 		idxs = append(idxs, p)
 		cps = append(cps, cp)
 	}
-	pc.seq.Add(1)
+	pc.seq++
 	pc.treeLock.Unlock(env)
 	pc.raIssued = end
 	cm.uncharge((end - start - uint64(len(idxs))) * BlockSize) // already-resident pages
@@ -405,7 +406,7 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 		// back to demand reads.
 		now := env.Now()
 		pc.treeLock.Lock(env)
-		pc.seq.Add(1)
+		pc.seq++
 		for k, p := range idxs {
 			if pc.tree.Get(p) == cps[k] {
 				pc.tree.Delete(p)
@@ -414,7 +415,7 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 				cps[k].to(cm, doomed)
 			}
 		}
-		pc.seq.Add(1)
+		pc.seq++
 		pc.treeLock.Unlock(env)
 		cm.uncharge(uint64(len(idxs)) * BlockSize)
 		for _, cp := range cps {
@@ -422,7 +423,7 @@ func (fs *FS) issueReadahead(env *sim.Env, u *uInode, lastRead uint64) {
 		}
 		return
 	}
-	cm.raIssued.Add(uint64(len(idxs)))
+	cm.stats.ReadaheadIssued += uint64(len(idxs))
 	cm.emit(trace.ReadaheadIssue, trace.NoCID, iov[0].LBA, uint64(len(idxs)))
 	for r, req := range reqs {
 		pages := cps[:iov[r].Cnt]
@@ -529,7 +530,7 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 	if shared {
 		// §9.4 sharing: refresh the authoritative inode (size) before
 		// the write; the full page-cache rebuild happens on reads.
-		fs.SharedPenalties.Add(1)
+		fs.SharedPenalties++
 		u.lock.Lock(env)
 		u.valid = false
 		u.lock.Unlock(env)
@@ -568,8 +569,8 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 	// pages are born filled but carry invalid data until the disk read
 	// lands, and partial overwrites mutate page contents in place — states
 	// the structural seq counter cannot express.
-	pc.writers.Add(1)
-	defer pc.writers.Add(-1)
+	pc.writers++
+	defer func() { pc.writers-- }()
 
 	oldPages := (oldSize + BlockSize - 1) / BlockSize
 
@@ -722,8 +723,8 @@ func (fs *FS) writeAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, e
 	if cid := fs.beginChain(trace.PathFSWrite, 1); cid != trace.NoCID {
 		fs.emitPath(trace.BufCopy, trace.PathFSWrite, cid, uint64(n))
 	}
-	fs.WritesOps.Add(1)
-	fs.BytesWritten.Add(uint64(n))
+	fs.WritesOps++
+	fs.BytesWritten += uint64(n)
 
 	if shared {
 		// §9.4: immediate fsync after each operation when sharing.
@@ -748,7 +749,7 @@ func (fs *FS) fsyncInode(env *sim.Env, u *uInode) error {
 	if err := fs.flushFile(env, u); err != nil {
 		return err
 	}
-	fs.Fsyncs.Add(1)
+	fs.Fsyncs++
 	if err := fs.Trust.Sync(env, fs.drv); err != nil {
 		return err
 	}
@@ -844,8 +845,8 @@ func (fs *FS) writebackPages(env *sim.Env, u *uInode, idxs []uint64, background 
 	}
 	cm := fs.cache
 	for _, v := range iov {
-		cm.wbRuns.Add(1)
-		cm.wbPages.Add(uint64(v.Cnt))
+		cm.stats.WritebackRuns++
+		cm.stats.WritebackPages += uint64(v.Cnt)
 		cm.emit(trace.WritebackRun, trace.NoCID, v.LBA, uint64(v.Cnt))
 		if cid := fs.beginChain(trace.PathWriteback, 0); cid != trace.NoCID {
 			fs.emitPath(trace.BufHandoff, trace.PathWriteback, cid,
@@ -923,7 +924,7 @@ func (fs *FS) truncateLocked(env *sim.Env, u *uInode, size uint64) error {
 			firstNew := cur / BlockSize
 			lastNew := (size - 1) / BlockSize
 			pc := u.pc
-			pc.writers.Add(1)
+			pc.writers++
 			pc.rl.Lock(env, firstNew, lastNew+1, true)
 			if tail := cur % BlockSize; tail != 0 {
 				if cp := pc.lookup(env, cur/BlockSize); cp != nil {
@@ -933,7 +934,7 @@ func (fs *FS) truncateLocked(env *sim.Env, u *uInode, size uint64) error {
 				}
 			}
 			pc.rl.Unlock(env, firstNew, lastNew+1, true)
-			pc.writers.Add(-1)
+			pc.writers--
 		}
 	default:
 		if err := fs.Trust.TruncateFile(env, fs.drv, u.inoNum, size); err != nil {

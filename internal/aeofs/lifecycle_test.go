@@ -361,6 +361,75 @@ func TestEvictionVictimTruncatedDuringWriteback(t *testing.T) {
 	checkBooks(t, fx.fs)
 }
 
+// TestEvictionSweepAcrossUnlink: a reader's charge sends the CLOCK hand to
+// a dirty page of the last file in the sweep, and the hand parks on the
+// page's write-back. Meanwhile the file's writer closes and unlinks it, so
+// the file leaves the sweep and its pages go with it. When the write-back
+// lands the victim is gone and the sweep goes on: it must index the file
+// list as it is now, one file shorter than when it parked.
+func TestEvictionSweepAcrossUnlink(t *testing.T) {
+	const pages = 4 // the budget, /a's size and /b's dirty pages
+	fx := newCacheFixture(t, 2, aeofs.CacheConfig{
+		CacheBytes:   pages * aeofs.BlockSize,
+		MaxReadahead: -1,
+		// No background write-back: /b's pages stay dirty until its close.
+		DirtyHighWater: 2 * pages * aeofs.BlockSize,
+		DirtyHardLimit: 2 * pages * aeofs.BlockSize,
+		FlushInterval:  time.Hour,
+	})
+	fd := -1
+	fx.run(t, "setup", func(env *sim.Env) (err error) {
+		if err := coldFile(env, fx.fs, "/a", pages); err != nil {
+			return err
+		}
+		fd, err = fx.fs.Open(env, "/a", aeofs.O_RDONLY)
+		return err
+	})
+	dirtied, evicting := false, false
+	writer := spawn(fx, "writer", 1, func(env *sim.Env) error {
+		fdB, err := fx.fs.Open(env, "/b", aeofs.O_CREATE|aeofs.O_RDWR)
+		if err != nil {
+			return err
+		}
+		if _, err := fx.fs.WriteAt(env, fdB, fileImage(pages, 2), 0); err != nil {
+			return err
+		}
+		dirtied = true
+		for !evicting {
+			env.Sleep(10 * time.Microsecond)
+		}
+		env.Sleep(100 * time.Microsecond) // the eviction's write-back is in flight
+		if err := fx.fs.Close(env, fdB); err != nil {
+			return err
+		}
+		return fx.fs.Unlink(env, "/b")
+	})
+	reader := spawn(fx, "reader", 0, func(env *sim.Env) error {
+		for !dirtied {
+			env.Sleep(10 * time.Microsecond)
+		}
+		inject(fx, faultinject.SiteDevLatency, faultinject.Once()) // the write-back takes 500 µs
+		evicting = true
+		buf := make([]byte, aeofs.BlockSize)
+		if _, err := fx.fs.ReadAt(env, fd, buf, 0); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, pageImage(0, 1)) {
+			return errors.New("page 0 is not the device's bytes")
+		}
+		return nil
+	})
+	fx.m.Run(0)
+	if *writer != nil || *reader != nil {
+		t.Fatalf("writer: %v, reader: %v", *writer, *reader)
+	}
+	fx.m.Dev.SetInjector(nil)
+	if s := fx.fs.CacheStats(); s.DirtyEvictions != 0 {
+		t.Fatalf("%d dirty evictions, want none: the victim was unlinked", s.DirtyEvictions)
+	}
+	checkBooks(t, fx.fs)
+}
+
 // TestHoleOverFailedTailPage: a write past EOF zero-fills the hole from the
 // old EOF on. When a failed read-ahead left the old tail page invalid, the
 // bytes before the old EOF must come from the device, not from the failed

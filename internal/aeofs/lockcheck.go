@@ -2,8 +2,6 @@ package aeofs
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"aeolia/internal/sim"
 )
@@ -15,7 +13,7 @@ import (
 //
 // — a task holding a lower-numbered lock may acquire a higher-numbered one,
 // never the reverse. The checker is debug-build machinery: off by default
-// (one atomic load per acquisition), switched on by tests via
+// (one bool test per acquisition), switched on by tests via
 // SetLockOrderCheck, and panicking on the first out-of-order acquisition so
 // a regression points at the exact call site instead of at an eventual
 // deadlock.
@@ -42,21 +40,17 @@ func (l lockLevel) String() string {
 	}
 }
 
-var lockCheckOn atomic.Bool
-
-// lockCheckMu guards the held-lock registry. A real sync.Mutex (not a sim
-// one): registry sections never park, and the registry is shared by every
-// engine in the process.
-var lockCheckMu sync.Mutex
+// lockCheckOn and the held-lock registry are package state shared by every
+// engine in the process. They are test-only: a test switches the check on
+// before any engine runs, and every engine runs on its test's goroutine.
+var lockCheckOn bool
 var lockHeld = map[*sim.Task][]lockLevel{}
 
 // SetLockOrderCheck switches the debug lock-order assertion on or off and
 // clears the registry. Tests only.
 func SetLockOrderCheck(on bool) {
-	lockCheckMu.Lock()
 	lockHeld = map[*sim.Task][]lockLevel{}
-	lockCheckMu.Unlock()
-	lockCheckOn.Store(on)
+	lockCheckOn = on
 }
 
 // lockAcquire records the intent to take a lock of level l, panicking if the
@@ -64,11 +58,9 @@ func SetLockOrderCheck(on bool) {
 // (possibly parking) acquisition reports inversions that would otherwise
 // only surface as rare deadlocks.
 func lockAcquire(t *sim.Task, l lockLevel) {
-	if !lockCheckOn.Load() || t == nil {
+	if !lockCheckOn || t == nil {
 		return
 	}
-	lockCheckMu.Lock()
-	defer lockCheckMu.Unlock()
 	for _, held := range lockHeld[t] {
 		if held >= l {
 			panic(fmt.Sprintf("aeofs: lock-order violation: acquiring %v while holding %v (order: budgetMu → rangeLock → treeLock)", l, held))
@@ -79,11 +71,9 @@ func lockAcquire(t *sim.Task, l lockLevel) {
 
 // lockRelease removes one held level from the task's record.
 func lockRelease(t *sim.Task, l lockLevel) {
-	if !lockCheckOn.Load() || t == nil {
+	if !lockCheckOn || t == nil {
 		return
 	}
-	lockCheckMu.Lock()
-	defer lockCheckMu.Unlock()
 	held := lockHeld[t]
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i] == l {

@@ -97,7 +97,7 @@ func TestLockOrderAssertion(t *testing.T) {
 }
 
 // TestLockOrderCheckOff verifies the assertion is inert when disabled — the
-// production configuration must pay only the atomic load.
+// production configuration must pay only the flag test.
 func TestLockOrderCheckOff(t *testing.T) {
 	SetLockOrderCheck(false)
 	bm := &ordMutex{lvl: levelBudget}

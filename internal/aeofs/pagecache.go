@@ -2,7 +2,6 @@ package aeofs
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"aeolia/internal/sim"
@@ -23,18 +22,19 @@ type pageCache struct {
 	tree     radixTree
 
 	// seq is the epoch counter of the lock-free (seqlock-style) read
-	// path: every tree mutation brackets itself with two increments, so
-	// the counter is odd while a mutation is in progress and changed if
-	// one completed. A fast reader loads it (even or bail), walks the
-	// tree and copies page data without locks, then revalidates; any
-	// change sends the read down the locked slow path. See DESIGN.md §16.
-	seq atomic.Uint64
+	// path, modelling the paper's lock-free cache reads: every tree
+	// mutation brackets itself with two increments, so the counter is odd
+	// while a mutation is in progress and changed if one completed. A
+	// fast reader reads it (even or bail), walks the tree and copies page
+	// data without locks, then revalidates; any change sends the read
+	// down the locked slow path. See DESIGN.md §16.
+	seq uint64
 
 	// writers counts tasks inside a mutating file operation (writeAt,
 	// truncate tail-zeroing) that may leave a page's DATA transiently
 	// invalid while parked — a state the seq counter cannot see (the tree
 	// itself does not change). Fast readers bail while writers != 0.
-	writers atomic.Int64
+	writers int
 
 	cm    *cacheManager
 	owner *uInode
@@ -55,9 +55,8 @@ type pageCache struct {
 	raRun    uint64
 	raWindow int
 
-	// Hits/Misses count page lookups. Atomic: lookup bumps them outside
-	// treeLock, and the race tier runs concurrent readers.
-	Hits, Misses atomic.Uint64
+	// Hits/Misses count page lookups.
+	Hits, Misses uint64
 }
 
 // pageState is where a cached page is in its lifecycle (DESIGN.md §11).
@@ -201,12 +200,12 @@ func (pc *pageCache) lookup(env *sim.Env, idx uint64) *cachePage {
 	v := pc.tree.Get(idx)
 	pc.treeLock.Unlock(env)
 	if v == nil {
-		pc.Misses.Add(1)
+		pc.Misses++
 		return nil
 	}
 	cp := v.(*cachePage)
 	cp.ref = true
-	pc.Hits.Add(1)
+	pc.Hits++
 	return cp
 }
 
@@ -232,9 +231,9 @@ func (pc *pageCache) acquireForWrite(env *sim.Env, idx uint64) *cachePage {
 func (pc *pageCache) insert(env *sim.Env, idx uint64, p *cachePage) {
 	env.Exec(costRadixLookup)
 	pc.treeLock.Lock(env)
-	pc.seq.Add(1)
+	pc.seq++
 	pc.tree.Set(idx, p)
-	pc.seq.Add(1)
+	pc.seq++
 	pc.treeLock.Unlock(env)
 }
 
@@ -243,11 +242,11 @@ func (pc *pageCache) insert(env *sim.Env, idx uint64, p *cachePage) {
 // page's charge).
 func (pc *pageCache) drop(env *sim.Env, idx uint64, cp *cachePage) {
 	pc.treeLock.Lock(env)
-	pc.seq.Add(1)
+	pc.seq++
 	if pc.tree.Get(idx) == cp {
 		pc.tree.Delete(idx)
 	}
-	pc.seq.Add(1)
+	pc.seq++
 	pc.treeLock.Unlock(env)
 }
 
@@ -275,7 +274,7 @@ func (pc *pageCache) dropFrom(env *sim.Env, idx uint64) {
 		}
 		return true
 	})
-	pc.seq.Add(1)
+	pc.seq++
 	for _, i := range gone {
 		// A doomed page here is one its own failed read doomed; that
 		// reader settles it.
@@ -286,7 +285,7 @@ func (pc *pageCache) dropFrom(env *sim.Env, idx uint64) {
 			pc.forget(cp)
 		}
 	}
-	pc.seq.Add(1)
+	pc.seq++
 	pc.treeLock.Unlock(env)
 }
 

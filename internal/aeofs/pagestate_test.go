@@ -23,10 +23,10 @@ func TestPageLifecycleEdges(t *testing.T) {
 			t.Run(fmt.Sprintf("%v-%v", from, to), func(t *testing.T) {
 				cm := newCacheManager(nil, CacheConfig{})
 				if from == dirty {
-					cm.dirty.Store(BlockSize)
+					cm.stats.DirtyBytes = BlockSize
 				}
 				cp := &cachePage{state: from}
-				want, wantDirty := from, cm.dirty.Load()
+				want, wantDirty := from, cm.stats.DirtyBytes
 				ok := legal[[2]pageState{from, to}]
 				if ok {
 					want, wantDirty = to, 0
@@ -42,9 +42,9 @@ func TestPageLifecycleEdges(t *testing.T) {
 				if panicked == ok {
 					t.Fatalf("%v → %v: panicked = %v on an edge whose legality is %v", from, to, panicked, ok)
 				}
-				if cp.state != want || cm.dirty.Load() != wantDirty {
+				if cp.state != want || cm.stats.DirtyBytes != wantDirty {
 					t.Fatalf("%v → %v: page %v with %d dirty bytes, want %v with %d",
-						from, to, cp.state, cm.dirty.Load(), want, wantDirty)
+						from, to, cp.state, cm.stats.DirtyBytes, want, wantDirty)
 				}
 			})
 		}

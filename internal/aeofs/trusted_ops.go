@@ -2,6 +2,8 @@ package aeofs
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"aeolia/internal/aeodriver"
 	"aeolia/internal/sim"
@@ -234,7 +236,7 @@ func (t *TrustLayer) LookupDir(env *sim.Env, drv *aeodriver.Driver, dirIno uint6
 	return out, err
 }
 
-// ReadDirAll lists a directory.
+// ReadDirAll lists a directory, sorted by name.
 func (t *TrustLayer) ReadDirAll(env *sim.Env, drv *aeodriver.Driver, dirIno uint64) ([]Dirent, error) {
 	var out []Dirent
 	err := t.enter(env, drv, func() error {
@@ -256,6 +258,7 @@ func (t *TrustLayer) ReadDirAll(env *sim.Env, drv *aeodriver.Driver, dirIno uint
 		for name, ino := range ti.dents {
 			out = append(out, Dirent{Ino: ino, Name: name})
 		}
+		slices.SortFunc(out, func(a, b Dirent) int { return strings.Compare(a.Name, b.Name) })
 		return nil
 	})
 	return out, err

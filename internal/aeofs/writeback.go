@@ -37,7 +37,7 @@ func (cm *cacheManager) flusherLoop(env *sim.Env) {
 		return
 	}
 	for {
-		for cm.dirty.Load() == 0 {
+		for cm.stats.DirtyBytes == 0 {
 			cm.wake.Wait(env)
 		}
 		if cm.fs.Trust.Crashed() {
@@ -45,9 +45,9 @@ func (cm *cacheManager) flusherLoop(env *sim.Env) {
 		}
 		// Below the high-water mark there is no urgency: let the
 		// periodic interval pass so more dirt coalesces into runs.
-		if cm.cfg.DirtyHighWater == 0 || cm.dirty.Load() < cm.cfg.DirtyHighWater {
+		if cm.cfg.DirtyHighWater == 0 || cm.stats.DirtyBytes < cm.cfg.DirtyHighWater {
 			env.Sleep(cm.cfg.FlushInterval)
-			if cm.dirty.Load() == 0 {
+			if cm.stats.DirtyBytes == 0 {
 				continue
 			}
 		}
@@ -78,7 +78,7 @@ func (cm *cacheManager) flushPass(env *sim.Env) error {
 			if errors.Is(err, ErrCrashInjected) {
 				return err
 			}
-			cm.wbErrors.Add(1)
+			cm.stats.WritebackErrors++
 			if f.owner.wbErr == nil {
 				f.owner.wbErr = err
 			}

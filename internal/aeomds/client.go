@@ -110,6 +110,8 @@ func (c *Client) handleRevoke(env *sim.Env, m *netsim.Msg) error {
 	if err != nil {
 		return err
 	}
+	// order-free: each matching layout gets the same flag, and the walk
+	// neither parks nor sends nor charges time.
 	for _, lay := range c.layouts {
 		if lay.lease == rv.Lease {
 			lay.revoked = true

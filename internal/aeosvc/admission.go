@@ -3,7 +3,6 @@ package aeosvc
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"aeolia/internal/fifo"
@@ -59,10 +58,9 @@ type tenantState struct {
 	queue   fifo.Queue[*pending]
 	deficit float64 // weighted-fair dequeue credit
 
-	// Atomic: snapshotted by TenantStats while the dispatcher is still
-	// admitting (experiments poll mid-run), and hammered alongside the
-	// server counters in the race-tier test.
-	received, admitted, shed atomic.Uint64
+	// stats is this tenant's row of TenantStats; ID and Class are set
+	// when the tenant is added.
+	stats TenantStats
 }
 
 func (ts *tenantState) weight() float64 {
@@ -147,7 +145,7 @@ func (a *Admission) group(ts *tenantState) *admGroup {
 }
 
 func (a *Admission) addTenant(c TenantConfig) *tenantState {
-	ts := &tenantState{cfg: c, tokens: 0}
+	ts := &tenantState{cfg: c, stats: TenantStats{ID: c.ID, Class: c.Class}}
 	ts.tokens = ts.burst() // start full
 	a.byID[c.ID] = ts
 	a.tenants = append(a.tenants, ts)
@@ -188,32 +186,32 @@ func (a *Admission) Offer(now time.Duration, p *pending) bool {
 			// charge, no stats row to lose — count it on a synthetic
 			// row so accounting still balances).
 			ts = a.addTenant(TenantConfig{ID: p.req.Tenant, OpsPerSec: -1})
-			ts.received.Add(1)
-			ts.shed.Add(1)
+			ts.stats.Received++
+			ts.stats.Shed++
 			return false
 		}
 		ts = a.addTenant(TenantConfig{ID: p.req.Tenant})
 	}
-	ts.received.Add(1)
+	ts.stats.Received++
 	if a.enabled {
 		if ts.cfg.OpsPerSec < 0 {
-			ts.shed.Add(1)
+			ts.stats.Shed++
 			return false
 		}
 		ts.refill(now)
 		if ts.cfg.OpsPerSec > 0 && ts.tokens < 1 {
-			ts.shed.Add(1)
+			ts.stats.Shed++
 			return false
 		}
 		if ts.cfg.MaxBacklog > 0 && ts.queue.Len() >= ts.cfg.MaxBacklog {
-			ts.shed.Add(1)
+			ts.stats.Shed++
 			return false
 		}
 		if ts.cfg.OpsPerSec > 0 {
 			ts.tokens--
 		}
 	}
-	ts.admitted.Add(1)
+	ts.stats.Admitted++
 	ts.queue.Push(p)
 	a.queued++
 	return true
@@ -272,8 +270,7 @@ func (g *admGroup) next() *pending {
 func (a *Admission) TenantStats() []TenantStats {
 	out := make([]TenantStats, 0, len(a.tenants))
 	for _, ts := range a.tenants {
-		out = append(out, TenantStats{ID: ts.cfg.ID, Class: ts.cfg.Class,
-			Received: ts.received.Load(), Admitted: ts.admitted.Load(), Shed: ts.shed.Load()})
+		out = append(out, ts.stats)
 	}
 	return out
 }
@@ -281,9 +278,9 @@ func (a *Admission) TenantStats() []TenantStats {
 // CheckAccounting verifies received == admitted + shed for every tenant.
 func (a *Admission) CheckAccounting() error {
 	for _, ts := range a.tenants {
-		if ts.received.Load() != ts.admitted.Load()+ts.shed.Load() {
+		if st := ts.stats; st.Received != st.Admitted+st.Shed {
 			return fmt.Errorf("aeosvc: tenant %d accounting mismatch: received %d != admitted %d + shed %d",
-				ts.cfg.ID, ts.received.Load(), ts.admitted.Load(), ts.shed.Load())
+				st.ID, st.Received, st.Admitted, st.Shed)
 		}
 	}
 	return nil

@@ -95,7 +95,7 @@ func TestBurstRaisesOneNotification(t *testing.T) {
 	r := newRig(t, 3, 1, Config{})
 	const k = 8
 	r.burst(k, time.Microsecond)
-	r.drive(t, func() bool { return r.srv.Replied.Load() == k })
+	r.drive(t, func() bool { return r.srv.stats.Replied == k })
 
 	if got := r.replies(t, "c0"); len(got) != k {
 		t.Fatalf("%d of %d requests answered: %v", len(got), k, got)
@@ -104,9 +104,9 @@ func TestBurstRaisesOneNotification(t *testing.T) {
 	if sent := u.NotifySent.Load(); sent != 1 {
 		t.Fatalf("%d notification interrupts for a burst of %d, want 1", sent, k)
 	}
-	if r.srv.rx.ActiveChecks.Load() == 0 || r.srv.rx.BlockedWaits.Load() != 0 {
+	if r.srv.rx.ActiveChecks == 0 || r.srv.rx.BlockedWaits != 0 {
 		t.Fatalf("dispatcher alone on its core made %d active checks and %d blocking waits; it must only actively check",
-			r.srv.rx.ActiveChecks.Load(), r.srv.rx.BlockedWaits.Load())
+			r.srv.rx.ActiveChecks, r.srv.rx.BlockedWaits)
 	}
 }
 
@@ -121,15 +121,15 @@ func TestWakeMasksBurst(t *testing.T) {
 	r.hog()
 	const k = 4
 	r.burst(k, netsim.TxCost)
-	r.drive(t, func() bool { return r.srv.Replied.Load() == k })
+	r.drive(t, func() bool { return r.srv.stats.Replied == k })
 
 	if got := r.replies(t, "c0"); len(got) != k {
 		t.Fatalf("%d of %d requests answered: %v", len(got), k, got)
 	}
-	if n := r.srv.rx.BlockedWaits.Load(); n == 0 {
+	if n := r.srv.rx.BlockedWaits; n == 0 {
 		t.Fatal("dispatcher never blocked: the compute task is not contending for its core")
 	}
-	if kd, hr := r.srv.rx.KernelDeliveries.Load(), r.srv.rx.HandlerRuns.Load(); kd != 1 || hr != 1 {
+	if kd, hr := r.srv.rx.KernelDeliveries, r.srv.rx.HandlerRuns; kd != 1 || hr != 1 {
 		t.Fatalf("%d kernel deliveries and %d handler frames for %d frames inside one wake, want 1 and 1", kd, hr, k)
 	}
 }
@@ -183,7 +183,7 @@ func TestNoLostWakeupSweep(t *testing.T) {
 				func(i int) time.Duration { return base(i) + time.Duration(i)*step },
 				func(i int) [][]byte { return [][]byte{probe(uint64(4*i + 3))} })
 			want := uint64(points * (perA + 1))
-			r.drive(t, func() bool { return r.srv.Replied.Load() == want })
+			r.drive(t, func() bool { return r.srv.stats.Replied == want })
 
 			got := r.replies(t, "a", "b")
 			if uint64(len(got)) != want {
@@ -194,15 +194,15 @@ func TestNoLostWakeupSweep(t *testing.T) {
 					t.Fatalf("request %d answered %d times", id, n)
 				}
 			}
-			switch blocked, active := r.srv.rx.BlockedWaits.Load(), r.srv.rx.ActiveChecks.Load(); {
+			switch blocked, active := r.srv.rx.BlockedWaits, r.srv.rx.ActiveChecks; {
 			case mode == "blocking" && blocked < uint64(points):
 				t.Fatalf("%d blocking waits over %d pairs: the compute task is not contending", blocked, points)
 			case mode != "blocking" && active < uint64(points):
 				t.Fatalf("%d active checks over %d pairs", active, points)
 			}
-			if mode == "shed-sleep" && r.srv.ReplyRetries.Load() < uint64(points)/2 {
+			if mode == "shed-sleep" && r.srv.ReplyRetries < uint64(points)/2 {
 				t.Fatalf("%d reply retries over %d pairs: the dispatcher is not sleeping on its reply link",
-					r.srv.ReplyRetries.Load(), points)
+					r.srv.ReplyRetries, points)
 			}
 		})
 	}

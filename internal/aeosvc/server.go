@@ -3,7 +3,6 @@ package aeosvc
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"aeolia/internal/aeokern"
@@ -92,15 +91,15 @@ type Server struct {
 	// rx is the dispatcher's user-interrupt receive port (bound by ServeRx).
 	rx rxport.Port
 
-	// Stats. Atomic: the dispatcher and worker tasks on other cores all bump
-	// these, and the race-tier hammer test pounds them from real goroutines.
-	Received, Admitted, Shed, FSOps, Replied atomic.Uint64
-	BadRequests                              atomic.Uint64
-	ReplyRetries                             atomic.Uint64
+	// stats holds the accounting counters Stats returns (Tenants is
+	// filled in there). ReplyRetries counts reply sends retried on a full
+	// reply link.
+	stats        Stats
+	ReplyRetries uint64
 
 	// copyAnnounced latches the one-time CopyBudget announcement for the
 	// service read path.
-	copyAnnounced atomic.Bool
+	copyAnnounced bool
 
 	failure error
 }
@@ -218,7 +217,7 @@ func (s *Server) handle(env *sim.Env, m *netsim.Msg) {
 	req, err := DecodeRequest(m.Payload)
 	if err != nil {
 		// Undecodable frame: no request id to reply to.
-		s.BadRequests.Add(1)
+		s.stats.BadRequests++
 		return
 	}
 	conn := s.conn(m)
@@ -226,7 +225,7 @@ func (s *Server) handle(env *sim.Env, m *netsim.Msg) {
 	if conn.outstanding > conn.maxOutstanding {
 		conn.maxOutstanding = conn.outstanding
 	}
-	s.Received.Add(1)
+	s.stats.Received++
 	if tr := s.eng.Tracer; tr != nil {
 		tr.Emit(now, trace.SvcReqRecv, s.coreID(env), int(conn.id), uint32(req.ID), 0, uint64(req.Op))
 	}
@@ -239,14 +238,14 @@ func (s *Server) handle(env *sim.Env, m *netsim.Msg) {
 		tenantAux |= uint64(s.adm.ClassOf(req.Tenant)) << 16
 	}
 	if s.adm.Offer(now, p) {
-		s.Admitted.Add(1)
+		s.stats.Admitted++
 		if tr := s.eng.Tracer; tr != nil {
 			tr.Emit(now, trace.SvcAdmit, s.coreID(env), int(conn.id), uint32(req.ID), 0, tenantAux)
 		}
 		s.workWQ.Signal(s.eng)
 		return
 	}
-	s.Shed.Add(1)
+	s.stats.Shed++
 	if tr := s.eng.Tracer; tr != nil {
 		tr.Emit(now, trace.SvcShed, s.coreID(env), int(conn.id), uint32(req.ID), 0, tenantAux)
 	}
@@ -334,7 +333,7 @@ func (s *Server) ServeWorker(env *sim.Env) {
 			}
 			tr.Emit(env.Now(), trace.SvcFSOp, s.coreID(env), int(p.conn), uint32(p.req.ID), 0, moved)
 		}
-		s.FSOps.Add(1)
+		s.stats.FSOps++
 		s.reply(env, p, resp, enc)
 	}
 }
@@ -432,7 +431,8 @@ func (s *Server) beginChain(path int, budget uint64) uint32 {
 	if tr == nil {
 		return trace.NoCID
 	}
-	if s.copyAnnounced.CompareAndSwap(false, true) {
+	if !s.copyAnnounced {
+		s.copyAnnounced = true
 		tr.Emit(s.eng.Now(), trace.CopyBudget, -1, path, trace.NoCID, 0, budget)
 	}
 	return tr.NextChain()
@@ -459,7 +459,7 @@ func (s *Server) reply(env *sim.Env, p *pending, resp Response, enc []byte) {
 	if tr := s.eng.Tracer; tr != nil {
 		tr.Emit(env.Now(), trace.SvcReply, s.coreID(env), int(p.conn), uint32(p.req.ID), 0, uint64(resp.Status))
 	}
-	s.Replied.Add(1)
+	s.stats.Replied++
 	if cs := s.conns[p.conn]; cs != nil {
 		cs.outstanding--
 	}
@@ -472,7 +472,7 @@ func (s *Server) reply(env *sim.Env, p *pending, resp Response, enc []byte) {
 			s.fail(fmt.Errorf("aeosvc: reply to %s: %w", p.frame.Src, err))
 			return
 		}
-		s.ReplyRetries.Add(1)
+		s.ReplyRetries++
 		// On the dispatcher's shed path this sleeps with the rx port's
 		// notifications masked. Harmless: the sleep's own timer wakes the
 		// task, which returns to the receive loop, drains and unmasks.
@@ -489,11 +489,9 @@ type Stats struct {
 
 // Stats snapshots the accounting counters.
 func (s *Server) Stats() Stats {
-	return Stats{
-		Received: s.Received.Load(), Admitted: s.Admitted.Load(), Shed: s.Shed.Load(),
-		FSOps: s.FSOps.Load(), Replied: s.Replied.Load(), BadRequests: s.BadRequests.Load(),
-		Tenants: s.adm.TenantStats(),
-	}
+	st := s.stats
+	st.Tenants = s.adm.TenantStats()
+	return st
 }
 
 // CheckAccounting cross-checks the admission-control books after a drained
@@ -504,16 +502,16 @@ func (s *Server) CheckAccounting() error {
 	if s.failure != nil {
 		return s.failure
 	}
-	received, admitted := s.Received.Load(), s.Admitted.Load()
-	if received != admitted+s.Shed.Load() {
+	st := s.stats
+	if st.Received != st.Admitted+st.Shed {
 		return fmt.Errorf("aeosvc: received %d != admitted %d + shed %d",
-			received, admitted, s.Shed.Load())
+			st.Received, st.Admitted, st.Shed)
 	}
-	if s.FSOps.Load() != admitted {
-		return fmt.Errorf("aeosvc: %d fs ops for %d admitted requests", s.FSOps.Load(), admitted)
+	if st.FSOps != st.Admitted {
+		return fmt.Errorf("aeosvc: %d fs ops for %d admitted requests", st.FSOps, st.Admitted)
 	}
-	if s.Replied.Load() != received {
-		return fmt.Errorf("aeosvc: %d replies for %d received requests", s.Replied.Load(), received)
+	if st.Replied != st.Received {
+		return fmt.Errorf("aeosvc: %d replies for %d received requests", st.Replied, st.Received)
 	}
 	var recv, adm, shed uint64
 	for _, ts := range s.adm.TenantStats() {
@@ -521,9 +519,9 @@ func (s *Server) CheckAccounting() error {
 		adm += ts.Admitted
 		shed += ts.Shed
 	}
-	if recv != received || adm != admitted || shed != s.Shed.Load() {
+	if recv != st.Received || adm != st.Admitted || shed != st.Shed {
 		return fmt.Errorf("aeosvc: tenant totals (%d/%d/%d) disagree with server counters (%d/%d/%d)",
-			recv, adm, shed, received, admitted, s.Shed.Load())
+			recv, adm, shed, st.Received, st.Admitted, st.Shed)
 	}
 	return s.adm.CheckAccounting()
 }

@@ -154,15 +154,15 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err := r.srv.CheckAccounting(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.srv.BadRequests.Load(); got != 2 {
+	if got := r.srv.stats.BadRequests; got != 2 {
 		t.Fatalf("BadRequests = %d, want 2 (opcodes 6 and 7)", got)
 	}
 	an := r.analyze(t)
 	for _, v := range an.Violations {
 		t.Errorf("violation: %+v", v)
 	}
-	if got := len(an.SvcChains); got != int(r.srv.Received.Load()) {
-		t.Fatalf("%d svc chains for %d received requests", got, r.srv.Received.Load())
+	if got := len(an.SvcChains); got != int(r.srv.stats.Received) {
+		t.Fatalf("%d svc chains for %d received requests", got, r.srv.stats.Received)
 	}
 	for _, c := range an.SvcChains {
 		if !c.Complete() {
@@ -211,7 +211,7 @@ func TestUintrDeliveryAtServiceEdge(t *testing.T) {
 	if r.srv.UPID() == nil || r.srv.UPID().NotifySent.Load() == 0 {
 		t.Fatal("no notification interrupts posted for network arrivals")
 	}
-	if r.srv.rx.HandlerRuns.Load() == 0 {
+	if r.srv.rx.HandlerRuns == 0 {
 		t.Fatal("dispatcher's interrupt handler never ran")
 	}
 }
@@ -257,8 +257,8 @@ func TestAdmissionShedsAndClientsRecover(t *testing.T) {
 	if shed == 0 {
 		t.Fatal("no sheds under a deliberately undersized budget")
 	}
-	if r.srv.Shed.Load() == 0 || r.srv.Shed.Load() != shed {
-		t.Fatalf("server shed %d, clients observed %d", r.srv.Shed.Load(), shed)
+	if r.srv.stats.Shed == 0 || r.srv.stats.Shed != shed {
+		t.Fatalf("server shed %d, clients observed %d", r.srv.stats.Shed, shed)
 	}
 	if err := r.srv.CheckAccounting(); err != nil {
 		t.Fatal(err)
@@ -278,8 +278,8 @@ func TestAdmissionShedsAndClientsRecover(t *testing.T) {
 			shedChains++
 		}
 	}
-	if uint64(shedChains) != r.srv.Shed.Load() {
-		t.Fatalf("%d shed chains for %d sheds", shedChains, r.srv.Shed.Load())
+	if uint64(shedChains) != r.srv.stats.Shed {
+		t.Fatalf("%d shed chains for %d sheds", shedChains, r.srv.stats.Shed)
 	}
 }
 

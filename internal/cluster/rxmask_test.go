@@ -54,12 +54,12 @@ func TestWakeMasksBurst(t *testing.T) {
 	if n.RaftMsgs != 2 {
 		t.Fatalf("node handled %d raft frames, want 2", n.RaftMsgs)
 	}
-	if kd, hr := n.rx.KernelDeliveries.Load(), n.rx.HandlerRuns.Load(); kd != 1 || hr != 1 {
+	if kd, hr := n.rx.KernelDeliveries, n.rx.HandlerRuns; kd != 1 || hr != 1 {
 		t.Fatalf("%d kernel deliveries and %d handler frames for two frames inside one wake, want 1 and 1", kd, hr)
 	}
-	if n.rx.BlockedWaits.Load() == 0 || n.rx.ActiveChecks.Load() != 0 {
+	if n.rx.BlockedWaits == 0 || n.rx.ActiveChecks != 0 {
 		t.Fatalf("%d blocking waits, %d active checks: an OSD always blocks",
-			n.rx.BlockedWaits.Load(), n.rx.ActiveChecks.Load())
+			n.rx.BlockedWaits, n.rx.ActiveChecks)
 	}
 	if n.rx.UPID().SN {
 		t.Fatal("node back in its wait is still masked")
@@ -125,14 +125,14 @@ func TestCrashMidDrainRestartsUnmasked(t *testing.T) {
 		}
 		rtt = probe.Recv(env).DeliveredAt - t0
 	})
-	before := n.rx.KernelDeliveries.Load()
+	before := n.rx.KernelDeliveries
 	step("probe reply", func() bool { return rtt != 0 })
 	// TxCost + latency, kernel interrupt + ttwu + idle exit + context switch
 	// + handler frame, RxCost + TxCost, latency: 13.35 us.
 	if rtt > 14*time.Microsecond {
 		t.Fatalf("first frame after restart answered in %v; one link latency each way plus a wake is under 14us", rtt)
 	}
-	if got := n.rx.KernelDeliveries.Load() - before; got != 1 {
+	if got := n.rx.KernelDeliveries - before; got != 1 {
 		t.Fatalf("first frame after restart took %d kernel deliveries, want 1", got)
 	}
 

@@ -40,23 +40,6 @@ func TestRegistryCoversPaperEvaluation(t *testing.T) {
 	}
 }
 
-// TestFastExperimentsProduceTables runs the cheap paper figures end to end.
-// Tier-1 runs these five and the golden-backed figures (TestFigures); CI's
-// figures job runs every registry entry through aeobench, the expensive
-// ones (fig15 alone is a minute) included.
-func TestFastExperimentsProduceTables(t *testing.T) {
-	for _, id := range []string{"fig2", "fig3", "fig4", "fig17", "abl1"} {
-		e := Lookup(id)
-		tables, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
-			t.Fatalf("%s produced empty tables", id)
-		}
-	}
-}
-
 func TestBlockIOLineupComplete(t *testing.T) {
 	m := newTestMachine(t)
 	for _, name := range []string{"posix", "iou_dfl", "iou_opt", "iou_poll", "spdk", "aeolia"} {

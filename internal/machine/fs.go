@@ -55,7 +55,6 @@ type FSOptions struct {
 
 // FSInstance is a built file system ready for workloads.
 type FSInstance struct {
-	Kind  FSKind
 	FS    vfs.FileSystem
 	Proc  *Process
 	Trust *aeofs.TrustLayer
@@ -108,7 +107,7 @@ func (m *Machine) BuildFS(kind FSKind, opt FSOptions) (*FSInstance, error) {
 		return nil, err
 	}
 
-	fi := &FSInstance{Kind: kind, Proc: p}
+	fi := &FSInstance{Proc: p}
 	var serr error
 	m.Eng.Spawn("mkfs."+string(kind), m.Eng.Core(0), func(env *sim.Env) {
 		if _, e := p.Driver.CreateQP(env); e != nil {

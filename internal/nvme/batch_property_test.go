@@ -185,8 +185,8 @@ func TestInterruptCoalescing(t *testing.T) {
 	if irqs != 1 {
 		t.Fatalf("irqs = %d after MaxEvents completions, want 1", irqs)
 	}
-	if qp.IRQCoalesced.Load() != 3 || qp.IRQRaised.Load() != 1 {
-		t.Fatalf("IRQCoalesced/IRQRaised = %d/%d, want 3/1", qp.IRQCoalesced.Load(), qp.IRQRaised.Load())
+	if qp.IRQCoalesced != 3 || qp.IRQRaised != 1 {
+		t.Fatalf("IRQCoalesced/IRQRaised = %d/%d, want 3/1", qp.IRQCoalesced, qp.IRQRaised)
 	}
 	qp.Poll(0)
 
@@ -218,8 +218,8 @@ func TestInterruptCoalescing(t *testing.T) {
 	if irqs != 2 {
 		t.Fatalf("irqs = %d after suppressed aggregation, want still 2", irqs)
 	}
-	if qp.IRQSuppressed.Load() != 2 {
-		t.Fatalf("IRQSuppressed = %d, want 2", qp.IRQSuppressed.Load())
+	if qp.IRQSuppressed != 2 {
+		t.Fatalf("IRQSuppressed = %d, want 2", qp.IRQSuppressed)
 	}
 	e.Shutdown()
 }

@@ -3,7 +3,6 @@ package nvme
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"aeolia/internal/sim"
@@ -81,26 +80,25 @@ func (c Coalescing) enabled() bool { return c.MaxEvents > 1 }
 // doorbell; the device posts CQEs with alternating phase bits and the host
 // consumes them, updating the head doorbell.
 //
-// The ring indices follow the SPSC publication discipline of the zero-copy
-// datapath: each cursor has exactly one writer (host side: sqTail, cqHead;
-// device side: sqHead, cqTail, cqCount) and is published with an atomic
-// store after the slots it covers are written, so the opposite side's atomic
-// load observes fully written entries — no lock anywhere on the queue-pair
-// hot path.
+// The ring indices model the hardware queue protocol: each cursor has
+// exactly one writer (host side: sqTail, cqHead; device side: sqHead,
+// cqTail, cqCount) and moves only after the slots it covers are written,
+// so the other side reads fully written entries — no lock anywhere on the
+// queue-pair hot path.
 type QueuePair struct {
 	ID    int
 	dev   *Device
 	depth int
 
 	sq     []SubmissionEntry
-	sqTail atomic.Int64 // host-published: next SQ slot to fill
-	sqHead atomic.Int64 // device-published: next SQ slot to consume
+	sqTail int // host-published: next SQ slot to fill
+	sqHead int // device-published: next SQ slot to consume
 
 	cq      []CompletionEntry
-	cqHead  atomic.Int64 // host-published: next CQ slot to consume
-	cqTail  atomic.Int64 // device-published: next CQ slot to post
+	cqHead  int // host-published: next CQ slot to consume
+	cqTail  int // device-published: next CQ slot to post
 	phase   bool
-	cqCount atomic.Int64 // occupied CQ slots
+	cqCount int // occupied CQ slots
 
 	// Vector is the interrupt vector the device signals on completion
 	// (the MSI-X table entry AeoKern programs).
@@ -141,14 +139,13 @@ type QueuePair struct {
 	// IRQRaised counts CQ interrupts actually raised; IRQCoalesced counts
 	// completions that were aggregated into a later interrupt instead of
 	// raising their own; IRQSuppressed counts aggregations cancelled
-	// because the host drained the CQ by polling first. Atomic so tests
-	// and monitors may read them while a simulation goroutine mutates.
-	IRQRaised     atomic.Uint64
-	IRQCoalesced  atomic.Uint64
-	IRQSuppressed atomic.Uint64
+	// because the host drained the CQ by polling first.
+	IRQRaised     uint64
+	IRQCoalesced  uint64
+	IRQSuppressed uint64
 	// IRQBypassed counts urgent-class completions that bypassed an armed
 	// aggregation and raised their interrupt immediately (Coalescing.UrgentMax).
-	IRQBypassed atomic.Uint64
+	IRQBypassed uint64
 }
 
 // emit records a trace event against the owning device's engine; a no-op
@@ -241,7 +238,7 @@ func (qp *QueuePair) SubmitBatch(dst []uint16, entries []SubmissionEntry) ([]uin
 			ErrSQFull, qp.ID, n, qp.depth-1-qp.Inflight())
 	}
 	base := len(dst)
-	tail := int(qp.sqTail.Load())
+	tail := qp.sqTail
 	for _, e := range entries {
 		qp.nextCID++
 		e.CID = qp.nextCID
@@ -275,7 +272,7 @@ func (qp *QueuePair) WriteSQDoorbell(tail int) error {
 		return fmt.Errorf("%w: SQ tail %d (depth %d)", ErrDoorbell, tail, qp.depth)
 	}
 	qp.SQDoorbells++
-	head := int(qp.sqHead.Load())
+	head := qp.sqHead
 	burst := (tail - head + qp.depth) % qp.depth
 	if burst > qp.MaxSQBurst {
 		qp.MaxSQBurst = burst
@@ -283,11 +280,11 @@ func (qp *QueuePair) WriteSQDoorbell(tail int) error {
 	qp.emit(trace.DoorbellWrite, trace.NoCID, 0, uint64(burst))
 	// Publish the new tail before the device consumes: the slots it covers
 	// are fully written above.
-	qp.sqTail.Store(int64(tail))
+	qp.sqTail = tail
 	for head != tail {
 		e := &qp.sq[head]
 		head = (head + 1) % qp.depth
-		qp.sqHead.Store(int64(head))
+		qp.sqHead = head
 		qp.Submitted++
 		qp.dev.process(qp, e)
 	}
@@ -301,38 +298,38 @@ func (qp *QueuePair) WriteCQDoorbell(head int) error {
 	if head < 0 || head >= qp.depth {
 		return fmt.Errorf("%w: CQ head %d (depth %d)", ErrDoorbell, head, qp.depth)
 	}
-	dist := (head - int(qp.cqHead.Load()) + qp.depth) % qp.depth
-	if dist > int(qp.cqCount.Load()) {
-		return fmt.Errorf("%w: CQ head %d advances past tail %d", ErrDoorbell, head, qp.cqTail.Load())
+	dist := (head - qp.cqHead + qp.depth) % qp.depth
+	if dist > qp.cqCount {
+		return fmt.Errorf("%w: CQ head %d advances past tail %d", ErrDoorbell, head, qp.cqTail)
 	}
-	qp.cqHead.Store(int64(head))
-	qp.cqCount.Add(int64(-dist))
+	qp.cqHead = head
+	qp.cqCount -= dist
 	return nil
 }
 
 // postCompletion is called by the device when a command finishes.
 func (qp *QueuePair) postCompletion(cid uint16, st Status) {
-	if int(qp.cqCount.Load()) == qp.depth {
+	if qp.cqCount == qp.depth {
 		// A real device would stall; with SQ depth == CQ depth this
 		// cannot happen unless the host never consumes CQEs it was
 		// notified about.
 		panic("nvme: completion queue overflow")
 	}
-	tail := int(qp.cqTail.Load())
+	tail := qp.cqTail
 	qp.cq[tail] = CompletionEntry{
 		CID:    cid,
 		Status: st,
-		SQHead: uint16(qp.sqHead.Load()),
+		SQHead: uint16(qp.sqHead),
 		Phase:  qp.phase,
 	}
 	tail = (tail + 1) % qp.depth
 	// The phase bit makes the freshly written CQE self-describing; the tail
 	// publication follows the slot write, mirroring the SQ side.
-	qp.cqTail.Store(int64(tail))
+	qp.cqTail = tail
 	if tail == 0 {
 		qp.phase = !qp.phase
 	}
-	qp.cqCount.Add(1)
+	qp.cqCount++
 	qp.Completed++
 	qp.emit(trace.CQEPost, uint32(cid), 0, uint64(st))
 
@@ -361,14 +358,14 @@ func (qp *QueuePair) signalCompletion(cid uint16, prio uint8) {
 		return
 	}
 	if !qp.coalesce.enabled() {
-		qp.IRQRaised.Add(1)
+		qp.IRQRaised++
 		qp.emit(trace.IRQRaise, uint32(cid), 0, 1)
 		qp.OnCompletion(qp)
 		return
 	}
 	qp.unNotified++
 	if qp.coalesce.UrgentMax > 0 && prio != 0 && prio <= qp.coalesce.UrgentMax {
-		qp.IRQBypassed.Add(1)
+		qp.IRQBypassed++
 		qp.emit(trace.IRQBypass, uint32(cid), 0, uint64(qp.unNotified))
 		qp.raiseCoalesced()
 		return
@@ -377,7 +374,7 @@ func (qp *QueuePair) signalCompletion(cid uint16, prio uint8) {
 		qp.raiseCoalesced()
 		return
 	}
-	qp.IRQCoalesced.Add(1)
+	qp.IRQCoalesced++
 	qp.emit(trace.IRQCoalesce, uint32(cid), 0, uint64(qp.unNotified))
 	deadline := qp.dev.eng.Now() + qp.coalesce.delayFor(prio)
 	if !qp.coalesceEv.Armed() {
@@ -416,7 +413,7 @@ func (qp *QueuePair) raiseCoalesced() {
 	if qp.OnCompletion == nil {
 		return
 	}
-	qp.IRQRaised.Add(1)
+	qp.IRQRaised++
 	qp.emit(trace.IRQRaise, trace.NoCID, 0, uint64(covered))
 	qp.OnCompletion(qp)
 }
@@ -431,18 +428,18 @@ func (qp *QueuePair) Poll(max int) []CompletionEntry { return qp.PollAppend(nil,
 // allocates nothing.
 func (qp *QueuePair) PollAppend(out []CompletionEntry, max int) []CompletionEntry {
 	base := len(out)
-	for qp.cqCount.Load() > 0 && (max == 0 || len(out)-base < max) {
-		head := int(qp.cqHead.Load())
+	for qp.cqCount > 0 && (max == 0 || len(out)-base < max) {
+		head := qp.cqHead
 		ce := qp.cq[head]
-		qp.cqHead.Store(int64((head + 1) % qp.depth))
-		qp.cqCount.Add(-1)
+		qp.cqHead = (head + 1) % qp.depth
+		qp.cqCount--
 		out = append(out, ce)
 		qp.emit(trace.CQEConsume, uint32(ce.CID), 0, uint64(ce.Status))
 	}
-	if qp.cqCount.Load() == 0 && qp.unNotified > 0 {
+	if qp.cqCount == 0 && qp.unNotified > 0 {
 		// The host consumed every aggregated CQE by polling; the armed
 		// interrupt would only find an empty queue, so suppress it.
-		qp.IRQSuppressed.Add(uint64(qp.unNotified))
+		qp.IRQSuppressed += uint64(qp.unNotified)
 		qp.emit(trace.IRQSuppress, trace.NoCID, 0, uint64(qp.unNotified))
 		qp.unNotified = 0
 		if qp.coalesceEv.Armed() {
@@ -455,17 +452,16 @@ func (qp *QueuePair) PollAppend(out []CompletionEntry, max int) []CompletionEntr
 
 // Ring-state accessors for invariant checking (property tests): the SQ
 // head/tail and CQ head/tail indices and the device's current phase bit.
-// All index reads are atomic loads of the publishing side's cursor.
-func (qp *QueuePair) SQHead() int     { return int(qp.sqHead.Load()) }
-func (qp *QueuePair) SQTail() int     { return int(qp.sqTail.Load()) }
-func (qp *QueuePair) CQHead() int     { return int(qp.cqHead.Load()) }
-func (qp *QueuePair) CQTail() int     { return int(qp.cqTail.Load()) }
+func (qp *QueuePair) SQHead() int     { return qp.sqHead }
+func (qp *QueuePair) SQTail() int     { return qp.sqTail }
+func (qp *QueuePair) CQHead() int     { return qp.cqHead }
+func (qp *QueuePair) CQTail() int     { return qp.cqTail }
 func (qp *QueuePair) PhaseBit() bool  { return qp.phase }
-func (qp *QueuePair) CQOccupied() int { return int(qp.cqCount.Load()) }
+func (qp *QueuePair) CQOccupied() int { return qp.cqCount }
 
 // HasCompletions reports whether unconsumed CQEs are pending (the check a
 // shared-vector interrupt handler performs to identify the source, §4.2).
-func (qp *QueuePair) HasCompletions() bool { return qp.cqCount.Load() > 0 }
+func (qp *QueuePair) HasCompletions() bool { return qp.cqCount > 0 }
 
 // LastCID returns the command identifier assigned by the most recent
 // Submit.

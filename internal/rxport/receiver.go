@@ -1,7 +1,6 @@
 package rxport
 
 import (
-	"sync/atomic"
 	"time"
 
 	"aeolia/internal/aeokern"
@@ -34,10 +33,9 @@ type Receiver struct {
 	// deferred delivery pushes.
 	handlerFrame func() time.Duration
 
-	// Counters. Atomic: the IRQ-context paths bump them and the race tier
-	// hammers them from real goroutines.
-	HandlerRuns, KernelDeliveries, Yields atomic.Uint64
-	ActiveChecks, BlockedWaits            atomic.Uint64
+	// Counters.
+	HandlerRuns, KernelDeliveries, Yields uint64
+	ActiveChecks, BlockedWaits            uint64
 }
 
 // Attach binds the receiver to task t. With activeCheck, Await spins while
@@ -72,11 +70,11 @@ func (r *Receiver) UPID() *uintr.UPID { return r.upid }
 // the task blocks and the kernel path wakes it.
 func (r *Receiver) Await(env *sim.Env, c *sim.Completion) {
 	if r.activeCheck && !r.othersRunnable() {
-		r.ActiveChecks.Add(1)
+		r.ActiveChecks++
 		env.SpinWait(c)
 		return
 	}
-	r.BlockedWaits.Add(1)
+	r.BlockedWaits++
 	env.BlockOn(c)
 }
 
@@ -91,7 +89,7 @@ func (r *Receiver) othersRunnable() bool {
 // identifies the interrupt source by draining it (§4.2's "check the hardware
 // queue" step).
 func (r *Receiver) handle(core int, now time.Duration, aux uint64) {
-	r.HandlerRuns.Add(1)
+	r.HandlerRuns++
 	tr := r.kern.Engine().Tracer
 	if tr != nil {
 		tr.Emit(now, trace.HandlerEnter, core, -1, trace.NoCID, 0, aux)
@@ -107,7 +105,7 @@ func (r *Receiver) handle(core int, now time.Duration, aux uint64) {
 func (r *Receiver) userHandler(ctx *sim.IRQCtx, uv uint8) {
 	r.handle(ctx.Core().ID, ctx.Now(), uint64(uv))
 	if sched.UserTryYield(r.kern.ExtMap().Snapshot(ctx.Core()), ctx.Now()) {
-		r.Yields.Add(1)
+		r.Yields++
 		ctx.Core().SetNeedResched()
 	}
 }
@@ -129,7 +127,7 @@ func (r *Receiver) runHandlerFrame() time.Duration {
 // so future posts notify again), then delivers. It reports whether the
 // delivery was deferred to a handler frame.
 func (r *Receiver) Interrupt(ctx *sim.IRQCtx) bool {
-	r.KernelDeliveries.Add(1)
+	r.KernelDeliveries++
 	ctx.Charge(timing.KernelInterrupt)
 	pir := r.upid.TakePIR()
 	if tr := ctx.Engine().Tracer; tr != nil && r.upid.Classes != nil {

@@ -130,9 +130,9 @@ func TestMaskFollowsTheDrain(t *testing.T) {
 	if sent, masked := u().NotifySent.Load(), u().NotifyMasked.Load(); sent != 1 || masked != 3 {
 		t.Fatalf("burst of 4: %d notifications sent, %d masked, want 1 and 3", sent, masked)
 	}
-	if r.port.HandlerRuns.Load() != 1 || r.port.KernelDeliveries.Load() != 0 {
+	if r.port.HandlerRuns != 1 || r.port.KernelDeliveries != 0 {
 		t.Fatalf("in-schedule burst ran %d handlers and %d kernel deliveries, want 1 and 0",
-			r.port.HandlerRuns.Load(), r.port.KernelDeliveries.Load())
+			r.port.HandlerRuns, r.port.KernelDeliveries)
 	}
 	// The masked posts left their bits in the PIR; they ride the next
 	// recognition.
@@ -158,9 +158,9 @@ func TestWaitPolicy(t *testing.T) {
 		if r.m.Eng.Core(0).Idle() {
 			t.Fatal("actively checking port left its core idle")
 		}
-		if r.port.ActiveChecks.Load() != 1 || r.port.BlockedWaits.Load() != 0 {
+		if r.port.ActiveChecks != 1 || r.port.BlockedWaits != 0 {
 			t.Fatalf("%d active checks, %d blocking waits, want 1 and 0",
-				r.port.ActiveChecks.Load(), r.port.BlockedWaits.Load())
+				r.port.ActiveChecks, r.port.BlockedWaits)
 		}
 	})
 	t.Run("active contended", func(t *testing.T) {
@@ -175,9 +175,9 @@ func TestWaitPolicy(t *testing.T) {
 		if len(r.frames) != 1 {
 			t.Fatalf("blocked port received %d frames, want 1", len(r.frames))
 		}
-		if r.port.BlockedWaits.Load() == 0 || r.port.KernelDeliveries.Load() != 1 {
+		if r.port.BlockedWaits == 0 || r.port.KernelDeliveries != 1 {
 			t.Fatalf("%d blocking waits, %d kernel deliveries: a contended port must block and wake by the kernel path",
-				r.port.BlockedWaits.Load(), r.port.KernelDeliveries.Load())
+				r.port.BlockedWaits, r.port.KernelDeliveries)
 		}
 	})
 	t.Run("blocking alone", func(t *testing.T) {
@@ -186,9 +186,9 @@ func TestWaitPolicy(t *testing.T) {
 		if !r.m.Eng.Core(0).Idle() {
 			t.Fatal("blocking port alone on its core keeps the core busy")
 		}
-		if r.port.ActiveChecks.Load() != 0 || r.port.BlockedWaits.Load() != 1 {
+		if r.port.ActiveChecks != 0 || r.port.BlockedWaits != 1 {
 			t.Fatalf("%d active checks, %d blocking waits, want 0 and 1",
-				r.port.ActiveChecks.Load(), r.port.BlockedWaits.Load())
+				r.port.ActiveChecks, r.port.BlockedWaits)
 		}
 	})
 }
@@ -268,7 +268,7 @@ func TestAllocsKernelPathDelivery(t *testing.T) {
 	post()
 	alloctest.AtMost(t, 0, 10, func() { eng.Run(eng.Now() + 200*time.Microsecond) })
 	// (The last delivery's frame may still be waiting for its task's switch-in.)
-	if k, h := r.port.KernelDeliveries.Load(), r.port.HandlerRuns.Load(); k < 200 || h+1 < k {
+	if k, h := r.port.KernelDeliveries, r.port.HandlerRuns; k < 200 || h+1 < k {
 		t.Fatalf("%d kernel deliveries, %d handler runs: the gate measured something else", k, h)
 	}
 }

@@ -1,5 +1,5 @@
 // Package trace is the always-on observability layer of the Aeolia
-// reproduction: a lock-free, per-core ring-buffer event tracer that the
+// reproduction: a per-core ring-buffer event tracer that the
 // device model (internal/nvme), the user-interrupt unit (internal/uintr,
 // internal/aeokern), the driver (internal/aeodriver), and the file system
 // (internal/aeofs) thread typed events through, so every I/O command's life —
@@ -27,7 +27,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -383,23 +382,16 @@ func (e Event) String() string {
 // monotone count of events ever written; slot i holds event (n-1) mod cap.
 type ring struct {
 	buf []Event
-	n   atomic.Uint64
-	// Pad cursors of adjacent rings onto separate cache lines so per-core
-	// emitters do not false-share.
-	_ [48]byte
+	n   uint64
 }
 
 // Tracer collects events into per-core rings (plus one shared ring for
-// device/global context). Emission is lock-free: one atomic add on the
-// global sequence, one on the ring cursor. A nil *Tracer is a valid sink
-// whose Emit is a no-op — the disabled fast path.
-//
-// Snapshots (Events, Dropped) must not race with emission; in the simulator
-// this holds by construction because callers snapshot after Engine.Run
-// returns (the engine serializes all emitting contexts).
+// device/global context). Emission bumps the global sequence and the
+// ring's cursor. A nil *Tracer is a valid sink whose Emit is a no-op — the
+// disabled fast path. Every emitter runs on its engine's one goroutine.
 type Tracer struct {
-	seq   atomic.Uint64
-	chain atomic.Uint32
+	seq   uint64
+	chain uint32
 	rings []ring
 }
 
@@ -412,7 +404,8 @@ func (tr *Tracer) NextChain() uint32 {
 	if tr == nil {
 		return NoCID
 	}
-	return tr.chain.Add(1)
+	tr.chain++
+	return tr.chain
 }
 
 // New creates a tracer for a machine with the given core count; perRing is
@@ -441,9 +434,10 @@ func (tr *Tracer) Emit(at time.Duration, typ Type, core, qid int, cid uint32, lb
 	if core >= 0 && core < len(tr.rings)-1 {
 		r = &tr.rings[core+1]
 	}
-	seq := tr.seq.Add(1)
-	i := (r.n.Add(1) - 1) % uint64(len(r.buf))
-	r.buf[i] = Event{Seq: seq, At: at, Type: typ, Core: int32(core), QID: int32(qid), CID: cid, LBA: lba, Aux: aux}
+	tr.seq++
+	i := r.n % uint64(len(r.buf))
+	r.n++
+	r.buf[i] = Event{Seq: tr.seq, At: at, Type: typ, Core: int32(core), QID: int32(qid), CID: cid, LBA: lba, Aux: aux}
 }
 
 // Len returns the total number of events emitted (including overwritten
@@ -452,7 +446,7 @@ func (tr *Tracer) Len() uint64 {
 	if tr == nil {
 		return 0
 	}
-	return tr.seq.Load()
+	return tr.seq
 }
 
 // Dropped returns how many events were overwritten by ring wrap-around.
@@ -462,7 +456,7 @@ func (tr *Tracer) Dropped() uint64 {
 	}
 	var d uint64
 	for i := range tr.rings {
-		n := tr.rings[i].n.Load()
+		n := tr.rings[i].n
 		if c := uint64(len(tr.rings[i].buf)); n > c {
 			d += n - c
 		}
@@ -478,7 +472,7 @@ func (tr *Tracer) Events() []Event {
 	var out []Event
 	for i := range tr.rings {
 		r := &tr.rings[i]
-		n := r.n.Load()
+		n := r.n
 		if c := uint64(len(r.buf)); n > c {
 			n = c
 		}
@@ -493,9 +487,8 @@ func (tr *Tracer) Reset() {
 	if tr == nil {
 		return
 	}
-	tr.seq.Store(0)
-	tr.chain.Store(0)
+	tr.seq, tr.chain = 0, 0
 	for i := range tr.rings {
-		tr.rings[i].n.Store(0)
+		tr.rings[i].n = 0
 	}
 }

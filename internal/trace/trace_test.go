@@ -60,9 +60,9 @@ func TestCoreRoutingAndOutOfRangeCores(t *testing.T) {
 	if got := len(tr.Events()); got != 3 {
 		t.Fatalf("got %d events, want 3", got)
 	}
-	if tr.rings[0].n.Load() != 2 || tr.rings[1].n.Load() != 1 {
+	if tr.rings[0].n != 2 || tr.rings[1].n != 1 {
 		t.Errorf("ring fills = %d/%d, want 2/1",
-			tr.rings[0].n.Load(), tr.rings[1].n.Load())
+			tr.rings[0].n, tr.rings[1].n)
 	}
 }
 
@@ -98,7 +98,7 @@ func BenchmarkEmitDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitEnabled measures the enabled path: two atomic adds and a
+// BenchmarkEmitEnabled measures the enabled path: two counter bumps and a
 // slot store.
 func BenchmarkEmitEnabled(b *testing.B) {
 	tr := New(1, 1<<16)

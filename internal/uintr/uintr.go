@@ -76,9 +76,13 @@ type UPID struct {
 	// Hook, if set, intercepts notifications for fault injection.
 	Hook NotifyHook
 
-	// Notification fault stats (only advanced when Hook is set). Atomic so
-	// tests and monitors may read them while a simulation goroutine
-	// mutates.
+	// The Notify* counters are the machine's last atomics outside
+	// nvme.SPSC. Nothing reads them from another goroutine: they stay
+	// atomic.Uint64 because benchmarks/aeoperf reads NotifySent and
+	// NotifySuppressed through Load, and they become plain fields together
+	// with that reader.
+	//
+	// Notification fault stats (only advanced when Hook is set).
 	NotifyDropped atomic.Uint64
 	NotifyDelayed atomic.Uint64
 	NotifyDuped   atomic.Uint64
