@@ -31,7 +31,8 @@ func TestAllocsTimerArmAndCancel(t *testing.T) {
 	alloctest.AtMost(t, 0, 1, func() { e.Schedule(time.Microsecond, fn).Cancel() })
 }
 
-func TestAllocsExecPark(t *testing.T) {
+// An Exec with nothing due before it ends runs inline, without parking.
+func TestAllocsExecInline(t *testing.T) {
 	e := newEngine(t, 1)
 	e.Spawn("worker", e.Core(0), func(env *sim.Env) {
 		for {
@@ -40,6 +41,26 @@ func TestAllocsExecPark(t *testing.T) {
 	})
 	// Long enough to cross scheduler ticks too.
 	alloctest.AtMost(t, 0, 10_000, step(e, 10*time.Millisecond))
+	if s := e.Stats(); s.InlineExecs < 10_000 {
+		t.Fatalf("%d Execs ran inline, want at least 10000", s.InlineExecs)
+	}
+}
+
+// A timer due mid-Exec makes every Exec park and resume on its exec-done
+// event.
+func TestAllocsExecPark(t *testing.T) {
+	e := newEngine(t, 1)
+	nop := func() {}
+	e.Spawn("worker", e.Core(0), func(env *sim.Env) {
+		for {
+			env.Schedule(500*time.Nanosecond, nop)
+			env.Exec(time.Microsecond)
+		}
+	})
+	alloctest.AtMost(t, 0, 10_000, step(e, 10*time.Millisecond))
+	if s := e.Stats(); s.InlineExecs != 0 {
+		t.Fatalf("%d Execs ran inline: the gate measured the wrong path", s.InlineExecs)
+	}
 }
 
 // irqLoop is a task whose every cycle arms an interrupt on its own core and

@@ -255,7 +255,11 @@ func (c *Core) startIRQ(vector int) {
 		f.endEv = c.Schedule(f.cost, f.end)
 		return
 	}
+	// A free frame ends on the spot and may resume the task under
+	// whoever raised the interrupt, who goes on after it parks.
+	c.eng.depth++
 	c.frameEnd(f)
+	c.eng.depth--
 }
 
 // nestIRQ services vector immediately on top of the in-progress interrupt:
@@ -655,7 +659,9 @@ func (e *Engine) runCurrent(c *Core) {
 		}
 		// Hand control to the task body.
 		c.inBody = true
+		e.depth++
 		t.next()
+		e.depth--
 		c.inBody = false
 		if Trace != nil {
 			Trace("%v core%d parked %s op=%d", c.now(), c.ID, t.Name, t.op)
@@ -727,6 +733,52 @@ func (e *Engine) runCurrent(c *Core) {
 	}
 }
 
+// execInline is Exec's fast path: when the slow path — park, exec-done
+// event at now+d, resume — could not let anything else run in between, it
+// charges d to t, moves the clock to now+d and reports true. Nothing then
+// runs on the task's stack but the task itself, and the clock moves only
+// past an empty stretch of the calendar.
+func (e *Engine) execInline(t *Task, d time.Duration) bool {
+	// A trace records the park and the resume that this would skip.
+	if Trace != nil {
+		return false
+	}
+	// An outer body, or the caller of a release or of a zero-cost
+	// interrupt, resumes after this body parks and must see the old now.
+	if e.depth != 1 {
+		return false
+	}
+	// Outside Run there is no loop that would pop the exec-done event.
+	if !e.running {
+		return false
+	}
+	end := e.now + d
+	// The horizon would stop Run before the exec-done event.
+	if e.until > 0 && end > e.until {
+		return false
+	}
+	c := t.core
+	// Only the running body of this core's task may move the clock.
+	if c == nil || c.current != t || !c.inBody {
+		return false
+	}
+	// An interrupt in service or pending, a transition, or a preemption
+	// owed at the park would take the core from the task first.
+	if c.inIRQ || c.inTransition || c.needResched || len(c.pending) > 0 {
+		return false
+	}
+	// An event due by end runs first: one at exactly end was scheduled
+	// before the exec-done event would be, so it has the lower seq.
+	if ev := e.cal.peek(); ev != nil && ev.at <= end {
+		return false
+	}
+	c.execStart = e.now
+	t.CPUTime += d
+	e.now = end
+	e.stats.InlineExecs++
+	return true
+}
+
 // spinFired handles a Completion firing while a task is (or was) spinning
 // on it. If the task is still current on its core, it resumes immediately
 // with no scheduler involvement — the defining property of polling. If the
@@ -746,5 +798,8 @@ func (e *Engine) spinFired(t *Task) {
 		return
 	}
 	t.CPUTime += c.now() - c.execStart
+	// Whoever fired the completion goes on after the spinner parks.
+	e.depth++
 	e.runCurrent(c)
+	e.depth--
 }

@@ -8,7 +8,9 @@
 // while task bodies are written as ordinary sequential Go code.
 //
 // Events live in one calendar heap ordered by (at, seq) and run one at a
-// time by one serial loop; event nodes are pooled.
+// time by one serial loop; event nodes are pooled. An Exec that no event
+// can interrupt costs none: its task moves the clock itself
+// (Engine.execInline).
 //
 // The steady state allocates nothing: an event is a pooled node carrying a
 // callback its owner bound once (a core's exec-done, tick and transition
@@ -33,6 +35,7 @@ import (
 type EngineStats struct {
 	WindowEvents uint64 // always zero: kept for readers that sum it with SerialEvents
 	SerialEvents uint64 // events fired
+	InlineExecs  uint64 // Execs that ran to their end without parking (Engine.execInline)
 	PoolHits     uint64 // event allocations served from the free pool
 	PoolMisses   uint64 // event allocations that hit the Go allocator
 }
@@ -54,6 +57,14 @@ type Engine struct {
 
 	liveTasks int
 	running   bool
+	until     time.Duration // the horizon of the Run in progress (0: none)
+
+	// depth counts the frames on the engine's stack that still have work
+	// to do once the body they resume parks: each task body runCurrent
+	// hands control to, and each synchronous resume that returns into its
+	// caller (a completion releasing a spinner, a zero-cost interrupt
+	// frame). execInline needs it to be exactly 1.
+	depth int
 
 	stats EngineStats
 
@@ -260,7 +271,7 @@ func (e *Engine) kickAfterWake(t *Task) {
 // virtual-time horizon passes (0 means no horizon). It returns the final
 // virtual time.
 func (e *Engine) Run(until time.Duration) time.Duration {
-	e.running = true
+	e.running, e.until = true, until
 	for {
 		ev := e.cal.peek()
 		if ev == nil {

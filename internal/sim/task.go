@@ -182,15 +182,29 @@ func (e *Env) Engine() *Engine { return e.t.eng }
 // Exec consumes d of CPU time on the current core. The task may be
 // interrupted and preempted while executing; Exec returns once the full
 // duration has been consumed.
+//
+// When nothing can run before the slice ends — no event is due by then and
+// no code is waiting on the engine's stack — Exec does not park: it charges
+// d, moves the clock to the slice's end and returns, exactly as the park and
+// the core's exec-done event would have, minus two coroutine switches and
+// the event (Engine.execInline has the conditions).
 func (e *Env) Exec(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	t := e.t
+	e.t.exec(d)
+	e.t.runResumeHooks()
+}
+
+// exec consumes d (> 0) of CPU time: inline when nothing can interrupt it,
+// else parked until the core's exec-done event.
+func (t *Task) exec(d time.Duration) {
+	if t.eng.execInline(t, d) {
+		return
+	}
 	t.op = opExec
 	t.execRem = d
 	t.park()
-	t.runResumeHooks()
 }
 
 // Block removes the task from the CPU until another context calls
@@ -243,9 +257,7 @@ func (e *Env) BlockOn(c *Completion) {
 func (t *Task) runResumeHooks() {
 	for len(t.onResume) > 0 {
 		if cost := t.popResumeHook()(); cost > 0 {
-			t.op = opExec
-			t.execRem = cost
-			t.park()
+			t.exec(cost)
 		}
 	}
 }
